@@ -269,11 +269,12 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
       migrate_every =
     match resume with
     | None ->
+        (* The default is a constant, not the job count: [jobs] only
+           schedules work, so it must never change the search. *)
         let k =
           match islands with
           | Some k -> clamp_islands k
-          | None -> (
-              match env_islands () with Some k -> k | None -> jobs)
+          | None -> Option.value (env_islands ()) ~default:1
         in
         (* Every island needs at least an initial population's worth of
            budget to evolve anything, so tiny runs shed islands. *)

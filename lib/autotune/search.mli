@@ -45,9 +45,9 @@
     only on its own substream and on snapshots exchanged at fixed
     boundaries.  [~islands:1] takes the historical single-population
     code path and reproduces pre-island traces byte-for-byte.  Note
-    that {e different} island counts are different searches: since
-    [islands] defaults to [jobs], pin [~islands] explicitly wherever
-    cross-machine reproducibility matters.
+    that {e different} island counts are different searches.  [islands]
+    defaults to 1 (or [IMTP_ISLANDS]), never to the job count, so a
+    default search is the same on every host.
 
     {2 Measurement gating}
 
@@ -232,7 +232,7 @@ val run :
 
     [jobs] (default {!Imtp_engine.Pool.default_jobs}) bounds the worker
     domains per engine batch.  [islands] (default: [IMTP_ISLANDS] from
-    the environment, else [jobs]; clamped to [1, 64] and to at most
+    the environment, else 1; clamped to [1, 64] and to at most
     [trials / 16] so every island can seed an initial population)
     shards the search island-model style; [migrate_every] (default 2,
     generations) sets the migration cadence.  [use_cost_model] (default

@@ -36,7 +36,7 @@ val tune :
     ([jobs] — results are identical at any value for a fixed
     [islands]).  [islands] and [migrate_every] shard the search
     island-model style across the pool (see {!Search.run}; [islands]
-    defaults to the effective job count).  [measure_ratio]
+    defaults to 1, whatever the job count).  [measure_ratio]
     (default off) enables {!Search.run}'s learned-model measurement
     gate at the given simulator fraction.  [resume], [on_checkpoint],
     [checkpoint_every] and [stop] thread straight through to

@@ -10,64 +10,56 @@ type profile = {
 let issue_period (cfg : Config.t) ~tasklets =
   float_of_int (max cfg.revolver_period tasklets)
 
-(* Simulate [chunks] chunks distributed block-wise over [t] tasklets and
-   return the finish time of the last tasklet.  Linear scan for the next
-   runnable tasklet is fine for t <= 24. *)
-let simulate cfg p chunks =
-  let t = max 1 p.tasklets in
-  let period = issue_period cfg ~tasklets:t in
-  let compute_time = p.compute_slots *. period in
-  let dma_times =
-    List.map (fun (b, n) -> n *. Timing.dma_cycles cfg b) p.dma_bytes
-  in
-  let remaining = Array.make t 0 in
-  for i = 0 to chunks - 1 do
-    remaining.(i mod t) <- remaining.(i mod t) + 1
-  done;
-  let ready = Array.make t (p.prologue_slots *. period) in
-  let engine_free = ref 0. in
-  let pick () =
-    let best = ref (-1) in
-    for i = 0 to t - 1 do
-      if remaining.(i) > 0 && (!best < 0 || ready.(i) < ready.(!best)) then
-        best := i
-    done;
-    !best
-  in
-  let continue = ref true in
-  while !continue do
-    let i = pick () in
-    if i < 0 then continue := false
-    else begin
-      let now = ref ready.(i) in
-      List.iter
-        (fun d ->
-          let start = Float.max !now !engine_free in
-          engine_free := start +. d;
-          now := start +. d)
-        dma_times;
-      now := !now +. compute_time;
-      ready.(i) <- !now;
-      remaining.(i) <- remaining.(i) - 1
-    end
-  done;
-  let finish = ref 0. in
-  for i = 0 to t - 1 do
-    let f = ready.(i) +. (p.epilogue_slots *. period) in
-    if f > !finish then finish := f
-  done;
-  !finish
-
 let cap_chunks = 4096
 
+(* Chunk [k] runs on tasklet [k mod t], the tasklet that has waited
+   longest.  That is the list schedule "next runnable tasklet = earliest
+   ready" because every assigned ready time is [engine_free + compute]
+   (or, with no DMA, its own previous ready time + compute),
+   [engine_free] never decreases and float rounding is monotone: the
+   tasklet served longest ago is never ready later than any other.  So
+   [ready] is a ring of the last [t] finish times, and the run of
+   [cap_chunks / 2] chunks is an exact prefix of the run of
+   [cap_chunks], which one loop records on the way.  Within a chunk,
+   only the first DMA can wait for the engine: after it the tasklet's
+   clock is [engine_free], and [Float.max e e = e] bit for bit. *)
 let kernel_cycles cfg p =
   if p.chunks < 0 then invalid_arg "Dpu_model.kernel_cycles: negative chunks";
-  if p.chunks <= cap_chunks then simulate cfg p p.chunks
-  else begin
-    (* Steady-state extrapolation: measure the marginal per-chunk rate
-       between two large chunk counts and extend linearly. *)
-    let half = cap_chunks / 2 in
-    let t_half = simulate cfg p half and t_full = simulate cfg p cap_chunks in
-    let rate = (t_full -. t_half) /. float_of_int (cap_chunks - half) in
+  let t = max 1 p.tasklets in
+  let period = issue_period cfg ~tasklets:t in
+  let compute = p.compute_slots *. period
+  and epilogue = p.epilogue_slots *. period in
+  let dma =
+    Array.of_list
+      (List.map (fun (b, n) -> n *. Timing.dma_cycles cfg b) p.dma_bytes)
+  in
+  let ndma = Array.length dma in
+  let ready = Array.make t (p.prologue_slots *. period) in
+  let finish () =
+    Array.fold_left
+      (fun acc r ->
+        let f = r +. epilogue in
+        if f > acc then f else acc)
+      0. ready
+  in
+  let half = cap_chunks / 2 in
+  let engine_free = ref 0. and t_half = ref 0. and i = ref 0 in
+  for k = 0 to min p.chunks cap_chunks - 1 do
+    if k = half then t_half := finish ();
+    if ndma = 0 then ready.(!i) <- ready.(!i) +. compute
+    else begin
+      engine_free := Float.max ready.(!i) !engine_free +. dma.(0);
+      for j = 1 to ndma - 1 do
+        engine_free := !engine_free +. dma.(j)
+      done;
+      ready.(!i) <- !engine_free +. compute
+    end;
+    i := if !i + 1 = t then 0 else !i + 1
+  done;
+  let t_full = finish () in
+  if p.chunks <= cap_chunks then t_full
+  else
+    (* Steady-state extrapolation: the marginal per-chunk rate between
+       [half] and [cap_chunks] chunks, extended linearly. *)
+    let rate = (t_full -. !t_half) /. float_of_int (cap_chunks - half) in
     t_full +. (rate *. float_of_int (p.chunks - cap_chunks))
-  end

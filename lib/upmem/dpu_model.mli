@@ -1,4 +1,5 @@
-(** Event-level timing model of one DPU executing a tiled kernel.
+(** Round-robin list-schedule timing model of one DPU executing a tiled
+    kernel.
 
     A kernel is abstracted as a stream of "chunks" — one iteration of
     the WRAM caching loop — distributed over the active tasklets.  Each
@@ -8,10 +9,18 @@
     pipeline.  This captures the two first-order effects the paper's
     optimizations exploit: tasklet-level latency hiding (why small
     caching tiles win on small per-DPU slices) and issue-slot pressure
-    (why boundary-check branches hurt). *)
+    (why boundary-check branches hurt).
+
+    The schedule gives each chunk to the earliest-ready tasklet.  Every
+    assigned ready time is [engine_free + compute] (with no DMAs, the
+    tasklet's previous ready time + compute), [engine_free] never
+    decreases, and float rounding is monotone, so the earliest-ready
+    tasklet is always the one served longest ago: chunk [k] runs on
+    tasklet [k mod tasklets].  The model is therefore one round-robin
+    pass costing O(min(chunks, 4096) × DMAs per chunk). *)
 
 type profile = {
-  tasklets : int;  (** active tasklets, 1..24. *)
+  tasklets : int;  (** active tasklets, 1..24; 0 is treated as 1. *)
   chunks : int;  (** total caching-loop iterations on this DPU. *)
   dma_bytes : (int * float) list;
       (** DMA transfers issued per chunk as (bytes, count) pairs; a
@@ -25,8 +34,10 @@ type profile = {
 
 val kernel_cycles : Config.t -> profile -> float
 (** Simulated cycles until the last tasklet finishes.  Chunk counts
-    beyond an internal cap are handled by steady-state extrapolation,
-    so cost evaluation stays O(1) in tensor size. *)
+    beyond 4096 are handled by steady-state extrapolation from the
+    marginal rate between 2048 and 4096 chunks, so cost evaluation
+    stays O(1) in tensor size.  Raises [Invalid_argument] on negative
+    [chunks]. *)
 
 val issue_period : Config.t -> tasklets:int -> float
 (** Cycles between two issue opportunities of one tasklet: the revolver

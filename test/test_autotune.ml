@@ -390,11 +390,9 @@ let history_key (o : Se.outcome) =
 
 let test_gated_jobs_equivalence () =
   let op = Ops.mtv 128 256 in
-  (* islands must be pinned: it defaults to [jobs], and a different
-     island count is a different (equally deterministic) search. *)
-  let run jobs =
-    Se.run ~seed:9 ~jobs ~islands:1 ~measure_ratio:0.2 cfg op ~trials:48
-  in
+  (* islands left at its default, which must not follow [jobs]: a
+     different island count would be a different search. *)
+  let run jobs = Se.run ~seed:9 ~jobs ~measure_ratio:0.2 cfg op ~trials:48 in
   let a = run 1 and b = run 4 in
   Alcotest.(check bool) "history identical at any job count" true
     (history_key a = history_key b);
@@ -761,9 +759,9 @@ let test_island_defaults () =
   (* explicit wins *)
   let o = Se.run ~seed:3 ~jobs:1 ~islands:2 cfg op ~trials:64 in
   Alcotest.(check int) "explicit islands" 2 o.Se.islands;
-  (* defaults to the effective job count *)
+  (* defaults to one island, whatever the job count *)
   let o = Se.run ~seed:3 ~jobs:2 cfg op ~trials:64 in
-  Alcotest.(check int) "defaults to jobs" 2 o.Se.islands;
+  Alcotest.(check int) "defaults to one island" 1 o.Se.islands;
   (* IMTP_ISLANDS fills in when no explicit count is given *)
   Unix.putenv "IMTP_ISLANDS" "3";
   let o = Se.run ~seed:3 ~jobs:1 cfg op ~trials:64 in

@@ -1,5 +1,6 @@
 (* Tests for the UPMEM machine model: configuration, timing formulas,
-   the DPU pipeline/DMA event model, transfers and the host model. *)
+   the DPU pipeline/DMA schedule model (checked bit-for-bit against the
+   original event loop), transfers and the host model. *)
 
 module U = Imtp_upmem
 
@@ -105,6 +106,172 @@ let test_extrapolation_linear () =
 let test_zero_chunks () =
   let t = U.Dpu_model.kernel_cycles cfg (profile ~chunks:0 ()) in
   Alcotest.(check bool) "no work, no time" true (t >= 0. && t < 1e4)
+
+(* Reference oracle for [Dpu_model.kernel_cycles]: the original event
+   loop, which scans for the earliest-ready tasklet with chunks left at
+   every step and simulates the extrapolation points separately. *)
+let reference_simulate p chunks =
+  let open U.Dpu_model in
+  let t = max 1 p.tasklets in
+  let period = issue_period cfg ~tasklets:t in
+  let compute_time = p.compute_slots *. period in
+  let dma_times =
+    List.map (fun (b, n) -> n *. U.Timing.dma_cycles cfg b) p.dma_bytes
+  in
+  let remaining = Array.make t 0 in
+  for i = 0 to chunks - 1 do
+    remaining.(i mod t) <- remaining.(i mod t) + 1
+  done;
+  let ready = Array.make t (p.prologue_slots *. period) in
+  let engine_free = ref 0. in
+  let pick () =
+    let best = ref (-1) in
+    for i = 0 to t - 1 do
+      if remaining.(i) > 0 && (!best < 0 || ready.(i) < ready.(!best)) then
+        best := i
+    done;
+    !best
+  in
+  let continue = ref true in
+  while !continue do
+    let i = pick () in
+    if i < 0 then continue := false
+    else begin
+      let now = ref ready.(i) in
+      List.iter
+        (fun d ->
+          let start = Float.max !now !engine_free in
+          engine_free := start +. d;
+          now := start +. d)
+        dma_times;
+      now := !now +. compute_time;
+      ready.(i) <- !now;
+      remaining.(i) <- remaining.(i) - 1
+    end
+  done;
+  let finish = ref 0. in
+  for i = 0 to t - 1 do
+    let f = ready.(i) +. (p.epilogue_slots *. period) in
+    if f > !finish then finish := f
+  done;
+  !finish
+
+let reference_kernel_cycles p =
+  let cap = 4096 in
+  if p.U.Dpu_model.chunks <= cap then reference_simulate p p.chunks
+  else
+    let half = cap / 2 in
+    let t_half = reference_simulate p half
+    and t_full = reference_simulate p cap in
+    let rate = (t_full -. t_half) /. float_of_int (cap - half) in
+    t_full +. (rate *. float_of_int (p.chunks - cap))
+
+let full_profile ~tasklets ~chunks ~dma ~compute ~prologue ~epilogue =
+  {
+    U.Dpu_model.tasklets;
+    chunks;
+    dma_bytes = dma;
+    compute_slots = compute;
+    prologue_slots = prologue;
+    epilogue_slots = epilogue;
+  }
+
+let same_bits p =
+  Int64.equal
+    (Int64.bits_of_float (U.Dpu_model.kernel_cycles cfg p))
+    (Int64.bits_of_float (reference_kernel_cycles p))
+
+let corner_tasklets = [ 0; 1; 24 ]
+let corner_chunks = [ 0; 1; 2048; 4096; 4097; 8192; 100_001 ]
+
+(* empty, zero-byte, zero-count and fractional-count DMA lists *)
+let corner_dmas =
+  [ []; [ (0, 1.) ]; [ (256, 0.) ]; [ (2048, 1.); (64, 0.25); (0, 3.) ] ]
+
+let corner_computes = [ 0.; 1e-9; 200. ]
+
+let test_matches_reference_corners () =
+  List.iter
+    (fun tasklets ->
+      List.iter
+        (fun chunks ->
+          List.iter
+            (fun dma ->
+              List.iter
+                (fun compute ->
+                  let p =
+                    full_profile ~tasklets ~chunks ~dma ~compute ~prologue:3.
+                      ~epilogue:5.
+                  in
+                  if not (same_bits p) then
+                    Alcotest.failf
+                      "tasklets=%d chunks=%d dmas=%d compute=%h: %h <> %h"
+                      tasklets chunks (List.length dma) compute
+                      (U.Dpu_model.kernel_cycles cfg p)
+                      (reference_kernel_cycles p))
+                corner_computes)
+            corner_dmas)
+        corner_chunks)
+    corner_tasklets
+
+(* Values recorded from the event-loop implementation. *)
+let test_pinned_profiles () =
+  let check name expected p =
+    Alcotest.(check string) name (Printf.sprintf "%h" expected)
+      (Printf.sprintf "%h" (U.Dpu_model.kernel_cycles cfg p))
+  in
+  check "default profile" 0x1.ea4p+13 (profile ());
+  check "capped, mixed dmas" 0x1.8f3f9cp+21
+    (full_profile ~tasklets:11 ~chunks:3000
+       ~dma:[ (2048, 1.); (64, 0.25); (8, 1.) ]
+       ~compute:37.5 ~prologue:12. ~epilogue:9.);
+  check "extrapolated" 0x1.2afa433p+29
+    (full_profile ~tasklets:24 ~chunks:1_000_000
+       ~dma:[ (512, 2.); (1024, 0.125) ]
+       ~compute:3.25 ~prologue:40. ~epilogue:17.)
+
+let gen_profile =
+  let open QCheck2.Gen in
+  let tasklets = frequency [ (1, oneofl corner_tasklets); (3, int_range 0 24) ] in
+  let chunks =
+    frequency
+      [
+        (2, oneofl corner_chunks);
+        (1, int_range 100_001 10_000_000);
+        (4, int_range 0 5000);
+      ]
+  in
+  let count =
+    frequency
+      [ (1, oneofl [ 0.; 1. ]); (2, float_range 0. 4.); (1, float_range 0. 1e-6) ]
+  in
+  let dma =
+    frequency
+      [
+        (1, oneofl corner_dmas);
+        (4, list_size (int_range 0 4) (pair (int_range 0 4096) count));
+      ]
+  in
+  let slots =
+    frequency
+      [ (1, oneofl [ 0.; 1e-12 ]); (1, float_range 0. 1e-6); (4, float_range 0. 2000.) ]
+  in
+  map
+    (fun (tasklets, chunks, dma, (compute, prologue, epilogue)) ->
+      full_profile ~tasklets ~chunks ~dma ~compute ~prologue ~epilogue)
+    (tup4 tasklets chunks dma (tup3 slots slots slots))
+
+let print_profile p =
+  Printf.sprintf
+    "{tasklets=%d; chunks=%d; dma=[%s]; compute=%h; prologue=%h; epilogue=%h}"
+    p.U.Dpu_model.tasklets p.chunks
+    (String.concat "; "
+       (List.map (fun (b, n) -> Printf.sprintf "(%d, %h)" b n) p.dma_bytes))
+    p.compute_slots p.prologue_slots p.epilogue_slots
+
+let prop_matches_reference =
+  QCheck2.Test.make ~count:400 ~name:"kernel cycles bit-identical to event loop"
+    ~print:print_profile gen_profile same_bits
 
 let test_transfer_parallel_beats_serial () =
   let serial =
@@ -229,6 +396,9 @@ let () =
             test_dma_engine_serializes;
           Alcotest.test_case "extrapolation" `Quick test_extrapolation_linear;
           Alcotest.test_case "zero chunks" `Quick test_zero_chunks;
+          Alcotest.test_case "matches reference at corners" `Quick
+            test_matches_reference_corners;
+          Alcotest.test_case "pinned profiles" `Quick test_pinned_profiles;
         ] );
       ( "transfer",
         [
@@ -245,5 +415,11 @@ let () =
           Alcotest.test_case "host scaling" `Quick test_host_model_scaling;
           Alcotest.test_case "stats algebra" `Quick test_stats_algebra;
         ] );
-      ("properties", q [ prop_dma_cost_monotone; prop_kernel_cycles_monotone_chunks ]);
+      ( "properties",
+        q
+          [
+            prop_dma_cost_monotone;
+            prop_kernel_cycles_monotone_chunks;
+            prop_matches_reference;
+          ] );
     ]
