@@ -6,10 +6,8 @@ FUZZ_CASES ?= 10000
 # determined by FUZZ_SEED alone — the same seed reproduces the same
 # failures at any job count — so -j only changes wall-clock time.
 JOBS ?= $(shell nproc 2>/dev/null || echo 1)
-BENCH_DATE := $(shell date +%Y%m%d)
 
-.PHONY: all test check doc bench bench-exec bench-model bench-affine \
-	bench-serve bench-islands bench-graph serve-smoke fuzz clean
+.PHONY: all test check doc bench serve-smoke fuzz clean
 
 all:
 	dune build @all
@@ -45,56 +43,16 @@ doc:
 	  echo "doc: odoc not installed, skipping (opam install odoc)"; \
 	fi
 
-# Batch-throughput benchmark: cold-engine Engine.batch over 200
-# distinct GEMM candidates at -j 1/2/4 plus the warm cache-hit path,
-# interpreter-vs-compiled executor throughput on GEMV/MMTV, then the
-# island-model search at -j4/-k4 vs -j1/-k1 (pure CPU and under
-# emulated device latency).  All reports land in BENCH_<date>.json
-# (and tables on stdout).
+# The paper-suite benchmark (bench/suite/README.md): one measured run
+# of each workload BENCHMARK.json declares, appended as result rows to
+# bench-runs.jsonl.  Compare them against the committed baseline with
+#   dune exec bench/suite/suite.exe -- compare \
+#       bench/suite/results/baseline.jsonl bench-runs.jsonl
 bench:
-	dune exec bench/main.exe -- --batch-scaling --out BENCH_$(BENCH_DATE).json
-	dune exec bench/main.exe -- --exec-throughput --out BENCH_$(BENCH_DATE).json
-	dune exec bench/main.exe -- --island-scaling --out BENCH_$(BENCH_DATE).json
-	dune exec bench/main.exe -- --graph --out BENCH_$(BENCH_DATE).json
-
-# Whole-model graph pipeline: MLP forward pass and the attention block
-# compiled fused + MRAM-resident vs per-op (fixed seeds, pinned island
-# count), asserting the fused plan wins on modeled latency AND
-# host-transfer volume, and recording both into BENCH_<date>.json.
-bench-graph:
-	dune exec bench/main.exe -- --graph --out BENCH_$(BENCH_DATE).json
-
-# Island-model search scaling on its own: equal trial budgets at
-# -j1/-k1 vs -j4/-k4, pure CPU and with IMTP_SIM_LATENCY_US emulating
-# the per-measurement device round-trip, plus an Engine.batch leg
-# under the same stall.
-bench-islands:
-	dune exec bench/main.exe -- --island-scaling --out BENCH_$(BENCH_DATE).json
-
-# Just the executor-throughput comparison.
-bench-exec:
-	dune exec bench/main.exe -- --exec-throughput --out BENCH_$(BENCH_DATE).json
-
-# Learned-cost-model gate: full vs gated search on the acceptance
-# workloads (fixed seeds), recording best latency, simulator-execution
-# counts and the reduction factor into BENCH_<date>.json.
-bench-model:
-	dune exec bench/main.exe -- --model-gating --out BENCH_$(BENCH_DATE).json
-
-# Affine bound analysis: guarded vs containment-proven kernels on the
-# ragged acceptance shapes (500x500 GEMV, 8x60x60 MMTV), recording
-# branch counts, modeled kernel cost and verified-candidate counts
-# under each pass stack into BENCH_<date>.json.
-bench-affine:
-	dune exec bench/main.exe -- --affine-bounds --out BENCH_$(BENCH_DATE).json
-
-# Serving throughput: the same N fixed-seed tune sessions run
-# back-to-back and as N concurrent clients against fresh daemons,
-# recording aggregate trials/sec, the shared-cache ledger and the host
-# core count (concurrency cannot beat the core budget) into
-# BENCH_<date>.json.
-bench-serve:
-	dune exec bench/main.exe -- --serve-throughput --out BENCH_$(BENCH_DATE).json
+	for w in paper_ops gptj_gated nets serve; do \
+	  dune exec bench/suite/suite.exe -- --workload $$w --seed 2025 \
+	    --seconds 15 --trace 0 --out bench-runs.jsonl || exit 1; \
+	done
 
 # Long fuzzing campaign with a date-derived seed (override with
 # FUZZ_SEED=n / FUZZ_CASES=n / JOBS=n).  The seed is printed first so

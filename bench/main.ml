@@ -1,28 +1,12 @@
-(* Benchmark harness entry point.
+(* Paper-figure harness entry point.
 
    Usage:
      dune exec bench/main.exe                 # run every experiment
      dune exec bench/main.exe -- fig9 fig13   # run selected experiments
-     dune exec bench/main.exe -- --bechamel   # Bechamel micro-benchmarks
-     dune exec bench/main.exe -- --batch-scaling [--out FILE]
-                                              # Engine.batch at -j 1/2/4
-     dune exec bench/main.exe -- --exec-throughput [--out FILE]
-                                              # interpreter vs compiled executor
-     dune exec bench/main.exe -- --model-gating [--out FILE]
-                                              # full vs model-gated search
-     dune exec bench/main.exe -- --affine-bounds [--out FILE]
-                                              # guarded vs proven ragged kernels
-     dune exec bench/main.exe -- --serve-throughput [--out FILE]
-                                              # daemon: N clients vs N sequential
-     dune exec bench/main.exe -- --island-scaling [--out FILE]
-                                              # sharded search: -j4/-k4 vs -j1/-k1
-     dune exec bench/main.exe -- --graph [--out FILE]
-                                              # whole-model graphs: fused +
-                                              # MRAM-resident vs per-op
 
    Each experiment regenerates one table or figure of the paper's
-   evaluation (see DESIGN.md's experiment index); the Bechamel suite
-   times one representative computation per table/figure. *)
+   evaluation (see DESIGN.md's experiment index).  Performance is
+   measured by the benchmark suite in bench/suite, not here. *)
 
 let experiments =
   [
@@ -43,1024 +27,6 @@ let experiments =
     ("hbm", Experiments.hbm);
   ]
 
-(* --- Bechamel micro-benchmarks: one Test.make per table/figure ------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let cfg = Util.cfg in
-  let gemv = Imtp.Ops.gemv ~c:3 1000 999 in
-  let params =
-    {
-      Imtp.Sketch.default_params with
-      Imtp.Sketch.spatial_dpus = 256;
-      tasklets = 12;
-      cache_elems = 16;
-    }
-  in
-  let lowered =
-    Imtp.Lowering.lower
-      ~options:(Imtp.Sketch.lower_options params)
-      (Imtp.Sketch.instantiate gemv params)
-  in
-  let optimized = Imtp.Passes.run cfg lowered in
-  let mtv = Imtp.Ops.mtv 2048 2048 in
-  let rng = Imtp.Rng.create ~seed:1 in
-  [
-    (* Fig. 3: kernel-cost evaluation of a boundary-checked GEMV. *)
-    Test.make ~name:"fig3/kernel-cost"
-      (Staged.stage (fun () -> Util.kernel_cycles optimized));
-    (* Fig. 4: end-to-end latency estimation of one candidate. *)
-    Test.make ~name:"fig4/estimate"
-      (Staged.stage (fun () -> Imtp.estimate optimized));
-    (* Fig. 9 / Table 3: one full measurement (sketch->lower->passes->cost). *)
-    Test.make ~name:"fig9/measure-candidate"
-      (Staged.stage (fun () ->
-           Imtp.Measure.measure cfg mtv (Imtp.Sketch.random rng cfg mtv)));
-    (* Fig. 10: GPT-J MMTV sketch instantiation + lowering. *)
-    Test.make ~name:"fig10/lower-gptj-mmtv"
-      (Staged.stage
-         (let op = Imtp.Gptj.mmtv_op Imtp.Gptj.Gptj_6b ~batch:1 ~tokens:128 in
-          fun () ->
-            Imtp.Lowering.lower
-              ~options:(Imtp.Sketch.lower_options params)
-              (Imtp.Sketch.instantiate op params)));
-    (* Fig. 11: PrIM baseline measurement. *)
-    Test.make ~name:"fig11/prim-measure"
-      (Staged.stage (fun () -> Imtp.Prim.measure cfg mtv Imtp.Prim.default));
-    (* Fig. 12: the PIM-aware pass pipeline itself. *)
-    Test.make ~name:"fig12/pim-passes"
-      (Staged.stage (fun () -> Imtp.Passes.run cfg lowered));
-    (* Fig. 13: one evolutionary-search trial step. *)
-    Test.make ~name:"fig13/search-8-trials"
-      (Staged.stage (fun () -> Imtp.Search.run ~seed:3 cfg mtv ~trials:8));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  Printf.printf "Bechamel micro-benchmarks (ns per run, OLS estimate)\n%!";
-  let tests = bechamel_tests () in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None ()
-    in
-    let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-    let ols =
-      Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols instance raw in
-    Hashtbl.iter
-      (fun name ols ->
-        match Analyze.OLS.estimates ols with
-        | Some (est :: _) -> Printf.printf "  %-28s %12.0f ns/run\n%!" name est
-        | Some [] | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
-      results
-  in
-  List.iter benchmark tests
-
-(* --- Batch-scaling benchmark: Engine.batch at -j 1/2/4 -------------- *)
-
-(* Cold-engine throughput of one generation-sized batch over distinct
-   GEMM candidates, at increasing job counts, plus a warm re-batch for
-   the cache-hit path.  Also asserts the determinism contract on real
-   data: every parallel run must match the -j 1 run result for result
-   (params order, latencies, stats, from_cache, errors).  Writes a
-   BENCH_<date>.json report when [--out] is given. *)
-let batch_scaling ~out () =
-  let cfg = Util.cfg in
-  let op = Imtp.Ops.gemm 64 64 64 in
-  let wanted = 200 in
-  (* Distinct, build-valid candidates: probe with a scratch engine so
-     the timed engines below all start cold. *)
-  let scratch = Imtp.Engine.create cfg in
-  let rng = Imtp.Rng.create ~seed:42 in
-  let seen = Hashtbl.create 256 in
-  let candidates = ref [] in
-  let attempts = ref 0 in
-  while List.length !candidates < wanted && !attempts < wanted * 100 do
-    incr attempts;
-    let p = Imtp.Sketch.random rng cfg op in
-    let key = Imtp.Engine.fingerprint op p in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      match Imtp.Engine.build scratch op p with
-      | Ok _ -> candidates := p :: !candidates
-      | Error _ -> ()
-    end
-  done;
-  let candidates = List.rev !candidates in
-  let n = List.length candidates in
-  let noise_seed = 7 in
-  let time_batch jobs =
-    let engine = Imtp.Engine.create cfg in
-    let rng = Imtp.Rng.create ~seed:noise_seed in
-    let t0 = Unix.gettimeofday () in
-    let results = Imtp.Engine.batch engine ~jobs ~rng op candidates in
-    let cold_s = Unix.gettimeofday () -. t0 in
-    let rng = Imtp.Rng.create ~seed:noise_seed in
-    let t0 = Unix.gettimeofday () in
-    let (_ : (Imtp.Sketch.params * _) list) =
-      Imtp.Engine.batch engine ~jobs ~rng op candidates
-    in
-    let warm_s = Unix.gettimeofday () -. t0 in
-    (results, cold_s, warm_s, Imtp.Engine.counters engine)
-  in
-  let same_results a b =
-    List.for_all2
-      (fun (p, r) (p', r') ->
-        p = p'
-        &&
-        match (r, r') with
-        | Ok m, Ok m' ->
-            m.Imtp.Engine.latency_s = m'.Imtp.Engine.latency_s
-            && m.Imtp.Engine.from_cache = m'.Imtp.Engine.from_cache
-            && m.Imtp.Engine.artifact.Imtp.Engine.stats
-               = m'.Imtp.Engine.artifact.Imtp.Engine.stats
-        | Error e, Error e' -> e = e'
-        | _ -> false)
-      a b
-  in
-  Util.heading
-    (Printf.sprintf
-       "Engine.batch scaling: %d distinct gemm candidates, cold engine per -j"
-       n);
-  Printf.printf "host: %d recommended domains, IMTP_JOBS default %d\n"
-    (Domain.recommended_domain_count ())
-    (Imtp.Pool.default_jobs ());
-  let baseline, base_cold, _, _ = time_batch 1 in
-  let rows =
-    List.map
-      (fun jobs ->
-        let results, cold_s, warm_s, c = time_batch jobs in
-        let identical = same_results baseline results in
-        Printf.printf
-          "  -j %d: cold %.3f s (%.1f cand/s, %.2fx vs -j1), warm %.4f s, \
-           hit rate %.1f%%, identical=%b\n"
-          jobs cold_s
-          (float_of_int n /. cold_s)
-          (base_cold /. cold_s) warm_s
-          (100. *. Imtp.Engine.hit_rate c)
-          identical;
-        (jobs, cold_s, warm_s, c, identical))
-      [ 1; 2; 4 ]
-  in
-  match out with
-  | None -> ()
-  | Some path ->
-      let domains = Domain.recommended_domain_count () in
-      (* The expectation depends on the recording host, so compute the
-         caveat instead of hard-coding the single-core reading. *)
-      let note =
-        if domains = 1 then
-          "recorded on a 1-domain host: candidate evaluation is \
-           CPU-bound, so parallel runs only add coordination overhead \
-           and speedups at or below 1x are expected here; see the \
-           island-scaling report for throughput under emulated device \
-           latency, where parallelism pays even on this host"
-        else
-          Printf.sprintf
-            "recorded on a %d-domain host: cold speedup_vs_j1 should \
-             approach min(jobs, %d) as the batch is CPU-bound"
-            domains domains
-      in
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "{\n";
-      Printf.ksprintf (Buffer.add_string buf)
-        "  \"benchmark\": \"engine.batch scaling\",\n\
-        \  \"date\": %.0f,\n\
-        \  \"host_recommended_domains\": %d,\n\
-        \  \"note\": %S,\n\
-        \  \"op\": \"gemm 64x64x64\",\n\
-        \  \"distinct_candidates\": %d,\n\
-        \  \"runs\": [\n"
-        (Unix.time ()) domains note n;
-      List.iteri
-        (fun i (jobs, cold_s, warm_s, c, identical) ->
-          Printf.ksprintf (Buffer.add_string buf)
-            "    { \"jobs\": %d, \"cold_s\": %.6f, \"cold_cand_per_s\": \
-             %.1f, \"speedup_vs_j1\": %.3f, \"warm_s\": %.6f, \
-             \"cache_hit_rate\": %.4f, \"identical_to_j1\": %b }%s\n"
-            jobs cold_s
-            (float_of_int n /. cold_s)
-            (base_cold /. cold_s) warm_s (Imtp.Engine.hit_rate c) identical
-            (if i = List.length rows - 1 then "" else ",")
-        )
-        rows;
-      Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-
-(* --- Executor throughput: interpreter vs compiled closures ---------- *)
-
-(* Functional-execution throughput of the hot measurement path, on the
-   paper's GEMV/MMTV shapes: elements/sec through the tree-walking
-   interpreter vs the closure-compiled executor (compiled once, run
-   repeatedly, as Engine.execute consumers do).  Also re-checks the
-   determinism contract on the benchmark shapes before timing.
-   Appends a JSON report to [--out] when given. *)
-let exec_throughput ~out () =
-  let cfg = Util.cfg in
-  let params =
-    {
-      Imtp.Sketch.default_params with
-      Imtp.Sketch.spatial_dpus = 256;
-      tasklets = 12;
-      cache_elems = 16;
-    }
-  in
-  let build op =
-    let lowered =
-      Imtp.Lowering.lower
-        ~options:(Imtp.Sketch.lower_options params)
-        (Imtp.Sketch.instantiate op params)
-    in
-    Imtp.Passes.run cfg lowered
-  in
-  (* Warm up once, then count runs over a fixed wall-clock budget. *)
-  let time_runs f =
-    f ();
-    let t0 = Unix.gettimeofday () in
-    let runs = ref 0 in
-    while Unix.gettimeofday () -. t0 < 0.3 do
-      f ();
-      incr runs
-    done;
-    (!runs, Unix.gettimeofday () -. t0)
-  in
-  Util.heading "Executor throughput: interpreter vs compiled closures";
-  let rows =
-    List.map
-      (fun (name, op) ->
-        let prog = build op in
-        let inputs = Imtp.Ops.random_inputs ~seed:5 op in
-        let outs_i, counters_i = Imtp.Eval.run_counted prog ~inputs in
-        let compiled = Imtp.Exec.compile prog in
-        let outs_c, counters_c = Imtp.Exec.run_compiled compiled ~inputs in
-        assert (counters_i = counters_c);
-        List.iter2
-          (fun (n1, t1) (n2, t2) ->
-            assert (n1 = n2 && Imtp.Tensor.equal t1 t2))
-          outs_i outs_c;
-        let elems =
-          Imtp.Tensor.size (List.assoc (fst op.Imtp.Op.output) outs_i)
-        in
-        let t0 = Unix.gettimeofday () in
-        let (_ : Imtp.Exec.compiled) = Imtp.Exec.compile prog in
-        let compile_s = Unix.gettimeofday () -. t0 in
-        let iruns, i_s =
-          time_runs (fun () -> ignore (Imtp.Eval.run_counted prog ~inputs))
-        in
-        let cruns, c_s =
-          time_runs (fun () -> ignore (Imtp.Exec.run_compiled compiled ~inputs))
-        in
-        let i_eps = float_of_int (iruns * elems) /. i_s in
-        let c_eps = float_of_int (cruns * elems) /. c_s in
-        Printf.printf
-          "  %-14s %7d out elems: interp %11.0f elems/s, compiled %11.0f \
-           elems/s (%.1fx, compile %.1f ms)\n\
-           %!"
-          name elems i_eps c_eps (c_eps /. i_eps) (compile_s *. 1e3);
-        (name, elems, iruns, i_s, i_eps, cruns, c_s, c_eps, compile_s))
-      [
-        ("gemv 512x512", Imtp.Ops.gemv ~c:3 512 512);
-        ("mmtv 8x64x64", Imtp.Ops.mmtv 8 64 64);
-      ]
-  in
-  match out with
-  | None -> ()
-  | Some path ->
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "{\n";
-      Printf.ksprintf (Buffer.add_string buf)
-        "  \"benchmark\": \"executor throughput\",\n\
-        \  \"date\": %.0f,\n\
-        \  \"backend_default\": %S,\n\
-        \  \"workloads\": [\n"
-        (Unix.time ())
-        (Imtp.Exec.backend_name ());
-      List.iteri
-        (fun i (name, elems, iruns, i_s, i_eps, cruns, c_s, c_eps, compile_s) ->
-          Printf.ksprintf (Buffer.add_string buf)
-            "    { \"op\": %S, \"output_elems\": %d, \"interp_runs\": %d, \
-             \"interp_s\": %.4f, \"interp_elems_per_s\": %.0f, \
-             \"compiled_runs\": %d, \"compiled_s\": %.4f, \
-             \"compiled_elems_per_s\": %.0f, \"compile_once_s\": %.6f, \
-             \"speedup\": %.2f }%s\n"
-            name elems iruns i_s i_eps cruns c_s c_eps compile_s
-            (c_eps /. i_eps)
-            (if i = List.length rows - 1 then "" else ",")
-        )
-        rows;
-      Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "appended to %s\n" path
-
-(* --- Model-gated search: simulator executions vs best latency ------- *)
-
-(* The learned-cost-model acceptance numbers, on the same fixed seeds
-   the committed test pins: a full-measurement search vs a gated one
-   ([measure_ratio]) on the paper's GEMV/MMTV shapes.  Best latencies
-   are compared noise-free (the winning schedule re-measured without
-   an rng), and the simulator ledger is the engine's [costed] counter.
-   Appends a JSON report to [--out] when given. *)
-let model_gating ~out () =
-  let cfg = Util.cfg in
-  let seed = 13 and trials = 200 and ratio = 0.05 in
-  let noise_free op params =
-    let engine = Imtp.Engine.create cfg in
-    match Imtp.Engine.measure engine op params with
-    | Ok m -> m.Imtp.Engine.latency_s
-    | Error _ -> infinity
-  in
-  Util.heading
-    (Printf.sprintf
-       "Model-gated search: seed %d, %d trials, measure-ratio %.2f" seed
-       trials ratio);
-  let rows =
-    List.map
-      (fun (name, op) ->
-        let t0 = Unix.gettimeofday () in
-        let full = Imtp.Search.run ~seed cfg op ~trials in
-        let full_s = Unix.gettimeofday () -. t0 in
-        let t0 = Unix.gettimeofday () in
-        let gated =
-          Imtp.Search.run ~seed ~measure_ratio:ratio cfg op ~trials
-        in
-        let gated_s = Unix.gettimeofday () -. t0 in
-        let best o =
-          match o.Imtp.Search.best with
-          | Some b -> noise_free op b.Imtp.Measure.params
-          | None -> infinity
-        in
-        let bf = best full and bg = best gated in
-        let reduction =
-          float_of_int full.Imtp.Search.measured_trials
-          /. float_of_int (max 1 gated.Imtp.Search.measured_trials)
-        in
-        Printf.printf
-          "  %-14s full: best %.4e s, %3d sims, %.2f s | gated: best \
-           %.4e, %3d sims, %d skipped, %.2f s | %.1fx fewer sims, best \
-           %.2f%% %s\n\
-           %!"
-          name bf full.Imtp.Search.measured_trials full_s bg
-          gated.Imtp.Search.measured_trials gated.Imtp.Search.skipped gated_s
-          reduction
-          (100. *. Float.abs (1. -. (bg /. bf)))
-          (if bg <= bf then "better" else "worse");
-        (name, bf, full, full_s, bg, gated, gated_s, reduction))
-      [
-        ("gemv 512x512", Imtp.Ops.gemv ~c:3 512 512);
-        ("mmtv 8x64x64", Imtp.Ops.mmtv 8 64 64);
-      ]
-  in
-  match out with
-  | None -> ()
-  | Some path ->
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "{\n";
-      Printf.ksprintf (Buffer.add_string buf)
-        "  \"benchmark\": \"model-gated search\",\n\
-        \  \"date\": %.0f,\n\
-        \  \"seed\": %d,\n\
-        \  \"trials\": %d,\n\
-        \  \"measure_ratio\": %.3f,\n\
-        \  \"workloads\": [\n"
-        (Unix.time ()) seed trials ratio;
-      List.iteri
-        (fun i (name, bf, full, full_s, bg, gated, gated_s, reduction) ->
-          Printf.ksprintf (Buffer.add_string buf)
-            "    { \"op\": %S, \"full_best_s\": %.6e, \"full_sims\": %d, \
-             \"full_wall_s\": %.4f, \"gated_best_s\": %.6e, \"gated_sims\": \
-             %d, \"gated_skipped\": %d, \"gated_wall_s\": %.4f, \
-             \"sim_reduction\": %.2f, \"gated_best_ratio\": %.4f }%s\n"
-            name bf full.Imtp.Search.measured_trials full_s bg
-            gated.Imtp.Search.measured_trials gated.Imtp.Search.skipped
-            gated_s reduction (bg /. bf)
-            (if i = List.length rows - 1 then "" else ",")
-        )
-        rows;
-      Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "appended to %s\n" path
-
-(* --- Affine bounds: guarded vs proven kernels on ragged shapes ------ *)
-
-(* The affine bound-analysis acceptance numbers, on the ragged shapes
-   the committed tests pin: for each workload, the same schedule is
-   lowered with boundary guards (legacy) and with affine containment
-   proofs (guards dropped at emission, extents clamped), comparing the
-   raw kernels' static/dynamic branch counts and modeled kernel cost —
-   before either pass stack gets a chance to clean up — then a
-   fixed-seed search runs under each full pass stack, comparing
-   verified-candidate counts and the verifier's per-constraint
-   rejection tally.  Appends a JSON report to [--out] when given. *)
-let affine_bounds ~out () =
-  let cfg = Util.cfg in
-  let seed = 13 and trials = 120 in
-  let build ~affine op params =
-    let options =
-      {
-        (Imtp.Sketch.lower_options params) with
-        Imtp.Lowering.affine_guards = affine;
-      }
-    in
-    Imtp.Lowering.lower ~options (Imtp.Sketch.instantiate op params)
-  in
-  let metrics prog =
-    let m = Imtp.Pass_metrics.of_kernel (List.hd prog.Imtp.Program.kernels) in
-    (m.Imtp.Pass_metrics.static_branches, m.Imtp.Pass_metrics.dynamic_branches)
-  in
-  Util.heading
-    (Printf.sprintf
-       "Affine bounds: guarded vs proven ragged kernels, search seed %d, %d \
-        trials"
-       seed trials);
-  let rows =
-    List.map
-      (fun (name, op, params) ->
-        let legacy = build ~affine:false op params in
-        let affine = build ~affine:true op params in
-        let lsb, ldb = metrics legacy and asb, adb = metrics affine in
-        let lcyc = Util.kernel_cycles legacy
-        and acyc = Util.kernel_cycles affine in
-        let search passes =
-          Imtp.Search.run ~seed ~passes cfg op ~trials
-        in
-        let sl = search Imtp.Passes.legacy
-        and sa = search Imtp.Passes.affine_on in
-        Printf.printf
-          "  %-14s kernel: %d->%d static branches, %.0f->%.0f dynamic, \
-           %.3e->%.3e cycles (%.2fx) | search: %d/%d verified legacy, \
-           %d/%d affine\n\
-           %!"
-          name lsb asb ldb adb lcyc acyc (lcyc /. acyc)
-          sl.Imtp.Search.measured trials sa.Imtp.Search.measured trials;
-        List.iter
-          (fun (tag, (s : Imtp.Search.outcome)) ->
-            if s.Imtp.Search.rejections <> [] then
-              Printf.printf "    %s rejections: %s\n%!" tag
-                (String.concat ", "
-                   (List.map
-                      (fun (c, n) -> Printf.sprintf "%s=%d" c n)
-                      s.Imtp.Search.rejections)))
-          [ ("legacy", sl); ("affine", sa) ];
-        (name, (lsb, ldb, lcyc), (asb, adb, acyc), sl, sa))
-      [
-        ( "gemv 500x500",
-          Imtp.Ops.gemv ~c:3 500 500,
-          {
-            Imtp.Sketch.default_params with
-            Imtp.Sketch.spatial_dpus = 4;
-            tasklets = 4;
-            cache_elems = 64;
-            rows_per_tasklet = 2;
-          } );
-        ( "mmtv 8x60x60",
-          Imtp.Ops.mmtv 8 60 60,
-          {
-            Imtp.Sketch.default_params with
-            Imtp.Sketch.spatial_dpus = 4;
-            tasklets = 4;
-            cache_elems = 16;
-            rows_per_tasklet = 2;
-          } );
-      ]
-  in
-  match out with
-  | None -> ()
-  | Some path ->
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "{\n";
-      Printf.ksprintf (Buffer.add_string buf)
-        "  \"benchmark\": \"affine bounds\",\n\
-        \  \"date\": %.0f,\n\
-        \  \"seed\": %d,\n\
-        \  \"trials\": %d,\n\
-        \  \"workloads\": [\n"
-        (Unix.time ()) seed trials;
-      let rejections_json (s : Imtp.Search.outcome) =
-        String.concat ", "
-          (List.map
-             (fun (c, n) -> Printf.sprintf "{ \"constraint\": %S, \"count\": %d }" c n)
-             s.Imtp.Search.rejections)
-      in
-      List.iteri
-        (fun i (name, (lsb, ldb, lcyc), (asb, adb, acyc), sl, sa) ->
-          Printf.ksprintf (Buffer.add_string buf)
-            "    { \"op\": %S, \"guarded\": { \"static_branches\": %d, \
-             \"dynamic_branches\": %.0f, \"kernel_cycles\": %.1f }, \
-             \"proven\": { \"static_branches\": %d, \"dynamic_branches\": \
-             %.0f, \"kernel_cycles\": %.1f }, \"cycle_speedup\": %.4f, \
-             \"search_legacy\": { \"verified\": %d, \"invalid\": %d, \
-             \"rejections\": [%s] }, \"search_affine\": { \"verified\": %d, \
-             \"invalid\": %d, \"rejections\": [%s] } }%s\n"
-            name lsb ldb lcyc asb adb acyc (lcyc /. acyc)
-            sl.Imtp.Search.measured sl.Imtp.Search.invalid_candidates
-            (rejections_json sl) sa.Imtp.Search.measured
-            sa.Imtp.Search.invalid_candidates (rejections_json sa)
-            (if i = List.length rows - 1 then "" else ",")
-        )
-        rows;
-      Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "appended to %s\n" path
-
-(* --- Serve throughput: N concurrent clients vs N sequential --------- *)
-
-(* Aggregate tuning throughput of the daemon under client concurrency:
-   the same N fixed-seed sessions are run once back-to-back through a
-   single connection and once as N simultaneous clients, each mode
-   against a fresh daemon (cold shared engine), comparing aggregate
-   trials/sec and the shared-cache ledger.  Tuning is CPU-bound in the
-   daemon's domain pool, so the concurrent mode can only win when the
-   host has cores to spare — the report records the core count so a
-   sub-1x ratio on a small host reads as expected, not as a
-   regression.  Appends a JSON report to [--out] when given. *)
-let serve_throughput ~out () =
-  let n = 4 and trials = 400 in
-  let specs =
-    List.init n (fun i ->
-        {
-          Imtp.Protocol.op = "mtv";
-          sizes = [ 128; 256 ];
-          trials;
-          seed = 100 + i;
-          measure_ratio = None;
-          islands = None;
-          session = Some (Printf.sprintf "bench-%d" i);
-        })
-  in
-  let with_daemon f =
-    let dir = Filename.temp_file "imtp_bench_serve" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    let socket = Filename.concat dir "d.sock" in
-    let cfg =
-      {
-        (Imtp.Serve.default_config ~socket) with
-        Imtp.Serve.checkpoint_dir = Filename.concat dir "ckpt";
-        max_sessions = n;
-      }
-    in
-    let th = Thread.create (fun () -> ignore (Imtp.Serve.run cfg)) () in
-    let rec wait tries =
-      match Imtp.Serve_client.connect ~socket with
-      | Ok c -> Imtp.Serve_client.close c
-      | Error _ when tries > 0 ->
-          Thread.delay 0.05;
-          wait (tries - 1)
-      | Error e -> failwith (Imtp.Serve_client.error_to_string e)
-    in
-    wait 100;
-    let result = f socket in
-    (* engine ledger before shutdown, then tear everything down *)
-    let stats =
-      match Imtp.Serve_client.with_connection ~socket Imtp.Serve_client.stats with
-      | Ok s -> s
-      | Error e -> failwith (Imtp.Serve_client.error_to_string e)
-    in
-    ignore (Imtp.Serve_client.with_connection ~socket Imtp.Serve_client.shutdown);
-    Thread.join th;
-    let rec rm d =
-      Array.iter
-        (fun f ->
-          let p = Filename.concat d f in
-          if Sys.is_directory p then rm p else Sys.remove p)
-        (Sys.readdir d);
-      Unix.rmdir d
-    in
-    rm dir;
-    (result, stats)
-  in
-  let tune_ok socket spec =
-    match
-      Imtp.Serve_client.with_connection ~socket (fun c ->
-          Imtp.Serve_client.tune c spec)
-    with
-    | Ok _ -> ()
-    | Error e -> failwith (Imtp.Serve_client.error_to_string e)
-  in
-  let engine_counter stats field =
-    match Imtp.Obs.Json.member "engine" stats with
-    | Some engine -> (
-        match Imtp.Obs.Json.member field engine with
-        | Some (Imtp.Obs.Json.Num v) -> int_of_float v
-        | _ -> 0)
-    | None -> 0
-  in
-  Util.heading
-    (Printf.sprintf
-       "Serve throughput: %d sessions x %d trials, sequential vs concurrent \
-        (host has %d core%s)"
-       n trials (Domain.recommended_domain_count ())
-       (if Domain.recommended_domain_count () = 1 then "" else "s"));
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let seq_elapsed, seq_stats =
-    with_daemon (fun socket ->
-        time (fun () -> List.iter (tune_ok socket) specs))
-  in
-  let conc_elapsed, conc_stats =
-    with_daemon (fun socket ->
-        time (fun () ->
-            let threads =
-              List.map
-                (fun spec -> Thread.create (fun () -> tune_ok socket spec) ())
-                specs
-            in
-            List.iter Thread.join threads))
-  in
-  let total = float_of_int (n * trials) in
-  let seq_tps = total /. seq_elapsed and conc_tps = total /. conc_elapsed in
-  let report tag elapsed tps stats =
-    Printf.printf
-      "  %-10s %.2fs, %.0f trials/s aggregate, engine hits=%d built=%d\n%!"
-      tag elapsed tps
-      (engine_counter stats "hits")
-      (engine_counter stats "built")
-  in
-  report "sequential" seq_elapsed seq_tps seq_stats;
-  report "concurrent" conc_elapsed conc_tps conc_stats;
-  Printf.printf "  concurrent/sequential: %.2fx\n%!" (conc_tps /. seq_tps);
-  match out with
-  | None -> ()
-  | Some path ->
-      let mode_json stats tps elapsed =
-        Printf.sprintf
-          "{ \"elapsed_s\": %.4f, \"trials_per_s\": %.1f, \"engine_hits\": \
-           %d, \"engine_built\": %d }"
-          elapsed tps
-          (engine_counter stats "hits")
-          (engine_counter stats "built")
-      in
-      let domains = Domain.recommended_domain_count () in
-      let note =
-        if domains = 1 then
-          "tuning is CPU-bound in the daemon's shared domain pool and \
-           this host has a single core, so ~1x or below from client \
-           concurrency is the expected reading, not a regression"
-        else
-          Printf.sprintf
-            "tuning is CPU-bound in the daemon's shared domain pool; \
-             aggregate speedup from client concurrency is bounded by \
-             the %d host cores"
-            domains
-      in
-      let buf = Buffer.create 1024 in
-      Printf.ksprintf (Buffer.add_string buf)
-        "{\n\
-        \  \"benchmark\": \"serve throughput\",\n\
-        \  \"date\": %.0f,\n\
-        \  \"host_cores\": %d,\n\
-        \  \"clients\": %d,\n\
-        \  \"trials_per_session\": %d,\n\
-        \  \"sequential\": %s,\n\
-        \  \"concurrent\": %s,\n\
-        \  \"concurrent_speedup\": %.4f,\n\
-        \  \"note\": %S\n\
-         }\n"
-        (Unix.time ()) domains n trials
-        (mode_json seq_stats seq_tps seq_elapsed)
-        (mode_json conc_stats conc_tps conc_elapsed)
-        (conc_tps /. seq_tps)
-        note;
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "appended to %s\n" path
-
-(* --- Island scaling: sharded search at -j4/-k4 vs -j1/-k1 ----------- *)
-
-(* Aggregate search throughput of the island-model tuner at equal trial
-   budgets: the paper's GEMV/MMTV shapes tuned once single-population
-   single-job and once sharded four ways across a four-job pool.  Two
-   regimes per workload: pure CPU (honest host numbers — on a one-core
-   host the sharded run can only add overhead), and with
-   IMTP_SIM_LATENCY_US emulating the per-measurement device round-trip
-   that dominates tuning on real PIM hardware, where stalls overlap
-   across pool workers and the sharded run wins even on one core.  Best
-   latencies are re-measured noise-free (stall off) so the equal-budget
-   quality comparison is exact.  An Engine.batch leg under the same
-   stall records the raw batch-path overlap.  Appends a JSON report to
-   [--out] when given. *)
-let island_scaling ~out () =
-  let cfg = Util.cfg in
-  let trials = 96 and seed = 13 in
-  let stall_us = 200_000. in
-  let domains = Domain.recommended_domain_count () in
-  let set_stall us =
-    Unix.putenv "IMTP_SIM_LATENCY_US"
-      (if us > 0. then Printf.sprintf "%.0f" us else "")
-  in
-  let noise_free op params =
-    set_stall 0.;
-    let engine = Imtp.Engine.create cfg in
-    match Imtp.Engine.measure engine op params with
-    | Ok m -> m.Imtp.Engine.latency_s
-    | Error _ -> infinity
-  in
-  let search ~stall ~jobs ~islands op =
-    set_stall stall;
-    let t0 = Unix.gettimeofday () in
-    let o = Imtp.Search.run ~seed ~jobs ~islands cfg op ~trials in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    set_stall 0.;
-    let best_s =
-      match o.Imtp.Search.best with
-      | Some b -> noise_free op b.Imtp.Measure.params
-      | None -> infinity
-    in
-    (o, elapsed, best_s)
-  in
-  let migrations (o : Imtp.Search.outcome) =
-    List.fold_left
-      (fun acc s -> acc + s.Imtp.Search.island_migrations)
-      0 o.Imtp.Search.per_island
-  in
-  Util.heading
-    (Printf.sprintf
-       "Island scaling: %d trials, -j4/-k4 vs -j1/-k1 (host has %d core%s; \
-        emulated stall %.0f us/measurement)"
-       trials domains
-       (if domains = 1 then "" else "s")
-       stall_us);
-  let run_regime tag stall op =
-    let base, base_s, base_best = search ~stall ~jobs:1 ~islands:1 op in
-    let shard, shard_s, shard_best = search ~stall ~jobs:4 ~islands:4 op in
-    let tps s = float_of_int trials /. s in
-    Printf.printf
-      "  %-10s -j1/-k1: %6.2f s (%5.1f trials/s), best %.4e | -j4/-k4: \
-       %6.2f s (%5.1f trials/s), best %.4e, %d migrations | %.2fx\n\
-       %!"
-      tag base_s (tps base_s) base_best shard_s (tps shard_s) shard_best
-      (migrations shard)
-      (base_s /. shard_s);
-    let leg ~jobs (o : Imtp.Search.outcome) elapsed best =
-      Printf.sprintf
-        "{ \"jobs\": %d, \"islands\": %d, \"elapsed_s\": %.4f, \
-         \"trials_per_s\": %.2f, \"measured_trials\": %d, \
-         \"migrations\": %d, \"best_s\": %.6e }"
-        jobs o.Imtp.Search.islands elapsed (tps elapsed)
-        o.Imtp.Search.measured_trials (migrations o) best
-    in
-    ( Printf.sprintf
-        "{ \"baseline\": %s, \"sharded\": %s, \"speedup\": %.4f, \
-         \"best_ratio\": %.4f }"
-        (leg ~jobs:1 base base_s base_best)
-        (leg ~jobs:4 shard shard_s shard_best)
-        (base_s /. shard_s)
-        (shard_best /. base_best),
-      base_s /. shard_s )
-  in
-  let rows =
-    List.map
-      (fun (name, op) ->
-        Printf.printf "  %s\n%!" name;
-        let cpu_json, _ = run_regime "pure-cpu" 0. op in
-        let emu_json, emu_speedup = run_regime "emulated" stall_us op in
-        (name, cpu_json, emu_json, emu_speedup))
-      [
-        ("gemv 512x512", Imtp.Ops.gemv ~c:3 512 512);
-        ("mmtv 8x64x64", Imtp.Ops.mmtv 8 64 64);
-      ]
-  in
-  (* Raw Engine.batch leg under the same stall: distinct MTV candidates
-     evaluated cold at -j1 and -j4. *)
-  let batch_leg () =
-    let op = Imtp.Ops.mtv 128 256 in
-    let wanted = 48 in
-    let scratch = Imtp.Engine.create cfg in
-    let rng = Imtp.Rng.create ~seed:42 in
-    let seen = Hashtbl.create 64 in
-    let candidates = ref [] in
-    let attempts = ref 0 in
-    while List.length !candidates < wanted && !attempts < wanted * 100 do
-      incr attempts;
-      let p = Imtp.Sketch.random rng cfg op in
-      let key = Imtp.Engine.fingerprint op p in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        match Imtp.Engine.build scratch op p with
-        | Ok _ -> candidates := p :: !candidates
-        | Error _ -> ()
-      end
-    done;
-    let candidates = List.rev !candidates in
-    let n = List.length candidates in
-    let time jobs =
-      set_stall stall_us;
-      let engine = Imtp.Engine.create cfg in
-      let rng = Imtp.Rng.create ~seed:7 in
-      let t0 = Unix.gettimeofday () in
-      let (_ : (Imtp.Sketch.params * _) list) =
-        Imtp.Engine.batch engine ~jobs ~rng op candidates
-      in
-      let s = Unix.gettimeofday () -. t0 in
-      set_stall 0.;
-      s
-    in
-    let j1 = time 1 and j4 = time 4 in
-    Printf.printf
-      "  batch      %d candidates under stall: -j1 %.2f s, -j4 %.2f s \
-       (%.2fx)\n\
-       %!"
-      n j1 j4 (j1 /. j4);
-    (n, j1, j4)
-  in
-  let bn, b1, b4 = batch_leg () in
-  (match out with
-  | None -> ()
-  | Some path ->
-      let note =
-        if domains = 1 then
-          "pure_cpu on this 1-core host records parallel overhead \
-           honestly (at or below 1x); the emulated regime is the \
-           acceptance number — with a per-measurement device stall, \
-           island sharding overlaps measurements across the pool and \
-           the speedup holds on any host"
-        else
-          Printf.sprintf
-            "recorded on a %d-core host; both regimes should scale \
-             toward min(4, %d)"
-            domains domains
-      in
-      let buf = Buffer.create 2048 in
-      Printf.ksprintf (Buffer.add_string buf)
-        "{\n\
-        \  \"benchmark\": \"island scaling\",\n\
-        \  \"date\": %.0f,\n\
-        \  \"host_cores\": %d,\n\
-        \  \"trials\": %d,\n\
-        \  \"seed\": %d,\n\
-        \  \"stall_us\": %.0f,\n\
-        \  \"note\": %S,\n\
-        \  \"batch_emulated\": { \"op\": \"mtv 128x256\", \
-         \"distinct_candidates\": %d, \"j1_s\": %.4f, \"j4_s\": %.4f, \
-         \"speedup\": %.4f },\n\
-        \  \"workloads\": [\n"
-        (Unix.time ()) domains trials seed stall_us note bn b1 b4 (b1 /. b4);
-      List.iteri
-        (fun i (name, cpu_json, emu_json, _) ->
-          Printf.ksprintf (Buffer.add_string buf)
-            "    { \"op\": %S, \"pure_cpu\": %s, \"emulated\": %s }%s\n"
-            name cpu_json emu_json
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "appended to %s\n" path);
-  List.iter
-    (fun (name, _, _, s) ->
-      if s < 3. then
-        Printf.printf
-          "  note: %s emulated speedup %.2fx below the 3x target\n%!" name s)
-    rows
-
-(* --- Graph pipeline: fused + MRAM-resident vs per-op ---------------- *)
-
-(* The whole-model scenarios (MLP forward pass, transformer attention
-   block) through the graph compiler, fused + resident vs the per-op
-   baseline (no fusion, no residency, every intermediate round-tripped
-   through the host).  Both variants share one engine, run on the same
-   inputs, and are validated against the per-op reference chain; the
-   report records modeled latency/bytes (cost model over the linked
-   program) and executed transfer volumes (the functional executor's
-   dynamic counters).  Trial budgets are sized so the joint search
-   converges: the MLP's two mtv+epilogue kernels need a deeper search
-   than the attention block's four smaller ones.  Appends a JSON
-   report to [--out] when given. *)
-let graph_pipeline ~out () =
-  let cfg = Util.cfg in
-  (* Island count pinned: searches are bit-identical at any -j for a
-     fixed island count, so these rows reproduce on any host. *)
-  let islands = 2 in
-  let nets =
-    [
-      (Imtp.Nets.mlp (), 160, 11);
-      (Imtp.Nets.attention (), 64, 11);
-    ]
-  in
-  Util.heading
-    "Graph pipeline: epilogue fusion + MRAM residency vs per-op execution";
-  let rows =
-    List.map
-      (fun ((spec : Imtp.Nets.t), trials, seed) ->
-        let g, ids = Imtp.Graph.of_spec spec in
-        let engine = Imtp.Engine.create cfg in
-        let compile ~fuse ~resident =
-          match
-            Imtp.Graph.Compiled.compile ~trials ~seed ~islands ~fuse ~resident
-              ~engine cfg g
-          with
-          | Ok c -> c
-          | Error m ->
-              Printf.eprintf "graph compile failed for %s: %s\n"
-                spec.Imtp.Nets.sname m;
-              exit 1
-        in
-        let fused = compile ~fuse:true ~resident:true in
-        let base = compile ~fuse:false ~resident:false in
-        let inputs = Imtp.Nets.random_inputs spec in
-        let refs = Imtp.Nets.reference spec ~inputs in
-        let check c =
-          let outs, counters = Imtp.Graph.Compiled.run_counted c ~inputs in
-          List.iter
-            (fun (id, want) ->
-              match
-                List.assoc_opt (Imtp.Graph.tid_name (List.assoc id ids)) outs
-              with
-              | None -> ()
-              | Some got -> assert (Imtp.Tensor.equal got want))
-            refs;
-          counters
-        in
-        let fc = check fused and bc = check base in
-        let fs = Imtp.Graph.Compiled.estimate fused in
-        let bs = Imtp.Graph.Compiled.estimate base in
-        let fbytes = fs.Imtp.Stats.bytes_h2d + fs.Imtp.Stats.bytes_d2h in
-        let bbytes = bs.Imtp.Stats.bytes_h2d + bs.Imtp.Stats.bytes_d2h in
-        let speedup = Imtp.Stats.speedup ~baseline:bs fs in
-        Printf.printf
-          "  %-22s fused: %d kernels (%d fused away, %d resident edges)\n"
-          spec.Imtp.Nets.sname
-          (Imtp.Graph.node_count g - Imtp.Graph.Compiled.fused_count fused)
-          (Imtp.Graph.Compiled.fused_count fused)
-          (Imtp.Graph.Compiled.resident_count fused);
-        Printf.printf
-          "    modeled:  fused %.3f ms / %d B transferred, per-op %.3f ms \
-           / %d B (%.2fx)\n"
-          (1e3 *. Imtp.Stats.total_s fs)
-          fbytes
-          (1e3 *. Imtp.Stats.total_s bs)
-          bbytes speedup;
-        Printf.printf
-          "    executed: fused %d h2d + %d d2h elems, per-op %d h2d + %d \
-           d2h elems\n%!"
-          fc.Imtp.Eval.xfer_elems_h2d fc.Imtp.Eval.xfer_elems_d2h
-          bc.Imtp.Eval.xfer_elems_h2d bc.Imtp.Eval.xfer_elems_d2h;
-        (* The acceptance bar: fusion + residency must win on modeled
-           latency AND on host-transfer volume. *)
-        assert (Imtp.Stats.total_s fs < Imtp.Stats.total_s bs);
-        assert (fbytes < bbytes);
-        assert (
-          fc.Imtp.Eval.xfer_elems_h2d + fc.Imtp.Eval.xfer_elems_d2h
-          < bc.Imtp.Eval.xfer_elems_h2d + bc.Imtp.Eval.xfer_elems_d2h);
-        (spec.Imtp.Nets.sname, trials, seed, fused, fs, fc, bs, bc, speedup))
-      nets
-  in
-  match out with
-  | None -> ()
-  | Some path ->
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "{\n";
-      Printf.ksprintf (Buffer.add_string buf)
-        "  \"benchmark\": \"graph pipeline\",\n\
-        \  \"date\": %.0f,\n\
-        \  \"nets\": [\n"
-        (Unix.time ());
-      let variant_json (s : Imtp.Stats.t) (c : Imtp.Eval.counters) =
-        Printf.sprintf
-          "{ \"modeled_total_s\": %.6f, \"modeled_bytes_h2d\": %d, \
-           \"modeled_bytes_d2h\": %d, \"xfer_elems_h2d\": %d, \
-           \"xfer_elems_d2h\": %d }"
-          (Imtp.Stats.total_s s) s.Imtp.Stats.bytes_h2d
-          s.Imtp.Stats.bytes_d2h c.Imtp.Eval.xfer_elems_h2d
-          c.Imtp.Eval.xfer_elems_d2h
-      in
-      List.iteri
-        (fun i (name, trials, seed, fused, fs, fc, bs, bc, speedup) ->
-          Printf.ksprintf (Buffer.add_string buf)
-            "    { \"net\": %S, \"trials\": %d, \"seed\": %d, \
-             \"fused_away\": %d, \"resident_edges\": %d,\n\
-            \      \"fused\": %s,\n\
-            \      \"per_op\": %s,\n\
-            \      \"modeled_speedup\": %.2f, \"valid\": true }%s\n"
-            name trials seed
-            (Imtp.Graph.Compiled.fused_count fused)
-            (Imtp.Graph.Compiled.resident_count fused)
-            (variant_json fs fc) (variant_json bs bc) speedup
-            (if i = List.length rows - 1 then "" else ",")
-        )
-        rows;
-      Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "appended to %s\n" path
-
 (* Each experiment runs under a [bench.<name>] observability span; with
    IMTP_TRACE=FILE set, the spans (and the engine/search metrics they
    enclose) stream to a JSONL trace readable by `imtp report`. *)
@@ -1076,33 +42,14 @@ let () =
       Printf.printf
         "IMTP benchmark harness: reproducing every table and figure of the \
          paper's evaluation.\n";
-      List.iter (fun (name, f) -> run_experiment name f) experiments;
-      run_bechamel ()
-  | [ "--bechamel" ] -> run_bechamel ()
-  | [ "--batch-scaling" ] -> batch_scaling ~out:None ()
-  | [ "--batch-scaling"; "--out"; path ] -> batch_scaling ~out:(Some path) ()
-  | [ "--exec-throughput" ] -> exec_throughput ~out:None ()
-  | [ "--exec-throughput"; "--out"; path ] -> exec_throughput ~out:(Some path) ()
-  | [ "--model-gating" ] -> model_gating ~out:None ()
-  | [ "--model-gating"; "--out"; path ] -> model_gating ~out:(Some path) ()
-  | [ "--affine-bounds" ] -> affine_bounds ~out:None ()
-  | [ "--affine-bounds"; "--out"; path ] -> affine_bounds ~out:(Some path) ()
-  | [ "--serve-throughput" ] -> serve_throughput ~out:None ()
-  | [ "--serve-throughput"; "--out"; path ] ->
-      serve_throughput ~out:(Some path) ()
-  | [ "--island-scaling" ] -> island_scaling ~out:None ()
-  | [ "--island-scaling"; "--out"; path ] ->
-      island_scaling ~out:(Some path) ()
-  | [ "--graph" ] -> graph_pipeline ~out:None ()
-  | [ "--graph"; "--out"; path ] -> graph_pipeline ~out:(Some path) ()
+      List.iter (fun (name, f) -> run_experiment name f) experiments
   | names ->
       List.iter
         (fun name ->
           match List.assoc_opt name experiments with
           | Some f -> run_experiment name f
           | None ->
-              Printf.eprintf
-                "unknown experiment %s (available: %s, --bechamel)\n" name
+              Printf.eprintf "unknown experiment %s (available: %s)\n" name
                 (String.concat ", " (List.map fst experiments));
               exit 1)
         names

@@ -106,7 +106,7 @@ let features (p : Program.t) =
   in
   let wram_bytes =
     List.fold_left
-      (fun m k -> max m (Imtp_engine.Verifier.kernel_wram_bytes k))
+      (fun m k -> max m (Verifier.kernel_wram_bytes k))
       0 p.Program.kernels
   in
   let contains_sub ~sub s =

@@ -1,5 +1,3 @@
-module Engine = Imtp_engine.Engine
-
 type result = {
   params : Sketch.params;
   stats : Imtp_upmem.Stats.t;

@@ -1,8 +1,6 @@
 let log_src = Logs.Src.create "imtp.search" ~doc:"IMTP evolutionary search"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
-module Engine = Imtp_engine.Engine
-module Pool = Imtp_engine.Pool
 module Obs = Imtp_obs.Obs
 
 type strategy = { balanced_sampling : bool; adaptive_epsilon : bool }
@@ -51,8 +49,8 @@ type outcome = {
 (* Checkpoints                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything one island's loop mutates, snapshotted at a generation
-   (single-island) or migration (multi-island) boundary.  All fields
+(* Everything one island's loop mutates, snapshotted at a boundary
+   (with one island, every generation).  All fields
    are plain data (no closures), so a checkpoint marshals to disk
    as-is ({!Checkpoint}); [Rng.t] serializes its exact draw position,
    which is what makes resumption bit-identical.  The engine's memo
@@ -98,8 +96,8 @@ type checkpoint = {
   ck_migrate_every : int;
   ck_boundary : int;  (* generations (k=1) or migration boundary (k>1) *)
   ck_tir_model : Cost_learn.t;
-      (* k=1: the island's working model; k>1: the shared model merged
-         from every island's observations through [ck_boundary]. *)
+      (* the shared model merged from every island's observations
+         through [ck_boundary] *)
   ck_states : island_state array;  (* length ck_islands, island order *)
   ck_measured_trials : int;  (* cumulative simulator ledger *)
   ck_cache_hits : int;  (* cumulative engine-cache hits *)
@@ -119,12 +117,13 @@ let checkpoint_op_name ck = ck.ck_op_name
 let checkpoint_seed ck = ck.ck_seed
 let checkpoint_measure_ratio ck = ck.ck_measure_ratio
 let checkpoint_islands ck = ck.ck_islands
+let checkpoint_boundary ck = ck.ck_boundary
 
 (* Bucket an engine error for the rejection tally: verifier rejections
    keep their constraint name (dpus/tasklets/mram/wram/iram/dma), other
    stages tally under the stage that failed. *)
 let rejection_bucket : Engine.error -> string = function
-  | Engine.Verifier_rejected r -> r.Imtp_engine.Verifier.constraint_name
+  | Engine.Verifier_rejected r -> r.Verifier.constraint_name
   | Engine.Sketch_invalid _ -> "sketch"
   | Engine.Lower_failed _ -> "lower"
   | Engine.Cost_failed _ -> "cost"
@@ -218,14 +217,17 @@ type island_ctx = {
   mutable migrations : int;
   mutable epoch_obs : (float array * float) list;
       (* newest first: (features, latency) observed since the last
-         model merge — published at the next boundary (k>1, gated). *)
+         model merge — published at the next boundary (gated only). *)
   mutable done_ : bool;
 }
 
-(* Pre-migration snapshot one island publishes at a boundary, plus its
-   epoch's model observations in chronological order. *)
+(* What one island publishes at a boundary: its pre-migration population
+   (the ring successor's migration source) and its epoch's model
+   observations in chronological order.  Both are immutable, so
+   publishing copies nothing; full state snapshots are only taken when
+   the boundary is checkpointed. *)
 type publication = {
-  pub_state : island_state;
+  pub_population : (Sketch.params * float) list;
   pub_obs : (float array * float) list;
 }
 
@@ -237,7 +239,8 @@ type publication = {
 type island_shared = {
   sm : Mutex.t;
   scv : Condition.t;
-  pubs : (int * int, publication) Hashtbl.t;  (* (island, boundary) *)
+  pubs : (int * int, publication) Hashtbl.t;
+      (* (island, boundary); only the latest merged boundary is kept *)
   final : island_state option array;  (* post-migration state once done *)
   done_at : int option array;
   shared_tir : Cost_learn.t;
@@ -253,7 +256,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     ?measure_ratio ?engine ?resume ?on_checkpoint ?(checkpoint_every = 1)
     ?stop cfg op ~trials =
   let jobs =
-    match jobs with Some j -> j | None -> Imtp_engine.Pool.default_jobs ()
+    match jobs with Some j -> j | None -> Pool.default_jobs ()
   in
   if checkpoint_every < 1 then
     invalid_arg "Search.run: checkpoint_every must be >= 1";
@@ -335,9 +338,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     | Some ck -> (ck.ck_measured_trials, ck.ck_cache_hits, ck.ck_elapsed_s)
   in
   let gated = measure_ratio <> None in
-  (* Epoch observations are only tracked when there is a shared model
-     to merge them into. *)
-  let track_obs = k > 1 && gated in
   (* Per-island trial budgets: the total splits as evenly as possible,
      earlier islands taking the remainder. *)
   let budget i = (trials / k) + if i < trials mod k then 1 else 0 in
@@ -460,7 +460,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     if gated then begin
       let x = Cost_learn.features m.Engine.artifact.Engine.program in
       Cost_learn.observe cx.tir x latency_s;
-      if track_obs then cx.epoch_obs <- (x, latency_s) :: cx.epoch_obs
+      cx.epoch_obs <- (x, latency_s) :: cx.epoch_obs
     end;
     let r =
       { Measure.params; stats = m.Engine.artifact.Engine.stats; latency_s }
@@ -825,259 +825,230 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         truncate_population strategy ~early (cx.population @ fresh)
     end
   in
-  (* ---------------- single island: the historical loop -------------- *)
-  let interrupted = ref false in
-  let ctxs =
-    if k = 1 then begin
-      let cx =
-        match resume with
-        | None -> fresh_ctx 0
-        | Some ck ->
-            ctx_of_state ~tir:(Cost_learn.copy ck.ck_tir_model)
-              ck.ck_states.(0)
-      in
-      let emit_checkpoint () =
-        match on_checkpoint with
-        | None -> ()
-        | Some f ->
-            Obs.incr "search.checkpoints";
-            f
-              (make_checkpoint ~boundary:cx.generations ~tir:cx.tir
-                 [| state_of_ctx ~migrated:true cx |])
-      in
-      if resume = None then begin
-        init_island cx;
-        emit_checkpoint ()
-      end;
-      (* [stop] is polled at generation boundaries only — between
-         checkpoints the state is mid-flight and not snapshot-safe. *)
-      let since = ref 0 in
-      while cx.trial < cx.ix_trials && not !interrupted do
-        if should_stop () then interrupted := true
-        else begin
-          step_generation cx;
-          incr since;
-          if !since mod checkpoint_every = 0 then emit_checkpoint ()
-        end
-      done;
-      (* An interrupted run leaves a checkpoint behind whatever
-         [checkpoint_every] said — the whole point of stopping
-         gracefully is that nothing since the last boundary is lost. *)
-      if !interrupted then emit_checkpoint ()
-      else if !since mod checkpoint_every <> 0 then emit_checkpoint ();
-      if not !interrupted then confirm cx;
-      cx.done_ <- cx.trial >= cx.ix_trials;
-      [ cx ]
-    end
-    else begin
-      (* ---------------- the island model ---------------------------- *)
-      let sh =
-        {
-          sm = Mutex.create ();
-          scv = Condition.create ();
-          pubs = Hashtbl.create 64;
-          final = Array.make k None;
-          done_at = Array.make k None;
-          shared_tir =
-            (match resume with
-            | None -> Cost_learn.create ()
-            | Some ck -> Cost_learn.copy ck.ck_tir_model);
-          merged_boundary =
-            (match resume with None -> -1 | Some ck -> ck.ck_boundary);
-          stop_boundary = None;
-          failed = None;
-        }
-      in
-      let ctxs =
-        match resume with
-        | None -> List.init k fresh_ctx
-        | Some ck ->
-            (* Seed the rendezvous as if every island had just
-               published the checkpoint's boundary: the states stand in
-               for the publications, the shared model is already merged
-               through it, and each island replays whatever tail of the
-               boundary (model adoption, migration) its snapshot
-               predates. *)
-            Array.iteri
-              (fun i st ->
-                Hashtbl.replace sh.pubs (i, ck.ck_boundary)
-                  { pub_state = st; pub_obs = [] };
-                if st.il_done && st.il_migrated then begin
-                  sh.done_at.(i) <- Some ck.ck_boundary;
-                  sh.final.(i) <- Some st
-                end)
-              ck.ck_states;
-            Array.to_list
-              (Array.map
-                 (fun st ->
-                   ctx_of_state ~tir:(Cost_learn.copy ck.ck_tir_model) st)
-                 ck.ck_states)
-      in
-      let all_ready b =
-        sh.failed <> None
-        || (let ready = ref true in
-            for j = 0 to k - 1 do
-              let ok =
-                Hashtbl.mem sh.pubs (j, b)
-                || (match sh.done_at.(j) with
-                   | Some d -> d < b && sh.final.(j) <> None
-                   | None -> false)
-              in
-              if not ok then ready := false
-            done;
-            !ready)
-      in
-      (* Under [sh.sm].  Assembles the boundary's checkpoint from the
-         published (pre-migration) snapshots; islands done at an
-         earlier boundary contribute their final post-migration
-         state. *)
-      let emit_island_checkpoint b =
-        match on_checkpoint with
-        | None -> ()
-        | Some f ->
-            let states =
-              Array.init k (fun j ->
-                  match Hashtbl.find_opt sh.pubs (j, b) with
-                  | Some p -> p.pub_state
-                  | None -> (
-                      match sh.final.(j) with
-                      | Some st -> st
-                      | None -> assert false))
-            in
-            Obs.incr "search.checkpoints";
-            f (make_checkpoint ~boundary:b ~tir:sh.shared_tir states)
-      in
-      (* The boundary rendezvous: publish, wait for the ring, merge the
-         shared model once (deterministic (boundary, island) fold),
-         checkpoint, then migrate from the ring predecessor.  Returns
-         true when the run is stopping. *)
-      let island_boundary cx b =
-        let pub =
-          { pub_state = state_of_ctx cx; pub_obs = List.rev cx.epoch_obs }
-        in
-        cx.epoch_obs <- [];
-        Mutex.lock sh.sm;
-        Hashtbl.replace sh.pubs (cx.ix, b) pub;
-        if cx.done_ then sh.done_at.(cx.ix) <- Some b;
-        Condition.broadcast sh.scv;
-        while not (all_ready b) do
-          Condition.wait sh.scv sh.sm
-        done;
-        if sh.failed <> None then begin
-          Mutex.unlock sh.sm;
-          raise Island_aborted
-        end;
-        if sh.merged_boundary < b then begin
-          for bb = max 0 (sh.merged_boundary + 1) to b do
-            for j = 0 to k - 1 do
-              match Hashtbl.find_opt sh.pubs (j, bb) with
-              | Some p ->
-                  List.iter
-                    (fun (x, y) -> Cost_learn.observe sh.shared_tir x y)
-                    p.pub_obs
-              | None -> ()
-            done
-          done;
-          sh.merged_boundary <- b;
-          (* One stop poll per boundary, made by the merge leader so
-             every island agrees on where the run ends. *)
-          if should_stop () then sh.stop_boundary <- Some b;
-          if sh.stop_boundary = Some b || b = 0 || b mod checkpoint_every = 0
-          then emit_island_checkpoint b
-        end;
-        let stopping = sh.stop_boundary <> None in
-        if gated then cx.tir <- Cost_learn.copy sh.shared_tir;
-        let migrants =
-          if b = 0 || stopping then []
-          else begin
-            let p = (cx.ix + k - 1) mod k in
-            let src =
-              match Hashtbl.find_opt sh.pubs (p, b) with
-              | Some pb -> Some pb.pub_state
-              | None -> sh.final.(p)
-            in
-            match src with
-            | None -> []
-            | Some st -> elites st.il_population
-          end
-        in
-        Mutex.unlock sh.sm;
-        if migrants <> [] then apply_migration cx migrants;
-        if cx.done_ && not stopping then begin
-          (* Export the post-migration state: later boundaries take
-             this island's elites (and checkpoints its state) from
-             here. *)
-          Mutex.lock sh.sm;
-          sh.final.(cx.ix) <- Some (state_of_ctx ~migrated:true cx);
-          Condition.broadcast sh.scv;
-          Mutex.unlock sh.sm
-        end;
-        stopping
-      in
-      let island_main cx =
-        Obs.span ~name:"search.island"
-          ~attrs:
-            [ ("island", Obs.Int cx.ix); ("trials", Obs.Int cx.ix_trials) ]
-        @@ fun () ->
-        let b = ref 0 in
-        let stopping = ref false in
+  (* ---------------- the island loop -------------------------------- *)
+  let sh =
+    {
+      sm = Mutex.create ();
+      scv = Condition.create ();
+      pubs = Hashtbl.create 16;
+      final = Array.make k None;
+      done_at = Array.make k None;
+      shared_tir =
         (match resume with
-        | Some ck ->
-            b := ck.ck_boundary;
-            (* Replay the tail of the checkpointed boundary for a
-               snapshot taken before its migration. *)
-            let st = ck.ck_states.(cx.ix) in
-            if not st.il_migrated then begin
-              let migrants =
-                if !b = 0 then []
-                else
-                  elites ck.ck_states.((cx.ix + k - 1) mod k).il_population
-              in
-              if migrants <> [] then apply_migration cx migrants;
-              if cx.done_ then begin
-                Mutex.lock sh.sm;
-                sh.done_at.(cx.ix) <- Some !b;
-                sh.final.(cx.ix) <- Some (state_of_ctx ~migrated:true cx);
-                Condition.broadcast sh.scv;
-                Mutex.unlock sh.sm
-              end
-            end
-        | None ->
-            init_island cx;
-            if cx.trial >= cx.ix_trials then cx.done_ <- true;
-            stopping := island_boundary cx 0);
-        while (not cx.done_) && not !stopping do
-          let g = ref 0 in
-          while !g < migrate_every && cx.trial < cx.ix_trials do
-            step_generation cx;
-            incr g
-          done;
-          if cx.trial >= cx.ix_trials then cx.done_ <- true;
-          incr b;
-          stopping := island_boundary cx !b
-        done;
-        if not !stopping then confirm cx
-      in
-      let guarded cx () =
-        try island_main cx with
-        | Island_aborted -> ()
-        | e ->
-            Mutex.lock sh.sm;
-            if sh.failed = None then sh.failed <- Some e;
-            Condition.broadcast sh.scv;
-            Mutex.unlock sh.sm
-      in
-      let rest =
-        List.filter (fun cx -> cx.ix > 0) ctxs
-        |> List.map (fun cx -> Thread.create (guarded cx) ())
-      in
-      guarded (List.hd ctxs) ();
-      List.iter Thread.join rest;
-      (match sh.failed with Some e -> raise e | None -> ());
-      interrupted := sh.stop_boundary <> None;
-      ctxs
-    end
+        | None -> Cost_learn.create ()
+        | Some ck -> Cost_learn.copy ck.ck_tir_model);
+      merged_boundary =
+        (match resume with None -> -1 | Some ck -> ck.ck_boundary);
+      stop_boundary = None;
+      failed = None;
+    }
   in
+  let ctxs =
+    match resume with
+    | None -> Array.init k fresh_ctx
+    | Some ck ->
+        (* Seed the rendezvous as if every island had just published
+           the checkpoint's boundary: the states stand in for the
+           publications, the shared model is already merged through it,
+           and each island replays whatever tail of the boundary (model
+           adoption, migration) its snapshot predates. *)
+        Array.iteri
+          (fun i st ->
+            Hashtbl.replace sh.pubs (i, ck.ck_boundary)
+              { pub_population = st.il_population; pub_obs = [] };
+            if st.il_done && st.il_migrated then begin
+              sh.done_at.(i) <- Some ck.ck_boundary;
+              sh.final.(i) <- Some st
+            end)
+          ck.ck_states;
+        Array.map
+          (fun st -> ctx_of_state ~tir:(Cost_learn.copy ck.ck_tir_model) st)
+          ck.ck_states
+  in
+  (* A single island has nothing to migrate, so every generation is a
+     boundary: checkpoints keep a per-generation cadence and
+     [ck_boundary] counts generations. *)
+  let generations_per_boundary = if k = 1 then 1 else migrate_every in
+  let all_ready b =
+    sh.failed <> None
+    || (let ready = ref true in
+        for j = 0 to k - 1 do
+          let ok =
+            Hashtbl.mem sh.pubs (j, b)
+            || (match sh.done_at.(j) with
+               | Some d -> d < b && sh.final.(j) <> None
+               | None -> false)
+          in
+          if not ok then ready := false
+        done;
+        !ready)
+  in
+  (* Under [sh.sm], by the boundary's merge leader.  Every island that
+     published [b] is parked at the rendezvous until the leader lets go
+     of the lock, so its context still holds exactly its pre-migration
+     state; islands done at an earlier boundary contribute their final
+     post-migration state. *)
+  let emit_checkpoint b =
+    match on_checkpoint with
+    | None -> ()
+    | Some f ->
+        let states =
+          Array.init k (fun j ->
+              if Hashtbl.mem sh.pubs (j, b) then state_of_ctx ctxs.(j)
+              else Option.get sh.final.(j))
+        in
+        Obs.incr "search.checkpoints";
+        f (make_checkpoint ~boundary:b ~tir:sh.shared_tir states)
+  in
+  (* Under [sh.sm]: export a done island's post-migration state; later
+     boundaries take its elites (and checkpoint its state) from here. *)
+  let export_final cx =
+    sh.final.(cx.ix) <- Some (state_of_ctx ~migrated:true cx);
+    Condition.broadcast sh.scv
+  in
+  (* The boundary rendezvous: publish, wait for the ring, merge the
+     shared model once (deterministic island-order fold), checkpoint,
+     then migrate from the ring predecessor.  Returns true when the run
+     is stopping. *)
+  let island_boundary cx b =
+    let pub =
+      { pub_population = cx.population; pub_obs = List.rev cx.epoch_obs }
+    in
+    cx.epoch_obs <- [];
+    Mutex.lock sh.sm;
+    Hashtbl.replace sh.pubs (cx.ix, b) pub;
+    if cx.done_ then sh.done_at.(cx.ix) <- Some b;
+    Condition.broadcast sh.scv;
+    while not (all_ready b) do
+      Condition.wait sh.scv sh.sm
+    done;
+    if sh.failed <> None then begin
+      Mutex.unlock sh.sm;
+      raise Island_aborted
+    end;
+    (* No island leaves a boundary before its leader merges it, so the
+       merge leader of [b] always finds [b - 1] merged, and nothing
+       reads a publication older than [b] again. *)
+    if sh.merged_boundary < b then begin
+      for j = 0 to k - 1 do
+        match Hashtbl.find_opt sh.pubs (j, b) with
+        | Some p ->
+            List.iter
+              (fun (x, y) -> Cost_learn.observe sh.shared_tir x y)
+              p.pub_obs
+        | None -> ()
+      done;
+      Hashtbl.filter_map_inplace
+        (fun (_, bb) p -> if bb < b then None else Some p)
+        sh.pubs;
+      sh.merged_boundary <- b;
+      let periodic = b = 0 || b mod checkpoint_every = 0 in
+      if periodic then emit_checkpoint b;
+      (* One stop poll per boundary, made by the merge leader so every
+         island agrees on where the run ends — after the periodic
+         checkpoint, so a [stop] keyed on the checkpoints it has seen
+         lands on this boundary rather than the next. *)
+      if should_stop () then begin
+        sh.stop_boundary <- Some b;
+        if not periodic then emit_checkpoint b
+      end
+    end;
+    let stopping = sh.stop_boundary <> None in
+    (* Every island starts an epoch holding the merged model, so one
+       that made every observation merged at [b] already holds the new
+       merge (the fold replayed its own observations in its own order)
+       and only has to adopt a copy when another island contributed. *)
+    let others_observed =
+      List.exists
+        (fun j ->
+          j <> cx.ix
+          &&
+          match Hashtbl.find_opt sh.pubs (j, b) with
+          | Some p -> p.pub_obs <> []
+          | None -> false)
+        (List.init k Fun.id)
+    in
+    if gated && others_observed then
+      cx.tir <- Cost_learn.copy sh.shared_tir;
+    let migrants =
+      if b = 0 || stopping then []
+      else begin
+        let p = (cx.ix + k - 1) mod k in
+        match (Hashtbl.find_opt sh.pubs (p, b), sh.final.(p)) with
+        | Some pb, _ -> elites pb.pub_population
+        | None, Some st -> elites st.il_population
+        | None, None -> []
+      end
+    in
+    Mutex.unlock sh.sm;
+    if migrants <> [] then apply_migration cx migrants;
+    if cx.done_ && not stopping then begin
+      Mutex.lock sh.sm;
+      export_final cx;
+      Mutex.unlock sh.sm
+    end;
+    stopping
+  in
+  let island_main cx =
+    Obs.span ~name:"search.island"
+      ~attrs:[ ("island", Obs.Int cx.ix); ("trials", Obs.Int cx.ix_trials) ]
+    @@ fun () ->
+    let b = ref 0 in
+    let stopping = ref false in
+    (match resume with
+    | Some ck ->
+        b := ck.ck_boundary;
+        (* Replay the tail of the checkpointed boundary for a snapshot
+           taken before its migration. *)
+        let st = ck.ck_states.(cx.ix) in
+        if not st.il_migrated then begin
+          let migrants =
+            if !b = 0 then []
+            else elites ck.ck_states.((cx.ix + k - 1) mod k).il_population
+          in
+          if migrants <> [] then apply_migration cx migrants;
+          if cx.done_ then begin
+            Mutex.lock sh.sm;
+            sh.done_at.(cx.ix) <- Some !b;
+            export_final cx;
+            Mutex.unlock sh.sm
+          end
+        end
+    | None ->
+        init_island cx;
+        if cx.trial >= cx.ix_trials then cx.done_ <- true;
+        stopping := island_boundary cx 0);
+    while (not cx.done_) && not !stopping do
+      let g = ref 0 in
+      while !g < generations_per_boundary && cx.trial < cx.ix_trials do
+        step_generation cx;
+        incr g
+      done;
+      if cx.trial >= cx.ix_trials then cx.done_ <- true;
+      incr b;
+      stopping := island_boundary cx !b
+    done;
+    if not !stopping then confirm cx
+  in
+  let guarded cx () =
+    try island_main cx with
+    | Island_aborted -> ()
+    | e ->
+        Mutex.lock sh.sm;
+        if sh.failed = None then sh.failed <- Some e;
+        Condition.broadcast sh.scv;
+        Mutex.unlock sh.sm
+  in
+  let rest =
+    Array.to_list ctxs
+    |> List.filter (fun cx -> cx.ix > 0)
+    |> List.map (fun cx -> Thread.create (guarded cx) ())
+  in
+  guarded ctxs.(0) ();
+  List.iter Thread.join rest;
+  (match sh.failed with Some e -> raise e | None -> ());
+  let interrupted = sh.stop_boundary <> None in
+  let ctxs = Array.to_list ctxs in
   (* ---------------- outcome --------------------------------------- *)
   let elapsed_s = Obs.now_s () -. t0 in
   let total f = List.fold_left (fun a cx -> a + f cx) 0 ctxs in
@@ -1150,7 +1121,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     skipped;
     cache_hits;
     elapsed_s = base_elapsed_s +. elapsed_s;
-    interrupted = !interrupted;
+    interrupted;
     resumed_from =
       (match resume with Some ck -> Some (checkpoint_trial ck) | None -> None);
     islands = k;

@@ -31,7 +31,7 @@
     and rendezvous only every [migrate_every] generations at a
     {e migration boundary}, where each island:
 
-    - publishes a snapshot of its state,
+    - publishes its population (the ring successor's migration source),
     - merges its epoch's model observations into the one shared
       {!Cost_learn} model (folded in deterministic (boundary, island)
       order by whichever island reaches the boundary first) and adopts
@@ -43,11 +43,13 @@
     pure function of the seed — [~islands:k ~jobs:n] is bit-identical
     to [~islands:k ~jobs:1], because every island's evolution depends
     only on its own substream and on snapshots exchanged at fixed
-    boundaries.  [~islands:1] takes the historical single-population
-    code path and reproduces pre-island traces byte-for-byte.  Note
-    that {e different} island counts are different searches.  [islands]
-    defaults to 1 (or [IMTP_ISLANDS]), never to the job count, so a
-    default search is the same on every host.
+    boundaries.  One island runs through the same loop with a boundary
+    after every generation (there is nothing to migrate) and the
+    historical [Rng.create ~seed] stream, so it reproduces pre-island
+    traces byte-for-byte.  Note that {e different} island counts are
+    different searches.  [islands] defaults to 1 (or [IMTP_ISLANDS]),
+    never to the job count, so a default search is the same on every
+    host.
 
     {2 Measurement gating}
 
@@ -151,8 +153,8 @@ type outcome = {
 (** Everything a search run produces.  The run also emits telemetry
     through {!Imtp_obs.Obs}: a [search.run] span enclosing [search.init]
     and per-generation [search.generation] spans (with population /
-    acceptance / island attributes), per-island [search.island] spans
-    when [islands > 1], a per-generation [search.rank] span under
+    acceptance / island attributes), per-island [search.island] spans,
+    a per-generation [search.rank] span under
     gating (with size/selected attributes), the [search.*] counters
     (including [search.measured_trials], [search.skipped] and
     [search.migrations]), and the [search.best_latency_s] /
@@ -204,6 +206,11 @@ val checkpoint_measure_ratio : checkpoint -> float option
 val checkpoint_islands : checkpoint -> int
 (** The run's effective island count. *)
 
+val checkpoint_boundary : checkpoint -> int
+(** The boundary the snapshot was taken at: 0 after the initial
+    population, then one per boundary (with [islands = 1], per
+    generation). *)
+
 val run :
   ?strategy:strategy ->
   ?seed:int ->
@@ -235,7 +242,7 @@ val run :
     the environment, else 1; clamped to [1, 64] and to at most
     [trials / 16] so every island can seed an initial population)
     shards the search island-model style; [migrate_every] (default 2,
-    generations) sets the migration cadence.  [use_cost_model] (default
+    generations; inert with one island) sets the migration cadence.  [use_cost_model] (default
     true) lets the parameter-space {!Cost_model} rank candidate
     mutations before proposal; disabling it falls back to unguided
     mutation (an ablation of Fig. 5's "evolutionary search guided by a
@@ -259,9 +266,10 @@ val run :
     not be bit-identical) — only [op], which must hash to the
     checkpoint's recorded operator, and the execution knobs ([jobs],
     [engine], [passes], checkpointing) are taken from the call.  [stop]
-    is polled at boundaries; when it returns [true] the run emits a
-    final checkpoint and returns early with
-    [outcome.interrupted = true].
+    is polled at every boundary, after that boundary's periodic
+    checkpoint; when it returns [true] the run ends there (emitting the
+    boundary's checkpoint if the cadence skipped it) and returns early
+    with [outcome.interrupted = true].
 
     @raise Invalid_argument if [measure_ratio] is outside (0, 1], if
     [checkpoint_every < 1] or [migrate_every < 1], or if [resume]

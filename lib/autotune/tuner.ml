@@ -1,4 +1,3 @@
-module Engine = Imtp_engine.Engine
 module Obs = Imtp_obs.Obs
 
 type result = {

@@ -1,5 +1,5 @@
 module Op = Imtp_workload.Op
-module Sk = Imtp_autotune.Sketch
+module Sk = Imtp_engine.Sketch
 module E = Imtp_tir.Expr
 module St = Imtp_tir.Stmt
 module B = Imtp_tir.Buffer
@@ -239,8 +239,8 @@ let build ?skip_inputs cfg (op : Op.t) p =
   | Sk.Tasklet_reduce -> (
       let prog = red_program op p in
       let prog = Imtp_passes.Pipeline.run ~config:prim_passes cfg prog in
-      match Imtp_autotune.Verifier.check cfg prog with
-      | Error r -> Error ("verifier: " ^ r.Imtp_autotune.Verifier.reason)
+      match Imtp_engine.Verifier.check cfg prog with
+      | Error r -> Error ("verifier: " ^ r.Imtp_engine.Verifier.reason)
       | Ok () -> Ok prog)
   | Sk.Elementwise | Sk.Mat_vec | Sk.Batched | Sk.Mat_mat | Sk.Grid_map ->
       Imtp_autotune.Measure.build ~passes:prim_passes ?skip_inputs cfg op

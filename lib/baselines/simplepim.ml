@@ -1,5 +1,5 @@
 module Op = Imtp_workload.Op
-module Sk = Imtp_autotune.Sketch
+module Sk = Imtp_engine.Sketch
 module E = Imtp_tir.Expr
 module St = Imtp_tir.Stmt
 module B = Imtp_tir.Buffer
@@ -296,8 +296,8 @@ let build cfg (op : Op.t) =
     | "red" -> (
         let prog = build_red op (U.Config.nr_dpus cfg) in
         let prog = Imtp_passes.Pipeline.run ~config:spim_passes cfg prog in
-        match Imtp_autotune.Verifier.check cfg prog with
-        | Error r -> Error ("verifier: " ^ r.Imtp_autotune.Verifier.reason)
+        match Imtp_engine.Verifier.check cfg prog with
+        | Error r -> Error ("verifier: " ^ r.Imtp_engine.Verifier.reason)
         | Ok () -> Ok prog)
     | _ -> build_va cfg op
 

@@ -65,9 +65,9 @@ module Obs = Imtp_obs.Obs
 (* Build/measure engine and autotuner *)
 module Engine = Imtp_engine.Engine
 module Pool = Imtp_engine.Pool
-module Rng = Imtp_autotune.Rng
-module Sketch = Imtp_autotune.Sketch
-module Verifier = Imtp_autotune.Verifier
+module Rng = Imtp_engine.Rng
+module Sketch = Imtp_engine.Sketch
+module Verifier = Imtp_engine.Verifier
 module Measure = Imtp_autotune.Measure
 module Cost_model = Imtp_autotune.Cost_model
 module Cost_learn = Imtp_autotune.Cost_learn

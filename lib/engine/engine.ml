@@ -244,29 +244,10 @@ let stage_verify_program ?t cfg prog =
       | Ok () -> Ok ()
       | Error r -> Error (Verifier_rejected r))
 
-(* Optional device-measurement latency emulation: on real PIM hardware
-   a measurement is a round-trip to the device and the tuner mostly
-   waits, so IMTP_SIM_LATENCY_US > 0 adds that wall-clock stall to
-   every simulator execution.  The stall is pure waiting — it never
-   changes stats or the CPU-time counters — and it is what the
-   island-scaling benchmark uses to show measurement overlap across
-   concurrent searches.  Read per call so a bench can vary it between
-   phases of one process. *)
-let sim_latency_s () =
-  match Sys.getenv_opt "IMTP_SIM_LATENCY_US" with
-  | None -> 0.
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some us when us > 0. -> us *. 1e-6
-      | Some _ | None -> 0.)
-
 let stage_cost ?t cfg prog =
   timed t ~stage:"cost" add_cost (fun () ->
       match Cost.measure cfg prog with
-      | stats ->
-          let stall = sim_latency_s () in
-          if stall > 0. then Unix.sleepf stall;
-          Ok stats
+      | stats -> Ok stats
       | exception Cost.Error m -> Error (Cost_failed m))
 
 let compile_sched ?(options = L.default_options) ?(passes = Pl.all_on) cfg sched

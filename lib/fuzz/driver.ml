@@ -1,4 +1,4 @@
-module Rng = Imtp_autotune.Rng
+module Rng = Imtp_engine.Rng
 module S = Imtp_schedule.Sched
 module Printer = Imtp_tir.Printer
 module Obs = Imtp_obs.Obs

@@ -1,6 +1,6 @@
 module Pl = Imtp_passes.Pipeline
 module L = Imtp_lower.Lowering
-module Rng = Imtp_autotune.Rng
+module Rng = Imtp_engine.Rng
 
 let ablations = Pl.ablations
 

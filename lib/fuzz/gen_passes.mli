@@ -9,10 +9,10 @@
 val ablations : (string * Imtp_passes.Pipeline.config) list
 (** {!Imtp_passes.Pipeline.ablations}, re-exported for the oracle. *)
 
-val random : Imtp_autotune.Rng.t -> string * Imtp_passes.Pipeline.config
+val random : Imtp_engine.Rng.t -> string * Imtp_passes.Pipeline.config
 (** Uniform over all eight toggle combinations. *)
 
-val random_options : Imtp_autotune.Rng.t -> Imtp_lower.Lowering.options
+val random_options : Imtp_engine.Rng.t -> Imtp_lower.Lowering.options
 (** Random transfer coalescing / bank parallelism / host post-processing
     threads.  [skip_input_transfer] stays empty: skipping a transfer is
     only sound across launches, which a single-program oracle cannot

@@ -1,6 +1,6 @@
 module Op = Imtp_workload.Op
 module S = Imtp_schedule.Sched
-module Rng = Imtp_autotune.Rng
+module Rng = Imtp_engine.Rng
 
 type step =
   | Split of string * int list

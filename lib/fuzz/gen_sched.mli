@@ -39,7 +39,7 @@ val replay : Imtp_workload.Op.t -> step list -> S.t * step list
 (** Fresh schedule, all steps applied in order; returns the schedule
     and the steps that survived. *)
 
-val random : Imtp_autotune.Rng.t -> Imtp_workload.Op.t -> step list
+val random : Imtp_engine.Rng.t -> Imtp_workload.Op.t -> step list
 (** A random candidate sequence covering (across draws) every
     primitive: split, reorder, bind (blocks and tasklets), rfactor,
     cache_read/compute_at, cache_write/reverse_compute_at, unroll and

@@ -1,6 +1,6 @@
 module Op = Imtp_workload.Op
 module Ops = Imtp_workload.Ops
-module Rng = Imtp_autotune.Rng
+module Rng = Imtp_engine.Rng
 
 type kind =
   | Va

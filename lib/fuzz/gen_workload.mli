@@ -23,7 +23,7 @@ type kind =
 
 type t = { kind : kind; dims : int list }
 
-val random : Imtp_autotune.Rng.t -> t
+val random : Imtp_engine.Rng.t -> t
 (** Dimension extents are biased toward odd and non-power-of-two
     values, and the total iteration-domain size is capped so a fuzz
     case evaluates in milliseconds on the functional simulator. *)

@@ -5,7 +5,7 @@
 module Nets = Imtp_workload.Nets
 module Ops = Imtp_workload.Ops
 module Graph = Imtp_graph.Graph
-module Rng = Imtp_autotune.Rng
+module Rng = Imtp_engine.Rng
 module T = Imtp_tensor.Tensor
 
 type outcome = {

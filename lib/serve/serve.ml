@@ -14,7 +14,7 @@ module Pool = Imtp_engine.Pool
 module Search = Imtp_autotune.Search
 module Checkpoint = Imtp_autotune.Checkpoint
 module Tuning_log = Imtp_autotune.Tuning_log
-module Sketch = Imtp_autotune.Sketch
+module Sketch = Imtp_engine.Sketch
 module Measure = Imtp_autotune.Measure
 module Ops = Imtp_workload.Ops
 module Op = Imtp_workload.Op

@@ -10,7 +10,7 @@ module B = Imtp_tir.Buffer
 module V = Imtp_tir.Var
 module P = Imtp_tir.Program
 module Simp = Imtp_tir.Simplify
-module Sk = Imtp_autotune.Sketch
+module Sk = Imtp_engine.Sketch
 module L = Imtp_lower.Lowering
 module Pl = Imtp_passes.Pipeline
 module M = Imtp_passes.Metrics

@@ -1,13 +1,13 @@
 (* Autotuner tests: sketches, verifier, cost model, measurement and the
    balanced evolutionary search. *)
 
-module Sk = Imtp_autotune.Sketch
-module V = Imtp_autotune.Verifier
+module Sk = Imtp_engine.Sketch
+module V = Imtp_engine.Verifier
 module Ms = Imtp_autotune.Measure
 module Cm = Imtp_autotune.Cost_model
 module Se = Imtp_autotune.Search
 module Tu = Imtp_autotune.Tuner
-module Rng = Imtp_autotune.Rng
+module Rng = Imtp_engine.Rng
 module Ops = Imtp_workload.Ops
 module Op = Imtp_workload.Op
 module U = Imtp_upmem
@@ -520,11 +520,12 @@ let outcome_key (o : Se.outcome) =
     o.Se.measured,
     o.Se.skipped )
 
-(* Run uninterrupted; then run again stopped after [k] generations and
+(* Run uninterrupted; then run again stopped after [k] boundaries and
    resume from the emitted checkpoint; the stitched run must be
-   bit-identical.  The init snapshot is checkpoint #1 and generation g
-   emits #(1+g), so stopping once [!n_ck > k] interrupts right after
-   generation [k]'s boundary snapshot. *)
+   bit-identical.  The init snapshot is checkpoint #1 and boundary b
+   emits #(1+b); [stop] is polled after each boundary's checkpoint, so
+   stopping once [!n_ck > k] interrupts right at boundary [k], whose
+   snapshot is the last one emitted. *)
 let check_kill_resume ?measure_ratio ?(islands = 1) ?migrate_every ~k op
     ~trials =
   let seed = 23 in
@@ -540,7 +541,11 @@ let check_kill_resume ?measure_ratio ?(islands = 1) ?migrate_every ~k op
   Alcotest.(check bool) "killed run reports interrupted" true
     killed.Se.interrupted;
   Alcotest.(check bool) "full run not interrupted" false full.Se.interrupted;
+  Alcotest.(check int) "one checkpoint per boundary through the stop" (k + 1)
+    !n_ck;
   let ck = match !last with Some ck -> ck | None -> Alcotest.fail "no checkpoint" in
+  Alcotest.(check int) "last checkpoint is the stopping boundary" k
+    (Se.checkpoint_boundary ck);
   Alcotest.(check bool) "checkpoint mid-run" true
     (Se.checkpoint_trial ck > 0 && Se.checkpoint_trial ck < trials);
   Alcotest.(check int) "checkpoint keeps the budget" trials
@@ -754,6 +759,19 @@ let test_island_outcome_shape () =
         island_best b.Ms.latency_s
   | None -> Alcotest.fail "no best"
 
+let test_one_island_ignores_migrate_every () =
+  (* a single island has nothing to migrate: its boundaries fall on
+     every generation whatever [migrate_every] says. *)
+  let op = Ops.mtv 128 256 in
+  let run ?migrate_every ?measure_ratio () =
+    Se.run ~seed:31 ~islands:1 ?migrate_every ?measure_ratio cfg op ~trials:64
+  in
+  Alcotest.(check bool) "ungated: migrate_every:3 = default" true
+    (outcome_key (run ~migrate_every:3 ()) = outcome_key (run ()));
+  Alcotest.(check bool) "gated: migrate_every:3 = default" true
+    (outcome_key (run ~migrate_every:3 ~measure_ratio:0.2 ())
+    = outcome_key (run ~measure_ratio:0.2 ()))
+
 let test_island_defaults () =
   let op = Ops.mtv 128 256 in
   (* explicit wins *)
@@ -874,6 +892,8 @@ let () =
             test_migration_determinism;
           Alcotest.test_case "outcome shape" `Quick test_island_outcome_shape;
           Alcotest.test_case "defaults and clamps" `Quick test_island_defaults;
+          Alcotest.test_case "one island ignores migrate_every" `Quick
+            test_one_island_ignores_migrate_every;
         ] );
       ( "properties",
         q [ prop_verified_candidates_run; prop_islands_jobs_equivalence ] );

@@ -4,8 +4,8 @@
    workloads. *)
 
 module Cl = Imtp_autotune.Cost_learn
-module Sk = Imtp_autotune.Sketch
-module Rng = Imtp_autotune.Rng
+module Sk = Imtp_engine.Sketch
+module Rng = Imtp_engine.Rng
 module Engine = Imtp_engine.Engine
 module Ops = Imtp_workload.Ops
 module Cost = Imtp_tir.Cost

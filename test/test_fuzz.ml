@@ -11,7 +11,7 @@ module Shrink = Imtp_fuzz.Shrink
 module Gw = Imtp_fuzz.Gen_workload
 module Gs = Imtp_fuzz.Gen_sched
 module Gp = Imtp_fuzz.Gen_passes
-module Sk = Imtp_autotune.Sketch
+module Sk = Imtp_engine.Sketch
 module L = Imtp_lower.Lowering
 module Pl = Imtp_passes.Pipeline
 module Op = Imtp_workload.Op

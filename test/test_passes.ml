@@ -2,7 +2,7 @@
    ablation combination must preserve program semantics on misaligned
    shapes, and must reduce the static/dynamic metrics it targets. *)
 
-module Sk = Imtp_autotune.Sketch
+module Sk = Imtp_engine.Sketch
 module L = Imtp_lower.Lowering
 module Pl = Imtp_passes.Pipeline
 module M = Imtp_passes.Metrics

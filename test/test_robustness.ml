@@ -2,7 +2,7 @@
    accounting, weight residency, failure injection, and cross-checks
    between the functional interpreter and the cost estimator. *)
 
-module Sk = Imtp_autotune.Sketch
+module Sk = Imtp_engine.Sketch
 module L = Imtp_lower.Lowering
 module Pl = Imtp_passes.Pipeline
 module Ops = Imtp_workload.Ops
@@ -273,7 +273,7 @@ let prop_cost_deterministic =
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
       let op = Ops.mtv 64 128 in
-      let rng = Imtp_autotune.Rng.create ~seed in
+      let rng = Imtp_engine.Rng.create ~seed in
       let p = Sk.random rng cfg op in
       match
         ( Imtp_autotune.Measure.measure cfg op p,
