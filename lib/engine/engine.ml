@@ -164,20 +164,16 @@ let params_key (p : Sketch.params) =
     p.Sketch.rows_per_tasklet p.Sketch.unroll_inner p.Sketch.host_threads
 
 let options_key (o : L.options) =
-  Printf.sprintf "bulk%b;par%b;hrt%d;af%b;skip%s" o.L.bulk_transfer
-    o.L.parallel_transfer o.L.host_reduce_threads o.L.affine_guards
+  Printf.sprintf "bulk%b;par%b;hrt%d;skip%s" o.L.bulk_transfer
+    o.L.parallel_transfer o.L.host_reduce_threads
     (String.concat "," (List.sort String.compare o.L.skip_input_transfer))
   (* conditional so pre-residency keys stay byte-identical. *)
   ^ if o.L.skip_output_transfer then ";skipout" else ""
 
 let digest_parts parts = Digest.to_hex (Digest.string (String.concat "|" parts))
 
-let candidate_options ?(skip_inputs = []) ?(passes = Pl.all_on) params =
-  {
-    (Sketch.lower_options params) with
-    L.skip_input_transfer = skip_inputs;
-    L.affine_guards = passes.Pl.affine;
-  }
+let candidate_options ?(skip_inputs = []) params =
+  { (Sketch.lower_options params) with L.skip_input_transfer = skip_inputs }
 
 let fingerprint ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
   digest_parts
@@ -185,7 +181,7 @@ let fingerprint ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
       op_key op;
       params_key params;
       Pl.config_name passes;
-      options_key (candidate_options ?skip_inputs ~passes params);
+      options_key (candidate_options ?skip_inputs params);
       (if verify then "v" else "nv");
     ]
 
@@ -345,7 +341,7 @@ let build_flagged t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
   Obs.span ~name:"engine.build"
     ~attrs:[ ("op", Obs.Str op.Op.opname) ]
     (fun () ->
-      let options = candidate_options ?skip_inputs ~passes params in
+      let options = candidate_options ?skip_inputs params in
       let key = fingerprint ~passes ?skip_inputs ~verify op params in
       let result, hit =
         match lookup t t.artifacts key with
@@ -403,7 +399,7 @@ let prepare t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
   Obs.span ~name:"engine.prepare"
     ~attrs:[ ("op", Obs.Str op.Op.opname) ]
     (fun () ->
-      let options = candidate_options ?skip_inputs ~passes params in
+      let options = candidate_options ?skip_inputs params in
       let key = fingerprint ~passes ?skip_inputs ~verify op params in
       let result, hit =
         match lookup_prepared t key with
@@ -518,7 +514,7 @@ let batch t ?jobs ?rng ?passes ?skip_inputs ?verify op candidates =
                     ~attrs:[ ("op", Obs.Str op.Op.opname) ]
                     (fun () ->
                       let p = cands.(i) in
-                      let options = candidate_options ?skip_inputs ~passes p in
+                      let options = candidate_options ?skip_inputs p in
                       let r =
                         build_uncached t ~passes ~options ~verify ~key:keys.(i)
                           op p
@@ -653,7 +649,7 @@ let prepare_batch t ?jobs ?passes ?skip_inputs ?verify op candidates =
                   ~attrs:[ ("op", Obs.Str op.Op.opname) ]
                   (fun () ->
                     let p = cands.(i) in
-                    let options = candidate_options ?skip_inputs ~passes p in
+                    let options = candidate_options ?skip_inputs p in
                     let r =
                       prepare_uncached t ~passes ~options ~verify ~key:keys.(i)
                         op p

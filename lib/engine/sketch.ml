@@ -330,8 +330,8 @@ let cache_choices (op : Op.t) =
   in
   (* Shape-derived tiles: the ceil-halving chain of the innermost
      extent opens non-divisible split factors on ragged axes
-     (500 → 500, 250, 125, 63, …) whose partial tiles the affine
-     lowering clamps and the verifier bounds.  On power-of-two extents
+     (500 → 500, 250, 125, 63, …) whose partial tiles carry boundary
+     guards for the passes to remove.  On power-of-two extents
      the chain is a subset of [pow2] and dedups away, so existing
      search trajectories are unchanged. *)
   let rec chain v = if v < 2 then [] else v :: chain ((v + 1) / 2) in

@@ -23,29 +23,28 @@ let kernel_wram_bytes (k : P.kernel) =
   (* Allocations nested under the tasklet loop are per-tasklet; count
      each allocation once per enclosing-tasklet instance. *)
   let total = ref 0 in
-  let rec walk in_thread (s : St.t) =
+  let rec walk (s : St.t) =
     match s with
-    | St.Seq ss -> List.iter (walk in_thread) ss
+    | St.Seq ss -> List.iter walk ss
     | St.For { kind = St.Bound St.Thread_x; extent; body; _ } ->
         let t =
           Option.value (Imtp_tir.Simplify.const_int extent) ~default:1
         in
         let saved = !total in
         total := 0;
-        walk in_thread body;
-        total := saved + (t * !total);
-        ignore in_thread
-    | St.For { body; _ } -> walk in_thread body
+        walk body;
+        total := saved + (t * !total)
+    | St.For { body; _ } -> walk body
     | St.If { then_; else_; _ } ->
-        walk in_thread then_;
-        Option.iter (walk in_thread) else_
+        walk then_;
+        Option.iter walk else_
     | St.Alloc { buffer; body } ->
         total := !total + B.bytes buffer;
-        walk in_thread body
+        walk body
     | St.Store _ | St.Dma _ | St.Xfer _ | St.Launch _ | St.Barrier | St.Nop ->
         ()
   in
-  walk false k.body;
+  walk k.body;
   !total
 
 let check (cfg : U.Config.t) (p : P.t) =
@@ -90,7 +89,7 @@ let check (cfg : U.Config.t) (p : P.t) =
             k.kname i cfg.U.Config.iram_bytes
         else Ok ()
       in
-      (* Static DMA sizes must be legal after vectorization. *)
+      (* DMA sizes must be legal after vectorization. *)
       let esizes = Hashtbl.create 8 in
       St.iter
         (function
@@ -101,41 +100,32 @@ let check (cfg : U.Config.t) (p : P.t) =
           | St.Launch _ | St.Barrier | St.Nop ->
               ())
         k.body;
+      (* A DMA size that does not fold to a constant cannot be checked
+         against the limit, so it is rejected too. *)
       let bad = ref None in
-      let module Aff = Imtp_tir.Affine in
-      (* Variable-size DMAs (the affine layer emits clamped extents
-         like [min (c, n - base)]) are bounded through the enclosing
-         loop ranges; an unboundable size is left to the runtime, as
-         the pre-affine verifier did for every non-constant size. *)
-      let rec scan ctx (s : St.t) =
-        match s with
-        | St.Seq ss -> List.iter (scan ctx) ss
-        | St.Alloc { body; _ } -> scan ctx body
-        | St.For { var; extent; body; _ } ->
-            scan (Aff.assume_loop ctx var extent) body
-        | St.If { cond; then_; else_ } ->
-            scan (Aff.assume ctx cond) then_;
-            Option.iter (scan ctx) else_
-        | St.Dma { wram; elems; _ } ->
-            let esize =
-              Option.value (Hashtbl.find_opt esizes wram) ~default:4
-            in
-            let bound =
+      St.iter
+        (function
+          | St.Dma { wram; elems; _ } when Option.is_none !bad -> (
+              let esize =
+                Option.value (Hashtbl.find_opt esizes wram) ~default:4
+              in
               match Imtp_tir.Simplify.const_int elems with
-              | Some n -> Some n
-              | None -> Aff.upper_bound ctx elems
-            in
-            Option.iter
-              (fun n ->
-                let bytes = n * esize in
-                if bytes > cfg.U.Config.dma_max_bytes then bad := Some bytes)
-              bound
-        | St.Store _ | St.Xfer _ | St.Launch _ | St.Barrier | St.Nop -> ()
-      in
-      scan Aff.empty k.body;
+              | Some n when n * esize <= cfg.U.Config.dma_max_bytes -> ()
+              | Some n ->
+                  bad :=
+                    Some
+                      (Printf.sprintf "a %d-byte DMA (max %d)" (n * esize)
+                         cfg.U.Config.dma_max_bytes)
+              | None ->
+                  bad :=
+                    Some
+                      (Printf.sprintf "a DMA of non-constant size %s"
+                         (Imtp_tir.Expr.to_string elems)))
+          | St.Seq _ | St.For _ | St.If _ | St.Alloc _ | St.Store _
+          | St.Dma _ | St.Xfer _ | St.Launch _ | St.Barrier | St.Nop ->
+              ())
+        k.body;
       match !bad with
-      | Some bytes ->
-          reject "dma" "kernel %s issues a %d-byte DMA (max %d)" k.kname bytes
-            cfg.U.Config.dma_max_bytes
+      | Some what -> reject "dma" "kernel %s issues %s" k.kname what
       | None -> Ok ())
     (Ok ()) p.P.kernels

@@ -13,12 +13,8 @@ let random_options rng =
     host_reduce_threads = Rng.pick rng [ 1; 1; 2; 4 ];
     skip_input_transfer = [];
     skip_output_transfer = false;
-    affine_guards = Rng.bool rng;
   }
 
 let options_to_string (o : L.options) =
-  Printf.sprintf
-    "bulk_transfer=%b parallel_transfer=%b host_reduce_threads=%d \
-     affine_guards=%b"
+  Printf.sprintf "bulk_transfer=%b parallel_transfer=%b host_reduce_threads=%d"
     o.L.bulk_transfer o.L.parallel_transfer o.L.host_reduce_threads
-    o.L.affine_guards

@@ -138,8 +138,8 @@ let random rng op =
   (* 1. splits: one per axis most of the time, occasionally a second
      level; factors include non-divisors so boundary guards appear.
      Shape-derived ragged factors (ceil-half and extent-1) are mixed in
-     deliberately: they maximize partial-tile coverage, the shapes the
-     affine clamping paths must prove containment for. *)
+     deliberately: they maximize partial-tile coverage, the shapes
+     whose boundary guards the passes rewrite. *)
   let ragged_factor extent =
     if extent > 3 && Rng.bool rng then (extent + 1) / 2 else extent - 1
   in

@@ -21,12 +21,6 @@ type options = {
          compiler's MRAM-residency path, where a consumer kernel in the
          same combined program reads the tile in place.  Ignored for
          rfactor schedules (partials must reach the host). *)
-  affine_guards : bool;
-      (* Boundary-check elimination at the source: clamp partial-tile
-         loop extents and consult the affine bound context at every
-         guard-emission site, emitting only the checks it cannot prove
-         redundant.  Off by default: the unclamped, fully-guarded
-         lowering below stays bit-identical for ablation. *)
 }
 
 let default_options =
@@ -36,7 +30,6 @@ let default_options =
     host_reduce_threads = 1;
     skip_input_transfer = [];
     skip_output_transfer = false;
-    affine_guards = false;
   }
 
 let partial_buffer_name = "P_partial"
@@ -262,8 +255,6 @@ let check_structure ctx =
 
 (* --- kernel emission --------------------------------------------------- *)
 
-module Aff = Imtp_tir.Affine
-
 (* Guard ordering: deepest-segment axis first (Fig. 8 lists the
    innermost boundary condition first). *)
 let misaligned_axes ctx dims =
@@ -273,33 +264,13 @@ let misaligned_axes ctx dims =
   List.filter (misaligned ctx) dims
   |> List.sort (fun a b -> Int.compare (deepest b) (deepest a))
 
-(* Cache-tile extent along [a], clamped to the axis under the affine
-   lowering: a partial tile never holds more than the whole axis, so
-   the WRAM box (buffer size, row strides, copy-loop extents) shrinks
-   to [min (cache_ext, axis_extent)].  The clamp must be applied
-   uniformly — [cache_dma], [wram_index] and [wram_buffer] derive the
-   same layout from it. *)
-let cache_dim ctx loc a =
-  let ce = cache_ext ctx loc a in
-  if ctx.opts.affine_guards then min ce (axis_extent ctx a) else ce
-
-(* Affine context holding the ranges of every kernel loop enclosing
-   [loc] (inclusive): the facts available at a guard-emission site. *)
-let kernel_ctx ctx loc =
-  List.fold_left
-    (fun acc (l : S.loop) ->
-      if pos ctx l <= pos ctx loc then
-        Aff.assume_loop acc (kvar ctx l) (ei l.S.extent)
-      else acc)
-    Aff.empty (S.order ctx.sched)
-
 (* Per-element guarded DMA between a cache tile and the MRAM tile.
    [wname] overrides the WRAM buffer name (epilogue staging tiles live
    beside any regular read cache of the same tensor). *)
 let cache_dma ?wname ctx (dir : St.dma_dir) t loc =
   let wram_buf = match wname with Some w -> w | None -> wram_name t in
   let dims = tensor_dims ctx t in
-  let cexts = List.map (cache_dim ctx loc) dims in
+  let cexts = List.map (cache_ext ctx loc) dims in
   let mexts = List.map (mram_ext ctx) dims in
   let rvars = List.map (fun a -> V.fresh ("c" ^ a)) dims in
   let wstrides = strides_of cexts and mstrides = strides_of mexts in
@@ -335,29 +306,6 @@ let cache_dma ?wname ctx (dir : St.dma_dir) t loc =
   let guard =
     List.map (fun a -> fixed_global a +: E.var (rv_of a) <: ei (axis_extent ctx a)) guard_axes
   in
-  (* Copy-loop extents.  Affine mode clamps each misaligned axis to the
-     remaining span [axis_extent - fixed_global]: the loop then visits
-     exactly the iterations the guard admitted, and the guard itself
-     becomes provable from the loop range. *)
-  let ext_exprs =
-    List.map2
-      (fun a ce ->
-        if ctx.opts.affine_guards && misaligned ctx a then
-          E.min_e (ei ce) (ei (axis_extent ctx a) -: fixed_global a)
-        else ei ce)
-      dims cexts
-  in
-  let guard =
-    if ctx.opts.affine_guards then begin
-      let actx =
-        List.fold_left2
-          (fun acc rv ext -> Aff.assume_loop acc rv ext)
-          (kernel_ctx ctx loc) rvars ext_exprs
-      in
-      List.filter (fun g -> not (Aff.prove actx g)) guard
-    end
-    else guard
-  in
   let dma =
     St.Dma
       {
@@ -375,14 +323,14 @@ let cache_dma ?wname ctx (dir : St.dma_dir) t loc =
     | gs -> St.if_ (Imtp_tir.Analysis.conjoin gs) dma
   in
   List.fold_right2
-    (fun rv ext body -> St.for_ rv ext body)
-    rvars ext_exprs guarded
+    (fun rv ce body -> St.for_ rv (ei ce) body)
+    rvars cexts guarded
 
 let wram_index ctx t =
   let c = cache_of ctx t in
   let loc = cache_loc c in
   let dims = tensor_dims ctx t in
-  let cexts = List.map (cache_dim ctx loc) dims in
+  let cexts = List.map (cache_ext ctx loc) dims in
   let wstrides = strides_of cexts in
   List.fold_left2
     (fun acc a ws -> acc +: (seg_sum (kvar ctx) (deeper_segs ctx loc a) *: ei ws))
@@ -428,7 +376,7 @@ let rec epi_expr ~acc ~ref_of (e : Op.elem) : E.t =
 let epilogue_kernel_stmt ctx (e : Op.elem) (wloc : S.loop) =
   let out = output_name ctx in
   let out_dims = tensor_dims ctx out in
-  let cexts = List.map (cache_dim ctx wloc) out_dims in
+  let cexts = List.map (cache_ext ctx wloc) out_dims in
   let wstrides = strides_of cexts in
   let rvars = List.map (fun a -> V.fresh ("e" ^ a)) out_dims in
   let rv_of a =
@@ -451,7 +399,7 @@ let epilogue_kernel_stmt ctx (e : Op.elem) (wloc : S.loop) =
   in
   let ref_of t =
     let tdims = tensor_dims ctx t in
-    let tcexts = List.map (cache_dim ctx wloc) tdims in
+    let tcexts = List.map (cache_ext ctx wloc) tdims in
     let tstrides = strides_of tcexts in
     let off =
       List.fold_left2
@@ -468,33 +416,14 @@ let epilogue_kernel_stmt ctx (e : Op.elem) (wloc : S.loop) =
       (fun a -> fixed_global a +: E.var (rv_of a) <: ei (axis_extent ctx a))
       guard_axes
   in
-  let ext_exprs =
-    List.map2
-      (fun a ce ->
-        if ctx.opts.affine_guards && misaligned ctx a then
-          E.min_e (ei ce) (ei (axis_extent ctx a) -: fixed_global a)
-        else ei ce)
-      out_dims cexts
-  in
-  let guards =
-    if ctx.opts.affine_guards then begin
-      let actx =
-        List.fold_left2
-          (fun acc rv ext -> Aff.assume_loop acc rv ext)
-          (kernel_ctx ctx wloc) rvars ext_exprs
-      in
-      List.filter (fun g -> not (Aff.prove actx g)) guards
-    end
-    else guards
-  in
   let guarded =
     match guards with
     | [] -> stored
     | gs -> St.if_ (Imtp_tir.Analysis.conjoin gs) stored
   in
   List.fold_right2
-    (fun rv ext body -> St.for_ rv ext body)
-    rvars ext_exprs guarded
+    (fun rv ce body -> St.for_ rv (ei ce) body)
+    rvars cexts guarded
 
 let compute_stmt ctx =
   let out = output_name ctx in
@@ -511,26 +440,13 @@ let compute_stmt ctx =
       (fun a -> seg_sum (kvar ctx) (segs ctx a) <: ei (axis_extent ctx a))
       (misaligned_axes ctx (List.map (fun (a : Op.axis) -> a.Op.aname) ctx.op.Op.axes))
   in
-  let guards =
-    if ctx.opts.affine_guards then begin
-      (* The full loop nest is in scope at the compute statement. *)
-      let actx =
-        List.fold_left
-          (fun acc (l : S.loop) ->
-            Aff.assume_loop acc (kvar ctx l) (ei l.S.extent))
-          Aff.empty (S.order ctx.sched)
-      in
-      List.filter (fun g -> not (Aff.prove actx g)) guards
-    end
-    else guards
-  in
   match guards with
   | [] -> stored
   | gs -> St.if_ (Imtp_tir.Analysis.conjoin gs) stored
 
 let wram_buffer ?wname ctx t loc =
   let elems =
-    List.fold_left (fun acc a -> acc * cache_dim ctx loc a) 1 (tensor_dims ctx t)
+    List.fold_left (fun acc a -> acc * cache_ext ctx loc a) 1 (tensor_dims ctx t)
   in
   let name = match wname with Some w -> w | None -> wram_name t in
   B.create name ctx.op.Op.dtype ~elems:(max 1 elems) B.Wram
@@ -864,36 +780,6 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
             else None)
           loop_dims
   in
-  (* Affine mode: clamp each misaligned loop dim to the remaining span
-     of its axis (partial gather keeps dense tiles, so is exempt), then
-     drop every guard the block-loop and row-loop ranges prove. *)
-  let loop_exts =
-    List.map2
-      (fun a me ->
-        if ctx.opts.affine_guards && (not into_partial) && misaligned ctx a
-        then
-          E.min_e (ei me)
-            (ei (axis_extent ctx a) -: blockfix ctx (hvar ctx) a)
-        else ei me)
-      loop_dims loop_mexts
-  in
-  let guards =
-    if ctx.opts.affine_guards then begin
-      let hctx =
-        List.fold_left
-          (fun acc (l : S.loop) ->
-            Aff.assume_loop acc (hvar ctx l) (ei l.S.extent))
-          Aff.empty (block_loops ctx)
-      in
-      let hctx =
-        List.fold_left2
-          (fun acc rv ext -> Aff.assume_loop acc rv ext)
-          hctx rvars loop_exts
-      in
-      List.filter (fun g -> not (Aff.prove hctx g)) guards
-    end
-    else guards
-  in
   let guarded =
     match guards with
     | [] -> xfer
@@ -901,8 +787,8 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
   in
   let rows =
     List.fold_right2
-      (fun rv ext body -> St.for_ rv ext body)
-      rvars loop_exts guarded
+      (fun rv me body -> St.for_ rv (ei me) body)
+      rvars loop_mexts guarded
   in
   (* Enclose in DPU loops (broadcast sends once for all DPUs). *)
   match mode with
@@ -1008,34 +894,6 @@ let final_reduction ctx =
             else None)
           (List.combine out_dims qvars)
       in
-      (* Affine mode: clamp each misaligned tile loop to the remaining
-         span of its axis and drop the guards that become provable. *)
-      let qexts =
-        List.map2
-          (fun a me ->
-            if ctx.opts.affine_guards && misaligned ctx a then
-              E.min_e (ei me)
-                (ei (axis_extent ctx a) -: blockfix ctx (hvar ctx) a)
-            else ei me)
-          out_dims mexts
-      in
-      let guards =
-        if ctx.opts.affine_guards then begin
-          let hctx =
-            List.fold_left
-              (fun acc (l : S.loop) ->
-                Aff.assume_loop acc (hvar ctx l) (ei l.S.extent))
-              Aff.empty (block_loops ctx)
-          in
-          let hctx =
-            List.fold_left2
-              (fun acc rv ext -> Aff.assume_loop acc rv ext)
-              hctx qvars qexts
-          in
-          List.filter (fun g -> not (Aff.prove hctx g)) guards
-        end
-        else guards
-      in
       let guarded =
         match guards with
         | [] -> body
@@ -1043,8 +901,8 @@ let final_reduction ctx =
       in
       let with_tiles =
         List.fold_right2
-          (fun rv ext acc -> St.for_ rv ext acc)
-          qvars qexts guarded
+          (fun rv me acc -> St.for_ rv (ei me) acc)
+          qvars mexts guarded
       in
       let rec with_blocks = function
         | [] -> with_tiles

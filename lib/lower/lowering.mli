@@ -41,15 +41,6 @@ type options = {
           the same combined program reads the producer's tile in place.
           Ignored for rfactor schedules (partials must reach the
           host). *)
-  affine_guards : bool;
-      (** boundary-check elimination at the source: partial-tile copy
-          and host-transfer loops are clamped to the remaining axis
-          span ([min (tile, n - base)]), WRAM boxes shrink to
-          [min (cache_ext, axis_extent)], and each guard site consults
-          the {!Imtp_tir.Affine} bound context, emitting only the
-          checks it cannot prove redundant.  Off by default: the
-          unclamped fully-guarded lowering is bit-identical to the
-          pre-affine layer and remains the ablation baseline. *)
 }
 
 val default_options : options

@@ -62,71 +62,3 @@ let run (p : Imtp_tir.Program.t) =
         p.kernels;
   }
 
-(* --- affine variant --------------------------------------------------- *)
-
-module Aff = Imtp_tir.Affine
-
-(* Conjunct-level unswitching: where the legacy R1 only fires when the
-   whole condition is loop-invariant, the affine variant splits the
-   conjunction and hoists the invariant part, leaving the var-dependent
-   conjuncts inside.  Guards a later prune pass can prove from the
-   loop context disappear entirely. *)
-let step_affine (s : St.t) : St.t =
-  match s with
-  | For
-      {
-        var;
-        extent;
-        kind = (St.Serial | St.Unrolled) as kind;
-        body = If { cond; then_; else_ = None };
-      }
-    when not (An.contains_load cond) -> (
-      match List.partition (An.is_free_of var) (An.conjuncts cond) with
-      | [], _ -> step s
-      | inv, dep ->
-          let body =
-            match dep with [] -> then_ | cs -> St.if_ (An.conjoin cs) then_
-          in
-          St.if_ (An.conjoin inv) (St.For { var; extent; kind; body }))
-  | s -> step s
-
-(* Drop guards the loop context entails (or refutes) outright; hoisting
-   above may have floated a check out to a level where the enclosing
-   extents prove it. *)
-let rec prune ctx (s : St.t) : St.t =
-  match s with
-  | St.Seq ss -> St.seq (List.map (prune ctx) ss)
-  | St.Alloc { buffer; body } -> St.Alloc { buffer; body = prune ctx body }
-  | St.For { var; extent; kind; body } ->
-      St.For
-        { var; extent; kind; body = prune (Aff.assume_loop ctx var extent) body }
-  | St.If { cond; then_; else_ } -> (
-      match Aff.implies ctx cond with
-      | Aff.True -> prune ctx then_
-      | Aff.False -> (
-          match else_ with Some e -> prune ctx e | None -> St.Nop)
-      | Aff.Unknown ->
-          St.If
-            {
-              cond;
-              then_ = prune (Aff.assume ctx cond) then_;
-              else_ = Option.map (prune ctx) else_;
-            })
-  | St.Store _ | St.Dma _ | St.Xfer _ | St.Launch _ | St.Barrier | St.Nop -> s
-
-let rewrite_affine stmt =
-  let rec fix n s =
-    let s' = St.rewrite_bottom_up step_affine s in
-    if n = 0 || s' = s then s' else fix (n - 1) s'
-  in
-  prune Aff.empty (fix 12 stmt)
-
-let run_affine (p : Imtp_tir.Program.t) =
-  {
-    p with
-    kernels =
-      List.map
-        (fun (k : Imtp_tir.Program.kernel) ->
-          { k with Imtp_tir.Program.body = rewrite_affine k.body })
-        p.kernels;
-  }

@@ -16,10 +16,3 @@
 val rewrite : Imtp_tir.Stmt.t -> Imtp_tir.Stmt.t
 val run : Imtp_tir.Program.t -> Imtp_tir.Program.t
 
-val rewrite_affine : Imtp_tir.Stmt.t -> Imtp_tir.Stmt.t
-(** Affine driver: conjunct-level unswitching (the invariant part of a
-    conjunction hoists even when other conjuncts depend on the loop
-    variable), followed by a context prune that deletes hoisted checks
-    the enclosing loop ranges prove or refute. *)
-
-val run_affine : Imtp_tir.Program.t -> Imtp_tir.Program.t

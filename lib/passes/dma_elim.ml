@@ -80,75 +80,7 @@ let rewrite ~max_dma_bytes ~elem_size stmt =
   in
   fix 8 stmt
 
-(* --- affine variant --------------------------------------------------- *)
-
-module Aff = Imtp_tir.Affine
-
-(* The affine walk threads a loop-range context so it can also
-   vectorize copy loops whose extent is a clamped expression like
-   [min(c, n - base)] — the shape the affine lowering emits on
-   partial tiles.  Legality needs an upper bound on the transfer
-   size, which [Affine.upper_bound] derives from the enclosing loop
-   ranges; the variable-size DMA moves exactly the elements the loop
-   did (and none when the clamp is empty). *)
-let rewrite_affine ~max_dma_bytes ~elem_size stmt =
-  let strip ctx (s : St.t) : St.t =
-    match s with
-    | If { cond = _; then_ = Dma _ as d; else_ = None } -> d
-    | For { var; extent; kind = Serial | Unrolled; body = Dma r } -> (
-        match (Simp.const_int extent, Simp.const_int r.elems) with
-        | Some _, _ | _, None -> s (* constant extents: legacy rule below *)
-        | None, Some e -> (
-            match (An.stride_in var r.wram_off, An.stride_in var r.mram_off) with
-            | Some sw, Some sm when sw = e && sm = e && e > 0 -> (
-                match Aff.upper_bound ctx extent with
-                | Some ub
-                  when ub > 1 && ub * e * elem_size r.wram <= max_dma_bytes ->
-                    let at0 off = Simp.expr (Sub.expr var (E.int 0) off) in
-                    St.Dma
-                      {
-                        r with
-                        wram_off = at0 r.wram_off;
-                        mram_off = at0 r.mram_off;
-                        elems = Simp.expr (E.Binop (E.Mul, extent, E.int e));
-                      }
-                | Some _ | None -> s)
-            | _, _ -> s))
-    | s -> s
-  in
-  (* Context-carrying bottom-up walk: children first (under the
-     extended context), then the node itself. *)
-  let rec go ctx (s : St.t) : St.t =
-    let s =
-      match s with
-      | St.Seq ss -> St.seq (List.map (go ctx) ss)
-      | St.Alloc { buffer; body } -> St.Alloc { buffer; body = go ctx body }
-      | St.If { cond; then_; else_ } ->
-          St.If
-            {
-              cond;
-              then_ = go (Aff.assume ctx cond) then_;
-              else_ = Option.map (go ctx) else_;
-            }
-      | St.For { var; extent; kind; body } ->
-          St.For
-            { var; extent; kind; body = go (Aff.assume_loop ctx var extent) body }
-      | St.Store _ | St.Dma _ | St.Xfer _ | St.Launch _ | St.Barrier | St.Nop
-        ->
-          s
-    in
-    strip ctx s
-  in
-  let rec fix n s =
-    (* constant-extent vectorization, strip-mining and guard stripping
-       first (the legacy fixpoint), then the affine pass over what
-       remains; alternate until neither makes progress. *)
-    let s' = go Aff.empty (rewrite ~max_dma_bytes ~elem_size s) in
-    if n = 0 || s' = s then s' else fix (n - 1) s'
-  in
-  fix 4 stmt
-
-let run_with rw (cfg : Imtp_upmem.Config.t) (p : Imtp_tir.Program.t) =
+let run (cfg : Imtp_upmem.Config.t) (p : Imtp_tir.Program.t) =
   let sizes = Hashtbl.create 16 in
   List.iter
     (fun (k : Imtp_tir.Program.kernel) ->
@@ -169,12 +101,9 @@ let run_with rw (cfg : Imtp_upmem.Config.t) (p : Imtp_tir.Program.t) =
         {
           k with
           Imtp_tir.Program.body =
-            rw ~max_dma_bytes:cfg.Imtp_upmem.Config.dma_max_bytes ~elem_size
-              k.body;
+            rewrite ~max_dma_bytes:cfg.Imtp_upmem.Config.dma_max_bytes
+              ~elem_size k.body;
         })
       p.kernels
   in
   { p with kernels }
-
-let run cfg p = run_with rewrite cfg p
-let run_affine cfg p = run_with rewrite_affine cfg p

@@ -16,13 +16,3 @@ val rewrite :
 
 val run : Imtp_upmem.Config.t -> Imtp_tir.Program.t -> Imtp_tir.Program.t
 (** Apply to every kernel of the program. *)
-
-val rewrite_affine :
-  max_dma_bytes:int -> elem_size:(string -> int) -> Imtp_tir.Stmt.t ->
-  Imtp_tir.Stmt.t
-(** Affine driver: the legacy rules plus vectorization of copy loops
-    with non-constant (clamped) extents into variable-size DMAs, legal
-    when {!Imtp_tir.Affine.upper_bound} bounds the transfer under the
-    enclosing loop ranges. *)
-
-val run_affine : Imtp_upmem.Config.t -> Imtp_tir.Program.t -> Imtp_tir.Program.t

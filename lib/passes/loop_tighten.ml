@@ -47,79 +47,3 @@ let run (p : Imtp_tir.Program.t) =
         p.kernels;
   }
 
-(* --- affine variant --------------------------------------------------- *)
-
-module Aff = Imtp_tir.Affine
-
-(* Thin driver over [Affine]: the walk threads a constraint context
-   (one [assume_loop] per enclosing loop, plus surviving guards), so
-   it can both drop conjuncts the context already entails — multi-
-   conjunct bounds, guards under rfactor — and extract bounds through
-   negative coefficients, floor-divisions and min/max terms that the
-   syntactic matcher above does not recognize.  [Eq] conjuncts yield
-   an inexact bound: the extent is tightened but the check is kept. *)
-let rec rewrite_affine ctx (s : St.t) : St.t =
-  match s with
-  | St.Seq ss -> St.seq (List.map (rewrite_affine ctx) ss)
-  | St.Alloc { buffer; body } ->
-      St.Alloc { buffer; body = rewrite_affine ctx body }
-  | St.If { cond; then_; else_ } -> (
-      match Aff.implies ctx cond with
-      | Aff.True -> rewrite_affine ctx then_
-      | Aff.False -> (
-          match else_ with
-          | Some e -> rewrite_affine ctx e
-          | None -> St.Nop)
-      | Aff.Unknown -> (
-          (* prune the conjuncts the context entails individually. *)
-          let atoms =
-            List.filter
-              (fun a -> not (Aff.prove ctx a))
-              (An.conjuncts cond)
-          in
-          match atoms with
-          | [] -> rewrite_affine ctx then_
-          | atoms ->
-              let cond' = An.conjoin atoms in
-              let then_ = rewrite_affine (Aff.assume ctx cond') then_ in
-              St.If
-                { cond = cond'; then_; else_ = Option.map (rewrite_affine ctx) else_ }))
-  | St.For { var; extent; kind; body } -> (
-      let body = rewrite_affine (Aff.assume_loop ctx var extent) body in
-      match (kind, body) with
-      | ( (St.Serial | St.Unrolled),
-          St.If { cond; then_; else_ = None } ) -> (
-          let bounds = ref [] and rest = ref [] in
-          List.iter
-            (fun atom ->
-              match Aff.cond_upper_bound var atom with
-              | Some (b, exact) ->
-                  bounds := b :: !bounds;
-                  if not exact then rest := atom :: !rest
-              | None -> rest := atom :: !rest)
-            (An.conjuncts cond);
-          match !bounds with
-          | [] -> St.For { var; extent; kind; body }
-          | bs ->
-              let extent' =
-                Simp.expr
-                  (List.fold_left (fun acc b -> E.min_e acc b) extent bs)
-              in
-              let body' =
-                match List.rev !rest with
-                | [] -> then_
-                | cs -> St.if_ (An.conjoin cs) then_
-              in
-              St.For { var; extent = extent'; kind; body = body' })
-      | _ -> St.For { var; extent; kind; body })
-  | St.Store _ | St.Dma _ | St.Xfer _ | St.Launch _ | St.Barrier | St.Nop -> s
-
-let run_affine (p : Imtp_tir.Program.t) =
-  {
-    p with
-    kernels =
-      List.map
-        (fun (k : Imtp_tir.Program.kernel) ->
-          { k with Imtp_tir.Program.body = rewrite_affine Aff.empty k.body })
-        p.kernels;
-  }

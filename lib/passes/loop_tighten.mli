@@ -12,13 +12,3 @@
 val rewrite : Imtp_tir.Stmt.t -> Imtp_tir.Stmt.t
 val run : Imtp_tir.Program.t -> Imtp_tir.Program.t
 
-val rewrite_affine : Imtp_tir.Affine.ctx -> Imtp_tir.Stmt.t -> Imtp_tir.Stmt.t
-(** Affine driver: threads a constraint context (one range fact per
-    enclosing loop, plus surviving guards) through the nest, drops
-    conjuncts the context entails, and tightens loop extents via
-    {!Imtp_tir.Affine.cond_upper_bound} — covering negative
-    coefficients, floor-divisions, min/max residues and [Eq]
-    conjuncts (inexact: extent tightened, check kept) that the
-    syntactic {!rewrite} misses. *)
-
-val run_affine : Imtp_tir.Program.t -> Imtp_tir.Program.t

@@ -1,25 +1,7 @@
-type config = {
-  dma_elim : bool;
-  loop_tighten : bool;
-  branch_hoist : bool;
-  affine : bool;
-}
+type config = { dma_elim : bool; loop_tighten : bool; branch_hoist : bool }
 
-let all_on =
-  { dma_elim = true; loop_tighten = true; branch_hoist = true; affine = false }
-
-let all_off =
-  {
-    dma_elim = false;
-    loop_tighten = false;
-    branch_hoist = false;
-    affine = false;
-  }
-
-(* The pre-affine pass stack, kept reachable (and bit-identical) for
-   ablation against the affine drivers. *)
-let legacy = all_on
-let affine_on = { all_on with affine = true }
+let all_on = { dma_elim = true; loop_tighten = true; branch_hoist = true }
+let all_off = { dma_elim = false; loop_tighten = false; branch_hoist = false }
 
 let ablations =
   [
@@ -33,8 +15,7 @@ let config_name c =
   let parts =
     (if c.dma_elim then [ "dma" ] else [])
     @ (if c.loop_tighten then [ "lt" ] else [])
-    @ (if c.branch_hoist then [ "bh" ] else [])
-    @ if c.affine then [ "af" ] else []
+    @ if c.branch_hoist then [ "bh" ] else []
   in
   match parts with [] -> "none" | ps -> String.concat "+" ps
 
@@ -43,13 +24,10 @@ let all_configs =
     (fun dma_elim ->
       List.concat_map
         (fun loop_tighten ->
-          List.concat_map
+          List.map
             (fun branch_hoist ->
-              List.map
-                (fun affine ->
-                  let c = { dma_elim; loop_tighten; branch_hoist; affine } in
-                  (config_name c, c))
-                [ false; true ])
+              let c = { dma_elim; loop_tighten; branch_hoist } in
+              (config_name c, c))
             [ false; true ])
         [ false; true ])
     [ false; true ]
@@ -65,12 +43,7 @@ let simplify_kernels (p : Imtp_tir.Program.t) =
   }
 
 let run ?(config = all_on) cfg p =
-  let dma = if config.affine then Dma_elim.run_affine else Dma_elim.run in
-  let lt = if config.affine then Loop_tighten.run_affine else Loop_tighten.run in
-  let bh =
-    if config.affine then Branch_hoist.run_affine else Branch_hoist.run
-  in
-  let p = if config.dma_elim then dma cfg p else p in
-  let p = if config.loop_tighten then lt p else p in
-  let p = if config.branch_hoist then bh p else p in
+  let p = if config.dma_elim then Dma_elim.run cfg p else p in
+  let p = if config.loop_tighten then Loop_tighten.run p else p in
+  let p = if config.branch_hoist then Branch_hoist.run p else p in
   simplify_kernels p

@@ -5,33 +5,19 @@ type config = {
   dma_elim : bool;  (** DMA-aware boundary-check elimination. *)
   loop_tighten : bool;  (** loop-bound tightening. *)
   branch_hoist : bool;  (** invariant branch hoisting + PDE. *)
-  affine : bool;
-      (** Drive the enabled passes through the {!Imtp_tir.Affine}
-          bound-analysis layer (context-proved guard pruning,
-          multi-conjunct bounds, variable-extent DMA vectorization)
-          instead of the pre-affine syntactic matchers. *)
 }
 
 val all_on : config
-(** The three §5.3 passes with the pre-affine drivers — the default
-    everywhere, bit-identical to the stack before the affine layer
-    existed. *)
+(** The three §5.3 passes: the default everywhere. *)
 
 val all_off : config
-
-val legacy : config
-(** Alias of {!all_on}: the pre-affine pass stack, named for ablation
-    call sites. *)
-
-val affine_on : config
-(** {!all_on} driven through the affine bound-analysis layer. *)
 
 val ablations : (string * config) list
 (** The four configurations of Fig. 12, in order:
     none, DMA, DMA+LT, DMA+LT+BH. *)
 
 val all_configs : (string * config) list
-(** Every toggle combination (16 entries), named by {!config_name}; the
+(** Every toggle combination (8 entries), named by {!config_name}; the
     sampling space of the fuzz subsystem's pass-config generator. *)
 
 val config_name : config -> string

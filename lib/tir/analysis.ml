@@ -1,10 +1,7 @@
-(* Pre-affine bound analysis, kept as a compatibility shim: the legacy
-   pass stack (Pipeline.config with [affine = false]) must stay
-   bit-identical to the committed golden traces, so the syntactic
-   matchers below are frozen verbatim.  The structural helpers are
-   delegated to [Affine], which is the bounds oracle for everything
-   new (affine pass drivers, guard-free lowering, verifier
-   footprints). *)
+(* Linear analysis over index expressions: the syntactic matchers the
+   §5.3 passes and the lowering use to read strides out of affine
+   indices, turn linear guards into loop bounds, and split or rebuild
+   guard conjunctions. *)
 
 let is_free_of v e = not (Var.Set.mem v (Expr.free_vars e))
 
@@ -71,6 +68,19 @@ let upper_bound_from_cond v (cond : Expr.t) : Expr.t option =
   | Select _ | Load _ | Cast _ ->
       None
 
-let conjuncts = Affine.conjuncts
-let conjoin = Affine.conjoin
-let contains_load = Affine.contains_load
+let rec conjuncts = function
+  | Expr.And (a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
+
+let conjoin = function
+  | [] -> Expr.int 1
+  | c :: rest -> List.fold_left Expr.and_ c rest
+
+let rec contains_load (e : Expr.t) =
+  match e with
+  | Load _ -> true
+  | Int_const _ | Float_const _ | Var _ -> false
+  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
+      contains_load a || contains_load b
+  | Not a | Cast (_, a) -> contains_load a
+  | Select (c, t, f) -> contains_load c || contains_load t || contains_load f

@@ -3,8 +3,8 @@
     The lowering produces affine indices and linear boundary conditions
     (§5.3: "loop-based TIR kernel codes with affine access patterns and
     static tensor shapes"); these utilities recover that structure for
-    the bulk-transfer coalescer, the loop-bound-tightening pass and the
-    DMA legality checks. *)
+    the bulk-transfer coalescer, the loop-bound-tightening pass, branch
+    hoisting and the lowering's guard emission. *)
 
 val is_free_of : Var.t -> Expr.t -> bool
 
@@ -31,3 +31,5 @@ val conjoin : Expr.t list -> Expr.t
 (** Inverse of {!conjuncts}; the empty list yields literal true. *)
 
 val contains_load : Expr.t -> bool
+(** Whether a memory load occurs anywhere in the expression; conditions
+    that read memory are never moved or rewritten. *)

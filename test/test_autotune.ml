@@ -812,6 +812,18 @@ let prop_verified_candidates_run =
           | _ -> true
           | exception Imtp_tir.Eval.Error _ -> false))
 
+let test_search_rejections () =
+  (* A machine with almost no WRAM makes most sketches violate the
+     footprint bound, so the tally has something to group. *)
+  let tiny = { U.Config.default with U.Config.wram_bytes = 512 } in
+  let o = Se.run ~seed:11 ~jobs:1 tiny (Ops.mtv 128 256) ~trials:32 in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 o.Se.rejections in
+  Alcotest.(check int)
+    "tally sums to invalid_candidates" o.Se.invalid_candidates total;
+  Alcotest.(check bool)
+    "rejections present" true
+    (o.Se.invalid_candidates = 0 || o.Se.rejections <> [])
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "autotune"
@@ -849,6 +861,7 @@ let () =
           Alcotest.test_case "tuning log roundtrip" `Quick test_tuning_log_roundtrip;
           Alcotest.test_case "params roundtrip" `Quick
             test_tuning_log_params_roundtrip;
+          Alcotest.test_case "rejection tally" `Quick test_search_rejections;
         ] );
       ( "measurement gate",
         [

@@ -305,6 +305,55 @@ let test_eviction_resets_table () =
   let fresh = Result.get_ok (E.build (E.create cfg) op (p 0)) in
   Alcotest.(check bool) "rebuild identical" true (a.E.stats = fresh.E.stats)
 
+(* --- verifier: DMA sizes --------------------------------------------- *)
+
+(* One kernel whose DMA size is the copy loop's variable, bounded by a
+   clamped extent of [cap - 1] elements. *)
+let variable_dma_program cap =
+  let module Ex = Imtp_tir.Expr in
+  let module St = Imtp_tir.Stmt in
+  let module B = Imtp_tir.Buffer in
+  let module P = Imtp_tir.Program in
+  let v = Imtp_tir.Var.fresh "i" in
+  let wbuf = B.create "w" Imtp_tensor.Dtype.I32 ~elems:8192 B.Wram in
+  let dma =
+    St.Dma
+      {
+        dir = St.Mram_to_wram;
+        wram = "w";
+        wram_off = Ex.int 0;
+        mram = "m";
+        mram_off = Ex.int 0;
+        elems = Ex.var v;
+      }
+  in
+  let body =
+    St.Alloc
+      {
+        buffer = wbuf;
+        body = St.for_ v (Ex.min_e (Ex.int cap) (Ex.int (cap - 1))) dma;
+      }
+  in
+  {
+    P.name = "synthetic";
+    host_buffers = [];
+    mram_buffers = [];
+    kernels = [ { P.kname = "k"; body } ];
+    host = St.Launch "k";
+  }
+
+let test_verifier_variable_dma () =
+  (* A DMA size that does not fold to a constant is rejected under
+     "dma", whether or not its range would fit the limit. *)
+  let cap = cfg.U.Config.dma_max_bytes / 4 in
+  List.iter
+    (fun c ->
+      match V.check cfg (variable_dma_program c) with
+      | Ok () -> Alcotest.failf "variable DMA accepted (cap %d)" c
+      | Error r ->
+          Alcotest.(check string) "constraint name" "dma" r.V.constraint_name)
+    [ cap; 4 * cap ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -330,6 +379,11 @@ let () =
           Alcotest.test_case "parallel warm-up serves hits" `Quick
             test_parallel_warmup_serves_hits;
           QCheck_alcotest.to_alcotest prop_batch_jobs_equivalent;
+        ] );
+      ( "verifier",
+        [
+          Alcotest.test_case "variable dma bounds" `Quick
+            test_verifier_variable_dma;
         ] );
       ( "integration",
         [

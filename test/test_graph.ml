@@ -28,9 +28,9 @@ let check_tensors name want got =
           (T.Value.to_string w))
     (List.combine fw fg)
 
-let eval_op ?options op params =
+let eval_op op params =
   let sched = Sk.instantiate op params in
-  let prog = L.lower ?options sched in
+  let prog = L.lower sched in
   (match P.validate prog with Ok () -> () | Error m -> Alcotest.fail m);
   let inputs = Ops.random_inputs op in
   let outs = Imtp_tir.Eval.run prog ~inputs in
@@ -60,8 +60,7 @@ let test_epilogue_kernel () =
     (fun (n, k) ->
       let op = biased_mtv n k in
       let p = { Sk.default_params with Sk.spatial_dpus = 8; tasklets = 4; cache_elems = 16 } in
-      eval_op op p;
-      eval_op ~options:{ L.default_options with L.affine_guards = true } op p)
+      eval_op op p)
     [ (32, 64); (37, 43); (5, 999) ]
 
 let test_epilogue_rfactor () =
@@ -79,8 +78,7 @@ let test_epilogue_rfactor () =
           cache_elems = 16;
         }
       in
-      eval_op op p;
-      eval_op ~options:{ L.default_options with L.affine_guards = true } op p)
+      eval_op op p)
     [ (32, 64); (37, 43) ]
 
 let test_epilogue_scalar () =
@@ -127,8 +125,7 @@ let test_new_ops_families () =
   List.iter
     (fun op ->
       let p = { Sk.default_params with Sk.spatial_dpus = 32; tasklets = 4; cache_elems = 8 } in
-      eval_op op p;
-      eval_op ~options:{ L.default_options with L.affine_guards = true } op p)
+      eval_op op p)
     [
       Ops.relu 999;
       Ops.scale ~c:5 127;

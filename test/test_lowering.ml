@@ -9,6 +9,8 @@ module Ops = Imtp_workload.Ops
 module L = Imtp_lower.Lowering
 module T = Imtp_tensor
 module P = Imtp_tir.Program
+module St = Imtp_tir.Stmt
+module Sk = Imtp_engine.Sketch
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -290,6 +292,34 @@ let prop_mtv_any_shape =
       List.assoc "C" outs |> T.Tensor.to_value_list
       = T.Tensor.to_value_list (Op.reference op inputs))
 
+(* --- boundary guards ------------------------------------------------- *)
+
+let lower_sketch op p =
+  L.lower ~options:(Sk.lower_options p) (Sk.instantiate op p)
+
+let sketch_params ~c =
+  { Sk.default_params with Sk.spatial_dpus = 4; tasklets = 4; cache_elems = c }
+
+let has_guarded_dma body =
+  let is_dma = function St.Dma _ -> true | _ -> false in
+  St.exists (function St.If _ as s -> St.exists is_dma s | _ -> false) body
+
+let test_ragged_guarded_dmas () =
+  (* 500 is not a multiple of any tile: the raw kernel guards its
+     copies, and the DMA-elimination pass is what removes them. *)
+  let prog = lower_sketch (Ops.gemv ~c:3 500 500) (sketch_params ~c:64) in
+  Alcotest.(check bool)
+    "raw ragged kernel has guarded DMAs" true
+    (has_guarded_dma (List.hd prog.P.kernels).P.body)
+
+let test_divisible_zero_guards () =
+  (* A fully divisible tiling needs no boundary check at all. *)
+  let prog = lower_sketch (Ops.mtv 32 64) (sketch_params ~c:8) in
+  Alcotest.(check int)
+    "static branches" 0
+    (Imtp_passes.Metrics.of_kernel (List.hd prog.P.kernels))
+      .Imtp_passes.Metrics.static_branches
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "lowering"
@@ -334,6 +364,13 @@ let () =
           Alcotest.test_case "reduction block needs rfactor" `Quick
             test_rejects_reduction_block_without_rfactor;
           Alcotest.test_case "cost" `Quick test_cost_of_lowered;
+        ] );
+      ( "lowering",
+        [
+          Alcotest.test_case "ragged guarded dmas" `Quick
+            test_ragged_guarded_dmas;
+          Alcotest.test_case "divisible zero guards" `Quick
+            test_divisible_zero_guards;
         ] );
       ("properties", q [ prop_va_any_shape; prop_mtv_any_shape ]);
     ]

@@ -76,6 +76,35 @@ let test_semantics_gemm () =
      tiles and the reduction tail. *)
   check_semantics_all_ablations "gemm" (Ops.gemm 17 13 21) (params ~c:4 ())
 
+(* Ragged shapes whose every tile is partial, checked against the
+   operator's reference rather than the raw lowering. *)
+let check_reference_all_ablations name op p =
+  let raw = lower_raw op p in
+  let inputs = Ops.random_inputs op in
+  let want = T.Tensor.to_value_list (Op.reference op inputs) in
+  List.iter
+    (fun (aname, config) ->
+      let outs = Imtp_tir.Eval.run (Pl.run ~config cfg raw) ~inputs in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s under %s" name aname)
+        true
+        (T.Tensor.to_value_list (List.assoc (fst op.Op.output) outs) = want))
+    Pl.ablations
+
+let test_semantics_ragged_gemv () =
+  check_reference_all_ablations "gemv 500x500" (Ops.gemv ~c:3 500 500)
+    (params ~c:64 ())
+
+let test_semantics_ragged_mmtv () =
+  check_reference_all_ablations "mmtv 8x60x60" (Ops.mmtv 8 60 60)
+    (params ~c:16 ())
+
+let test_semantics_ragged_rfactor () =
+  (* hierarchical reduction over a ragged reduction axis: partial
+     gather, host final reduction. *)
+  check_reference_all_ablations "gemv 500x500 rfactor" (Ops.gemv ~c:3 500 500)
+    (params ~rd:4 ~c:64 ())
+
 let test_semantics_mlp_chain () =
   (* A two-layer MLP as a chain of separately compiled stages
      (mtv -> mtv -> va, odd dims): every ablation must produce the
@@ -267,6 +296,10 @@ let () =
           Alcotest.test_case "gemv fig8" `Quick test_semantics_gemv_fig8;
           Alcotest.test_case "gemm" `Quick test_semantics_gemm;
           Alcotest.test_case "mlp chain" `Quick test_semantics_mlp_chain;
+          Alcotest.test_case "ragged gemv" `Quick test_semantics_ragged_gemv;
+          Alcotest.test_case "ragged mmtv" `Quick test_semantics_ragged_mmtv;
+          Alcotest.test_case "ragged rfactor" `Quick
+            test_semantics_ragged_rfactor;
           Alcotest.test_case "aligned" `Quick
             test_aligned_shapes_unaffected_semantically;
         ] );
