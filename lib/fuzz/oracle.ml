@@ -187,28 +187,23 @@ let check_config op inputs want raw (name, config) =
                  want = T.Value.to_string w;
                })
       | None -> (
-          match Cost.dma_counts prog with
+          match (Cost.dma_counts prog, Cost.xfer_counts prog) with
           | exception Cost.Error m -> Some (Crash { config = name; message = m })
-          | analytic ->
-              if analytic.Cost.dma_ops <> counters.Eval.dma_ops then
-                Some
-                  (Counter_mismatch
-                     {
-                       config = name;
-                       field = "dma_ops";
-                       executed = counters.Eval.dma_ops;
-                       analytic = analytic.Cost.dma_ops;
-                     })
-              else if analytic.Cost.dma_elems <> counters.Eval.dma_elems then
-                Some
-                  (Counter_mismatch
-                     {
-                       config = name;
-                       field = "dma_elems";
-                       executed = counters.Eval.dma_elems;
-                       analytic = analytic.Cost.dma_elems;
-                     })
-              else None))
+          | dma, xfer ->
+              List.find_map
+                (fun (field, executed, analytic) ->
+                  if executed = analytic then None
+                  else Some (Counter_mismatch { config = name; field; executed; analytic }))
+                [
+                  ("dma_ops", counters.Eval.dma_ops, dma.Cost.dma_ops);
+                  ("dma_elems", counters.Eval.dma_elems, dma.Cost.dma_elems);
+                  ( "xfer_elems_h2d",
+                    counters.Eval.xfer_elems_h2d,
+                    xfer.Cost.xfer_elems_h2d );
+                  ( "xfer_elems_d2h",
+                    counters.Eval.xfer_elems_d2h,
+                    xfer.Cost.xfer_elems_d2h );
+                ]))
 
 let check case =
   match lower case with

@@ -10,8 +10,9 @@
 
     - the output tensor bit-exactly against the operator's reference
       semantics ({!Imtp_workload.Op.reference}), and
-    - the interpreter's dynamic DMA counters exactly against the
-      analytic enumeration {!Imtp_tir.Cost.dma_counts}.
+    - the interpreter's dynamic DMA and host-transfer counters exactly
+      against the analytic enumerations {!Imtp_tir.Cost.dma_counts} and
+      {!Imtp_tir.Cost.xfer_counts}.
 
     When the compiled executor backend is active (the default — see
     {!Imtp_tir.Exec}), every case additionally runs through both the
@@ -39,7 +40,9 @@ type failure =
     }
   | Counter_mismatch of {
       config : string;
-      field : string;  (** ["dma_ops"] or ["dma_elems"]. *)
+      field : string;
+          (** ["dma_ops"], ["dma_elems"], ["xfer_elems_h2d"] or
+              ["xfer_elems_d2h"]. *)
       executed : int;
       analytic : int;
     }

@@ -392,6 +392,9 @@ module Compiled = struct
     cg : graph;
     cnodes : cnode list;
     program : P.t;
+    staged : Imtp_tir.Exec.compiled option Atomic.t;
+        (* [program] staged by the first compiled-backend run; later
+           runs reuse it and its executor storage *)
     total : U.Stats.t;
     fused_away : int;
     resident_edges : int;
@@ -842,6 +845,7 @@ module Compiled = struct
             cg = g;
             cnodes;
             program;
+            staged = Atomic.make None;
             total;
             fused_away = g.n - np;
             resident_edges = !resident_edges;
@@ -866,14 +870,16 @@ module Compiled = struct
                 (Printf.sprintf "Graph.run: input %s has wrong shape" name))
       (List.rev c.cg.inputs_rev)
 
+  (* The node's output shape over the flat prefix of its host buffer. *)
   let reshape_out (cn : cnode) raw =
     let shape =
       match Op.output_shape cn.cop with
       | [] -> T.Shape.create [ 1 ]
       | s -> T.Shape.create s
     in
-    T.Tensor.init (T.Tensor.dtype raw) shape (fun idx ->
-        T.Tensor.get_flat raw (T.Shape.linearize shape idx))
+    let t = T.Tensor.create (T.Tensor.dtype raw) shape in
+    T.Tensor.blit_flat ~src:raw ~src_off:0 ~dst:t ~dst_off:0 (T.Shape.size shape);
+    t
 
   let collect_outputs c ~inputs outs =
     inputs
@@ -889,7 +895,20 @@ module Compiled = struct
 
   let run_counted (c : t) ~inputs =
     check_inputs c inputs;
-    let outs, counters = Imtp_tir.Exec.run_counted c.program ~inputs in
+    let outs, counters =
+      match Imtp_tir.Exec.backend () with
+      | Imtp_tir.Exec.Interp -> Imtp_tir.Eval.run_counted c.program ~inputs
+      | Imtp_tir.Exec.Compiled ->
+          let staged =
+            match Atomic.get c.staged with
+            | Some s -> s
+            | None ->
+                let s = Imtp_tir.Exec.compile c.program in
+                Atomic.set c.staged (Some s);
+                s
+          in
+          Imtp_tir.Exec.run_compiled staged ~inputs
+    in
     (collect_outputs c ~inputs outs, counters)
 
   let run c ~inputs = fst (run_counted c ~inputs)

@@ -26,16 +26,20 @@ let strides t =
   s
 
 let in_bounds t idx =
-  Array.length idx = Array.length t
-  && (let ok = ref true in
-      Array.iteri (fun i v -> if v < 0 || v >= t.(i) then ok := false) idx;
-      !ok)
+  let n = Array.length t in
+  Array.length idx = n
+  &&
+  let rec ok i = i = n || (idx.(i) >= 0 && idx.(i) < t.(i) && ok (i + 1)) in
+  ok 0
 
+(* Horner's rule over the dimensions: the same offset as summing
+   [idx.(i) * strides.(i)], without allocating the strides. *)
 let linearize t idx =
   if not (in_bounds t idx) then invalid_arg "Shape.linearize: out of bounds";
-  let s = strides t in
   let off = ref 0 in
-  Array.iteri (fun i v -> off := !off + (v * s.(i))) idx;
+  for i = 0 to Array.length t - 1 do
+    off := (!off * t.(i)) + idx.(i)
+  done;
   !off
 
 let delinearize t off =

@@ -19,48 +19,34 @@ let dtype t =
 let shape t = t.shape
 let size t = Shape.size t.shape
 
+type view = Ints of int array | Floats of float array
+
+let view t =
+  match t.data with I8_data a | I32_data a -> Ints a | F32_data a -> Floats a
+
 let get_flat t off =
   match t.data with
   | I8_data a | I32_data a -> Value.Int a.(off)
   | F32_data a -> Value.Float a.(off)
 
+(* Element conversions on store.  Implicit conversions: pinned
+   saturating truncation toward zero (see Dtype.int_of_f32), float32
+   rounding toward int sources. *)
+let to_i8 = function
+  | Value.Int n -> Dtype.wrap_i8 n
+  | Value.Float f -> Dtype.wrap_i8 (Dtype.int_of_f32 f)
+
+let to_i32 = function Value.Int n -> n | Value.Float f -> Dtype.int_of_f32 f
+
+let to_f32 = function
+  | Value.Float f -> f
+  | Value.Int n -> Dtype.round_f32 (float_of_int n)
+
 let set_flat t off v =
-  match (t.data, v) with
-  | I8_data a, Value.Int n -> a.(off) <- Dtype.wrap_i8 n
-  | I32_data a, Value.Int n -> a.(off) <- n
-  | F32_data a, Value.Float f -> a.(off) <- f
-  (* Implicit conversions: pinned saturating truncation toward zero
-     (see Dtype.int_of_f32), float32 rounding toward int sources. *)
-  | I8_data a, Value.Float f -> a.(off) <- Dtype.wrap_i8 (Dtype.int_of_f32 f)
-  | I32_data a, Value.Float f -> a.(off) <- Dtype.int_of_f32 f
-  | F32_data a, Value.Int n -> a.(off) <- Dtype.round_f32 (float_of_int n)
-
-(* Unboxed flat accessors for the compiled executor's hot paths.  The
-   setters follow [set_flat]'s conversion rules exactly; the getters
-   assume the caller knows the tensor's dtype statically
-   ([get_int_flat] rejects float tensors rather than guess). *)
-
-let get_int_flat t off =
   match t.data with
-  | I8_data a | I32_data a -> a.(off)
-  | F32_data _ -> invalid_arg "Tensor.get_int_flat: float32 tensor"
-
-let get_float_flat t off =
-  match t.data with
-  | F32_data a -> a.(off)
-  | I8_data a | I32_data a -> float_of_int a.(off)
-
-let set_int_flat t off n =
-  match t.data with
-  | I8_data a -> a.(off) <- Dtype.wrap_i8 n
-  | I32_data a -> a.(off) <- n
-  | F32_data a -> a.(off) <- Dtype.round_f32 (float_of_int n)
-
-let set_float_flat t off f =
-  match t.data with
-  | I8_data a -> a.(off) <- Dtype.wrap_i8 (Dtype.int_of_f32 f)
-  | I32_data a -> a.(off) <- Dtype.int_of_f32 f
-  | F32_data a -> a.(off) <- f
+  | I8_data a -> a.(off) <- to_i8 v
+  | I32_data a -> a.(off) <- to_i32 v
+  | F32_data a -> a.(off) <- to_f32 v
 
 (* Bulk flat copy with [set_flat] conversion semantics; same-dtype
    pairs take an [Array.blit] fast path.  Bounds must have been checked
@@ -90,19 +76,29 @@ let scalar v =
   set_flat t 0 v;
   t
 
+(* A typed loop: [Array.copy] of a large int array initializes the
+   major-heap copy through the runtime element by element. *)
+let copy_ints a =
+  let b = Array.make (Array.length a) 0 in
+  for i = 0 to Array.length a - 1 do
+    b.(i) <- a.(i)
+  done;
+  b
+
 let copy t =
   let data =
     match t.data with
-    | I8_data a -> I8_data (Array.copy a)
-    | I32_data a -> I32_data (Array.copy a)
+    | I8_data a -> I8_data (copy_ints a)
+    | I32_data a -> I32_data (copy_ints a)
     | F32_data a -> F32_data (Array.copy a)
   in
   { t with data }
 
 let fill t v =
-  for off = 0 to size t - 1 do
-    set_flat t off v
-  done
+  match t.data with
+  | I8_data a -> Array.fill a 0 (Array.length a) (to_i8 v)
+  | I32_data a -> Array.fill a 0 (Array.length a) (to_i32 v)
+  | F32_data a -> Array.fill a 0 (Array.length a) (to_f32 v)
 
 let random ?(seed = 42) ?(bound = 100) dt shape =
   let st = Random.State.make [| seed; Shape.size shape |] in

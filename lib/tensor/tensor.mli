@@ -19,29 +19,23 @@ val set : t -> int array -> Value.t -> unit
 val get_flat : t -> int -> Value.t
 val set_flat : t -> int -> Value.t -> unit
 
-val get_int_flat : t -> int -> int
-(** Unboxed read of an integer tensor.
-    @raise Invalid_argument on a float32 tensor. *)
-
-val get_float_flat : t -> int -> float
-(** Unboxed read as float; integer elements are converted. *)
-
-val set_int_flat : t -> int -> int -> unit
-(** Unboxed store with {!set_flat}'s conversion rules for an [Int]
-    value (wrap on I8, float32 rounding on F32). *)
-
-val set_float_flat : t -> int -> float -> unit
-(** Unboxed store with {!set_flat}'s conversion rules for a [Float]
-    value (pinned saturating truncation on integer dtypes, see
-    {!Dtype.int_of_f32}). *)
-
 val blit_flat : src:t -> src_off:int -> dst:t -> dst_off:int -> int -> unit
 (** [blit_flat ~src ~src_off ~dst ~dst_off n] copies [n] flat elements
     with {!set_flat} conversion semantics; same-dtype pairs use
     [Array.blit].  The caller is responsible for bounds. *)
 
+type view = Ints of int array | Floats of float array
+
+val view : t -> view
+(** The tensor's flat elements in row-major order, shared, not copied:
+    a write through the view is a write to the tensor.  I8 and I32
+    tensors are [Ints], F32 tensors [Floats].  A writer must keep the
+    dtype's invariant (an I8 element lies in [[-128, 127]]). *)
+
 val copy : t -> t
+
 val fill : t -> Value.t -> unit
+(** Sets every element to [v], converted once by {!set_flat}'s rules. *)
 
 val random : ?seed:int -> ?bound:int -> Dtype.t -> Shape.t -> t
 (** Deterministic pseudo-random tensor.  Integer values are drawn

@@ -202,26 +202,22 @@ let kernel_profile cfg (p : Program.t) (k : Program.kernel) =
 
 let kernel_cycles cfg p k = U.Dpu_model.kernel_cycles cfg (kernel_profile cfg p k)
 
-(* --- exact DMA counting ---------------------------------------------- *)
+(* --- exact DMA and transfer counting ----------------------------------- *)
 
-type dma_counts = { dma_ops : int; dma_elems : int }
-
-(* Exact dynamic DMA traffic by full loop enumeration, the analytic
-   twin of the [Eval.run_counted] counters.  Unlike the timing walk
-   above there is no interior-DPU approximation: block and thread
-   loops are enumerated and guards are evaluated, so the count matches
-   what the interpreter actually executes. *)
-let dma_counts (p : Program.t) =
-  let ops = ref 0 and elems = ref 0 in
+(* Full loop enumeration, the analytic twin of the [Eval.run_counted]
+   counters.  Unlike the timing walk above there is no interior-DPU
+   approximation: block and thread loops are enumerated and guards are
+   evaluated, so [visit] sees every Dma and Xfer the interpreter
+   executes, with the loop environment it executes under.  Kernels are
+   walked at their Launch when [~kernels]. *)
+let enumerate name (p : Program.t) ~kernels visit =
   let budget = ref 50_000_000 in
-  let spend () =
-    decr budget;
-    if !budget <= 0 then err "dma_counts: enumeration exceeds node budget"
-  in
   let rec walk env (s : Stmt.t) =
-    spend ();
+    decr budget;
+    if !budget <= 0 then err "%s: enumeration exceeds node budget" name;
     match s with
-    | Nop | Barrier | Store _ | Xfer _ -> ()
+    | Nop | Barrier | Store _ -> ()
+    | Dma _ | Xfer _ -> visit env s
     | Seq ss -> List.iter (walk env) ss
     | Alloc { body; _ } -> walk env body
     | For { var; extent; kind = _; body } ->
@@ -233,19 +229,46 @@ let dma_counts (p : Program.t) =
         match Simplify.eval_int env cond with
         | Some 0 -> Option.iter (walk env) else_
         | Some _ -> walk env then_
-        | None -> err "dma_counts: undecidable guard %s" (Expr.to_string cond))
-    | Dma { elems = e; _ } ->
-        (* mirror [Eval]: the op and its element count are recorded
-           unconditionally once the instruction issues. *)
-        incr ops;
-        elems := !elems + extent_int env e
+        | None -> err "%s: undecidable guard %s" name (Expr.to_string cond))
     | Launch kname -> (
-        match Program.kernel_of p kname with
-        | Some k -> walk env k.body
-        | None -> err "dma_counts: launch of unknown kernel %s" kname)
+        if kernels then
+          match Program.kernel_of p kname with
+          | Some k -> walk env k.body
+          | None -> err "%s: launch of unknown kernel %s" name kname)
   in
-  walk Var.Map.empty p.host;
+  walk Var.Map.empty p.host
+
+type dma_counts = { dma_ops : int; dma_elems : int }
+
+let dma_counts (p : Program.t) =
+  let ops = ref 0 and elems = ref 0 in
+  enumerate "dma_counts" p ~kernels:true (fun env s ->
+      match s with
+      | Dma { elems = e; _ } ->
+          (* mirror [Eval]: the op and its element count are recorded
+             unconditionally once the instruction issues. *)
+          incr ops;
+          elems := !elems + extent_int env e
+      | _ -> ());
   { dma_ops = !ops; dma_elems = !elems }
+
+type xfer_counts = { xfer_elems_h2d : int; xfer_elems_d2h : int }
+
+let xfer_counts (p : Program.t) =
+  let ndpus = Program.dpus_used p in
+  let h2d = ref 0 and d2h = ref 0 in
+  (* Transfers are host statements, so kernels are not walked. *)
+  enumerate "xfer_counts" p ~kernels:false (fun env s ->
+      match s with
+      | Xfer { dir = To_dpu; mode; elems; _ } ->
+          (* mirror [Eval]: a broadcast moves its elements to every DPU. *)
+          let copies =
+            match mode with Broadcast_x -> ndpus | Copy | Push -> 1
+          in
+          h2d := !h2d + (extent_int env elems * copies)
+      | Xfer { dir = From_dpu; elems; _ } -> d2h := !d2h + extent_int env elems
+      | _ -> ());
+  { xfer_elems_h2d = !h2d; xfer_elems_d2h = !d2h }
 
 (* Analytic DMA traffic: loop extents multiply instead of being
    enumerated, guards are assumed taken (an [If] charges the heavier

@@ -42,6 +42,22 @@ val dma_counts : Program.t -> dma_counts
     @raise Error on non-constant loop extents, undecidable guards, or
     programs whose enumeration exceeds the node budget. *)
 
+type xfer_counts = {
+  xfer_elems_h2d : int;
+      (** host-to-DPU elements; a broadcast counts once per DPU. *)
+  xfer_elems_d2h : int;  (** DPU-to-host elements. *)
+}
+
+val xfer_counts : Program.t -> xfer_counts
+(** Exact analytic host transfer traffic, the twin of {!dma_counts}:
+    host loops are enumerated and guards evaluated.  A [Broadcast_x]
+    counts its elements once for each of {!Program.dpus_used} DPUs, as
+    {!Eval.run_counted} does.  The result must agree exactly with the
+    [xfer_elems_h2d]/[xfer_elems_d2h] fields of {!Eval.run_counted};
+    the fuzz oracle cross-validates the two.
+
+    @raise Error on non-constant loop extents or undecidable guards. *)
+
 val dma_estimate : Program.t -> dma_counts
 (** Analytic DMA traffic: like the timing walk, loop extents multiply
     instead of being enumerated, guards are assumed taken (an [If]

@@ -121,7 +121,14 @@ let check_counters name op p =
         counters.Eval.dma_ops analytic.Cost.dma_ops;
       Alcotest.(check int)
         (Printf.sprintf "%s/%s dma_elems" name aname)
-        counters.Eval.dma_elems analytic.Cost.dma_elems)
+        counters.Eval.dma_elems analytic.Cost.dma_elems;
+      let xfer = Cost.xfer_counts prog in
+      Alcotest.(check int)
+        (Printf.sprintf "%s/%s xfer_elems_h2d" name aname)
+        counters.Eval.xfer_elems_h2d xfer.Cost.xfer_elems_h2d;
+      Alcotest.(check int)
+        (Printf.sprintf "%s/%s xfer_elems_d2h" name aname)
+        counters.Eval.xfer_elems_d2h xfer.Cost.xfer_elems_d2h)
     Pl.ablations
 
 let test_counters_va () = check_counters "va" (Ops.va 1000) (params ())

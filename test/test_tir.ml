@@ -467,6 +467,285 @@ let test_exec_cast_pinned () =
         (T.Value.equal (T.Tensor.get_flat out i) (T.Value.Int want)))
     expect
 
+(* A one-kernel program around a WRAM [body] on each of [dpus] DPUs:
+   host [X] reaches WRAM [X_w] through MRAM [X_m] (DPU d gets
+   [X[d * nx ..]]), [body] runs, and WRAM [Y_w] returns through MRAM
+   [Y_m] to host [Y] (DPU d's copy at [d * (ny + spare)]).  MRAM buffers
+   are [spare] elements longer than their WRAM buffers, and that tail
+   never sees a DMA. *)
+let harness ?(dpus = 1) ?(spare = 0) ~x:(xdt, nx) ~y:(ydt, ny) body =
+  let buf name dt n scope = B.create name dt ~elems:n scope in
+  let blk = v "blk" and d = v "d" in
+  let per_dpu dir host host_off mram n =
+    St.For
+      {
+        var = d;
+        extent = ei dpus;
+        kind = St.Serial;
+        body =
+          St.Xfer
+            {
+              dir;
+              mode = St.Push;
+              host;
+              host_off;
+              dpu = E.var d;
+              mram;
+              mram_off = ei 0;
+              elems = ei n;
+              group_dpus = 1;
+            };
+      }
+  in
+  let dma dir wram mram n =
+    St.Dma { dir; wram; wram_off = ei 0; mram; mram_off = ei 0; elems = ei n }
+  in
+  let kernel =
+    St.For
+      {
+        var = blk;
+        extent = ei dpus;
+        kind = St.Bound St.Block_x;
+        body =
+          St.Alloc
+            {
+              buffer = buf "X_w" xdt nx B.Wram;
+              body =
+                St.Alloc
+                  {
+                    buffer = buf "Y_w" ydt ny B.Wram;
+                    body =
+                      St.seq
+                        [
+                          dma St.Mram_to_wram "X_w" "X_m" nx;
+                          body;
+                          dma St.Wram_to_mram "Y_w" "Y_m" ny;
+                        ];
+                  };
+            };
+      }
+  in
+  let ystride = ny + spare in
+  {
+    P.name = "harness";
+    host_buffers =
+      [ buf "X" xdt (dpus * nx) B.Host; buf "Y" ydt (dpus * ystride) B.Host ];
+    mram_buffers = [ buf "X_m" xdt (nx + spare) B.Mram; buf "Y_m" ydt ystride B.Mram ];
+    kernels = [ { P.kname = "k"; body = kernel } ];
+    host =
+      St.seq
+        [
+          per_dpu St.To_dpu "X" E.(var d * int nx) "X_m" nx;
+          St.Launch "k";
+          per_dpu St.From_dpu "Y" E.(var d * int ystride) "Y_m" ystride;
+        ];
+  }
+
+let input dt n f =
+  T.Tensor.init dt (T.Shape.create [ n ]) (fun i ->
+      match dt with
+      | T.Dtype.F32 -> T.Value.Float (T.Dtype.round_f32 (float_of_int (f i.(0)) /. 8.))
+      | T.Dtype.I8 -> T.Value.Int (T.Dtype.wrap_i8 (f i.(0)))
+      | T.Dtype.I32 -> T.Value.Int (f i.(0)))
+
+let loop extent f =
+  let i = v "i" in
+  St.For { var = i; extent; kind = St.Serial; body = f (E.var i) }
+
+let xw i = E.load "X_w" i
+let yw i = E.load "Y_w" i
+
+let test_exec_last_iteration_oob () =
+  (* In bounds for every iteration but the last: the entry check fails
+     and the error fires at Eval's element, on loads, stores and direct
+     MRAM accesses alike. *)
+  let i32 = T.Dtype.I32 in
+  let x = input i32 8 (fun i -> (3 * i) - 5) in
+  List.iter
+    (fun (name, body) ->
+      check_same_outcome name (harness ~x:(i32, 8) ~y:(i32, 8) body) ~inputs:[ ("X", x) ])
+    [
+      ("load past end", loop (ei 9) (fun i -> St.store "Y_w" E.(i - int 1) E.(xw i + int 1)));
+      ("store past end", loop (ei 8) (fun i -> St.store "Y_w" E.(i + int 1) (xw i)));
+      ("store before start", loop (ei 8) (fun i -> St.store "Y_w" E.(int 6 - i) (xw i)));
+      ( "accumulator load past end",
+        loop (ei 9) (fun i -> St.store "Y_w" (ei 0) E.(yw (int 0) + (xw i * xw i))) );
+      ("mram past end", loop (ei 9) (fun i -> St.store "Y_w" (ei 0) (E.load "X_m" i)));
+    ]
+
+let test_exec_empty_extents () =
+  let i32 = T.Dtype.I32 in
+  let x = input i32 8 (fun i -> i + 1) in
+  List.iter
+    (fun (name, n) ->
+      check_same_outcome name
+        (harness ~x:(i32, 8) ~y:(i32, 8)
+           (St.seq
+              [
+                St.store "Y_w" (ei 0) (ei 7);
+                loop (ei n) (fun i -> St.store "Y_w" (ei 0) E.(yw (int 0) + (xw i * xw i)));
+                loop (ei n) (fun i -> St.store "Y_w" E.(i + int 1) (xw i));
+              ]))
+        ~inputs:[ ("X", x) ])
+    [ ("zero extent", 0); ("negative extent", -3); ("one iteration", 1) ]
+
+let test_exec_i8_wrap () =
+  (* Every store into an I8 buffer wraps, including each step of an
+     accumulator held in a local. *)
+  let x = input T.Dtype.I32 8 (fun i -> (97 * i) - 300) in
+  List.iter
+    (fun (name, body) ->
+      let p = harness ~x:(T.Dtype.I32, 8) ~y:(T.Dtype.I8, 8) body in
+      check_same_outcome name p ~inputs:[ ("X", x) ])
+    [
+      ("elementwise", loop (ei 8) (fun i -> St.store "Y_w" i E.(xw i * int 3)));
+      ("dot", loop (ei 8) (fun i -> St.store "Y_w" (ei 0) E.(yw (int 0) + (xw i * xw i))));
+      ("sum", loop (ei 8) (fun i -> St.store "Y_w" (ei 1) E.(yw (int 1) + xw i)));
+      ("max", loop (ei 8) (fun i -> St.store "Y_w" (ei 2) (E.max_e (yw (ei 2)) (xw i))));
+      ("checked store", St.store "Y_w" (ei 3) E.(xw (int 7) * int 5));
+    ]
+
+let test_exec_f32_accumulate () =
+  let f32 = T.Dtype.F32 in
+  let x = input f32 8 (fun i -> (13 * i) - 40) in
+  List.iter
+    (fun (name, body) ->
+      check_same_outcome name (harness ~x:(f32, 8) ~y:(f32, 8) body) ~inputs:[ ("X", x) ])
+    [
+      ("dot", loop (ei 8) (fun i -> St.store "Y_w" (ei 0) E.(yw (int 0) + (xw i * xw i))));
+      ( "scaled sum",
+        loop (ei 8) (fun i -> St.store "Y_w" (ei 1) E.(yw (int 1) + (xw i * E.float 0.1))) );
+      ("product", loop (ei 8) (fun i -> St.store "Y_w" (ei 2) E.(yw (int 2) * xw i)));
+      ( "mixed int index",
+        loop (ei 4) (fun i -> St.store "Y_w" E.((int 2 * i) + int 1) E.(xw i - xw (int 7 - i))) );
+    ]
+
+let test_exec_shifted_self_load () =
+  (* A[j+1] = A[j] + 1: each iteration reads the previous one's store.
+     An accumulator whose other operand reads the accumulated buffer
+     must see every earlier iteration's store as well. *)
+  let i32 = T.Dtype.I32 in
+  let p =
+    harness ~x:(i32, 8) ~y:(i32, 8)
+      (St.seq
+         [
+           St.store "Y_w" (ei 0) (ei 5);
+           loop (ei 7) (fun j -> St.store "Y_w" E.(j + int 1) E.(yw j + int 1));
+         ])
+  in
+  let x = input i32 8 (fun i -> i) in
+  check_same_outcome "shifted" p ~inputs:[ ("X", x) ];
+  List.iter
+    (fun (name, rest) ->
+      let body =
+        St.seq
+          [
+            loop (ei 8) (fun i -> St.store "Y_w" i E.(xw i + int 1));
+            loop (ei 6) (fun i -> St.store "Y_w" (ei 2) E.(yw (int 2) + rest i));
+          ]
+      in
+      check_same_outcome name (harness ~x:(i32, 8) ~y:(i32, 8) body) ~inputs:[ ("X", x) ])
+    [
+      ("accumulator reads itself", fun i -> yw i);
+      ("dot reads itself", fun i -> E.(yw i * xw i));
+    ];
+  let y = List.assoc "Y" (Exec.run p ~inputs:[ ("X", x) ]) in
+  List.iteri
+    (fun i want ->
+      Alcotest.(check bool)
+        (Printf.sprintf "Y[%d] = %d" i want)
+        true
+        (T.Value.equal (T.Tensor.get_flat y i) (T.Value.Int want)))
+    [ 5; 6; 7; 8; 9; 10; 11; 12 ]
+
+let test_exec_variable_divisor () =
+  (* A divisor that is not a non-zero constant may raise, so the loop
+     stays on the checked path: Division_by_zero at Eval's iteration. *)
+  let i32 = T.Dtype.I32 in
+  let x = input i32 8 (fun i -> (5 * i) + 1) in
+  let k = v "k" in
+  List.iter
+    (fun (name, divisor) ->
+      let body =
+        St.For
+          {
+            var = k;
+            extent = ei 2;
+            kind = St.Serial;
+            body = loop (ei 8) (fun i -> St.store "Y_w" i E.(xw i / divisor));
+          }
+      in
+      check_same_outcome name (harness ~x:(i32, 8) ~y:(i32, 8) body) ~inputs:[ ("X", x) ])
+    [ ("zero divisor", E.var k); ("non-zero divisor", E.(var k + int 1)) ]
+
+let test_exec_reuse_across_runs () =
+  (* One staged program run twice: the WRAM accumulator starts from zero
+     and the untransferred MRAM tail reads poison in the second run too,
+     although the first run wrote there. *)
+  let i32 = T.Dtype.I32 in
+  let body =
+    St.seq
+      [
+        St.store "Y_w" (ei 1) (E.load "X_m" (ei 8));
+        St.store "X_m" (ei 8) (ei 42);
+        loop (ei 8) (fun i -> St.store "Y_w" (ei 0) E.(yw (int 0) + xw i));
+      ]
+  in
+  let p = harness ~dpus:3 ~spare:1 ~x:(i32, 8) ~y:(i32, 4) body in
+  let c = Exec.compile p in
+  List.iter
+    (fun seed ->
+      let inputs = [ ("X", input i32 24 (fun i -> (seed * i) + 1)) ] in
+      match (Exec.run_compiled c ~inputs, run_eval p ~inputs) with
+      | (outs, counters), Ok (want, want_counters) ->
+          List.iter2
+            (fun (n, t) (_, w) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "seed %d: buffer %s" seed n)
+                true (T.Tensor.equal t w))
+            outs want;
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d: counters" seed)
+            true (counters = want_counters)
+      | _, Error m -> Alcotest.fail m)
+    [ 3; 7; 3 ]
+
+(* Random single-store loops over affine indices: in and out of bounds,
+   accumulators, dot products, self-reads, direct MRAM reads on two
+   DPUs and every dtype pairing. *)
+let prop_exec_affine_loops =
+  let open QCheck2.Gen in
+  let dtype = oneofl [ T.Dtype.I8; T.Dtype.I32; T.Dtype.F32 ] in
+  let affine = pair (int_range (-2) 2) (int_range (-3) 10) in
+  let gen =
+    tup5 (pair dtype dtype) (int_range (-2) 12) (pair affine affine) (int_range 0 7)
+      (pair affine (oneofl [ E.Add; E.Sub; E.Mul; E.Min; E.Max ]))
+  in
+  QCheck2.Test.make ~name:"exec matches eval on affine loops" ~count:500 gen
+    (fun ((xdt, ydt), n, ((sa, sb), (la, lb)), form, ((ma, mb), op)) ->
+      let at i (a, b) = E.((int a * i) + int b) in
+      let body =
+        loop (ei n) (fun i ->
+            let lx = xw (at i (la, lb)) and mx = xw (at i (ma, mb)) in
+            match form with
+            | 0 -> St.store "Y_w" (at i (sa, sb)) E.(lx + int 3)
+            | 1 -> St.store "Y_w" (at i (sa, sb)) E.(lx * mx)
+            | 2 -> St.store "Y_w" (ei sb) E.(yw (int sb) + (lx * mx))
+            | 3 -> St.store "Y_w" (ei sb) (E.Binop (op, yw (ei sb), lx))
+            | 4 -> St.store "Y_w" (at i (sa, sb)) E.(yw (at i (la, lb)) + int 1)
+            | 5 -> St.store "Y_w" (ei sb) E.(yw (int sb) + yw (at i (la, lb)))
+            | 6 -> St.store "Y_w" (at i (sa, sb)) (E.load "X_m" (at i (la, lb)))
+            | _ -> St.store "Y_w" (at i (sa, sb)) (E.Binop (op, lx, E.float 0.5)))
+      in
+      let init = loop (ei 8) (fun i -> St.store "Y_w" i E.(xw i - int 1)) in
+      let p = harness ~dpus:2 ~x:(xdt, 8) ~y:(ydt, 8) (St.seq [ init; body ]) in
+      let inputs = [ ("X", input xdt 16 (fun i -> (29 * i) - 90)) ] in
+      match (run_exec p ~inputs, run_eval p ~inputs) with
+      | Error a, Error b -> String.equal a b
+      | Ok (o1, c1), Ok (o2, c2) ->
+          c1 = c2 && List.for_all2 (fun (_, a) (_, b) -> T.Tensor.equal a b) o1 o2
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 (* --- cost-model regressions ------------------------------------------- *)
 
 (* [iters] grouped Push transfers with [group] DPUs per call, over a
@@ -782,7 +1061,16 @@ let () =
           Alcotest.test_case "matches interpreter" `Quick test_exec_matches_eval;
           Alcotest.test_case "error parity" `Quick test_exec_error_parity;
           Alcotest.test_case "cast pinned" `Quick test_exec_cast_pinned;
-        ] );
+          Alcotest.test_case "last iteration out of bounds" `Quick
+            test_exec_last_iteration_oob;
+          Alcotest.test_case "empty extents" `Quick test_exec_empty_extents;
+          Alcotest.test_case "i8 wrap" `Quick test_exec_i8_wrap;
+          Alcotest.test_case "f32 accumulate" `Quick test_exec_f32_accumulate;
+          Alcotest.test_case "shifted self load" `Quick test_exec_shifted_self_load;
+          Alcotest.test_case "variable divisor" `Quick test_exec_variable_divisor;
+          Alcotest.test_case "reuse across runs" `Quick test_exec_reuse_across_runs;
+        ]
+        @ q [ prop_exec_affine_loops ] );
       ( "cost-regressions",
         [
           Alcotest.test_case "push partial group" `Quick
