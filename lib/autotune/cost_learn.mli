@@ -29,7 +29,9 @@ val features : Imtp_tir.Program.t -> float array
 (** Extract the feature vector from a lowered program in one analytic
     walk (evaluation cost independent of tensor sizes).  Every
     component is finite for any program: unresolvable loop extents
-    count as 1 and all magnitudes pass through [log2 (1 + x)]. *)
+    count as 1 and all magnitudes pass through [log2 (1 + x)].  This
+    is {!Imtp_engine.Features.of_program}; the search reads it through
+    {!Imtp_engine.Engine.features}, which memoizes it per candidate. *)
 
 type t
 (** Online ridge regression predicting log-latency, refit lazily from

@@ -458,7 +458,9 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     let latency_s = m.Engine.latency_s in
     Cost_model.observe cx.model (Cost_model.features op params) latency_s;
     if gated then begin
-      let x = Cost_learn.features m.Engine.artifact.Engine.program in
+      let x =
+        Engine.features engine (Engine.prepared_of_artifact m.Engine.artifact)
+      in
       Cost_learn.observe cx.tir x latency_s;
       cx.epoch_obs <- (x, latency_s) :: cx.epoch_obs
     end;
@@ -544,7 +546,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
               tally cx e;
               go (attempts - 1)
           | Ok prep ->
-              let x = Cost_learn.features prep.Engine.pprogram in
+              let x = Engine.features engine prep in
               if not (Cost_learn.trained cx.tir) then begin
                 match Engine.simulate engine ~rng:cx.rng prep with
                 | Error e ->
@@ -660,9 +662,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
               match r with Error e -> tally cx e | Ok _ -> ())
             prepped;
           let feats =
-            List.map
-              (fun (_, _, prep) -> Cost_learn.features prep.Engine.pprogram)
-              fresh
+            List.map (fun (_, _, prep) -> Engine.features engine prep) fresh
           in
           let order = Cost_learn.rank cx.tir feats in
           (* Snapshot predictions at ranking time — the model refits as
@@ -915,78 +915,77 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
       { pub_population = cx.population; pub_obs = List.rev cx.epoch_obs }
     in
     cx.epoch_obs <- [];
-    Mutex.lock sh.sm;
-    Hashtbl.replace sh.pubs (cx.ix, b) pub;
-    if cx.done_ then sh.done_at.(cx.ix) <- Some b;
-    Condition.broadcast sh.scv;
-    while not (all_ready b) do
-      Condition.wait sh.scv sh.sm
-    done;
-    if sh.failed <> None then begin
-      Mutex.unlock sh.sm;
-      raise Island_aborted
-    end;
-    (* No island leaves a boundary before its leader merges it, so the
-       merge leader of [b] always finds [b - 1] merged, and nothing
-       reads a publication older than [b] again. *)
-    if sh.merged_boundary < b then begin
-      for j = 0 to k - 1 do
-        match Hashtbl.find_opt sh.pubs (j, b) with
-        | Some p ->
-            List.iter
-              (fun (x, y) -> Cost_learn.observe sh.shared_tir x y)
-              p.pub_obs
-        | None -> ()
+    (* [protect] releases the lock on every exit path: a raising
+       [on_checkpoint] must reach [guarded] with the lock free, or its
+       re-lock fails and buries the callback's own exception. *)
+    let stopping, migrants =
+      Mutex.protect sh.sm @@ fun () ->
+      Hashtbl.replace sh.pubs (cx.ix, b) pub;
+      if cx.done_ then sh.done_at.(cx.ix) <- Some b;
+      Condition.broadcast sh.scv;
+      while not (all_ready b) do
+        Condition.wait sh.scv sh.sm
       done;
-      Hashtbl.filter_map_inplace
-        (fun (_, bb) p -> if bb < b then None else Some p)
-        sh.pubs;
-      sh.merged_boundary <- b;
-      let periodic = b = 0 || b mod checkpoint_every = 0 in
-      if periodic then emit_checkpoint b;
-      (* One stop poll per boundary, made by the merge leader so every
-         island agrees on where the run ends — after the periodic
-         checkpoint, so a [stop] keyed on the checkpoints it has seen
-         lands on this boundary rather than the next. *)
-      if should_stop () then begin
-        sh.stop_boundary <- Some b;
-        if not periodic then emit_checkpoint b
-      end
-    end;
-    let stopping = sh.stop_boundary <> None in
-    (* Every island starts an epoch holding the merged model, so one
-       that made every observation merged at [b] already holds the new
-       merge (the fold replayed its own observations in its own order)
-       and only has to adopt a copy when another island contributed. *)
-    let others_observed =
-      List.exists
-        (fun j ->
-          j <> cx.ix
-          &&
+      if sh.failed <> None then raise Island_aborted;
+      (* No island leaves a boundary before its leader merges it, so the
+         merge leader of [b] always finds [b - 1] merged, and nothing
+         reads a publication older than [b] again. *)
+      if sh.merged_boundary < b then begin
+        for j = 0 to k - 1 do
           match Hashtbl.find_opt sh.pubs (j, b) with
-          | Some p -> p.pub_obs <> []
-          | None -> false)
-        (List.init k Fun.id)
+          | Some p ->
+              List.iter
+                (fun (x, y) -> Cost_learn.observe sh.shared_tir x y)
+                p.pub_obs
+          | None -> ()
+        done;
+        Hashtbl.filter_map_inplace
+          (fun (_, bb) p -> if bb < b then None else Some p)
+          sh.pubs;
+        sh.merged_boundary <- b;
+        let periodic = b = 0 || b mod checkpoint_every = 0 in
+        if periodic then emit_checkpoint b;
+        (* One stop poll per boundary, made by the merge leader so every
+           island agrees on where the run ends — after the periodic
+           checkpoint, so a [stop] keyed on the checkpoints it has seen
+           lands on this boundary rather than the next. *)
+        if should_stop () then begin
+          sh.stop_boundary <- Some b;
+          if not periodic then emit_checkpoint b
+        end
+      end;
+      let stopping = sh.stop_boundary <> None in
+      (* Every island starts an epoch holding the merged model, so one
+         that made every observation merged at [b] already holds the new
+         merge (the fold replayed its own observations in its own order)
+         and only has to adopt a copy when another island contributed. *)
+      let others_observed =
+        List.exists
+          (fun j ->
+            j <> cx.ix
+            &&
+            match Hashtbl.find_opt sh.pubs (j, b) with
+            | Some p -> p.pub_obs <> []
+            | None -> false)
+          (List.init k Fun.id)
+      in
+      if gated && others_observed then
+        cx.tir <- Cost_learn.copy sh.shared_tir;
+      let migrants =
+        if b = 0 || stopping then []
+        else begin
+          let p = (cx.ix + k - 1) mod k in
+          match (Hashtbl.find_opt sh.pubs (p, b), sh.final.(p)) with
+          | Some pb, _ -> elites pb.pub_population
+          | None, Some st -> elites st.il_population
+          | None, None -> []
+        end
+      in
+      (stopping, migrants)
     in
-    if gated && others_observed then
-      cx.tir <- Cost_learn.copy sh.shared_tir;
-    let migrants =
-      if b = 0 || stopping then []
-      else begin
-        let p = (cx.ix + k - 1) mod k in
-        match (Hashtbl.find_opt sh.pubs (p, b), sh.final.(p)) with
-        | Some pb, _ -> elites pb.pub_population
-        | None, Some st -> elites st.il_population
-        | None, None -> []
-      end
-    in
-    Mutex.unlock sh.sm;
     if migrants <> [] then apply_migration cx migrants;
-    if cx.done_ && not stopping then begin
-      Mutex.lock sh.sm;
-      export_final cx;
-      Mutex.unlock sh.sm
-    end;
+    if cx.done_ && not stopping then
+      Mutex.protect sh.sm (fun () -> export_final cx);
     stopping
   in
   let island_main cx =
@@ -1007,12 +1006,10 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
             else elites ck.ck_states.((cx.ix + k - 1) mod k).il_population
           in
           if migrants <> [] then apply_migration cx migrants;
-          if cx.done_ then begin
-            Mutex.lock sh.sm;
-            sh.done_at.(cx.ix) <- Some !b;
-            export_final cx;
-            Mutex.unlock sh.sm
-          end
+          if cx.done_ then
+            Mutex.protect sh.sm (fun () ->
+                sh.done_at.(cx.ix) <- Some !b;
+                export_final cx)
         end
     | None ->
         init_island cx;
@@ -1034,10 +1031,9 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     try island_main cx with
     | Island_aborted -> ()
     | e ->
-        Mutex.lock sh.sm;
-        if sh.failed = None then sh.failed <- Some e;
-        Condition.broadcast sh.scv;
-        Mutex.unlock sh.sm
+        Mutex.protect sh.sm (fun () ->
+            if sh.failed = None then sh.failed <- Some e;
+            Condition.broadcast sh.scv)
   in
   let rest =
     Array.to_list ctxs

@@ -56,13 +56,17 @@ type t = {
   cfg : Imtp_upmem.Config.t;
   max_entries : int;
   lock : Mutex.t;
-      (* Guards [artifacts], [prepareds], [lowerings] and [c].  Stage
-         work (sketch, lower, passes, verify, cost) always runs outside
-         the lock, so parallel builds only contend on table lookups and
-         counter bumps. *)
+      (* Guards [artifacts], [prepareds], [lowerings], [feature_memo]
+         and [c].  Stage work (sketch, lower, passes, verify, cost)
+         always runs outside the lock, so parallel builds only contend
+         on table lookups and counter bumps. *)
   artifacts : (string, (artifact, error) result) Hashtbl.t;
   prepareds : (string, (prepared, error) result) Hashtbl.t;
   lowerings : (string, (Imtp_tir.Program.t, error) result) Hashtbl.t;
+  feature_memo : (string, float array) Hashtbl.t;
+      (* Features.of_program of the program built under each key;
+         cleared with the tables above but not counted against
+         [max_entries], and invisible to the counters. *)
   mutable c : counters;
 }
 
@@ -90,6 +94,7 @@ let create ?(max_entries = 4096) cfg =
     artifacts = Hashtbl.create 256;
     prepareds = Hashtbl.create 64;
     lowerings = Hashtbl.create 64;
+    feature_memo = Hashtbl.create 256;
     c = zero_counters;
   }
 
@@ -274,6 +279,7 @@ let remember ?(count_built = true) t table key result =
         Hashtbl.reset t.artifacts;
         Hashtbl.reset t.prepareds;
         Hashtbl.reset t.lowerings;
+        Hashtbl.reset t.feature_memo;
         t.c <- { t.c with evictions = t.c.evictions + 1 };
         Obs.incr "engine.cache.evictions"
       end;
@@ -412,6 +418,16 @@ let prepare t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
       Obs.add_attr "hit" (Obs.Bool hit);
       Obs.add_attr "ok" (Obs.Bool (Result.is_ok result));
       result)
+
+(* Computed outside the lock like every stage; two domains racing on
+   one key compute the same vector, and the last write wins. *)
+let features t (p : prepared) =
+  match locked t (fun () -> Hashtbl.find_opt t.feature_memo p.pkey) with
+  | Some x -> x
+  | None ->
+      let x = Features.of_program p.pprogram in
+      locked t (fun () -> Hashtbl.replace t.feature_memo p.pkey x);
+      x
 
 let simulate t ?rng (p : prepared) =
   Obs.span ~name:"engine.simulate" (fun () ->

@@ -270,6 +270,18 @@ val prepare_batch :
     Draws nothing from any rng — ranking a population must leave the
     caller's noise stream untouched. *)
 
+val prepared_of_artifact : artifact -> prepared
+(** The prefix of a finished artifact, under the same key. *)
+
+val features : t -> prepared -> float array
+(** [Features.of_program p.pprogram], memoized under [p.pkey]: the
+    vector is a pure function of the program, hence of the fingerprint
+    it was built under, so a hit is bit-identical to a fresh
+    extraction.  The memo is cleared on every eviction, is not counted
+    against [max_entries] and leaves {!counters} untouched.  The
+    returned array is shared with the memo: callers must not mutate
+    it. *)
+
 val simulate :
   t -> ?rng:Rng.t -> prepared -> (measurement, error) result
 (** Run the cost stage on a prepared candidate (or serve the finished

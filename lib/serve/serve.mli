@@ -17,10 +17,14 @@
     that queued fifty tunes cannot starve one that queued one.
 
     {b Checkpoints.}  Every tune session checkpoints its search state
-    to [checkpoint_dir/<session>.ckpt] at generation boundaries
-    (atomic rename, see {!Imtp_autotune.Checkpoint}), deletes the file
-    on normal completion, and leaves it behind on interruption — a
-    kill −9 included.  A later tune naming the same session resumes
+    to [checkpoint_dir/<session>.ckpt] at generation boundaries,
+    deletes the file on normal completion, and leaves it behind on
+    interruption — a kill −9 included.  The file holds two
+    digest-checked slots: a save rewrites, in place, the one that does
+    not hold the newest valid checkpoint, and a load takes the newest
+    valid one, so a kill mid-write leaves the previous checkpoint
+    loadable (the first save creates the file by temp file + rename;
+    {!Imtp_autotune.Checkpoint} has the layout).  A later tune naming the same session resumes
     from the file and replays the remaining trials bit-identically
     ({!Imtp_autotune.Search.checkpoint} has the contract).
 

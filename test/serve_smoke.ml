@@ -1,6 +1,7 @@
 (* Process-level serving smoke, run as `serve_smoke.exe <imtp-cli>`:
    boots a real daemon process, drives it with the typed client and
-   the `imtp client` subcommand, SIGKILLs it mid-tune, and checks the
+   the `imtp client` subcommand, SIGKILLs it mid-tune once the session's
+   checkpoint file has been rewritten in place, and checks the
    resumed search in a fresh daemon reproduces the uninterrupted run's
    history digest.  Everything in here is fixed-seed. *)
 
@@ -97,8 +98,13 @@ let () =
   let victim = ref (Error (C.Transport "unset")) in
   let tv = Thread.create (fun () -> victim := tune ~trials ~session:"kill" ()) () in
   let ckpt_path = Filename.concat ckpt_dir "kill.ckpt" in
-  wait_for "kill session's first checkpoint" (fun () ->
-      Sys.file_exists ckpt_path);
+  (* The first checkpoint creates the file through a temp file and a
+     rename; later ones rewrite its slots in place.  Killing only after
+     boundary 3 makes the resume read a file the in-place path wrote. *)
+  wait_for "kill session's boundary-3 checkpoint" (fun () ->
+      match Imtp.Search_checkpoint.load ckpt_path with
+      | Ok ck -> Imtp.Search.checkpoint_boundary ck >= 3
+      | Error _ -> false);
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
   Thread.join tv;

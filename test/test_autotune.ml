@@ -605,7 +605,7 @@ let test_resumed_trace_matches_golden () =
     true
     (Buffer.contents buf = golden_trace ())
 
-let test_checkpoint_disk_roundtrip () =
+let with_tmp_dir f =
   let dir = Filename.temp_file "imtp_ckpt" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -613,7 +613,143 @@ let test_checkpoint_disk_roundtrip () =
     ~finally:(fun () ->
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
-    (fun () ->
+    (fun () -> f dir)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* The slot layout Checkpoint documents: a header line
+   [imtp-checkpoint-v3 <capacity>], then two slots of [32 + capacity]
+   bytes, each seq (int64 LE), len (int64 LE), md5, payload. *)
+let slot_layout s =
+  let nl = String.index s '\n' in
+  let capacity =
+    int_of_string (List.nth (String.split_on_char ' ' (String.sub s 0 nl)) 1)
+  in
+  (capacity, fun i -> nl + 1 + (i * (32 + capacity)))
+
+let newest_slot s =
+  let _, off = slot_layout s in
+  let seq i =
+    if off i + 32 > String.length s then -1
+    else Int64.to_int (String.get_int64_le s (off i))
+  in
+  if seq 1 > seq 0 then 1 else 0
+
+let flip_payload_byte s slot =
+  let _, off = slot_layout s in
+  let b = Bytes.of_string s in
+  let p = off slot + 32 + 10 in
+  Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor 0xff));
+  Bytes.to_string b
+
+let test_checkpoint_slots () =
+  with_tmp_dir (fun dir ->
+      let op = Ops.mtv 128 256 and trials = 96 in
+      let path = Filename.concat dir "slots.ckpt" in
+      let load_ok () =
+        match Ck.load path with Ok ck -> ck | Error m -> Alcotest.fail m
+      in
+      let boundary_loaded () = Se.checkpoint_boundary (load_ok ()) in
+      (* several saves: the file holds the last one, and it resumes
+         bit-identically *)
+      let cks = ref [] in
+      let _killed =
+        Se.run ~seed:23 cfg op ~trials
+          ~on_checkpoint:(fun ck ->
+            cks := ck :: !cks;
+            Ck.save path ck)
+          ~stop:(fun () -> List.length !cks > 4)
+      in
+      let last = List.hd !cks and prev = List.nth !cks 1 in
+      Alcotest.(check int) "load returns the last of five saves" 4
+        (boundary_loaded ());
+      let full = Se.run ~seed:23 cfg op ~trials in
+      Alcotest.(check bool) "resumes bit-identically" true
+        (outcome_key (Se.run ~resume:(load_ok ()) cfg op ~trials)
+        = outcome_key full);
+      (* newest slot torn: load falls back to the previous boundary *)
+      let whole = read_file path in
+      let capacity, off = slot_layout whole in
+      let n = newest_slot whole in
+      let torn = flip_payload_byte whole n in
+      write_file path torn;
+      Alcotest.(check int) "torn newest slot: previous boundary" 3
+        (boundary_loaded ());
+      (* ... and the next save overwrites the torn slot, never the
+         valid one *)
+      let valid_slot s =
+        let o = off (1 - n) in
+        String.sub s o (min (32 + capacity) (String.length s - o))
+      in
+      Ck.save path last;
+      let after = read_file path in
+      Alcotest.(check bool) "valid slot untouched" true
+        (valid_slot after = valid_slot torn);
+      Alcotest.(check int) "torn slot rewritten" n (newest_slot after);
+      Alcotest.(check int) "load returns the new save" 4 (boundary_loaded ());
+      (* newest slot cut short: the older slot still loads *)
+      Ck.save path prev;
+      let s = read_file path in
+      let m = newest_slot s in
+      Alcotest.(check int) "fresh save lands in the other slot" (1 - n) m;
+      Alcotest.(check int) "load returns the newest save" 3
+        (boundary_loaded ());
+      if m = 1 then write_file path (String.sub s 0 (off 1 + 32 + 10))
+      else write_file path (flip_payload_byte s 0);
+      Alcotest.(check int) "cut newest slot: previous save" 4
+        (boundary_loaded ());
+      (* a payload past the capacity rewrites the file *)
+      let big = ref None in
+      let _ =
+        Se.run ~seed:23 cfg op ~trials:(8 * trials)
+          ~on_checkpoint:(fun ck -> big := Some ck)
+      in
+      let big = Option.get !big in
+      Alcotest.(check bool) "payload outgrows the capacity" true
+        (String.length (Marshal.to_string big []) > capacity);
+      Ck.save path big;
+      let grown, _ = slot_layout (read_file path) in
+      Alcotest.(check bool) "file rewritten with a larger capacity" true
+        (grown > capacity);
+      Alcotest.(check int) "loads the new checkpoint"
+        (Se.checkpoint_trial big)
+        (Se.checkpoint_trial (load_ok ())))
+
+(* A raising checkpoint callback surfaces as its own exception, on one
+   island and on two, instead of a lock error from the boundary. *)
+let test_checkpoint_failure_propagates () =
+  List.iter
+    (fun islands ->
+      let n = ref 0 in
+      let t0 = Unix.gettimeofday () in
+      (match
+         Se.run ~seed:23 ~islands ~migrate_every:1 cfg (Ops.mtv 128 256)
+           ~trials:128
+           ~on_checkpoint:(fun _ ->
+             incr n;
+             if !n = 2 then raise (Sys_error "disk full"))
+       with
+      | _ -> Alcotest.fail "run ignored a failing checkpoint"
+      | exception Sys_error m ->
+          Alcotest.(check string)
+            (Printf.sprintf "islands:%d re-raises the callback's error" islands)
+            "disk full" m);
+      Alcotest.(check bool) "returns promptly" true
+        (Unix.gettimeofday () -. t0 < 30.))
+    [ 1; 2 ]
+
+let test_checkpoint_disk_roundtrip () =
+  with_tmp_dir (fun dir ->
       let op = Ops.mtv 128 256 and trials = 48 in
       let path = Filename.concat dir "mtv.ckpt" in
       let n_ck = ref 0 and last = ref None in
@@ -652,16 +788,23 @@ let test_checkpoint_disk_roundtrip () =
       (match Ck.load bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "loaded a wrong-magic file");
+      (* the earlier rename-only container is refused, naming the magic
+         this build expects *)
+      let v2 = Filename.concat dir "v2.ckpt" in
+      write_file v2 ("imtp-checkpoint-v2\n" ^ Marshal.to_string mem []);
+      (match Ck.load v2 with
+      | Error m ->
+          Alcotest.(check bool) "v2 refusal names the v3 magic" true
+            (contains ~sub:"imtp-checkpoint-v3" m)
+      | Ok _ -> Alcotest.fail "loaded a v2 checkpoint");
+      let huge = Filename.concat dir "huge.ckpt" in
+      write_file huge (Printf.sprintf "imtp-checkpoint-v3 %d\n%s" max_int
+        (String.make 64 'x'));
+      (match Ck.load huge with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "loaded a file with an absurd capacity");
       let trunc = Filename.concat dir "trunc.ckpt" in
-      let whole =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let oc = open_out_bin trunc in
-      output_string oc (String.sub whole 0 40);
-      close_out oc;
+      write_file trunc (String.sub (read_file path) 0 40);
       match Ck.load trunc with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "loaded a truncated file")
@@ -892,6 +1035,10 @@ let () =
             `Quick test_kill_resume_islands_gated;
           Alcotest.test_case "resumed trace matches golden" `Quick
             test_resumed_trace_matches_golden;
+          Alcotest.test_case "file slots: torn, cut and grown" `Quick
+            test_checkpoint_slots;
+          Alcotest.test_case "failing checkpoint write re-raised" `Quick
+            test_checkpoint_failure_propagates;
           Alcotest.test_case "disk roundtrip + corrupt files" `Quick
             test_checkpoint_disk_roundtrip;
           Alcotest.test_case "wrong operator rejected" `Quick

@@ -305,6 +305,42 @@ let test_eviction_resets_table () =
   let fresh = Result.get_ok (E.build (E.create cfg) op (p 0)) in
   Alcotest.(check bool) "rebuild identical" true (a.E.stats = fresh.E.stats)
 
+(* The feature memo: bit-identical to a fresh extraction on miss and
+   on hit, cleared on eviction, outside [max_entries] and invisible to
+   the counters. *)
+let test_feature_memo () =
+  let op = Ops.mtv 64 128 in
+  let e = E.create ~max_entries:4 cfg in
+  let p i = { small_params with Sk.cache_elems = 8 * (i + 1) } in
+  let prep i = Result.get_ok (E.prepare e op (p i)) in
+  let bits x = Array.map Int64.bits_of_float x in
+  let fresh i = bits (Imtp_autotune.Cost_learn.features (prep i).E.pprogram) in
+  let preps = List.map prep [ 0; 1; 2; 3 ] in
+  let c0 = E.counters e in
+  let misses = List.map (E.features e) preps in
+  let hits = List.map (E.features e) preps in
+  let c1 = E.counters e in
+  List.iteri
+    (fun i (m, h) ->
+      Alcotest.(check bool) "miss equals Cost_learn.features" true
+        (bits m = fresh i);
+      Alcotest.(check bool) "hit equals Cost_learn.features" true
+        (bits h = fresh i);
+      Alcotest.(check bool) "hit served from the memo" true (m == h))
+    (List.combine misses hits);
+  Alcotest.(check bool) "memo leaves the counters untouched" true (c0 = c1);
+  (* 4 prepared entries fill the table; the 4 memo entries do not
+     count, so only the next distinct entry evicts. *)
+  Alcotest.(check int) "memo entries not counted" 0 c1.E.evictions;
+  ignore (prep 4);
+  Alcotest.(check int) "next entry evicts" 1 (E.counters e).E.evictions;
+  let p0 = List.hd preps in
+  let again = E.features e p0 in
+  Alcotest.(check bool) "eviction clears the memo" false
+    (again == List.hd misses);
+  Alcotest.(check bool) "recomputed vector identical" true
+    (bits again = fresh 0)
+
 (* --- verifier: DMA sizes --------------------------------------------- *)
 
 (* One kernel whose DMA size is the copy loop's variable, bounded by a
@@ -370,6 +406,7 @@ let () =
           Alcotest.test_case "find is pure" `Quick test_find_is_pure;
           Alcotest.test_case "error rendering" `Quick test_error_to_string_prefixes;
           Alcotest.test_case "eviction" `Quick test_eviction_resets_table;
+          Alcotest.test_case "feature memo" `Quick test_feature_memo;
         ] );
       ( "batch",
         [
