@@ -180,10 +180,24 @@ let digest_parts parts = Digest.to_hex (Digest.string (String.concat "|" parts))
 let candidate_options ?(skip_inputs = []) params =
   { (Sketch.lower_options params) with L.skip_input_transfer = skip_inputs }
 
+(* A search fingerprints every candidate against one operator value, so
+   the key of the last operator seen is kept, matched by physical
+   identity (an [Op.t] is immutable).  Domains racing on it at worst
+   recompute a key. *)
+let last_op_key : (Op.t * string) option Atomic.t = Atomic.make None
+
+let memo_op_key op =
+  match Atomic.get last_op_key with
+  | Some (o, k) when o == op -> k
+  | Some _ | None ->
+      let k = op_key op in
+      Atomic.set last_op_key (Some (op, k));
+      k
+
 let fingerprint ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
   digest_parts
     [
-      op_key op;
+      memo_op_key op;
       params_key params;
       Pl.config_name passes;
       options_key (candidate_options ?skip_inputs params);
@@ -195,58 +209,65 @@ let fingerprint ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
 (* accumulated into the engine's counters when one is at hand.         *)
 (* ------------------------------------------------------------------ *)
 
-(* Each stage is timed twice on purpose: CPU time (Sys.time) feeds the
-   engine's counters, exactly as before, while the Obs span records
-   wall clock and the Obs histogram aggregates the per-stage latency
-   distribution under the stable names `engine.stage.<stage>_s`. *)
-let timed t ~stage add f =
-  Obs.span ~name:("engine." ^ stage) (fun () ->
-      let t0 = Sys.time () in
-      let r = f () in
-      let dt = Sys.time () -. t0 in
-      (match t with
-      | Some t -> locked t (fun () -> t.c <- add t.c dt)
-      | None -> ());
-      Obs.observe ("engine.stage." ^ stage ^ "_s") dt;
-      r)
+(* One wall-clock duration per stage run: the `engine.<stage>` span's
+   own, which the `engine.stage.<stage>_s` histogram and the engine's
+   counters are charged with too.  Names are built once per stage. *)
+type stage = {
+  span_name : string;
+  hist_name : string;
+  add : counters -> float -> counters;
+}
 
-let add_sketch c dt = { c with sketch_s = c.sketch_s +. dt }
-let add_lower c dt = { c with lower_s = c.lower_s +. dt }
-let add_passes c dt = { c with passes_s = c.passes_s +. dt }
-let add_verify c dt = { c with verify_s = c.verify_s +. dt }
+let stage name add =
+  { span_name = "engine." ^ name; hist_name = "engine.stage." ^ name ^ "_s"; add }
+
+let sketch_stage = stage "sketch" (fun c dt -> { c with sketch_s = c.sketch_s +. dt })
+let lower_stage = stage "lower" (fun c dt -> { c with lower_s = c.lower_s +. dt })
+let passes_stage = stage "passes" (fun c dt -> { c with passes_s = c.passes_s +. dt })
+let verify_stage = stage "verify" (fun c dt -> { c with verify_s = c.verify_s +. dt })
+
 (* Every run of the cost stage is one simulator execution; [costed] is
    the ledger the measurement-gated search is judged against. *)
-let add_cost c dt = { c with cost_s = c.cost_s +. dt; costed = c.costed + 1 }
+let cost_stage =
+  stage "cost" (fun c dt -> { c with cost_s = c.cost_s +. dt; costed = c.costed + 1 })
+
+let timed t stage f =
+  let r, dt = Obs.span_timed ~name:stage.span_name f in
+  (match t with
+  | Some t -> locked t (fun () -> t.c <- stage.add t.c dt)
+  | None -> ());
+  Obs.observe stage.hist_name dt;
+  r
 
 let stage_sketch ?t op params =
-  timed t ~stage:"sketch" add_sketch (fun () ->
+  timed t sketch_stage (fun () ->
       match Sketch.instantiate op params with
       | sched -> Ok sched
       | exception Invalid_argument m -> Error (Sketch_invalid m))
 
 let stage_lower ?t ~options sched =
-  timed t ~stage:"lower" add_lower (fun () ->
+  timed t lower_stage (fun () ->
       match L.lower ~options sched with
       | prog -> Ok prog
       | exception L.Lower_error m -> Error (Lower_failed m))
 
 let stage_passes ?t ~passes cfg prog =
-  timed t ~stage:"passes" add_passes (fun () -> Pl.run ~config:passes cfg prog)
+  timed t passes_stage (fun () -> Pl.run ~config:passes cfg prog)
 
 let stage_verify_sched ?t cfg sched =
-  timed t ~stage:"verify" add_verify (fun () ->
+  timed t verify_stage (fun () ->
       match Verifier.check_sched cfg sched with
       | Ok () -> Ok ()
       | Error r -> Error (Verifier_rejected r))
 
 let stage_verify_program ?t cfg prog =
-  timed t ~stage:"verify" add_verify (fun () ->
+  timed t verify_stage (fun () ->
       match Verifier.check cfg prog with
       | Ok () -> Ok ()
       | Error r -> Error (Verifier_rejected r))
 
 let stage_cost ?t cfg prog =
-  timed t ~stage:"cost" add_cost (fun () ->
+  timed t cost_stage (fun () ->
       match Cost.measure cfg prog with
       | stats -> Ok stats
       | exception Cost.Error m -> Error (Cost_failed m))
@@ -365,7 +386,8 @@ let build t ?passes ?skip_inputs ?verify op params =
   fst (build_flagged t ?passes ?skip_inputs ?verify op params)
 
 let find t ?passes ?skip_inputs ?verify op params =
-  Hashtbl.find_opt t.artifacts (fingerprint ?passes ?skip_inputs ?verify op params)
+  let key = fingerprint ?passes ?skip_inputs ?verify op params in
+  locked t (fun () -> Hashtbl.find_opt t.artifacts key)
 
 let noisy ?rng base =
   match rng with
@@ -693,4 +715,4 @@ let lower_keyed t ~key thunk =
   match lookup t t.lowerings key with
   | Some r -> r
   | None ->
-      remember t t.lowerings key (timed (Some t) ~stage:"lower" add_lower thunk)
+      remember t t.lowerings key (timed (Some t) lower_stage thunk)

@@ -90,7 +90,10 @@ type counters = {
       (** simulator executions: runs of the cost stage.  Measurement
           gating is judged against this ledger — a gated search must
           show the same best latency with far fewer [costed]. *)
-  sketch_s : float;  (** cumulative per-stage build time, seconds. *)
+  sketch_s : float;
+      (** cumulative per-stage build time in wall-clock seconds: the
+          sum of the stage's [engine.<stage>] span durations, which
+          the [engine.stage.<stage>_s] histogram also receives. *)
   lower_s : float;
   passes_s : float;
   verify_s : float;

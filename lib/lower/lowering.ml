@@ -45,26 +45,43 @@ let mram_name t = t ^ "_m"
 let wram_name t = t ^ "_w"
 let kernel_name = "main_kernel"
 
+(* Schedule facts about one operator axis, derived once per lowering. *)
+type axis_info = {
+  segs : S.loop list;  (* outermost (largest stride) first. *)
+  extent : int;
+  misaligned : bool;  (* the segments over-cover the extent. *)
+  mram_ext : int;  (* product of the non-block segment extents. *)
+}
+
 type ctx = {
   sched : S.t;
   op : Op.t;
   opts : options;
   kvars : (int, V.t) Hashtbl.t;
   hvars : (int, V.t) Hashtbl.t;
+  positions : int array;  (* loop position by [lid]; -1 when absent. *)
+  axes : (string * axis_info) list;
 }
 
 (* --- schedule queries ------------------------------------------------ *)
 
-let pos ctx (l : S.loop) = S.loop_index ctx.sched l
-let segs ctx axis = S.loops_of_axis ctx.sched axis
-let axis_extent ctx a = (Op.axis ctx.op a).Op.extent
-let misaligned ctx a = S.covered_extent ctx.sched a > axis_extent ctx a
+let pos ctx (l : S.loop) =
+  let lid = l.S.lid in
+  let i = if lid < Array.length ctx.positions then ctx.positions.(lid) else -1 in
+  if i < 0 then raise Not_found else i
+
+let axis_info ctx a =
+  match List.find_opt (fun (n, _) -> String.equal n a) ctx.axes with
+  | Some (_, info) -> info
+  | None -> invalid_arg (Printf.sprintf "Op.axis: unknown axis %s" a)
+
+let segs ctx axis = (axis_info ctx axis).segs
+let axis_extent ctx a = (axis_info ctx a).extent
+let misaligned ctx a = (axis_info ctx a).misaligned
+let mram_ext ctx axis = (axis_info ctx axis).mram_ext
 
 let non_block_segs ctx axis =
   List.filter (fun l -> not (S.is_block l)) (segs ctx axis)
-
-let mram_ext ctx axis =
-  List.fold_left (fun acc (l : S.loop) -> acc * l.S.extent) 1 (non_block_segs ctx axis)
 
 let deeper_segs ctx loc axis =
   List.filter (fun l -> pos ctx l > pos ctx loc) (segs ctx axis)
@@ -941,20 +958,45 @@ let output_buffer_elems sched =
   max 1 (Op.output_elems op)
 
 let lower ?(options = default_options) sched =
+  let op = S.op sched in
+  let order = S.order sched in
+  let positions =
+    Array.make
+      (1 + List.fold_left (fun acc (l : S.loop) -> max acc l.S.lid) 0 order)
+      (-1)
+  in
+  List.iteri (fun i (l : S.loop) -> positions.(l.S.lid) <- i) order;
+  let product = List.fold_left (fun acc (l : S.loop) -> acc * l.S.extent) 1 in
+  let axes =
+    List.map
+      (fun (a : Op.axis) ->
+        let segs = S.loops_of_axis sched a.Op.aname in
+        ( a.Op.aname,
+          {
+            segs;
+            extent = a.Op.extent;
+            misaligned = product segs > a.Op.extent;
+            mram_ext =
+              product (List.filter (fun l -> not (S.is_block l)) segs);
+          } ))
+      op.Op.axes
+  in
   let ctx =
     {
       sched;
-      op = S.op sched;
+      op;
       opts = options;
       kvars = Hashtbl.create 16;
       hvars = Hashtbl.create 16;
+      positions;
+      axes;
     }
   in
   List.iter
     (fun (l : S.loop) ->
       Hashtbl.replace ctx.kvars l.S.lid (V.fresh l.S.lname);
       Hashtbl.replace ctx.hvars l.S.lid (V.fresh ("h_" ^ l.S.lname)))
-    (S.order sched);
+    order;
   check_structure ctx;
   let out = output_name ctx in
   let kernel = emit_kernel ctx in

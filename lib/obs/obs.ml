@@ -330,6 +330,7 @@ let ring_spans_locked () =
    called under [state_lock]. *)
 let sink_write : (span -> unit) ref = ref (fun _ -> ())
 
+(* Records the span and returns its duration. *)
 let finish_span o =
   let dur = now_s () -. o.o_start in
   let stack = stack () in
@@ -355,9 +356,10 @@ let finish_span o =
   in
   locked (fun () ->
       ring_push s;
-      !sink_write s)
+      !sink_write s);
+  dur
 
-let span ?(attrs = []) ~name f =
+let open_span attrs name =
   let id = Atomic.fetch_and_add next_id 1 in
   let stack = stack () in
   let parent =
@@ -373,13 +375,17 @@ let span ?(attrs = []) ~name f =
     }
   in
   stack := o :: !stack;
+  o
+
+let span_timed ?(attrs = []) ~name f =
+  let o = open_span attrs name in
   match f () with
-  | v ->
-      finish_span o;
-      v
+  | v -> (v, finish_span o)
   | exception e ->
-      finish_span o;
+      ignore (finish_span o : float);
       raise e
+
+let span ?attrs ~name f = fst (span_timed ?attrs ~name f)
 
 let add_attr k v =
   match !(stack ()) with

@@ -91,6 +91,12 @@ val span : ?attrs:(string * value) list -> name:string -> (unit -> 'a) -> 'a
     The span is recorded — ring buffer, and sink if one is set —
     whether [f] returns or raises. *)
 
+val span_timed :
+  ?attrs:(string * value) list -> name:string -> (unit -> 'a) -> 'a * float
+(** [span_timed ~name f] is {!span} that also returns the recorded
+    span's [dur_s], so a caller can charge the same duration elsewhere
+    (a histogram, a counter) without reading the clock again. *)
+
 val add_attr : string -> value -> unit
 (** Attach an attribute to the calling domain's innermost open span
     (no-op outside any span) — for values only known mid-flight, e.g.

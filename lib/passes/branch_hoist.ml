@@ -45,10 +45,13 @@ let step (s : St.t) : St.t =
       St.if_ cond (St.Alloc { buffer; body = then_ })
   | s -> s
 
+(* [step] returns its argument unless it rewrites it into a different
+   tree, and [rewrite_bottom_up] reuses unchanged nodes, so a pass that
+   changes nothing hands back its input itself. *)
 let rewrite stmt =
   let rec fix n s =
     let s' = St.rewrite_bottom_up step s in
-    if n = 0 || s' = s then s' else fix (n - 1) s'
+    if n = 0 || s' == s then s' else fix (n - 1) s'
   in
   fix 12 stmt
 

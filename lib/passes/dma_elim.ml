@@ -73,10 +73,12 @@ let rewrite ~max_dma_bytes ~elem_size stmt =
     | s -> s
   in
   (* Iterate to a fixpoint: vectorizing the innermost loop exposes the
-     next level for coalescing. *)
+     next level for coalescing.  [strip] returns its argument unless it
+     rewrites it, and [rewrite_bottom_up] reuses unchanged nodes, so a
+     pass that changes nothing hands back its input itself. *)
   let rec fix n s =
     let s' = St.rewrite_bottom_up strip s in
-    if n = 0 || s' = s then s' else fix (n - 1) s'
+    if n = 0 || s' == s then s' else fix (n - 1) s'
   in
   fix 8 stmt
 

@@ -15,13 +15,28 @@ type loop = {
 type rw = Read | Write
 type cache = { tensor : string; rw : rw; mutable at : loop option }
 
+(* One applied primitive, kept unformatted until [trace] asks: only
+   reproducers and the CLI ever read the trace.  Every field printed
+   is immutable, so formatting late gives the line formatting early
+   would have. *)
+type prim =
+  | P_split of loop * int list * loop list
+  | P_reorder of loop list
+  | P_bind of loop * binding
+  | P_unroll of loop
+  | P_parallel of loop * int
+  | P_rfactor of loop
+  | P_cache of string * rw
+  | P_compute_at of cache * loop
+  | P_reverse_compute_at of cache * loop
+
 type t = {
   sop : Op.t;
   mutable sorder : loop list;
   mutable scaches : cache list;
   mutable srfactor : loop option;
   mutable fresh : int;
-  mutable strace : string list;  (* reverse order *)
+  mutable strace : prim list;  (* reverse order *)
 }
 
 let op t = t.sop
@@ -33,7 +48,7 @@ let new_loop t ~name ~axis ~extent ~stride ~annot =
   t.fresh <- t.fresh + 1;
   { lid = t.fresh; lname = name; axis; extent; stride; annot }
 
-let record t fmt = Printf.ksprintf (fun s -> t.strace <- s :: t.strace) fmt
+let record t p = t.strace <- p :: t.strace
 
 let create sop =
   let t =
@@ -109,9 +124,7 @@ let split t l ~factors =
     List.concat_map
       (fun x -> if x.lid = l.lid then news else [ x ])
       t.sorder;
-  record t "sch.split(%s, factors=[%s])  # -> %s" l.lname
-    (String.concat ", " (List.map string_of_int factors))
-    (String.concat ", " (List.map (fun (n : loop) -> n.lname) news));
+  record t (P_split (l, factors, news));
   news
 
 let reorder t loops =
@@ -135,7 +148,7 @@ let reorder t loops =
         end
         else x)
       t.sorder;
-  record t "sch.reorder(%s)" (String.concat ", " (List.map (fun l -> l.lname) loops))
+  record t (P_reorder loops)
 
 let bind t l b =
   if not (mem t l) then invalid_arg "Sched.bind: stale loop";
@@ -150,12 +163,7 @@ let bind t l b =
   in
   if clash then invalid_arg "Sched.bind: binding already in use";
   l.annot <- Bound b;
-  record t "sch.bind(%s, \"%s\")" l.lname
-    (match b with
-    | Block_x -> "blockIdx.x"
-    | Block_y -> "blockIdx.y"
-    | Block_z -> "blockIdx.z"
-    | Thread_x -> "threadIdx.x")
+  record t (P_bind (l, b))
 
 let unroll t l =
   if not (mem t l) then invalid_arg "Sched.unroll: stale loop";
@@ -164,7 +172,7 @@ let unroll t l =
   | Unrolled | Host_parallel _ | Bound _ ->
       invalid_arg "Sched.unroll: loop already annotated");
   l.annot <- Unrolled;
-  record t "sch.unroll(%s)" l.lname
+  record t (P_unroll l)
 
 let parallel t l ~threads =
   if not (mem t l) then invalid_arg "Sched.parallel: stale loop";
@@ -174,7 +182,7 @@ let parallel t l ~threads =
   | Unrolled | Host_parallel _ | Bound _ ->
       invalid_arg "Sched.parallel: loop already annotated");
   l.annot <- Host_parallel threads;
-  record t "sch.parallel(%s, threads=%d)" l.lname threads
+  record t (P_parallel (l, threads))
 
 let rfactor t l =
   if not (mem t l) then invalid_arg "Sched.rfactor: stale loop";
@@ -183,7 +191,7 @@ let rfactor t l =
   | Op.Spatial -> invalid_arg "Sched.rfactor: loop is not a reduction segment");
   if t.srfactor <> None then invalid_arg "Sched.rfactor: already applied";
   t.srfactor <- Some l;
-  record t "sch.rfactor(%s)" l.lname
+  record t (P_rfactor l)
 
 let cache_decl t tensor rw =
   let known =
@@ -200,10 +208,7 @@ let cache_decl t tensor rw =
   then invalid_arg (Printf.sprintf "Sched.cache: duplicate cache for %s" tensor);
   let c = { tensor; rw; at = None } in
   t.scaches <- t.scaches @ [ c ];
-  record t "cache_%s = sch.cache_%s(%s, \"local\")"
-    tensor
-    (match rw with Read -> "read" | Write -> "write")
-    tensor;
+  record t (P_cache (tensor, rw));
   c
 
 let cache_read t tensor = cache_decl t tensor Read
@@ -213,13 +218,13 @@ let compute_at t c l =
   if not (mem t l) then invalid_arg "Sched.compute_at: stale loop";
   if c.rw <> Read then invalid_arg "Sched.compute_at: use reverse_compute_at for write caches";
   c.at <- Some l;
-  record t "sch.compute_at(cache_%s, %s)" c.tensor l.lname
+  record t (P_compute_at (c, l))
 
 let reverse_compute_at t c l =
   if not (mem t l) then invalid_arg "Sched.reverse_compute_at: stale loop";
   if c.rw <> Write then invalid_arg "Sched.reverse_compute_at: use compute_at for read caches";
   c.at <- Some l;
-  record t "sch.reverse_compute_at(cache_%s, %s)" c.tensor l.lname
+  record t (P_reverse_compute_at (c, l))
 
 let is_block l =
   match l.annot with
@@ -288,4 +293,26 @@ let describe t =
     (String.concat ", " (List.map cache_str t.scaches))
     rf
 
-let trace t = List.rev t.strace
+let prim_to_string = function
+  | P_split (l, factors, news) ->
+      Printf.sprintf "sch.split(%s, factors=[%s])  # -> %s" l.lname
+        (String.concat ", " (List.map string_of_int factors))
+        (String.concat ", " (List.map (fun (n : loop) -> n.lname) news))
+  | P_reorder loops ->
+      Printf.sprintf "sch.reorder(%s)"
+        (String.concat ", " (List.map (fun l -> l.lname) loops))
+  | P_bind (l, b) -> Printf.sprintf "sch.bind(%s, \"%s\")" l.lname (binding_name b)
+  | P_unroll l -> Printf.sprintf "sch.unroll(%s)" l.lname
+  | P_parallel (l, threads) ->
+      Printf.sprintf "sch.parallel(%s, threads=%d)" l.lname threads
+  | P_rfactor l -> Printf.sprintf "sch.rfactor(%s)" l.lname
+  | P_cache (tensor, rw) ->
+      Printf.sprintf "cache_%s = sch.cache_%s(%s, \"local\")" tensor
+        (match rw with Read -> "read" | Write -> "write")
+        tensor
+  | P_compute_at (c, l) ->
+      Printf.sprintf "sch.compute_at(cache_%s, %s)" c.tensor l.lname
+  | P_reverse_compute_at (c, l) ->
+      Printf.sprintf "sch.reverse_compute_at(cache_%s, %s)" c.tensor l.lname
+
+let trace t = List.rev_map prim_to_string t.strace

@@ -149,15 +149,52 @@ let rec eval_int env (e : Expr.t) : int option =
 
 let const_int e = eval_int Var.Map.empty e
 
-let stmt s =
-  Stmt.rewrite_bottom_up
-    (fun node ->
-      match Stmt.map_exprs expr node with
-      | Stmt.If { cond = Expr.Int_const n; then_; else_ } ->
-          if n <> 0 then then_
-          else Option.value else_ ~default:Stmt.Nop
-      | Stmt.For { extent = Expr.Int_const n; _ } when n <= 0 -> Stmt.Nop
-      | Stmt.For { var; extent = Expr.Int_const 1; body; kind = Stmt.Serial } ->
-          Stmt.map_exprs (fun e -> expr (Subst.expr var (Expr.int 0) e)) body
-      | s' -> s')
-    s
+(* The node rules, on a node whose own expressions are already
+   simplified: constant [If], empty [For], unit serial [For]. *)
+let prune (s : Stmt.t) : Stmt.t =
+  match s with
+  | If { cond = Int_const n; then_; else_ } ->
+      if n <> 0 then then_ else Option.value else_ ~default:Stmt.Nop
+  | For { extent = Int_const n; _ } when n <= 0 -> Stmt.Nop
+  | For { var; extent = Int_const 1; body; kind = Serial } ->
+      Stmt.map_exprs (fun e -> expr (Subst.expr var (Expr.int 0) e)) body
+  | Seq _ | For _ | If _ | Store _ | Alloc _ | Dma _ | Xfer _ | Launch _
+  | Barrier | Nop ->
+      s
+
+(* One bottom-up pass: each node's own expressions are simplified once,
+   after its children, and then [prune] applies.  A [Seq] that
+   flattens to a single statement gets [prune] again, as the
+   single-node result of a generic bottom-up rewrite would. *)
+let rec stmt (s : Stmt.t) : Stmt.t =
+  match s with
+  | Seq ss -> prune (Stmt.seq (List.map stmt ss))
+  | For r -> prune (For { r with extent = expr r.extent; body = stmt r.body })
+  | If r ->
+      prune
+        (If
+           {
+             cond = expr r.cond;
+             then_ = stmt r.then_;
+             else_ = Option.map stmt r.else_;
+           })
+  | Alloc r -> Alloc { r with body = stmt r.body }
+  | Store r -> Store { r with index = expr r.index; value = expr r.value }
+  | Dma r ->
+      Dma
+        {
+          r with
+          wram_off = expr r.wram_off;
+          mram_off = expr r.mram_off;
+          elems = expr r.elems;
+        }
+  | Xfer r ->
+      Xfer
+        {
+          r with
+          host_off = expr r.host_off;
+          dpu = expr r.dpu;
+          mram_off = expr r.mram_off;
+          elems = expr r.elems;
+        }
+  | Launch _ | Barrier | Nop -> s

@@ -16,7 +16,15 @@ val expr : Expr.t -> Expr.t
 
 val stmt : Stmt.t -> Stmt.t
 (** Simplify every embedded expression, prune [If]s with constant
-    conditions and loops with zero/one-extent bodies. *)
+    conditions and loops with zero/one-extent bodies.
+
+    One bottom-up pass, linear in the size of the tree (plus one walk
+    of each unit serial loop's body for the substitution of its
+    variable by 0): each node's own expressions are simplified once,
+    after its children, and then the node rules apply.  The result
+    equals that of re-simplifying every expression of the subtree at
+    each enclosing statement, because {!expr} is idempotent: a second
+    application returns its argument unchanged. *)
 
 val eval_int : int Var.Map.t -> Expr.t -> int option
 (** Evaluate an integer/boolean expression under a partial environment.

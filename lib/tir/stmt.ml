@@ -50,19 +50,57 @@ let for_ var extent ?(kind = Serial) body = For { var; extent; kind; body }
 let if_ cond then_ = If { cond; then_; else_ = None }
 let store buf index value = Store { buf; index; value }
 
+(* [List.map] that returns [l] itself when [f] returns every element
+   unchanged (physically).  Applies [f] left to right, as [List.map]. *)
+let rec map_shared f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_shared f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+(* What [seq] returns unchanged (up to a fresh [Seq] cell). *)
+let is_flat ss =
+  match ss with
+  | [] | [ _ ] -> false
+  | _ :: _ :: _ ->
+      List.for_all
+        (function
+          | Seq _ | Nop -> false
+          | For _ | If _ | Store _ | Alloc _ | Dma _ | Xfer _ | Launch _
+          | Barrier ->
+              true)
+        ss
+
+(* A node whose children all come back physically unchanged is reused
+   rather than rebuilt, so a rewrite that changes nothing allocates
+   nothing and returns its argument.  [else_] is rewritten before
+   [then_], the order OCaml evaluates a record construction in: an [f]
+   that draws fresh variables numbers them by visiting order. *)
 let rec rewrite_bottom_up f t =
   let t' =
     match t with
-    | Seq ss -> seq (List.map (rewrite_bottom_up f) ss)
-    | For r -> For { r with body = rewrite_bottom_up f r.body }
+    | Seq ss ->
+        let ss' = map_shared (rewrite_bottom_up f) ss in
+        if ss' == ss && is_flat ss then t else seq ss'
+    | For r ->
+        let body = rewrite_bottom_up f r.body in
+        if body == r.body then t else For { r with body }
     | If r ->
-        If
-          {
-            r with
-            then_ = rewrite_bottom_up f r.then_;
-            else_ = Option.map (rewrite_bottom_up f) r.else_;
-          }
-    | Alloc r -> Alloc { r with body = rewrite_bottom_up f r.body }
+        let else_ =
+          match r.else_ with
+          | None -> None
+          | Some e ->
+              let e' = rewrite_bottom_up f e in
+              if e' == e then r.else_ else Some e'
+        in
+        let then_ = rewrite_bottom_up f r.then_ in
+        if then_ == r.then_ && else_ == r.else_ then t
+        else If { r with then_; else_ }
+    | Alloc r ->
+        let body = rewrite_bottom_up f r.body in
+        if body == r.body then t else Alloc { r with body }
     | (Store _ | Dma _ | Xfer _ | Launch _ | Barrier | Nop) as leaf -> leaf
   in
   f t'

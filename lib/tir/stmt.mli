@@ -65,7 +65,9 @@ val store : string -> Expr.t -> Expr.t -> t
 
 val rewrite_bottom_up : (t -> t) -> t -> t
 (** Rebuild the tree, applying [f] to every node after its children
-    have been rewritten. *)
+    have been rewritten.  Nodes whose children [f] left physically
+    unchanged are reused, so when [f] returns every node it is given,
+    the result is the argument itself ([==]). *)
 
 val map_exprs : (Expr.t -> Expr.t) -> t -> t
 (** Apply [f] to every expression embedded in the statement tree

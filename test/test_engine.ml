@@ -390,6 +390,104 @@ let test_verifier_variable_dma () =
           Alcotest.(check string) "constraint name" "dma" r.V.constraint_name)
     [ cap; 4 * cap ]
 
+(* --- stage timing ---------------------------------------------------- *)
+
+let test_stage_timing_single_clock () =
+  (* Every stage run is charged one wall-clock duration: the span's.
+     The histogram and the engine counters must add up to exactly the
+     spans' total, also when two domains build at once. *)
+  let module Obs = Imtp_obs.Obs in
+  Obs.reset ();
+  let e = E.create cfg in
+  let op = Ops.mtv 96 200 in
+  let cands = List.filteri (fun i _ -> i < 12) (Sk.space cfg op) in
+  ignore (E.batch e ~jobs:2 op cands);
+  let events = Obs.snapshot () in
+  let c = E.counters e in
+  Alcotest.(check bool) "something was built" true (c.E.built > 0);
+  List.iter
+    (fun (stage, counter) ->
+      let spans =
+        List.filter_map
+          (function
+            | Obs.Span s when String.equal s.Obs.name ("engine." ^ stage) ->
+                Some s.Obs.dur_s
+            | Obs.Span _ | Obs.Counter _ | Obs.Gauge _ | Obs.Histogram _ ->
+                None)
+          events
+      in
+      let total = List.fold_left ( +. ) 0. spans in
+      match
+        List.find_map
+          (function
+            | Obs.Histogram (n, h) when String.equal n ("engine.stage." ^ stage ^ "_s")
+              ->
+                Some h
+            | Obs.Span _ | Obs.Counter _ | Obs.Gauge _ | Obs.Histogram _ ->
+                None)
+          events
+      with
+      | None -> Alcotest.failf "no histogram for stage %s" stage
+      | Some h ->
+          Alcotest.(check bool) (stage ^ " ran") true (spans <> []);
+          Alcotest.(check int) (stage ^ " count") (List.length spans) h.Obs.count;
+          Alcotest.(check (float 1e-9)) (stage ^ " histogram sum") total h.Obs.sum;
+          Alcotest.(check (float 1e-9)) (stage ^ " counter") total counter)
+    [
+      ("sketch", c.E.sketch_s);
+      ("verify", c.E.verify_s);
+      ("lower", c.E.lower_s);
+      ("passes", c.E.passes_s);
+      ("cost", c.E.cost_s);
+    ]
+
+(* --- allocation budget ---------------------------------------------- *)
+
+(* Minor words one cold [Engine.build] allocates for two fixed
+   candidates, recorded with OCaml 5.1 (the allocation count of a
+   single-domain build is deterministic there).  A rewrite that makes a
+   build allocate a quarter more — a pass turning quadratic, say — fails
+   here rather than only in the benchmark. *)
+let alloc_budgets =
+  [
+    ( "mtv 2001x1024 rfactor",
+      Ops.mtv 2001 1024,
+      {
+        Sk.default_params with
+        Sk.spatial_dpus = 64;
+        reduction_dpus = 4;
+        tasklets = 16;
+        cache_elems = 64;
+        host_threads = 4;
+      },
+      11437. );
+    ( "va 1000003",
+      Ops.va 1000003,
+      { Sk.default_params with Sk.spatial_dpus = 256; tasklets = 16; cache_elems = 256 },
+      9629. );
+  ]
+
+let build_words op params =
+  let e = E.create cfg in
+  let w0 = Gc.minor_words () in
+  let r = E.build e op params in
+  let w = Gc.minor_words () -. w0 in
+  (match r with
+  | Ok _ -> ()
+  | Error err -> Alcotest.failf "build failed: %s" (E.error_to_string err));
+  w
+
+let test_build_alloc_budget () =
+  List.iter
+    (fun (name, op, params, recorded) ->
+      (* warm up lazily initialized state outside the measurement *)
+      ignore (build_words op params);
+      let w = build_words op params in
+      if w > 1.25 *. recorded then
+        Alcotest.failf "%s: %.0f minor words, budget %.0f (1.25 x %.0f)" name w
+          (1.25 *. recorded) recorded)
+    alloc_budgets
+
 let () =
   Alcotest.run "engine"
     [
@@ -416,6 +514,10 @@ let () =
           Alcotest.test_case "parallel warm-up serves hits" `Quick
             test_parallel_warmup_serves_hits;
           QCheck_alcotest.to_alcotest prop_batch_jobs_equivalent;
+          Alcotest.test_case "stage timing is single-clock" `Quick
+            test_stage_timing_single_clock;
+          Alcotest.test_case "build allocation budget" `Quick
+            test_build_alloc_budget;
         ] );
       ( "verifier",
         [

@@ -932,43 +932,45 @@ let prop_kernel_profile_chunks =
       prof.Imtp_upmem.Dpu_model.tasklets = 1
       && prof.Imtp_upmem.Dpu_model.chunks = 1)
 
-(* Random small expressions over two variables.  Division and modulo
-   appear only with nonzero constant divisors — [Simplify.expr] raises
-   on a constant-0 divisor by design, which is not what these
-   properties are about. *)
-let gen_expr =
+(* Random small expressions over [vars] ([gen_expr]: two fresh
+   variables).  Division and modulo appear only with nonzero constant
+   divisors — [Simplify.expr] raises on a constant-0 divisor by design,
+   which is not what these properties are about. *)
+let gen_expr_over vars depth =
   let open QCheck2.Gen in
-  sized (fun n ->
-      fix
-        (fun self (n, vars) ->
-          if n <= 0 then
-            oneof
-              [
-                map E.int (int_range (-20) 20);
-                map (fun i -> E.var (List.nth vars (i mod List.length vars))) (int_range 0 10);
-              ]
-          else
-            oneof
-              [
-                map E.int (int_range (-20) 20);
-                map (fun i -> E.var (List.nth vars (i mod List.length vars))) (int_range 0 10);
-                map3
-                  (fun op a b -> E.Binop (op, a, b))
-                  (oneofl [ E.Add; E.Sub; E.Mul; E.Min; E.Max ])
-                  (self (n / 2, vars))
-                  (self (n / 2, vars));
-                map3
-                  (fun op a b -> E.Binop (op, a, E.int b))
-                  (oneofl [ E.Div; E.Mod ])
-                  (self (n / 2, vars))
-                  (oneofl [ -3; -2; 2; 3; 5; 7 ]);
-                map3
-                  (fun op a b -> E.Cmp (op, a, b))
-                  (oneofl [ E.Lt; E.Le; E.Gt; E.Ge; E.Eq; E.Ne ])
-                  (self (n / 2, vars))
-                  (self (n / 2, vars));
-              ])
-        (min n 8, [ v "p"; v "q" ]))
+  fix
+    (fun self (n, vars) ->
+      if n <= 0 then
+        oneof
+          [
+            map E.int (int_range (-20) 20);
+            map (fun i -> E.var (List.nth vars (i mod List.length vars))) (int_range 0 10);
+          ]
+      else
+        oneof
+          [
+            map E.int (int_range (-20) 20);
+            map (fun i -> E.var (List.nth vars (i mod List.length vars))) (int_range 0 10);
+            map3
+              (fun op a b -> E.Binop (op, a, b))
+              (oneofl [ E.Add; E.Sub; E.Mul; E.Min; E.Max ])
+              (self (n / 2, vars))
+              (self (n / 2, vars));
+            map3
+              (fun op a b -> E.Binop (op, a, E.int b))
+              (oneofl [ E.Div; E.Mod ])
+              (self (n / 2, vars))
+              (oneofl [ -3; -2; 2; 3; 5; 7 ]);
+            map3
+              (fun op a b -> E.Cmp (op, a, b))
+              (oneofl [ E.Lt; E.Le; E.Gt; E.Ge; E.Eq; E.Ne ])
+              (self (n / 2, vars))
+              (self (n / 2, vars));
+          ])
+    (depth, vars)
+
+let gen_expr =
+  QCheck2.Gen.sized (fun n -> gen_expr_over [ v "p"; v "q" ] (min n 8))
 
 let full_env e =
   let vars = V.Set.elements (E.free_vars e) in
@@ -1008,6 +1010,119 @@ let prop_simplify_identities =
       && same (Simp.expr (E.Binop (E.Min, e, e))) (Simp.expr e)
       && same (Simp.expr (E.Binop (E.Max, e, e))) (Simp.expr e))
 
+(* The statement simplifier as it was before it became one pass:
+   every node re-simplified the expressions of its whole subtree, so
+   the work grew with nesting depth.  Kept verbatim as the oracle the
+   linear [Simplify.stmt] must agree with. *)
+let stmt_quadratic s =
+  St.rewrite_bottom_up
+    (fun node ->
+      match St.map_exprs Simp.expr node with
+      | St.If { cond = E.Int_const n; then_; else_ } ->
+          if n <> 0 then then_
+          else Option.value else_ ~default:St.Nop
+      | St.For { extent = E.Int_const n; _ } when n <= 0 -> St.Nop
+      | St.For { var; extent = E.Int_const 1; body; kind = St.Serial } ->
+          St.map_exprs (fun e -> Simp.expr (Imtp_tir.Subst.expr var (E.int 0) e)) body
+      | s' -> s')
+    s
+
+(* Random statement trees: raw (unflattened) [Seq]s, [For]s with zero,
+   unit, constant and symbolic extents, serial and unrolled, [If]s with
+   constant and symbolic guards, [Alloc], [Store] and [Dma].  Every
+   loop binds a fresh variable that its body's expressions may use. *)
+let gen_stmt =
+  let open QCheck2.Gen in
+  let ex vars = gen_expr_over vars 3 in
+  let leaf vars =
+    oneof
+      [
+        map2 (fun i x -> St.store "A" i x) (ex vars) (ex vars);
+        map3
+          (fun wram_off mram_off elems ->
+            St.Dma
+              {
+                dir = St.Mram_to_wram;
+                wram = "A_w";
+                wram_off;
+                mram = "A_m";
+                mram_off;
+                elems;
+              })
+          (ex vars) (ex vars) (ex vars);
+        pure St.Nop;
+      ]
+  in
+  let rec go depth vars =
+    if depth <= 0 then leaf vars
+    else
+      let sub = go (depth - 1) in
+      oneof
+        [
+          leaf vars;
+          map (fun ss -> St.Seq ss) (list_size (int_range 0 3) (sub vars));
+          ( unit >>= fun () ->
+            let x = v "i" in
+            map3
+              (fun extent kind body -> St.For { var = x; extent; kind; body })
+              (oneof
+                 [ pure (ei 0); pure (ei 1); map ei (int_range (-1) 4); ex vars ])
+              (frequencyl [ (3, St.Serial); (1, St.Unrolled) ])
+              (sub (x :: vars)) );
+          map3
+            (fun cond then_ else_ -> St.If { cond; then_; else_ })
+            (oneof [ pure (ei 0); pure (ei 1); ex vars ])
+            (sub vars) (opt (sub vars));
+          map
+            (fun body ->
+              St.Alloc
+                { buffer = B.create "W" T.Dtype.I32 ~elems:4 B.Wram; body })
+            (sub vars);
+        ]
+  in
+  sized (fun n -> go (min n 5) [ v "p"; v "q" ])
+
+let prop_simplify_stmt_matches_quadratic =
+  QCheck2.Test.make ~name:"one-pass stmt simplifier equals the quadratic one"
+    ~count:500 ~print:Imtp_tir.Printer.stmt_to_string gen_stmt (fun s ->
+      let run f = match f s with r -> Ok r | exception e -> Error e in
+      run Simp.stmt = run stmt_quadratic)
+
+(* A nest of [depth] symbolic loops, each level also storing through an
+   index that needs simplifying.  A linear simplifier allocates about
+   twice as much for twice the depth; re-simplifying every subtree at
+   each ancestor makes it four times. *)
+let test_simplify_stmt_linear () =
+  let nest depth =
+    let n = v "n" in
+    let rec go d =
+      if d = 0 then St.Nop
+      else
+        let x = v "i" in
+        St.For
+          {
+            var = x;
+            extent = E.(var n + int 0);
+            kind = St.Serial;
+            body =
+              St.seq
+                [ St.store "A" E.((var x * int 1) + int 0) (ei d); go (d - 1) ];
+          }
+    in
+    go depth
+  in
+  let words s =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Simp.stmt s));
+    Gc.minor_words () -. w0
+  in
+  let d = 64 in
+  let small = nest d and large = nest (2 * d) in
+  let ws = words small and wl = words large in
+  if wl >= 2.5 *. ws then
+    Alcotest.failf "depth %d: %.0f words, depth %d: %.0f words (ratio %.2f)" d
+      ws (2 * d) wl (wl /. ws)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "tir"
@@ -1028,6 +1143,8 @@ let () =
           Alcotest.test_case "stmt prune" `Quick test_simplify_stmt_prunes;
           Alcotest.test_case "unit loop" `Quick test_simplify_stmt_unit_loop;
           Alcotest.test_case "subst" `Quick test_subst;
+          Alcotest.test_case "stmt linear in depth" `Quick
+            test_simplify_stmt_linear;
         ] );
       ( "analysis",
         [
@@ -1088,6 +1205,7 @@ let () =
             prop_simplify_sound;
             prop_simplify_idempotent;
             prop_simplify_identities;
+            prop_simplify_stmt_matches_quadratic;
             prop_upper_bound_solver_exact;
             prop_kernel_profile_chunks;
           ] );
