@@ -300,30 +300,20 @@ let dump_outcome buf name ~seed ~trials (o : Se.outcome) =
            (Imtp_autotune.Tuning_log.params_to_string r.Se.params)))
     o.Se.history
 
-let golden_trace () =
+let read_golden file =
   (* cwd is test/ under `dune runtest`, the project root under
      `dune exec test/...`. *)
   let path =
-    if Sys.file_exists "golden_search_trace.txt" then
-      "golden_search_trace.txt"
-    else Filename.concat "test" "golden_search_trace.txt"
+    if Sys.file_exists file then file else Filename.concat "test" file
   in
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let test_ungated_trace_matches_golden () =
-  let buf = Buffer.create 4096 in
-  let dump name op ~seed ~trials =
-    (* ~islands:1 is the historical single-population path; the trace
-       predates the island model and must survive it untouched. *)
-    dump_outcome buf name ~seed ~trials (Se.run ~seed ~islands:1 cfg op ~trials)
-  in
-  dump "gemv" (Ops.gemv ~c:3 512 512) ~seed:77 ~trials:48;
-  dump "mmtv" (Ops.mmtv 8 64 64) ~seed:77 ~trials:48;
-  let got = Buffer.contents buf in
-  let want = golden_trace () in
+let golden_trace () = read_golden "golden_search_trace.txt"
+
+let check_against_golden ~got ~want =
   if got <> want then begin
     let gl = String.split_on_char '\n' got
     and wl = String.split_on_char '\n' want in
@@ -336,6 +326,61 @@ let test_ungated_trace_matches_golden () =
     in
     first_diff 1 (gl, wl)
   end
+
+let test_ungated_trace_matches_golden () =
+  let buf = Buffer.create 4096 in
+  let dump name op ~seed ~trials =
+    (* ~islands:1 is the historical single-population path; the trace
+       predates the island model and must survive it untouched. *)
+    dump_outcome buf name ~seed ~trials (Se.run ~seed ~islands:1 cfg op ~trials)
+  in
+  dump "gemv" (Ops.gemv ~c:3 512 512) ~seed:77 ~trials:48;
+  dump "mmtv" (Ops.mmtv 8 64 64) ~seed:77 ~trials:48;
+  check_against_golden ~got:(Buffer.contents buf) ~want:(golden_trace ())
+
+(* The committed gated search trace: the same two workloads under a
+   0.2 measurement gate, on one and on two islands.  Every record keeps
+   its island, whether it was simulated, its latency and the model's
+   prediction to all 17 digits, so any change to which candidates the
+   gate forwards, or to the noise each one draws, shows up here. *)
+let dump_gated_outcome buf name ~seed ~trials ~ratio ~islands (o : Se.outcome)
+    =
+  Buffer.add_string buf
+    (Printf.sprintf
+       "%s seed=%d trials=%d ratio=%g islands=%d measured=%d skipped=%d \
+        invalid=%d measured_trials=%d\n"
+       name seed trials ratio islands o.Se.measured o.Se.skipped
+       o.Se.invalid_candidates o.Se.measured_trials);
+  List.iter
+    (fun (r : Se.record) ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "  trial=%d island=%d measured=%b latency=%.17g predicted=%s \
+            params=%s\n"
+           r.Se.trial r.Se.island r.Se.measured r.Se.latency_s
+           (match r.Se.predicted_s with
+           | Some p -> Printf.sprintf "%.17g" p
+           | None -> "none")
+           (Imtp_autotune.Tuning_log.params_to_string r.Se.params)))
+    o.Se.history
+
+let gated_trace () =
+  let buf = Buffer.create 16384 in
+  List.iter
+    (fun islands ->
+      let dump name op =
+        let seed = 77 and trials = 48 and ratio = 0.2 in
+        dump_gated_outcome buf name ~seed ~trials ~ratio ~islands
+          (Se.run ~seed ~islands ~measure_ratio:ratio cfg op ~trials)
+      in
+      dump "gemv" (Ops.gemv ~c:3 512 512);
+      dump "mmtv" (Ops.mmtv 8 64 64))
+    [ 1; 2 ];
+  Buffer.contents buf
+
+let test_gated_trace_matches_golden () =
+  check_against_golden ~got:(gated_trace ())
+    ~want:(read_golden "golden_gated_trace.txt")
 
 let noise_free op params =
   let engine = Imtp_engine.Engine.create cfg in
@@ -1010,6 +1055,8 @@ let () =
         [
           Alcotest.test_case "ungated trace matches pre-gating golden" `Quick
             test_ungated_trace_matches_golden;
+          Alcotest.test_case "gated trace matches golden" `Quick
+            test_gated_trace_matches_golden;
           Alcotest.test_case "gemv: same-or-better best, >=5x fewer sims"
             `Slow test_gate_acceptance_gemv;
           Alcotest.test_case "mmtv: same-or-better best, >=5x fewer sims"
