@@ -32,6 +32,26 @@ let op_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+(* Numeric arguments are checked where they are parsed, so a value the
+   library would reject (or clamp) is a usage error like any other. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let unit_ratio =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when r > 0. && r <= 1. -> Ok r
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected a number in (0,1]" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let op_arg =
   Arg.(
     required
@@ -45,7 +65,9 @@ let sizes_arg =
     & info [] ~docv:"SIZES" ~doc:"Dimension extents, e.g. 'mtv 512 2048'.")
 
 let trials_arg =
-  Arg.(value & opt int 128 & info [ "trials" ] ~doc:"Autotuning trial budget.")
+  Arg.(
+    value & opt positive_int 128
+    & info [ "trials" ] ~doc:"Autotuning trial budget.")
 
 let seed_arg =
   Arg.(value & opt int 2025 & info [ "seed" ] ~doc:"Random seed for the search.")
@@ -73,7 +95,7 @@ let setup_logging verbose =
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for parallel candidate evaluation.  Defaults to \
@@ -208,7 +230,7 @@ let log_arg =
 let measure_ratio_arg =
   Arg.(
     value
-    & opt float 0.2
+    & opt unit_ratio 0.2
     & info [ "measure-ratio" ] ~docv:"R"
         ~doc:
           "Fraction of each search generation the learned cost model \
@@ -218,7 +240,7 @@ let measure_ratio_arg =
 let islands_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "islands" ] ~docv:"K"
         ~doc:
           "Shard the evolutionary search into $(docv) independent island \
@@ -233,8 +255,9 @@ let no_cost_model_arg =
     value & flag
     & info [ "no-cost-model" ]
         ~doc:
-          "Disable the learned TIR cost model and measure every candidate \
-           (the pre-gating search, bit-identical trajectories).")
+          "Disable the learned TIR cost model's measurement gate: the \
+           search simulates every candidate it has not measured before \
+           and extracts no model features.")
 
 let tune_cmd =
   let doc = "Autotune an operation and report the winning schedule." in
@@ -339,7 +362,7 @@ let graph_cmd =
   in
   let graph_trials_arg =
     Arg.(
-      value & opt int 96
+      value & opt positive_int 96
       & info [ "trials" ]
           ~doc:
             "Joint tuning budget, split across the graph's distinct \

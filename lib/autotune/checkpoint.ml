@@ -17,10 +17,11 @@
    temp file plus rename instead, so the file only ever appears
    holding a complete checkpoint. *)
 
-(* v3: two in-place slots.  The magic must also move in lockstep with
-   Search.checkpoint_format — Marshal is not layout-tagged, so reading
-   an old payload as the new type would be memory-unsafe, and the
-   magic check is what turns that into a clean error. *)
+(* v3: two in-place slots.  The magic versions this container; the
+   payload is versioned by Search.checkpoint_format, its first field,
+   which Search.run checks before it reads any other.  Marshal is not
+   layout-tagged, so an old payload must never be read past that
+   field. *)
 let magic = "imtp-checkpoint-v3"
 let slot_header = 32
 

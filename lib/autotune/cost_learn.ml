@@ -21,7 +21,7 @@ type t = {
   mutable err_n : int;
 }
 
-let create ?(lambda = 1e-2) ?(min_samples = 8) () =
+let create ?(lambda = 1e-2) ?(min_samples = 8) ?(dim = dim) () =
   {
     lambda;
     min_samples;
@@ -50,6 +50,7 @@ let sample_count t = t.n
 
 (* (XtX + λI) w = Xty by Gaussian elimination with partial pivoting. *)
 let solve t =
+  let dim = Array.length t.xty in
   let a = Array.init dim (fun i -> Array.copy t.xtx.(i)) in
   let b = Array.copy t.xty in
   for i = 0 to dim - 1 do
@@ -94,7 +95,7 @@ let predict_log t x =
   else begin
     let w = weights t in
     let acc = ref 0. in
-    for i = 0 to dim - 1 do
+    for i = 0 to Array.length w - 1 do
       acc := !acc +. (w.(i) *. x.(i))
     done;
     !acc
@@ -102,24 +103,27 @@ let predict_log t x =
 
 let predict t x = exp (predict_log t x)
 
-let observe t x y =
+let add t x y =
   let ly = log (Float.max 1e-12 y) in
-  (* Ground-truth the running prediction error before the sample joins
-     the training set (a pure holdout residual). *)
-  if trained t then begin
-    let err = Float.abs (predict_log t x -. ly) in
-    t.err_sum <- t.err_sum +. err;
-    t.err_n <- t.err_n + 1;
-    Obs.set_gauge "cost_learn.mean_abs_log_err" (t.err_sum /. float_of_int t.err_n)
-  end;
-  for i = 0 to dim - 1 do
-    for j = 0 to dim - 1 do
+  for i = 0 to Array.length t.xty - 1 do
+    for j = 0 to Array.length t.xty - 1 do
       t.xtx.(i).(j) <- t.xtx.(i).(j) +. (x.(i) *. x.(j))
     done;
     t.xty.(i) <- t.xty.(i) +. (x.(i) *. ly)
   done;
   t.n <- t.n + 1;
   t.weights <- None
+
+let observe t x y =
+  (* Ground-truth the running prediction error before the sample joins
+     the training set (a pure holdout residual). *)
+  if trained t then begin
+    let err = Float.abs (predict_log t x -. log (Float.max 1e-12 y)) in
+    t.err_sum <- t.err_sum +. err;
+    t.err_n <- t.err_n + 1;
+    Obs.set_gauge "cost_learn.mean_abs_log_err" (t.err_sum /. float_of_int t.err_n)
+  end;
+  add t x y
 
 let mean_abs_log_err t =
   if t.err_n = 0 then None else Some (t.err_sum /. float_of_int t.err_n)

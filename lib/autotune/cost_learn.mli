@@ -37,23 +37,31 @@ type t
 (** Online ridge regression predicting log-latency, refit lazily from
     the accumulated normal equations — an [observe] invalidates the
     cached weights and the next [predict] refits, so refitting once per
-    search generation costs one small solve. *)
+    search generation costs one small solve.  This is the one ridge
+    solver: {!Cost_model} is the same regression over sketch-parameter
+    features. *)
 
-val create : ?lambda:float -> ?min_samples:int -> unit -> t
+val create : ?lambda:float -> ?min_samples:int -> ?dim:int -> unit -> t
 (** [lambda] (default 1e-2) is the ridge regularizer; [min_samples]
     (default 8) is how many measured trials must be observed before the
-    model claims to be {!trained}. *)
+    model claims to be {!trained}; [dim] (default {!dim}) is the
+    feature-vector width. *)
 
 val copy : t -> t
 (** A deep snapshot: later {!observe} calls on either model leave the
     other untouched.  Search checkpoints capture the model this way. *)
 
+val add : t -> float array -> float -> unit
+(** [add m x latency_s] adds a training sample to the normal equations
+    and invalidates the cached weights; it solves nothing and tracks no
+    error. *)
+
 val observe : t -> float array -> float -> unit
-(** [observe m x latency_s] adds a training sample.  When the model is
-    already trained, the sample's holdout residual (absolute
-    log-latency error under the pre-update weights) feeds the running
-    error mean ({!mean_abs_log_err}) and the
-    [cost_learn.mean_abs_log_err] observability gauge. *)
+(** {!add}, after tracking the sample's holdout residual: when the
+    model is already trained, the absolute log-latency error under the
+    pre-update weights feeds the running error mean
+    ({!mean_abs_log_err}) and the [cost_learn.mean_abs_log_err]
+    observability gauge. *)
 
 val trained : t -> bool
 val sample_count : t -> int

@@ -6,10 +6,11 @@
     measurement — a deliberately small stand-in for TVM's gradient
     boosted trees that preserves the search dynamics: the model ranks
     unmeasured mutations so only promising candidates reach the
-    (expensive) measurement step. *)
+    (expensive) measurement step.  The regression is {!Cost_learn}'s,
+    over this module's 11 features and without holdout-error tracking. *)
 
 type t
-(** A mutable model, refit on every {!observe}. *)
+(** A mutable model, refit lazily after each {!observe}. *)
 
 val create : unit -> t
 (** An untrained model ({!predict} returns 0 until trained). *)
@@ -23,7 +24,7 @@ val features : Imtp_workload.Op.t -> Sketch.params -> float array
     parameters and workload shape terms. *)
 
 val observe : t -> float array -> float -> unit
-(** [observe m x latency_s] adds a training sample. *)
+(** [observe m x latency_s] adds a training sample ({!Cost_learn.add}). *)
 
 val predict : t -> float array -> float
 (** Predicted log-latency; 0 until at least 8 samples are seen. *)

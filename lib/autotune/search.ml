@@ -106,8 +106,9 @@ type checkpoint = {
 
 (* Bump whenever the checkpoint layout (or anything it transitively
    contains) changes incompatibly; {!run} rejects other formats.
-   Format 2: island-aware checkpoints (PR 9). *)
-let checkpoint_format = 2
+   Format 2: island-aware checkpoints.  Format 3: the mutation ranker
+   is a [Cost_learn.t]. *)
+let checkpoint_format = 3
 
 let checkpoint_trial ck =
   Array.fold_left (fun a s -> a + s.il_trial) 0 ck.ck_states
@@ -451,16 +452,14 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
   let best_so_far cx =
     match cx.best with Some b -> b.Measure.latency_s | None -> infinity
   in
-  let record cx ?predicted_s ~trial params (m : Engine.measurement) =
+  let record cx ~prep ?predicted_s ~trial params (m : Engine.measurement) =
     cx.measured <- cx.measured + 1;
     Hashtbl.replace cx.seen params ();
     Hashtbl.remove cx.skipped_seen params;
     let latency_s = m.Engine.latency_s in
     Cost_model.observe cx.model (Cost_model.features op params) latency_s;
     if gated then begin
-      let x =
-        Engine.features engine (Engine.prepared_of_artifact m.Engine.artifact)
-      in
+      let x = Engine.features engine prep in
       Cost_learn.observe cx.tir x latency_s;
       cx.epoch_obs <- (x, latency_s) :: cx.epoch_obs
     end;
@@ -500,68 +499,43 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
       }
       :: cx.history
   in
-  (* One proposal consumes one trial; invalid candidates (typed engine
-     errors, cached after first rejection) and duplicate proposals burn
-     the trial without contributing offspring. *)
-  let consume cx ~trial (params, result) =
-    match result with
-    | Error e ->
-        tally cx e;
-        None
-    | Ok m ->
-        if Hashtbl.mem cx.seen params then None
-        else begin
-          record cx ~trial params m;
-          Some (params, m.Engine.latency_s)
-        end
+  let known cx params =
+    Hashtbl.mem cx.seen params || Hashtbl.mem cx.skipped_seen params
   in
-  let random_valid cx =
+  (* One initial-population slot: up to 16 random draws until one is
+     admitted.  A draw is prepared, then either admitted on the trained
+     gate model's prediction alone or simulated.  One proposal consumes
+     one trial; invalid candidates (typed engine errors, cached after
+     first rejection) and repeats burn a draw.  Gated, a known draw is
+     rejected before it is built; ungated, only after its simulation, so
+     a repeat still consumes its noise draw. *)
+  let sample cx =
     let rec go attempts =
       if attempts = 0 then None
       else begin
+        let retry () = go (attempts - 1) in
         let params = Sketch.random cx.rng cfg op in
-        let result =
-          Engine.measure engine ~rng:cx.rng ?passes ?skip_inputs op params
-        in
-        match consume cx ~trial:cx.trial (params, result) with
-        | Some c -> Some c
-        | None -> go (attempts - 1)
-      end
-    in
-    go 16
-  in
-  (* Initial population under gating: measure until the TIR model has
-     its ground truth, then admit the rest of the population on
-     predicted fitness alone. *)
-  let random_valid_gated cx =
-    let rec go attempts =
-      if attempts = 0 then None
-      else begin
-        let params = Sketch.random cx.rng cfg op in
-        if Hashtbl.mem cx.seen params || Hashtbl.mem cx.skipped_seen params
-        then go (attempts - 1)
-        else begin
+        if gated && known cx params then retry ()
+        else
           match Engine.prepare engine ?passes ?skip_inputs op params with
           | Error e ->
               tally cx e;
-              go (attempts - 1)
-          | Ok prep ->
-              let x = Engine.features engine prep in
-              if not (Cost_learn.trained cx.tir) then begin
-                match Engine.simulate engine ~rng:cx.rng prep with
-                | Error e ->
-                    tally cx e;
-                    go (attempts - 1)
-                | Ok m ->
-                    record cx ~trial:cx.trial params m;
-                    Some (params, m.Engine.latency_s)
-              end
-              else begin
-                let predicted_s = Cost_learn.predict cx.tir x in
-                record_skipped cx ~trial:cx.trial params ~predicted_s;
-                Some (params, predicted_s)
-              end
-        end
+              retry ()
+          | Ok prep when gated && Cost_learn.trained cx.tir ->
+              let predicted_s =
+                Cost_learn.predict cx.tir (Engine.features engine prep)
+              in
+              record_skipped cx ~trial:cx.trial params ~predicted_s;
+              Some (params, predicted_s)
+          | Ok prep -> (
+              match Engine.simulate engine ~rng:cx.rng prep with
+              | Error e ->
+                  tally cx e;
+                  retry ()
+              | Ok _ when Hashtbl.mem cx.seen params -> retry ()
+              | Ok m ->
+                  record cx ~prep ~trial:cx.trial params m;
+                  Some (params, m.Engine.latency_s))
       end
     in
     go 16
@@ -572,7 +546,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
   let init_island cx =
     Obs.span ~name:"search.init" ~attrs:[ ("island", Obs.Int cx.ix) ]
       (fun () ->
-        let sample = if gated then random_valid_gated else random_valid in
         while cx.trial < min cx.ix_trials population_size do
           (match sample cx with
           | Some c -> cx.population <- c :: cx.population
@@ -580,11 +553,40 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
           cx.trial <- cx.trial + 1
         done)
   in
-  (* One generation: propose against the fixed parent pool, then
-     measure — as one engine batch when ungated, or prepared / ranked /
-     gate-measured when gated.  Gated simulations go through the pool
-     too: per-slot noise streams make the values independent of how
-     many workers (or islands) run concurrently. *)
+  (* The gate: rank the fresh candidates with the learned model and keep
+     the top fraction, in proposal order, with the predictions the
+     selection was made from.  The model refits as measurements are
+     observed, so predictions are snapshotted here (the re-rank
+     invariant tests hold the log to them); they exist only once the
+     model is trained.  Ungated, every fresh candidate is selected. *)
+  let select cx fresh =
+    let n = Array.length fresh in
+    match measure_ratio with
+    | None -> (List.init n Fun.id, Array.make n None)
+    | Some ratio ->
+        Obs.span ~name:"search.rank" ~attrs:[ ("size", Obs.Int n) ]
+        @@ fun () ->
+        let feats =
+          Array.to_list
+            (Array.map (fun (_, _, prep) -> Engine.features engine prep) fresh)
+        in
+        let order = Cost_learn.rank cx.tir feats in
+        let trained = Cost_learn.trained cx.tir in
+        let n_sel = if trained then Cost_learn.select_count ~ratio n else n in
+        let predicted =
+          Array.of_list
+            (List.map
+               (fun x -> if trained then Some (Cost_learn.predict cx.tir x) else None)
+               feats)
+        in
+        Obs.add_attr "selected" (Obs.Int n_sel);
+        (List.sort compare (take n_sel order), predicted)
+  in
+  (* One generation: propose against the fixed parent pool, prepare the
+     whole generation (no simulator, no rng), select, then simulate the
+     selected candidates through the pool.  One [bits] draw per
+     generation plus per-slot noise streams make the values independent
+     of how many workers (or islands) run concurrently. *)
   let step_generation cx =
     Obs.span ~name:"search.generation"
       ~attrs:[ ("trial", Obs.Int cx.trial); ("island", Obs.Int cx.ix) ]
@@ -625,133 +627,73 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
       end
     in
     let candidates = List.init gen_size propose in
+    (* (slot, params, prepared) of every candidate not measured before *)
+    let fresh =
+      Engine.prepare_batch engine ~jobs ?passes ?skip_inputs op candidates
+      |> List.mapi (fun i (params, r) ->
+             match r with
+             | Error e ->
+                 tally cx e;
+                 None
+             | Ok _ when Hashtbl.mem cx.seen params -> None
+             | Ok prep -> Some (i, params, prep))
+      |> List.filter_map Fun.id |> Array.of_list
+    in
+    let selected, predicted = select cx fresh in
+    let base = Rng.bits cx.rng in
+    (* A candidate proposed twice is simulated for its first slot only;
+       selection is in proposal order, so the noise-stream indices are
+       independent of the ranking. *)
+    let sel =
+      let dup = Hashtbl.create 16 in
+      List.filter
+        (fun idx ->
+          let _, params, _ = fresh.(idx) in
+          if Hashtbl.mem dup params then false
+          else begin
+            Hashtbl.replace dup params ();
+            true
+          end)
+        selected
+      |> Array.of_list
+    in
+    let sims =
+      Pool.map ~jobs
+        (fun si ->
+          let i, _, prep = fresh.(sel.(si)) in
+          Engine.simulate engine ~rng:(Rng.stream ~base ~index:i) prep)
+        (Array.length sel)
+    in
+    let measured_now = Array.make (Array.length fresh) None in
+    Array.iteri
+      (fun si result ->
+        let idx = sel.(si) in
+        let i, params, prep = fresh.(idx) in
+        match result with
+        | Error e -> tally cx e
+        | Ok m ->
+            record cx ~prep ?predicted_s:predicted.(idx) ~trial:(cx.trial + i)
+              params m;
+            measured_now.(idx) <- Some (params, m.Engine.latency_s))
+      sims;
+    Obs.incr ~by:(List.length selected) "search.gate.measured";
+    Obs.incr
+      ~by:(Array.length fresh - List.length selected)
+      "search.gate.skipped";
+    (* Unselected candidates join the population on their predicted
+       latency; a repeat of a candidate measured or admitted before
+       burns its trial silently. *)
     let offspring =
-      match measure_ratio with
-      | None ->
-          let results =
-            Engine.batch engine ~jobs ~rng:cx.rng ?passes ?skip_inputs op
-              candidates
-          in
-          List.mapi (fun i r -> consume cx ~trial:(cx.trial + i) r) results
-          |> List.filter_map Fun.id
-      | Some ratio ->
-          (* Prepare the whole generation (no simulator, no rng), rank
-             it with the learned model, and forward only the top
-             fraction to the simulator.  Selection is a pure function
-             of the trial history and the seed: preparation is
-             jobs-independent, ranking is stable, and the one [bits]
-             draw plus per-candidate noise streams mirror the
-             [Engine.batch] contract. *)
-          let prepped =
-            Engine.prepare_batch engine ~jobs ?passes ?skip_inputs op
-              candidates
-          in
-          Obs.span ~name:"search.rank"
-            ~attrs:[ ("size", Obs.Int gen_size) ]
-          @@ fun () ->
-          let fresh =
-            List.mapi (fun i (params, r) -> (i, params, r)) prepped
-            |> List.filter_map (fun (i, params, r) ->
-                   match r with
-                   | Ok prep when not (Hashtbl.mem cx.seen params) ->
-                       Some (i, params, prep)
-                   | Ok _ | Error _ -> None)
-          in
-          List.iter
-            (fun (_, r) ->
-              match r with Error e -> tally cx e | Ok _ -> ())
-            prepped;
-          let feats =
-            List.map (fun (_, _, prep) -> Engine.features engine prep) fresh
-          in
-          let order = Cost_learn.rank cx.tir feats in
-          (* Snapshot predictions at ranking time — the model refits as
-             measurements are observed below, and the recorded
-             [predicted_s] must be the values the selection was made
-             from (the re-rank invariant tests hold the log to this). *)
-          let trained_at_rank = Cost_learn.trained cx.tir in
-          let pred_arr =
-            Array.of_list (List.map (Cost_learn.predict cx.tir) feats)
-          in
-          let n_sel =
-            if trained_at_rank then
-              Cost_learn.select_count ~ratio (List.length fresh)
-            else List.length fresh
-          in
-          let selected_ranks = take n_sel order in
-          let fresh_arr = Array.of_list fresh in
-          let selected =
-            List.sort compare selected_ranks
-            (* measure in proposal order so the noise-stream indices
-               below are independent of the ranking. *)
-          in
-          let base = Rng.bits cx.rng in
-          (* Duplicate proposals of one candidate keep only their first
-             slot (exactly the set the sequential loop used to measure);
-             the simulations then run through the pool, each drawing
-             noise from its own slot-indexed stream. *)
-          let sel_fresh =
-            let dup = Hashtbl.create 16 in
-            List.filter
-              (fun idx ->
-                let _, params, _ = fresh_arr.(idx) in
-                if Hashtbl.mem dup params || Hashtbl.mem cx.seen params then
-                  false
-                else begin
-                  Hashtbl.replace dup params ();
-                  true
-                end)
-              selected
-          in
-          let sel_arr = Array.of_list sel_fresh in
-          let sim_results =
-            Pool.map ~jobs
-              (fun si ->
-                let i, _, prep = fresh_arr.(sel_arr.(si)) in
-                let noise = Rng.stream ~base ~index:i in
-                Engine.simulate engine ~rng:noise prep)
-              (Array.length sel_arr)
-          in
-          let measured_now = Hashtbl.create 16 in
-          Array.iteri
-            (fun si result ->
-              let idx = sel_arr.(si) in
-              let i, params, _ = fresh_arr.(idx) in
-              let predicted_s =
-                if trained_at_rank then Some pred_arr.(idx) else None
-              in
-              match result with
-              | Error e -> tally cx e
-              | Ok m ->
-                  record cx ?predicted_s ~trial:(cx.trial + i) params m;
-                  Hashtbl.replace measured_now idx (params, m.Engine.latency_s))
-            sim_results;
-          Obs.add_attr "selected" (Obs.Int (List.length selected));
-          Obs.incr ~by:(List.length selected) "search.gate.measured";
-          let offspring = ref [] in
-          List.iteri
-            (fun idx (i, params, _prep) ->
-              match Hashtbl.find_opt measured_now idx with
-              | Some c -> offspring := c :: !offspring
-              | None ->
-                  (* a duplicate slot of a candidate measured just above
-                     (or skip-recorded before) burns its trial silently *)
-                  if
-                    (not (Hashtbl.mem cx.skipped_seen params))
-                    && not (Hashtbl.mem cx.seen params)
-                  then begin
-                    let predicted_s = pred_arr.(idx) in
-                    if Float.is_finite predicted_s then begin
-                      record_skipped cx ~trial:(cx.trial + i) params
-                        ~predicted_s;
-                      offspring := (params, predicted_s) :: !offspring
-                    end
-                  end)
-            fresh;
-          Obs.incr
-            ~by:(List.length fresh - List.length selected)
-            "search.gate.skipped";
-          List.rev !offspring
+      Array.to_list fresh
+      |> List.mapi (fun idx (i, params, _) ->
+             match (measured_now.(idx), predicted.(idx)) with
+             | (Some _ as c), _ -> c
+             | None, Some predicted_s
+               when Float.is_finite predicted_s && not (known cx params) ->
+                 record_skipped cx ~trial:(cx.trial + i) params ~predicted_s;
+                 Some (params, predicted_s)
+             | None, _ -> None)
+      |> List.filter_map Fun.id
     in
     cx.trial <- cx.trial + gen_size;
     cx.population <-
@@ -802,7 +744,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
                 match Engine.simulate engine ~rng:cx.rng prep with
                 | Error e -> tally cx e
                 | Ok m ->
-                    record cx ~predicted_s ~trial:cx.trial params m;
+                    record cx ~prep ~predicted_s ~trial:cx.trial params m;
                     cx.trial <- cx.trial + 1))
           promising
   in

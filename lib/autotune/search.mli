@@ -16,10 +16,13 @@
       decays linearly to 0.05 over the first 40 % of trials (a plain
       search uses 0.05 throughout).
 
-    Candidates are built and costed through {!Imtp_engine.Engine}: each
-    generation is measured as one engine batch, and duplicate proposals
-    (common under mutation) are served from the engine's
-    content-addressed cache instead of being re-lowered.
+    Candidates are built and costed through {!Imtp_engine.Engine} in
+    one loop: each generation is prepared as one engine batch
+    ({!Imtp_engine.Engine.prepare_batch}), the candidates not measured
+    before are selected, and the selected ones are simulated on the
+    pool ({!Imtp_engine.Engine.simulate}).  Duplicate proposals (common
+    under mutation) are served from the engine's content-addressed
+    cache instead of being re-lowered.
 
     {2 Islands}
 
@@ -53,20 +56,19 @@
 
     {2 Measurement gating}
 
-    With [measure_ratio = Some r], each proposed generation is only
-    {e prepared} (built up to the optimized program, no simulator),
-    ranked by the online {!Cost_learn} model, and only the top
-    [ceil (r * n)] candidates are forwarded to the simulator; the rest
-    join the population and the history carrying their predicted cost.
+    With [measure_ratio = Some r], the selection step ranks the
+    prepared candidates (built up to the optimized program, no
+    simulator) by the online {!Cost_learn} model, and only the top
+    [ceil (r * n)] are forwarded to the simulator; the rest join the
+    population and the history carrying their predicted cost.
     The model refits from the accumulated measured trials once per
     generation.  Gating is a pure function of the trial history and the
     seed — preparation draws no randomness, ranking is stable with ties
     broken by proposal order, and measured-noise streams are indexed by
     proposal slot exactly as in {!Imtp_engine.Engine.batch} — so
     [~jobs:n] equivalence and log replay are preserved.  With
-    [measure_ratio = None] (the default) the search takes the exact
-    ungated code path and is bit-identical to its pre-gating
-    behaviour. *)
+    [measure_ratio = None] (the default) every candidate not measured
+    before is selected and no model features are extracted. *)
 
 type strategy = { balanced_sampling : bool; adaptive_epsilon : bool }
 
@@ -231,10 +233,10 @@ val run :
   trials:int ->
   outcome
 (** Run [trials] measurements.  Deterministic for a given seed and
-    island count at any [jobs] value: generation batches go through
-    {!Imtp_engine.Engine.batch} (or {!Imtp_engine.Engine.prepare_batch}
-    plus pooled {!Imtp_engine.Engine.simulate} under gating), whose
-    results are independent of how many domains build them, and islands
+    island count at any [jobs] value: generations go through
+    {!Imtp_engine.Engine.prepare_batch} plus pooled
+    {!Imtp_engine.Engine.simulate}, whose results are independent of
+    how many domains build them, and islands
     exchange state only at fixed migration boundaries.
 
     [jobs] (default {!Imtp_engine.Pool.default_jobs}) bounds the worker
@@ -246,8 +248,8 @@ val run :
     true) lets the parameter-space {!Cost_model} rank candidate
     mutations before proposal; disabling it falls back to unguided
     mutation (an ablation of Fig. 5's "evolutionary search guided by a
-    cost model").  [measure_ratio] (default [None]: measure everything,
-    pre-gating behaviour preserved bit-for-bit) turns on TIR-level
+    cost model").  [measure_ratio] (default [None]: measure everything)
+    turns on TIR-level
     measurement gating at the given simulator fraction; must be in
     (0, 1].  [engine] (default: a fresh engine for [cfg]) carries the
     build cache; pass a shared engine to reuse builds across runs — the

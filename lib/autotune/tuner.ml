@@ -29,9 +29,10 @@ let tune ?strategy ?seed ?jobs ?islands ?migrate_every ?(trials = 128) ?passes
   | None -> Error "autotuning found no valid candidate"
   | Some best -> (
       let params = best.Measure.params in
-      (* The winner was built during the search, so this deterministic
-         re-measurement is a cache hit: one artifact serves both the
-         program and the noise-free stats (no re-lowering). *)
+      (* The winner was simulated during the search, so its engine
+         entry already holds the cost outcome: this deterministic
+         re-measurement is one lookup that runs no stage and serves both
+         the program and the noise-free stats. *)
       match Engine.measure engine ?passes ?skip_inputs op params with
       | Error e -> Error (Engine.error_to_string e)
       | Ok m ->

@@ -52,21 +52,27 @@ type counters = {
   cost_s : float;
 }
 
+(* One memo-table entry per fingerprint: the candidate's cost-free
+   prefix, then its cost outcome once simulated and its model features
+   once extracted.  The mutable fields are written under the engine
+   lock; batches hold entries directly, so an eviction mid-batch never
+   changes what a slot reads. *)
+type entry = {
+  prefix : (prepared, error) result;
+  mutable cost : (Stats.t, error) result option;
+  mutable feats : float array option;
+}
+
 type t = {
   cfg : Imtp_upmem.Config.t;
   max_entries : int;
   lock : Mutex.t;
-      (* Guards [artifacts], [prepareds], [lowerings], [feature_memo]
-         and [c].  Stage work (sketch, lower, passes, verify, cost)
-         always runs outside the lock, so parallel builds only contend
-         on table lookups and counter bumps. *)
-  artifacts : (string, (artifact, error) result) Hashtbl.t;
-  prepareds : (string, (prepared, error) result) Hashtbl.t;
+      (* Guards [entries], [lowerings], the entries' mutable fields and
+         [c].  Stage work (sketch, lower, passes, verify, cost) always
+         runs outside the lock, so parallel builds only contend on table
+         lookups and counter bumps. *)
+  entries : (string, entry) Hashtbl.t;
   lowerings : (string, (Imtp_tir.Program.t, error) result) Hashtbl.t;
-  feature_memo : (string, float array) Hashtbl.t;
-      (* Features.of_program of the program built under each key;
-         cleared with the tables above but not counted against
-         [max_entries], and invisible to the counters. *)
   mutable c : counters;
 }
 
@@ -91,10 +97,8 @@ let create ?(max_entries = 4096) cfg =
     cfg;
     max_entries;
     lock = Mutex.create ();
-    artifacts = Hashtbl.create 256;
-    prepareds = Hashtbl.create 64;
+    entries = Hashtbl.create 256;
     lowerings = Hashtbl.create 64;
-    feature_memo = Hashtbl.create 256;
     c = zero_counters;
   }
 
@@ -283,52 +287,57 @@ let estimate cfg prog = stage_cost cfg prog
 let optimize t ?(passes = Pl.all_on) prog =
   stage_passes ~t ~passes t.cfg prog
 
+
 (* ------------------------------------------------------------------ *)
 (* The memo table.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* [count_built:false] caches a result whose construction only finished
-   an already-counted build (the cost stage of a prepared candidate)
-   without double-counting it in [built]. *)
-let remember ?(count_built = true) t table key result =
-  locked t (fun () ->
-      if
-        Hashtbl.length t.artifacts + Hashtbl.length t.prepareds
-        + Hashtbl.length t.lowerings
-        >= t.max_entries
-      then begin
-        Hashtbl.reset t.artifacts;
-        Hashtbl.reset t.prepareds;
-        Hashtbl.reset t.lowerings;
-        Hashtbl.reset t.feature_memo;
-        t.c <- { t.c with evictions = t.c.evictions + 1 };
-        Obs.incr "engine.cache.evictions"
-      end;
-      Hashtbl.replace table key result;
-      (match result with
-      | Ok _ ->
-          if count_built then begin
-            t.c <- { t.c with built = t.c.built + 1 };
-            Obs.incr "engine.built"
-          end
-      | Error _ ->
-          t.c <- { t.c with failed = t.c.failed + 1 };
-          Obs.incr "engine.failed");
-      result)
+(* Under the lock: charge [n] cache probes, [hits] of them hits. *)
+let count_lookups t ~n ~hits =
+  let misses = n - hits in
+  t.c <-
+    {
+      t.c with
+      lookups = t.c.lookups + n;
+      hits = t.c.hits + hits;
+      misses = t.c.misses + misses;
+    };
+  if n > 0 then Obs.incr ~by:n "engine.cache.lookups";
+  if hits > 0 then Obs.incr ~by:hits "engine.cache.hits";
+  if misses > 0 then Obs.incr ~by:misses "engine.cache.misses"
 
+(* The one counted cache probe of a request. *)
 let lookup t table key =
   locked t (fun () ->
-      t.c <- { t.c with lookups = t.c.lookups + 1 };
-      Obs.incr "engine.cache.lookups";
-      match Hashtbl.find_opt table key with
-      | Some r ->
-          t.c <- { t.c with hits = t.c.hits + 1 };
-          Obs.incr "engine.cache.hits";
-          Some r
-      | None ->
-          t.c <- { t.c with misses = t.c.misses + 1 };
-          Obs.incr "engine.cache.misses";
-          None)
+      let found = Hashtbl.find_opt table key in
+      count_lookups t ~n:1 ~hits:(if Option.is_some found then 1 else 0);
+      found)
+
+(* Under the lock: room for one more key.  A full table is reset rather
+   than grown. *)
+let make_room t =
+  if Hashtbl.length t.entries + Hashtbl.length t.lowerings >= t.max_entries
+  then begin
+    Hashtbl.reset t.entries;
+    Hashtbl.reset t.lowerings;
+    t.c <- { t.c with evictions = t.c.evictions + 1 };
+    Obs.incr "engine.cache.evictions"
+  end
+
+(* Under the lock: a constructed outcome is one [built] or one [failed]. *)
+let count_outcome t = function
+  | Ok _ ->
+      t.c <- { t.c with built = t.c.built + 1 };
+      Obs.incr "engine.built"
+  | Error _ ->
+      t.c <- { t.c with failed = t.c.failed + 1 };
+      Obs.incr "engine.failed"
+
+let store t table key v outcome =
+  locked t (fun () ->
+      make_room t;
+      Hashtbl.replace table key v;
+      count_outcome t outcome)
 
 let ( let* ) = Result.bind
 
@@ -342,131 +351,128 @@ let prepare_uncached t ~passes ~options ~verify ~key op params =
   let* () = if verify then stage_verify_program ~t t.cfg program else Ok () in
   Ok { pkey = key; psched = sched; plowered = lowered; pprogram = program }
 
-(* The simulator execution itself. *)
-let cost_prepared t (p : prepared) =
-  let* stats = stage_cost ~t t.cfg p.pprogram in
-  Obs.incr ~by:stats.Stats.bytes_h2d "engine.bytes_h2d";
-  Obs.incr ~by:stats.Stats.bytes_d2h "engine.bytes_d2h";
-  Ok
-    {
-      key = p.pkey;
-      sched = p.psched;
-      lowered = p.plowered;
-      program = p.pprogram;
-      stats;
-    }
+let add_entry t key prefix =
+  let e = { prefix; cost = None; feats = None } in
+  store t t.entries key e prefix;
+  e
 
-let build_uncached t ~passes ~options ~verify ~key op params =
-  let* prepared = prepare_uncached t ~passes ~options ~verify ~key op params in
-  cost_prepared t prepared
-
-let prepared_of_artifact (a : artifact) =
-  { pkey = a.key; psched = a.sched; plowered = a.lowered; pprogram = a.program }
-
-let build_flagged t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
-    params =
-  Obs.span ~name:"engine.build"
-    ~attrs:[ ("op", Obs.Str op.Op.opname) ]
-    (fun () ->
+(* One candidate request: one lookup, and the prefix built on a miss. *)
+let entry_of t ~passes ?skip_inputs ~verify op params =
+  let key = fingerprint ~passes ?skip_inputs ~verify op params in
+  match lookup t t.entries key with
+  | Some e -> (e, true)
+  | None ->
       let options = candidate_options ?skip_inputs params in
-      let key = fingerprint ~passes ?skip_inputs ~verify op params in
-      let result, hit =
-        match lookup t t.artifacts key with
-        | Some r -> (r, true)
-        | None ->
-            (remember t t.artifacts key
-               (build_uncached t ~passes ~options ~verify ~key op params),
-             false)
-      in
-      Obs.add_attr "hit" (Obs.Bool hit);
-      Obs.add_attr "ok" (Obs.Bool (Result.is_ok result));
-      (result, hit))
+      (add_entry t key (prepare_uncached t ~passes ~options ~verify ~key op params),
+       false)
 
-let build t ?passes ?skip_inputs ?verify op params =
-  fst (build_flagged t ?passes ?skip_inputs ?verify op params)
+let artifact_of (p : prepared) stats =
+  { key = p.pkey; sched = p.psched; lowered = p.plowered; program = p.pprogram; stats }
 
-let find t ?passes ?skip_inputs ?verify op params =
-  let key = fingerprint ?passes ?skip_inputs ?verify op params in
-  locked t (fun () -> Hashtbl.find_opt t.artifacts key)
+(* The cost stage of an entry, run only while it has no cost outcome.
+   Returns the outcome and whether it was already cached; two domains
+   racing on one entry at worst both run the stage. *)
+let cost_entry t e (p : prepared) =
+  let r, cached =
+    match locked t (fun () -> e.cost) with
+    | Some r -> (r, true)
+    | None ->
+        let r = stage_cost ~t t.cfg p.pprogram in
+        Result.iter
+          (fun stats ->
+            Obs.incr ~by:stats.Stats.bytes_h2d "engine.bytes_h2d";
+            Obs.incr ~by:stats.Stats.bytes_d2h "engine.bytes_d2h")
+          r;
+        locked t (fun () ->
+            e.cost <- Some r;
+            if Result.is_error r then count_outcome t r);
+        (r, false)
+  in
+  (Result.map (artifact_of p) r, cached)
+
+let outcome t e =
+  match e.prefix with Error err -> (Error err, true) | Ok p -> cost_entry t e p
 
 let noisy ?rng base =
   match rng with
   | None -> base
   | Some r -> base *. (1. +. (noise_amplitude *. ((2. *. Rng.float r 1.) -. 1.)))
 
+let measurement ?rng (r, from_cache) =
+  Result.map
+    (fun artifact ->
+      { artifact; latency_s = noisy ?rng (Stats.total_s artifact.stats); from_cache })
+    r
+
+let build_outcome t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
+    params =
+  Obs.span ~name:"engine.build"
+    ~attrs:[ ("op", Obs.Str op.Op.opname) ]
+    (fun () ->
+      let e, found = entry_of t ~passes ?skip_inputs ~verify op params in
+      let ((r, cached) as o) = outcome t e in
+      Obs.add_attr "hit" (Obs.Bool (found && cached));
+      Obs.add_attr "ok" (Obs.Bool (Result.is_ok r));
+      o)
+
+let build t ?passes ?skip_inputs ?verify op params =
+  fst (build_outcome t ?passes ?skip_inputs ?verify op params)
+
 let measure t ?rng ?passes ?skip_inputs ?verify op params =
-  match build_flagged t ?passes ?skip_inputs ?verify op params with
-  | Error e, _ -> Error e
-  | Ok artifact, from_cache ->
-      let latency_s = noisy ?rng (Stats.total_s artifact.stats) in
-      Ok { artifact; latency_s; from_cache }
+  measurement ?rng (build_outcome t ?passes ?skip_inputs ?verify op params)
 
-(* --- the prepared (cost-free) pipeline prefix ----------------------- *)
-
-(* One locked probe across both tables: a full artifact supersedes a
-   prepared entry, so either serves a prepare lookup as a hit. *)
-let lookup_prepared t key =
+let find t ?passes ?skip_inputs ?verify op params =
+  let key = fingerprint ?passes ?skip_inputs ?verify op params in
   locked t (fun () ->
-      t.c <- { t.c with lookups = t.c.lookups + 1 };
-      Obs.incr "engine.cache.lookups";
-      let found =
-        match Hashtbl.find_opt t.artifacts key with
-        | Some r -> Some (Result.map prepared_of_artifact r)
-        | None -> Hashtbl.find_opt t.prepareds key
-      in
-      (match found with
-      | Some _ ->
-          t.c <- { t.c with hits = t.c.hits + 1 };
-          Obs.incr "engine.cache.hits"
-      | None ->
-          t.c <- { t.c with misses = t.c.misses + 1 };
-          Obs.incr "engine.cache.misses");
-      found)
+      match Hashtbl.find_opt t.entries key with
+      | Some { prefix = Error err; _ } -> Some (Error err)
+      | Some { prefix = Ok p; cost; _ } ->
+          Option.map (Result.map (artifact_of p)) cost
+      | None -> None)
 
 let prepare t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
   Obs.span ~name:"engine.prepare"
     ~attrs:[ ("op", Obs.Str op.Op.opname) ]
     (fun () ->
-      let options = candidate_options ?skip_inputs params in
-      let key = fingerprint ~passes ?skip_inputs ~verify op params in
-      let result, hit =
-        match lookup_prepared t key with
-        | Some r -> (r, true)
-        | None ->
-            (remember t t.prepareds key
-               (prepare_uncached t ~passes ~options ~verify ~key op params),
-             false)
-      in
+      let e, hit = entry_of t ~passes ?skip_inputs ~verify op params in
       Obs.add_attr "hit" (Obs.Bool hit);
-      Obs.add_attr "ok" (Obs.Bool (Result.is_ok result));
-      result)
+      Obs.add_attr "ok" (Obs.Bool (Result.is_ok e.prefix));
+      e.prefix)
 
 (* Computed outside the lock like every stage; two domains racing on
-   one key compute the same vector, and the last write wins. *)
+   one key compute the same vector, and the last write wins.  A
+   candidate whose entry was evicted gets a fresh, unmemoized vector. *)
 let features t (p : prepared) =
-  match locked t (fun () -> Hashtbl.find_opt t.feature_memo p.pkey) with
+  let e, memo =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.entries p.pkey with
+        | Some e -> (Some e, e.feats)
+        | None -> (None, None))
+  in
+  match memo with
   | Some x -> x
   | None ->
       let x = Features.of_program p.pprogram in
-      locked t (fun () -> Hashtbl.replace t.feature_memo p.pkey x);
+      Option.iter (fun e -> locked t (fun () -> e.feats <- Some x)) e;
       x
 
 let simulate t ?rng (p : prepared) =
   Obs.span ~name:"engine.simulate" (fun () ->
-      let result, from_cache =
-        match lookup t t.artifacts p.pkey with
-        | Some r -> (r, true)
-        | None ->
-            ( remember ~count_built:false t t.artifacts p.pkey
-                (cost_prepared t p),
-              false )
+      (* Not a lookup: [p]'s request was counted when it was prepared.
+         An entry evicted since is filed again. *)
+      let e =
+        locked t (fun () ->
+            match Hashtbl.find_opt t.entries p.pkey with
+            | Some e -> e
+            | None ->
+                let e = { prefix = Ok p; cost = None; feats = None } in
+                make_room t;
+                Hashtbl.replace t.entries p.pkey e;
+                e)
       in
-      Obs.add_attr "hit" (Obs.Bool from_cache);
-      match result with
-      | Error e -> Error e
-      | Ok artifact ->
-          let latency_s = noisy ?rng (Stats.total_s artifact.stats) in
-          Ok { artifact; latency_s; from_cache })
+      let ((_, hit) as o) = cost_entry t e p in
+      Obs.add_attr "hit" (Obs.Bool hit);
+      measurement ?rng o)
 
 (* Functional execution of a built program.  All hot-path executions
    (CLI runs, graph nodes, the core [Imtp.execute]) funnel through
@@ -476,243 +482,118 @@ let execute prog ~inputs =
     ~attrs:[ ("executor", Obs.Str (Imtp_tir.Exec.backend_name ())) ]
     (fun () -> Imtp_tir.Exec.run_counted prog ~inputs)
 
-(* How each batch slot will be satisfied, decided up front in list
-   order so the hit/miss ledger and [from_cache] flags are the same no
-   matter how many domains then race on the builds:
-   - [Cached r]: the key was already in the table when the batch
-     started; its result is captured at classification time so a
-     mid-batch eviction can't change the answer.
-   - [Build]: first occurrence of an uncached key; this slot does the
-     work.
-   - [Dup i]: later occurrence of slot [i]'s key; reported as a cache
-     hit (as the sequential walk would) and filled from slot [i]'s
-     result rather than the table, again to be eviction-proof. *)
-type 'a plan = Cached of 'a | Build | Dup of int
+(* How each batch slot finds its entry, decided up front in list order
+   so the hit/miss ledger and [from_cache] flags are the same no matter
+   how many domains then race on the work:
+   - [Cached e]: the key was in the table when the batch started; the
+     entry is captured so a mid-batch eviction can't change it.
+   - [Build]: first occurrence of an uncached key; this slot builds the
+     prefix.
+   - [Dup i]: later occurrence of slot [i]'s key; a cache hit (as the
+     sequential walk would see it) sharing slot [i]'s entry. *)
+type plan = Cached of entry | Build | Dup of int
 
-let batch t ?jobs ?rng ?passes ?skip_inputs ?verify op candidates =
+(* The classify-and-dispatch driver behind [prepare_batch] and [batch]:
+   one lookup per slot, the uncached prefixes built across the pool
+   and, with [~cost], each distinct entry's cost stage run once, on the
+   pool, by the first slot holding it.  Returns every slot's entry and
+   whether that slot ran the cost stage. *)
+let run_batch t ~name ?jobs ~cost ~passes ?skip_inputs ~verify op candidates =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let passes = Option.value passes ~default:Pl.all_on in
-  let verify = Option.value verify ~default:true in
-  let n = List.length candidates in
+  let cands = Array.of_list candidates in
+  let n = Array.length cands in
+  Obs.span ~name
+    ~attrs:
+      [ ("op", Obs.Str op.Op.opname); ("size", Obs.Int n); ("jobs", Obs.Int jobs) ]
+  @@ fun () ->
+  let parent = Obs.current_span_id () in
+  let keys =
+    Array.map (fun p -> fingerprint ~passes ?skip_inputs ~verify op p) cands
+  in
+  let plan =
+    locked t (fun () ->
+        let first = Hashtbl.create (max 16 n) in
+        let hits = ref 0 in
+        let plan =
+          Array.mapi
+            (fun i key ->
+              match Hashtbl.find_opt first key with
+              | Some i0 ->
+                  incr hits;
+                  Dup i0
+              | None -> (
+                  Hashtbl.add first key i;
+                  match Hashtbl.find_opt t.entries key with
+                  | Some e ->
+                      incr hits;
+                      Cached e
+                  | None -> Build))
+            keys
+        in
+        count_lookups t ~n ~hits:!hits;
+        plan)
+  in
+  let slots = Array.map (function Cached e -> Some e | Build | Dup _ -> None) plan in
+  let ran_cost = Array.make n false in
+  let run i =
+    Obs.with_ambient_parent parent @@ fun () ->
+    (match plan.(i) with
+    | Build ->
+        let p = cands.(i) in
+        let options = candidate_options ?skip_inputs p in
+        slots.(i) <-
+          Some
+            (add_entry t keys.(i)
+               (prepare_uncached t ~passes ~options ~verify ~key:keys.(i) op p))
+    | Cached _ | Dup _ -> ());
+    match slots.(i) with
+    | Some ({ prefix = Ok p; _ } as e) when cost ->
+        ran_cost.(i) <- not (snd (cost_entry t e p))
+    | Some _ | None -> ()
+  in
+  let (_ : unit array), util = Pool.map_stats ~jobs run n in
+  Array.iteri
+    (fun i -> function Dup i0 -> slots.(i) <- slots.(i0) | Cached _ | Build -> ())
+    plan;
+  let misses = Array.fold_left (fun a -> function Build -> a + 1 | _ -> a) 0 plan in
+  Obs.add_attr "hits" (Obs.Int (n - misses));
+  Obs.add_attr "misses" (Obs.Int misses);
+  Obs.add_attr "domains_used" (Obs.Int (Array.length util));
+  Obs.add_attr "utilization"
+    (Obs.Str
+       (String.concat ","
+          (Array.to_list util
+          |> List.map (fun (tasks, busy) -> Printf.sprintf "%d:%.4fs" tasks busy))));
+  Array.mapi (fun i e -> (Option.get e, ran_cost.(i))) slots
+
+let prepare_batch t ?jobs ?(passes = Pl.all_on) ?skip_inputs ?(verify = true)
+    op candidates =
+  let slots =
+    run_batch t ~name:"engine.prepare_batch" ?jobs ~cost:false ~passes
+      ?skip_inputs ~verify op candidates
+  in
+  List.mapi (fun i p -> (p, (fst slots.(i)).prefix)) candidates
+
+let batch t ?jobs ?rng ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
+    candidates =
   (* One draw per batch: the caller's rng advances identically whatever
      [jobs] is, and candidate [i]'s noise comes from its own stream. *)
   let base = Option.map Rng.bits rng in
-  let c0 = counters t in
-  let results =
-    Obs.span ~name:"engine.batch"
-      ~attrs:
-        [
-          ("op", Obs.Str op.Op.opname);
-          ("size", Obs.Int n);
-          ("jobs", Obs.Int jobs);
-        ]
-      (fun () ->
-        let parent = Obs.current_span_id () in
-        let cands = Array.of_list candidates in
-        let keys =
-          Array.map (fun p -> fingerprint ~passes ?skip_inputs ~verify op p) cands
-        in
-        let plan =
-          locked t (fun () ->
-              let first = Hashtbl.create (max 16 n) in
-              Array.mapi
-                (fun i key ->
-                  t.c <- { t.c with lookups = t.c.lookups + 1 };
-                  match Hashtbl.find_opt t.artifacts key with
-                  | Some r ->
-                      t.c <- { t.c with hits = t.c.hits + 1 };
-                      Cached r
-                  | None -> (
-                      match Hashtbl.find_opt first key with
-                      | Some i0 ->
-                          t.c <- { t.c with hits = t.c.hits + 1 };
-                          Dup i0
-                      | None ->
-                          Hashtbl.add first key i;
-                          t.c <- { t.c with misses = t.c.misses + 1 };
-                          Build))
-                keys)
-        in
-        let hits =
-          Array.fold_left
-            (fun a -> function Cached _ | Dup _ -> a + 1 | Build -> a)
-            0 plan
-        in
-        let builds = n - hits in
-        if n > 0 then Obs.incr ~by:n "engine.cache.lookups";
-        if hits > 0 then Obs.incr ~by:hits "engine.cache.hits";
-        if builds > 0 then Obs.incr ~by:builds "engine.cache.misses";
-        let built : (artifact, error) result option array = Array.make n None in
-        let run i =
-          match plan.(i) with
-          | Cached _ | Dup _ -> ()
-          | Build ->
-              Obs.with_ambient_parent parent (fun () ->
-                  Obs.span ~name:"engine.build"
-                    ~attrs:[ ("op", Obs.Str op.Op.opname) ]
-                    (fun () ->
-                      let p = cands.(i) in
-                      let options = candidate_options ?skip_inputs p in
-                      let r =
-                        build_uncached t ~passes ~options ~verify ~key:keys.(i)
-                          op p
-                      in
-                      let r = remember t t.artifacts keys.(i) r in
-                      Obs.add_attr "hit" (Obs.Bool false);
-                      Obs.add_attr "ok" (Obs.Bool (Result.is_ok r));
-                      built.(i) <- Some r))
-        in
-        let (_ : unit array), util = Pool.map_stats ~jobs run n in
-        let result_of i =
-          match plan.(i) with
-          | Cached r -> (r, true)
-          | Build -> (Option.get built.(i), false)
-          | Dup i0 -> (Option.get built.(i0), true)
-        in
-        let results =
-          List.mapi
-            (fun i p ->
-              let m =
-                match result_of i with
-                | Error e, _ -> Error e
-                | Ok artifact, from_cache ->
-                    let base_l = Stats.total_s artifact.stats in
-                    let latency_s =
-                      match base with
-                      | None -> base_l
-                      | Some b ->
-                          let r = Rng.stream ~base:b ~index:i in
-                          base_l
-                          *. (1.
-                             +. noise_amplitude *. ((2. *. Rng.float r 1.) -. 1.)
-                             )
-                    in
-                    Ok { artifact; latency_s; from_cache }
-              in
-              (p, m))
-            candidates
-        in
-        Obs.add_attr "hits" (Obs.Int hits);
-        Obs.add_attr "misses" (Obs.Int builds);
-        Obs.add_attr "domains_used" (Obs.Int (Array.length util));
-        Obs.add_attr "utilization"
-          (Obs.Str
-             (String.concat ","
-                (Array.to_list util
-                |> List.map (fun (tasks, busy) ->
-                       Printf.sprintf "%d:%.4fs" tasks busy))));
-        results)
+  let slots =
+    run_batch t ~name:"engine.batch" ?jobs ~cost:true ~passes ?skip_inputs
+      ~verify op candidates
   in
-  let c1 = counters t in
-  Log.debug (fun m ->
-      m
-        "batch of %d: %d hits, %d misses (run total %d/%d, %.1f%%); stage \
-         times +sketch %.2f ms +lower %.2f ms +passes %.2f ms +verify %.2f \
-         ms +cost %.2f ms"
-        (List.length candidates)
-        (c1.hits - c0.hits) (c1.misses - c0.misses) c1.hits c1.lookups
-        (100. *. hit_rate c1)
-        ((c1.sketch_s -. c0.sketch_s) *. 1e3)
-        ((c1.lower_s -. c0.lower_s) *. 1e3)
-        ((c1.passes_s -. c0.passes_s) *. 1e3)
-        ((c1.verify_s -. c0.verify_s) *. 1e3)
-        ((c1.cost_s -. c0.cost_s) *. 1e3));
-  results
-
-(* Batched prepare: the same ahead-of-time hit/build/dup classification
-   as [batch] (so hit/miss ledgers and results are independent of the
-   job count), over the combined artifact+prepared tables, with no rng
-   involvement at all — ranking a population must not disturb the
-   caller's noise stream. *)
-let prepare_batch t ?jobs ?passes ?skip_inputs ?verify op candidates =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let passes = Option.value passes ~default:Pl.all_on in
-  let verify = Option.value verify ~default:true in
-  let n = List.length candidates in
-  Obs.span ~name:"engine.prepare_batch"
-    ~attrs:
-      [
-        ("op", Obs.Str op.Op.opname);
-        ("size", Obs.Int n);
-        ("jobs", Obs.Int jobs);
-      ]
-    (fun () ->
-      let parent = Obs.current_span_id () in
-      let cands = Array.of_list candidates in
-      let keys =
-        Array.map (fun p -> fingerprint ~passes ?skip_inputs ~verify op p) cands
-      in
-      let plan =
-        locked t (fun () ->
-            let first = Hashtbl.create (max 16 n) in
-            Array.mapi
-              (fun i key ->
-                t.c <- { t.c with lookups = t.c.lookups + 1 };
-                let cached =
-                  match Hashtbl.find_opt t.artifacts key with
-                  | Some r -> Some (Result.map prepared_of_artifact r)
-                  | None -> Hashtbl.find_opt t.prepareds key
-                in
-                match cached with
-                | Some r ->
-                    t.c <- { t.c with hits = t.c.hits + 1 };
-                    Cached r
-                | None -> (
-                    match Hashtbl.find_opt first key with
-                    | Some i0 ->
-                        t.c <- { t.c with hits = t.c.hits + 1 };
-                        Dup i0
-                    | None ->
-                        Hashtbl.add first key i;
-                        t.c <- { t.c with misses = t.c.misses + 1 };
-                        Build))
-              keys)
-      in
-      let hits =
-        Array.fold_left
-          (fun a -> function Cached _ | Dup _ -> a + 1 | Build -> a)
-          0 plan
-      in
-      let builds = n - hits in
-      if n > 0 then Obs.incr ~by:n "engine.cache.lookups";
-      if hits > 0 then Obs.incr ~by:hits "engine.cache.hits";
-      if builds > 0 then Obs.incr ~by:builds "engine.cache.misses";
-      let built : (prepared, error) result option array = Array.make n None in
-      let run i =
-        match plan.(i) with
-        | Cached _ | Dup _ -> ()
-        | Build ->
-            Obs.with_ambient_parent parent (fun () ->
-                Obs.span ~name:"engine.prepare"
-                  ~attrs:[ ("op", Obs.Str op.Op.opname) ]
-                  (fun () ->
-                    let p = cands.(i) in
-                    let options = candidate_options ?skip_inputs p in
-                    let r =
-                      prepare_uncached t ~passes ~options ~verify ~key:keys.(i)
-                        op p
-                    in
-                    let r = remember t t.prepareds keys.(i) r in
-                    Obs.add_attr "hit" (Obs.Bool false);
-                    Obs.add_attr "ok" (Obs.Bool (Result.is_ok r));
-                    built.(i) <- Some r))
-      in
-      let (_ : unit array), _util = Pool.map_stats ~jobs run n in
-      Obs.add_attr "hits" (Obs.Int hits);
-      Obs.add_attr "misses" (Obs.Int builds);
-      List.mapi
-        (fun i p ->
-          let r =
-            match plan.(i) with
-            | Cached r -> r
-            | Build -> Option.get built.(i)
-            | Dup i0 -> Option.get built.(i0)
-          in
-          (p, r))
-        candidates)
+  List.mapi
+    (fun i p ->
+      let e, ran_cost = slots.(i) in
+      let rng = Option.map (fun base -> Rng.stream ~base ~index:i) base in
+      (p, measurement ?rng (fst (outcome t e), not ran_cost)))
+    candidates
 
 let lower_keyed t ~key thunk =
   match lookup t t.lowerings key with
   | Some r -> r
   | None ->
-      remember t t.lowerings key (timed (Some t) lower_stage thunk)
+      let r = timed (Some t) lower_stage thunk in
+      store t t.lowerings key r r;
+      r

@@ -16,10 +16,16 @@
     re-costed.  Failures are typed (and cached too, so a re-proposed
     invalid candidate is rejected without recompilation).
 
+    The table holds one entry per key: the candidate's {!prepared}
+    prefix (or its error), then its cost outcome once simulated, then
+    its model features once extracted.  {!build}, {!measure} and
+    {!batch} are {!prepare} / {!prepare_batch} followed by the cost
+    stage on the same entry.
+
     {2 Thread safety and parallel batches}
 
-    An engine is domain-safe: one mutex guards the memo tables and the
-    counters, and all stage work runs outside it, so {!batch} can
+    An engine is domain-safe: one mutex guards the memo table and the
+    counters, and all stage work runs outside it, so a batch can
     dispatch candidates across a {!Pool} of worker domains
     ([?jobs], default {!Pool.default_jobs}).  Parallelism never changes
     answers: a batch classifies every slot up front (cache hit,
@@ -29,7 +35,7 @@
     latencies, [from_cache] flags and the integer counters are
     identical at any job count — [~jobs:1] runs the same classified
     path inline on the calling domain with no domains spun up.  The
-    only caveat: a duplicate slot reads its builder's result directly,
+    only caveat: a duplicate slot shares its builder's entry directly,
     so if an eviction fires {e mid-batch} (a batch of distinct new keys
     larger than the remaining [max_entries] headroom) the sequential
     walk could in principle rebuild where the parallel one reuses —
@@ -80,16 +86,21 @@ type prepared = {
     a ranking model skips never pay for the simulator. *)
 
 type counters = {
-  lookups : int;  (** cache probes (build/measure/keyed lookups). *)
-  hits : int;
+  lookups : int;
+      (** candidate requests: one per {!prepare}, {!build}, {!measure},
+          batch slot and {!lower_keyed} call.  {!simulate} continues a
+          request already counted and is not a lookup. *)
+  hits : int;  (** lookups whose key already had an entry. *)
   misses : int;
-  evictions : int;  (** table resets after exceeding [max_entries]. *)
-  built : int;  (** artifacts (or prepared prefixes) constructed. *)
+  evictions : int;
+      (** table resets after exceeding [max_entries]. *)
+  built : int;  (** prepared prefixes (and raw lowerings) constructed. *)
   failed : int;  (** typed errors constructed (and cached). *)
   costed : int;
-      (** simulator executions: runs of the cost stage.  Measurement
-          gating is judged against this ledger — a gated search must
-          show the same best latency with far fewer [costed]. *)
+      (** simulator executions: runs of the cost stage, at most one per
+          entry.  Measurement gating is judged against this ledger — a
+          gated search must show the same best latency with far fewer
+          [costed]. *)
   sketch_s : float;
       (** cumulative per-stage build time in wall-clock seconds: the
           sum of the stage's [engine.<stage>] span durations, which
@@ -106,8 +117,9 @@ type t
     run-local deduplication, or share one across runs to reuse builds. *)
 
 val create : ?max_entries:int -> Imtp_upmem.Config.t -> t
-(** [max_entries] (default 4096) bounds the memo table; when exceeded
-    the table is reset (counted in [evictions]) rather than grown. *)
+(** [max_entries] (default 4096) bounds the memo table in keys — a
+    candidate prepared and then simulated takes one; when exceeded the
+    table is reset (counted in [evictions]) rather than grown. *)
 
 val config : t -> Imtp_upmem.Config.t
 
@@ -179,10 +191,10 @@ val build :
   Imtp_workload.Op.t ->
   Sketch.params ->
   (artifact, error) result
-(** Instantiate, (pre-)verify, lower, optimize, (post-)verify and cost
-    one candidate — or return the cached outcome.  [verify] (default
-    [true]) may be disabled for experiments that deliberately sweep
-    beyond hardware limits. *)
+(** {!prepare} one candidate, then run the cost stage on it unless its
+    entry already holds a cost outcome.  [verify] (default [true]) may
+    be disabled for experiments that deliberately sweep beyond
+    hardware limits. *)
 
 val find :
   t ->
@@ -192,7 +204,8 @@ val find :
   Imtp_workload.Op.t ->
   Sketch.params ->
   (artifact, error) result option
-(** Pure cache inspection: no build, no counter updates. *)
+(** Pure cache inspection: no build, no counter updates.  [None] also
+    for a candidate that was prepared but never costed. *)
 
 val measure :
   t ->
@@ -206,7 +219,8 @@ val measure :
 (** {!build} plus the measurement objective.  [rng] draws fresh ±2 %
     multiplicative noise per call — also on cache hits, modelling
     run-to-run variation of a real re-measurement — while the cached
-    [stats] stay bit-identical. *)
+    [stats] stay bit-identical.  [from_cache] is whether the cost
+    outcome was already cached. *)
 
 val execute :
   Imtp_tir.Program.t ->
@@ -227,16 +241,17 @@ val batch :
   Imtp_workload.Op.t ->
   Sketch.params list ->
   (Sketch.params * (measurement, error) result) list
-(** Measure a whole generation, dispatching uncached builds across up
-    to [jobs] domains (default {!Pool.default_jobs}; [~jobs:1] stays on
-    the calling domain), then report the batch's cache hits/misses and
-    per-stage build times through {!Logs} (debug level on the
-    [imtp.engine] source).  Results keep candidate order and are
-    bit-identical at any job count; with an [rng], exactly one value is
-    drawn from it per call and candidate [i]'s ±2 % noise comes from
+(** {!prepare_batch}, then the cost stage of every key the batch holds
+    that has none yet — once per key, in the first slot holding it, on
+    the same pool dispatch (up to [jobs] domains, default
+    {!Pool.default_jobs}; [~jobs:1] stays on the calling domain).
+    Results keep candidate order and are bit-identical at any job
+    count; a slot's [from_cache] is false only in the slot that ran the
+    cost stage.  With an [rng], exactly one value is drawn from it per
+    call and candidate [i]'s ±2 % noise comes from
     [Rng.stream ~base ~index:i] (see the determinism contract above).
-    The [engine.batch] span records [jobs], [domains_used] and a
-    per-domain [utilization] breakdown. *)
+    The [engine.batch] span records [jobs], [hits], [misses],
+    [domains_used] and a per-domain [utilization] breakdown. *)
 
 (** {2 The prepared (cost-free) prefix}
 
@@ -253,10 +268,10 @@ val prepare :
   Imtp_workload.Op.t ->
   Sketch.params ->
   (prepared, error) result
-(** {!build} without the cost stage, cached under the same fingerprint
-    in a separate prepared table.  A full artifact already in the cache
-    serves a prepare lookup as a hit (its program is identical), so
-    cache-hit and fresh-built candidates yield bit-identical features. *)
+(** The candidate's entry prefix: one lookup, and on a miss the
+    sketch, verify, lower and passes stages, without the cost stage.
+    Cache-hit and fresh-built candidates yield the same program, hence
+    bit-identical features. *)
 
 val prepare_batch :
   t ->
@@ -268,29 +283,27 @@ val prepare_batch :
   Sketch.params list ->
   (Sketch.params * (prepared, error) result) list
 (** Prepare a whole generation across up to [jobs] domains, under the
-    same ahead-of-time classification contract as {!batch}: results,
-    order and the hit/miss ledger are bit-identical at any job count.
-    Draws nothing from any rng — ranking a population must leave the
-    caller's noise stream untouched. *)
-
-val prepared_of_artifact : artifact -> prepared
-(** The prefix of a finished artifact, under the same key. *)
+    ahead-of-time classification contract above (one lookup per slot):
+    results, order and the hit/miss ledger are bit-identical at any job
+    count.  Draws nothing from any rng — ranking a population must
+    leave the caller's noise stream untouched. *)
 
 val features : t -> prepared -> float array
-(** [Features.of_program p.pprogram], memoized under [p.pkey]: the
-    vector is a pure function of the program, hence of the fingerprint
-    it was built under, so a hit is bit-identical to a fresh
-    extraction.  The memo is cleared on every eviction, is not counted
-    against [max_entries] and leaves {!counters} untouched.  The
-    returned array is shared with the memo: callers must not mutate
-    it. *)
+(** [Features.of_program p.pprogram], memoized in the entry of
+    [p.pkey]: the vector is a pure function of the program, hence of
+    the fingerprint it was built under, so a memoized one is
+    bit-identical to a fresh extraction.  It takes no slot of its own,
+    goes with its entry on eviction and leaves {!counters} untouched.
+    The returned array is shared with the entry: callers must not
+    mutate it. *)
 
 val simulate :
   t -> ?rng:Rng.t -> prepared -> (measurement, error) result
-(** Run the cost stage on a prepared candidate (or serve the finished
-    artifact from cache) and apply the measurement objective, with the
-    same ±2 % noise semantics as {!measure}.  Each uncached call is one
-    simulator execution, counted in [counters.costed]. *)
+(** Run the cost stage on a prepared candidate (or serve its entry's
+    cost outcome) and apply the measurement objective, with the same
+    ±2 % noise semantics as {!measure}.  Not a lookup: the request was
+    counted by the {!prepare} that produced [p].  Each uncached call is
+    one simulator execution, counted in [counters.costed]. *)
 
 val lower_keyed :
   t ->

@@ -286,8 +286,8 @@ let test_tuning_log_params_roundtrip () =
 
 (* The committed pre-gating search trace: two fixed-seed ungated runs,
    dumped before the measurement gate existed.  [measure_ratio = None]
-   must reproduce it bit-for-bit — latencies to all 17 digits — proving
-   the gate left the default path untouched. *)
+   must reproduce it bit-for-bit — latencies to all 17 digits — so the
+   search loop the gate shares leaves ungated trajectories untouched. *)
 let dump_outcome buf name ~seed ~trials (o : Se.outcome) =
   Buffer.add_string buf
     (Printf.sprintf "%s seed=%d trials=%d measured=%d invalid=%d\n" name seed

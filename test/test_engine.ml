@@ -141,6 +141,7 @@ let same_int_counters a b =
   a.E.lookups = b.E.lookups && a.E.hits = b.E.hits && a.E.misses = b.E.misses
   && a.E.evictions = b.E.evictions
   && a.E.built = b.E.built && a.E.failed = b.E.failed
+  && a.E.costed = b.E.costed
 
 let check_jobs_equivalent ~noise_seed op candidates =
   let r1, c1, next1 = run_batch ~jobs:1 ~noise_seed op candidates in
@@ -305,9 +306,57 @@ let test_eviction_resets_table () =
   let fresh = Result.get_ok (E.build (E.create cfg) op (p 0)) in
   Alcotest.(check bool) "rebuild identical" true (a.E.stats = fresh.E.stats)
 
-(* The feature memo: bit-identical to a fresh extraction on miss and
-   on hit, cleared on eviction, outside [max_entries] and invisible to
-   the counters. *)
+(* One entry per key: a candidate prepared and then measured is built
+   once, costed once and takes one [max_entries] slot.  [simulate] is
+   not a lookup. *)
+let test_one_entry_per_key () =
+  let op = Ops.mtv 64 128 in
+  let e = E.create ~max_entries:2 cfg in
+  let p i = { small_params with Sk.cache_elems = 8 * (i + 1) } in
+  let prep = Result.get_ok (E.prepare e op (p 0)) in
+  let m = Result.get_ok (E.measure e op (p 0)) in
+  Alcotest.(check bool) "measure after prepare runs the cost stage" false
+    m.E.from_cache;
+  Alcotest.(check bool) "same program" true
+    (m.E.artifact.E.program == prep.E.pprogram);
+  let c = E.counters e in
+  Alcotest.(check int) "built once" 1 c.E.built;
+  Alcotest.(check int) "costed once" 1 c.E.costed;
+  Alcotest.(check int) "two requests, two lookups" 2 c.E.lookups;
+  Alcotest.(check int) "the second is a hit" 1 c.E.hits;
+  let s = Result.get_ok (E.simulate e prep) in
+  Alcotest.(check bool) "simulate serves the cost outcome" true s.E.from_cache;
+  Alcotest.(check int) "simulate is not a lookup" 2 (E.counters e).E.lookups;
+  Alcotest.(check int) "no second cost stage" 1 (E.counters e).E.costed;
+  (* the candidate holds one of the two slots, so a second key fits *)
+  ignore (E.prepare e op (p 1));
+  Alcotest.(check int) "one slot per key" 0 (E.counters e).E.evictions;
+  ignore (E.prepare e op (p 2));
+  Alcotest.(check int) "third key evicts" 1 (E.counters e).E.evictions
+
+(* Inside a batch, an uncached candidate proposed twice is prepared and
+   costed once, and the ledger is the same at any job count. *)
+let test_batch_costs_duplicate_once () =
+  let op = Ops.mtv 64 128 in
+  let dup = { small_params with Sk.tasklets = 8 } in
+  let candidates = [ dup; small_params; dup; dup ] in
+  let _, c1, _ = run_batch ~jobs:1 ~noise_seed:3 op candidates in
+  let r4, c4, _ = run_batch ~jobs:4 ~noise_seed:3 op candidates in
+  Alcotest.(check int) "two keys built" 2 c4.E.built;
+  Alcotest.(check int) "two keys costed" 2 c4.E.costed;
+  Alcotest.(check int) "four lookups" 4 c4.E.lookups;
+  Alcotest.(check int) "duplicates are hits" 2 c4.E.hits;
+  Alcotest.(check bool) "jobs:4 counters equal jobs:1" true
+    (same_int_counters c1 c4);
+  Alcotest.(check (list bool)) "only first slots ran the cost stage"
+    [ false; false; true; true ]
+    (List.map
+       (fun (_, r) -> (Result.get_ok r).E.from_cache)
+       r4)
+
+(* The feature memo lives in the candidate's entry: bit-identical to a
+   fresh extraction on miss and on hit, outside [max_entries], gone
+   after eviction and invisible to the counters. *)
 let test_feature_memo () =
   let op = Ops.mtv 64 128 in
   let e = E.create ~max_entries:4 cfg in
@@ -329,8 +378,8 @@ let test_feature_memo () =
       Alcotest.(check bool) "hit served from the memo" true (m == h))
     (List.combine misses hits);
   Alcotest.(check bool) "memo leaves the counters untouched" true (c0 = c1);
-  (* 4 prepared entries fill the table; the 4 memo entries do not
-     count, so only the next distinct entry evicts. *)
+  (* 4 prepared entries fill the table; their feature vectors take no
+     slot of their own, so only the next distinct entry evicts. *)
   Alcotest.(check int) "memo entries not counted" 0 c1.E.evictions;
   ignore (prep 4);
   Alcotest.(check int) "next entry evicts" 1 (E.counters e).E.evictions;
@@ -505,6 +554,7 @@ let () =
           Alcotest.test_case "error rendering" `Quick test_error_to_string_prefixes;
           Alcotest.test_case "eviction" `Quick test_eviction_resets_table;
           Alcotest.test_case "feature memo" `Quick test_feature_memo;
+          Alcotest.test_case "one entry per key" `Quick test_one_entry_per_key;
         ] );
       ( "batch",
         [
@@ -514,6 +564,8 @@ let () =
           Alcotest.test_case "parallel warm-up serves hits" `Quick
             test_parallel_warmup_serves_hits;
           QCheck_alcotest.to_alcotest prop_batch_jobs_equivalent;
+          Alcotest.test_case "duplicate costed once" `Quick
+            test_batch_costs_duplicate_once;
           Alcotest.test_case "stage timing is single-clock" `Quick
             test_stage_timing_single_clock;
           Alcotest.test_case "build allocation budget" `Quick
