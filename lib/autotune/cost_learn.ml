@@ -125,6 +125,15 @@ let observe t x y =
   end;
   add t x y
 
+let adopt t ~from =
+  Array.iteri (fun i row -> Array.blit row 0 t.xtx.(i) 0 (Array.length row)) from.xtx;
+  Array.blit from.xty 0 t.xty 0 (Array.length t.xty);
+  t.n <- from.n;
+  t.err_sum <- from.err_sum;
+  t.err_n <- from.err_n;
+  (* A replay ends with an [add], which drops the cached weights. *)
+  t.weights <- None
+
 let mean_abs_log_err t =
   if t.err_n = 0 then None else Some (t.err_sum /. float_of_int t.err_n)
 

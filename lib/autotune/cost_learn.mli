@@ -63,6 +63,15 @@ val observe : t -> float array -> float -> unit
     ({!mean_abs_log_err}) and the [cost_learn.mean_abs_log_err]
     observability gauge. *)
 
+val adopt : t -> from:t -> unit
+(** [adopt m ~from] gives [m] the training state of [from] (same
+    [lambda] and dimension) and drops [m]'s cached weights.  When
+    [from] started as a copy of [m] and has since {!observe}d a
+    non-empty sequence of samples, [m] ends bit-identical — normal
+    equations, error mean and weight cache — to replaying that
+    sequence through {!observe} on [m], without the replay's solve per
+    sample. *)
+
 val trained : t -> bool
 val sample_count : t -> int
 

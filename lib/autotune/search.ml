@@ -873,14 +873,21 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
          merge leader of [b] always finds [b - 1] merged, and nothing
          reads a publication older than [b] again. *)
       if sh.merged_boundary < b then begin
-        for j = 0 to k - 1 do
+        let obs j =
           match Hashtbl.find_opt sh.pubs (j, b) with
-          | Some p ->
-              List.iter
-                (fun (x, y) -> Cost_learn.observe sh.shared_tir x y)
-                p.pub_obs
-          | None -> ()
-        done;
+          | Some p -> p.pub_obs
+          | None -> []
+        in
+        (match List.filter (fun j -> obs j <> []) (List.init k Fun.id) with
+        | [ j ] ->
+            (* A lone observer started the epoch holding the merged
+               model and observed exactly its publication, in order: its
+               model is what the replay would compute. *)
+            Cost_learn.adopt sh.shared_tir ~from:ctxs.(j).tir
+        | _ ->
+            for j = 0 to k - 1 do
+              List.iter (fun (x, y) -> Cost_learn.observe sh.shared_tir x y) (obs j)
+            done);
         Hashtbl.filter_map_inplace
           (fun (_, bb) p -> if bb < b then None else Some p)
           sh.pubs;

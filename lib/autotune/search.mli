@@ -136,8 +136,9 @@ type outcome = {
           instead of measuring (0 in an ungated search). *)
   cache_hits : int;
       (** engine-cache hits during the run — trials whose build was
-          deduplicated instead of recompiled (duplicate proposals, and
-          warm entries when a shared engine is passed in). *)
+          deduplicated instead of recompiled (duplicate proposals,
+          candidates sharing the built prefix of a canonical-equal one,
+          and warm entries when a shared engine is passed in). *)
   elapsed_s : float;
       (** wall-clock duration of the whole run — recorded in tuning-log
           headers so replayed logs can report trials/sec.  For a

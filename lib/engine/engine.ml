@@ -41,6 +41,7 @@ type counters = {
   lookups : int;
   hits : int;
   misses : int;
+  shared : int;
   evictions : int;
   built : int;
   failed : int;
@@ -52,26 +53,40 @@ type counters = {
   cost_s : float;
 }
 
-(* One memo-table entry per fingerprint: the candidate's cost-free
-   prefix, then its cost outcome once simulated and its model features
-   once extracted.  The mutable fields are written under the engine
-   lock; batches hold entries directly, so an eviction mid-batch never
-   changes what a slot reads. *)
-type entry = {
-  prefix : (prepared, error) result;
-  mutable cost : (Stats.t, error) result option;
+(* Work done at most once: [Running] while one domain computes it;
+   every other requester waits for that domain instead of repeating
+   the work. *)
+type 'a once = Absent | Running | Ready of 'a
+
+(* A candidate's cost-free prefix, shared by every entry whose
+   canonical tiling ({!Sketch.canonical}) matches: the prepared program
+   (or its error) and the model features extracted from it. *)
+type prefix = {
+  mutable result : (prepared, error) result once;
   mutable feats : float array option;
+}
+
+(* One memo-table entry per fingerprint: its (possibly shared) prefix
+   and its own cost outcome.  The mutable fields are written under the
+   engine lock; batches hold entries directly, so an eviction mid-batch
+   never changes what a slot reads. *)
+type entry = {
+  key : string;
+  prefix : prefix;
+  mutable cost : (Stats.t, error) result once;
 }
 
 type t = {
   cfg : Imtp_upmem.Config.t;
   max_entries : int;
   lock : Mutex.t;
-      (* Guards [entries], [lowerings], the entries' mutable fields and
-         [c].  Stage work (sketch, lower, passes, verify, cost) always
-         runs outside the lock, so parallel builds only contend on table
-         lookups and counter bumps. *)
+      (* Guards the three tables, the entries' and prefixes' mutable
+         fields and [c].  Stage work (sketch, lower, passes, verify,
+         cost) always runs outside it, so parallel builds only contend
+         on table lookups and counter bumps. *)
+  ready : Condition.t;  (* broadcast whenever a [Running] cell settles *)
   entries : (string, entry) Hashtbl.t;
+  prefixes : (string, prefix) Hashtbl.t;  (* by canonical key *)
   lowerings : (string, (Imtp_tir.Program.t, error) result) Hashtbl.t;
   mutable c : counters;
 }
@@ -81,6 +96,7 @@ let zero_counters =
     lookups = 0;
     hits = 0;
     misses = 0;
+    shared = 0;
     evictions = 0;
     built = 0;
     failed = 0;
@@ -97,7 +113,9 @@ let create ?(max_entries = 4096) cfg =
     cfg;
     max_entries;
     lock = Mutex.create ();
+    ready = Condition.create ();
     entries = Hashtbl.create 256;
+    prefixes = Hashtbl.create 256;
     lowerings = Hashtbl.create 64;
     c = zero_counters;
   }
@@ -117,13 +135,14 @@ let log_summary t =
   let c = counters t in
   Log.info (fun m ->
       m
-        "cache: %d/%d hits (%.1f%%), %d built, %d failed, %d evictions; \
-         stage times: sketch %.1f ms, lower %.1f ms, passes %.1f ms, verify \
-         %.1f ms, cost %.1f ms"
+        "cache: %d/%d hits (%.1f%%, %d shared prefixes), %d built, %d failed, \
+         %d evictions; stage times: sketch %.1f ms, lower %.1f ms, passes \
+         %.1f ms, verify %.1f ms, cost %.1f ms"
         c.hits c.lookups
         (100. *. hit_rate c)
-        c.built c.failed c.evictions (c.sketch_s *. 1e3) (c.lower_s *. 1e3)
-        (c.passes_s *. 1e3) (c.verify_s *. 1e3) (c.cost_s *. 1e3))
+        c.shared c.built c.failed c.evictions (c.sketch_s *. 1e3)
+        (c.lower_s *. 1e3) (c.passes_s *. 1e3) (c.verify_s *. 1e3)
+        (c.cost_s *. 1e3))
 
 let noise_amplitude = 0.02
 
@@ -167,11 +186,6 @@ let op_key (op : Op.t) =
      (golden search traces depend on them). *)
   ^ match op.Op.epilogue with None -> "" | Some e -> ";epi" ^ elem_key e
 
-let params_key (p : Sketch.params) =
-  Printf.sprintf "sd%d;rd%d;t%d;c%d;rows%d;u%b;ht%d" p.Sketch.spatial_dpus
-    p.Sketch.reduction_dpus p.Sketch.tasklets p.Sketch.cache_elems
-    p.Sketch.rows_per_tasklet p.Sketch.unroll_inner p.Sketch.host_threads
-
 let options_key (o : L.options) =
   Printf.sprintf "bulk%b;par%b;hrt%d;skip%s" o.L.bulk_transfer
     o.L.parallel_transfer o.L.host_reduce_threads
@@ -185,28 +199,100 @@ let candidate_options ?(skip_inputs = []) params =
   { (Sketch.lower_options params) with L.skip_input_transfer = skip_inputs }
 
 (* A search fingerprints every candidate against one operator value, so
-   the key of the last operator seen is kept, matched by physical
-   identity (an [Op.t] is immutable).  Domains racing on it at worst
-   recompute a key. *)
-let last_op_key : (Op.t * string) option Atomic.t = Atomic.make None
+   the keys of the last few operators seen are kept, matched by physical
+   identity (an [Op.t] is immutable); concurrent searches over
+   different operators (daemon sessions) then do not evict each
+   other's.  Domains racing on the list at worst recompute a key. *)
+let recent_op_keys : (Op.t * string) list Atomic.t = Atomic.make []
+
+(* "" when absent: an operator key is never empty. *)
+let rec find_op_key op = function
+  | [] -> ""
+  | (o, k) :: rest -> if o == op then k else find_op_key op rest
 
 let memo_op_key op =
-  match Atomic.get last_op_key with
-  | Some (o, k) when o == op -> k
-  | Some _ | None ->
+  let recent = Atomic.get recent_op_keys in
+  match find_op_key op recent with
+  | "" ->
       let k = op_key op in
-      Atomic.set last_op_key (Some (op, k));
+      Atomic.set recent_op_keys ((op, k) :: List.filteri (fun i _ -> i < 3) recent);
       k
+  | k -> k
 
-let fingerprint ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
-  digest_parts
-    [
-      memo_op_key op;
-      params_key params;
-      Pl.config_name passes;
-      options_key (candidate_options ?skip_inputs params);
-      (if verify then "v" else "nv");
-    ]
+(* Memo keys are written into one exact-size [Bytes] — the pass and
+   verify flags, the sorted resident inputs, the candidate's integer
+   fields, then the operator's key — with no formatting and no
+   digest.  Every field but the last is fixed-width or length-prefixed,
+   so distinct inputs give distinct keys, and the bytes depend on the
+   values alone, so keys are stable across processes. *)
+let put_int b pos x =
+  for k = 0 to 7 do
+    Bytes.unsafe_set b (pos + k) (Char.unsafe_chr ((x asr (8 * k)) land 0xff))
+  done;
+  pos + 8
+
+let put_string b pos s =
+  let pos = put_int b pos (String.length s) in
+  Bytes.unsafe_blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let flags (passes : Pl.config) ~verify =
+  Bool.to_int passes.Pl.dma_elim
+  lor (Bool.to_int passes.Pl.loop_tighten lsl 1)
+  lor (Bool.to_int passes.Pl.branch_hoist lsl 2)
+  lor (Bool.to_int verify lsl 3)
+
+let make_key ~passes ~skip_inputs ~verify op ~body_len write_body =
+  let opk = memo_op_key op in
+  let skips =
+    match skip_inputs with
+    | ([] | [ _ ]) as l -> l
+    | l -> List.sort String.compare l
+  in
+  let skip_len = List.fold_left (fun a s -> a + 8 + String.length s) 0 skips in
+  let b = Bytes.create (16 + skip_len + body_len + String.length opk) in
+  let pos = put_int b 0 (flags passes ~verify) in
+  let pos = put_int b pos (List.length skips) in
+  let pos = List.fold_left (put_string b) pos skips in
+  let pos = write_body b pos in
+  Bytes.unsafe_blit_string opk 0 b pos (String.length opk);
+  Bytes.unsafe_to_string b
+
+let fingerprint ?(passes = Pl.all_on) ?(skip_inputs = []) ?(verify = true) op
+    (p : Sketch.params) =
+  make_key ~passes ~skip_inputs ~verify op ~body_len:56 (fun b pos ->
+      let pos = put_int b pos p.Sketch.spatial_dpus in
+      let pos = put_int b pos p.Sketch.reduction_dpus in
+      let pos = put_int b pos p.Sketch.tasklets in
+      let pos = put_int b pos p.Sketch.cache_elems in
+      let pos = put_int b pos p.Sketch.rows_per_tasklet in
+      let pos = put_int b pos (Bool.to_int p.Sketch.unroll_inner) in
+      put_int b pos p.Sketch.host_threads)
+
+(* The prefix key of a candidate: its canonical tiling in place of its
+   parameters.  Candidates the sketch cannot tile get no shared prefix. *)
+let prefix_key ~passes ~skip_inputs ~verify op params =
+  match Sketch.canonical op params with
+  | exception (Invalid_argument _ | Division_by_zero) -> None
+  | c ->
+      let body_len =
+        List.fold_left
+          (fun a f -> a + 8 + (8 * List.length f))
+          24 c.Sketch.splits
+      in
+      Some
+        (make_key ~passes ~skip_inputs ~verify op ~body_len (fun b pos ->
+             let pos = put_int b pos c.Sketch.host_threads in
+             let pos =
+               put_int b pos
+                 (Bool.to_int c.Sketch.rfactor
+                 lor (Bool.to_int c.Sketch.unroll lsl 1))
+             in
+             let pos = put_int b pos (List.length c.Sketch.splits) in
+             List.fold_left
+               (fun pos f ->
+                 List.fold_left (put_int b) (put_int b pos (List.length f)) f)
+               pos c.Sketch.splits))
 
 (* ------------------------------------------------------------------ *)
 (* The staged pipeline.  Each stage exists once; stage timings are     *)
@@ -292,8 +378,9 @@ let optimize t ?(passes = Pl.all_on) prog =
 (* The memo table.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Under the lock: charge [n] cache probes, [hits] of them hits. *)
-let count_lookups t ~n ~hits =
+(* Under the lock: charge [n] cache probes, [hits] of them hits and
+   [shared] of those hits new entries on an existing prefix. *)
+let count_lookups t ~n ~hits ~shared =
   let misses = n - hits in
   t.c <-
     {
@@ -301,24 +388,20 @@ let count_lookups t ~n ~hits =
       lookups = t.c.lookups + n;
       hits = t.c.hits + hits;
       misses = t.c.misses + misses;
+      shared = t.c.shared + shared;
     };
   if n > 0 then Obs.incr ~by:n "engine.cache.lookups";
   if hits > 0 then Obs.incr ~by:hits "engine.cache.hits";
-  if misses > 0 then Obs.incr ~by:misses "engine.cache.misses"
-
-(* The one counted cache probe of a request. *)
-let lookup t table key =
-  locked t (fun () ->
-      let found = Hashtbl.find_opt table key in
-      count_lookups t ~n:1 ~hits:(if Option.is_some found then 1 else 0);
-      found)
+  if misses > 0 then Obs.incr ~by:misses "engine.cache.misses";
+  if shared > 0 then Obs.incr ~by:shared "engine.cache.shared"
 
 (* Under the lock: room for one more key.  A full table is reset rather
-   than grown. *)
+   than grown, the prefix index with it. *)
 let make_room t =
   if Hashtbl.length t.entries + Hashtbl.length t.lowerings >= t.max_entries
   then begin
     Hashtbl.reset t.entries;
+    Hashtbl.reset t.prefixes;
     Hashtbl.reset t.lowerings;
     t.c <- { t.c with evictions = t.c.evictions + 1 };
     Obs.incr "engine.cache.evictions"
@@ -333,11 +416,58 @@ let count_outcome t = function
       t.c <- { t.c with failed = t.c.failed + 1 };
       Obs.incr "engine.failed"
 
-let store t table key v outcome =
-  locked t (fun () ->
-      make_room t;
-      Hashtbl.replace table key v;
-      count_outcome t outcome)
+(* Under the lock: file an entry for the absent [key] on the prefix
+   indexed under [prefix_key], creating and indexing that prefix if
+   there is none.  Returns the entry and whether it shares a prefix. *)
+let file t key ~prefix_key =
+  make_room t;
+  let prefix, shared =
+    match prefix_key with
+    | None -> ({ result = Absent; feats = None }, false)
+    | Some pk -> (
+        match Hashtbl.find_opt t.prefixes pk with
+        | Some pre -> (pre, true)
+        | None ->
+            let pre = { result = Absent; feats = None } in
+            Hashtbl.replace t.prefixes pk pre;
+            (pre, false))
+  in
+  let e = { key; prefix; cost = Absent } in
+  Hashtbl.replace t.entries key e;
+  (e, shared)
+
+(* [work]'s outcome for a [once] cell: computed here when the cell is
+   [Absent], awaited when another domain is computing it, served when
+   [Ready].  [settle] runs under the lock with a fresh outcome.  On an
+   exception the cell returns to [Absent] for the next requester.
+   Returns the outcome and whether it was already there. *)
+let demand t ~get ~set ~settle work =
+  let rec claim () =
+    match get () with
+    | Running ->
+        Condition.wait t.ready t.lock;
+        claim ()
+    | Ready r -> Some r
+    | Absent ->
+        set Running;
+        None
+  in
+  match locked t claim with
+  | Some r -> (r, true)
+  | None -> (
+      match work () with
+      | r ->
+          locked t (fun () ->
+              set (Ready r);
+              settle r;
+              Condition.broadcast t.ready);
+          (r, false)
+      | exception ex ->
+          let bt = Printexc.get_raw_backtrace () in
+          locked t (fun () ->
+              set Absent;
+              Condition.broadcast t.ready);
+          Printexc.raise_with_backtrace ex bt)
 
 let ( let* ) = Result.bind
 
@@ -351,47 +481,70 @@ let prepare_uncached t ~passes ~options ~verify ~key op params =
   let* () = if verify then stage_verify_program ~t t.cfg program else Ok () in
   Ok { pkey = key; psched = sched; plowered = lowered; pprogram = program }
 
-let add_entry t key prefix =
-  let e = { prefix; cost = None; feats = None } in
-  store t t.entries key e prefix;
-  e
+(* An entry's prefix under the entry's own key: built here from the
+   requesting candidate when nobody has built it yet, awaited while
+   another domain builds it.  A build is one [built] or [failed]. *)
+let prefix_of t e ~passes ?skip_inputs ~verify op params =
+  let r, _ =
+    demand t
+      ~get:(fun () -> e.prefix.result)
+      ~set:(fun s -> e.prefix.result <- s)
+      ~settle:(count_outcome t)
+      (fun () ->
+        let options = candidate_options ?skip_inputs params in
+        prepare_uncached t ~passes ~options ~verify ~key:e.key op params)
+  in
+  match r with
+  | Ok p when p.pkey != e.key -> Ok { p with pkey = e.key }
+  | r -> r
 
-(* One candidate request: one lookup, and the prefix built on a miss. *)
-let entry_of t ~passes ?skip_inputs ~verify op params =
-  let key = fingerprint ~passes ?skip_inputs ~verify op params in
-  match lookup t t.entries key with
-  | Some e -> (e, true)
-  | None ->
-      let options = candidate_options ?skip_inputs params in
-      (add_entry t key (prepare_uncached t ~passes ~options ~verify ~key op params),
-       false)
+(* One candidate request: one lookup, filing an entry on a miss (on a
+   shared prefix when its canonical key is indexed), then its prefix.
+   Returns the entry, its prefix, whether the key was present and
+   whether a new entry shares a prefix. *)
+let entry_of t ~passes ?(skip_inputs = []) ~verify op params =
+  let key = fingerprint ~passes ~skip_inputs ~verify op params in
+  let e, found, shared =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.entries key with
+        | Some e ->
+            count_lookups t ~n:1 ~hits:1 ~shared:0;
+            (e, true, false)
+        | None ->
+            let prefix_key = prefix_key ~passes ~skip_inputs ~verify op params in
+            let e, shared = file t key ~prefix_key in
+            let s = Bool.to_int shared in
+            count_lookups t ~n:1 ~hits:s ~shared:s;
+            (e, false, shared))
+  in
+  (e, prefix_of t e ~passes ~skip_inputs ~verify op params, found, shared)
 
 let artifact_of (p : prepared) stats =
   { key = p.pkey; sched = p.psched; lowered = p.plowered; program = p.pprogram; stats }
 
-(* The cost stage of an entry, run only while it has no cost outcome.
-   Returns the outcome and whether it was already cached; two domains
-   racing on one entry at worst both run the stage. *)
+(* The cost stage of an entry, run once per entry: a concurrent
+   requester waits for a run in flight.  Returns the outcome and
+   whether it was already there. *)
 let cost_entry t e (p : prepared) =
   let r, cached =
-    match locked t (fun () -> e.cost) with
-    | Some r -> (r, true)
-    | None ->
+    demand t
+      ~get:(fun () -> e.cost)
+      ~set:(fun s -> e.cost <- s)
+      ~settle:(fun r -> if Result.is_error r then count_outcome t r)
+      (fun () ->
         let r = stage_cost ~t t.cfg p.pprogram in
         Result.iter
           (fun stats ->
             Obs.incr ~by:stats.Stats.bytes_h2d "engine.bytes_h2d";
             Obs.incr ~by:stats.Stats.bytes_d2h "engine.bytes_d2h")
           r;
-        locked t (fun () ->
-            e.cost <- Some r;
-            if Result.is_error r then count_outcome t r);
-        (r, false)
+        r)
   in
   (Result.map (artifact_of p) r, cached)
 
-let outcome t e =
-  match e.prefix with Error err -> (Error err, true) | Ok p -> cost_entry t e p
+let outcome t e = function
+  | Error err -> (Error err, true)
+  | Ok p -> cost_entry t e p
 
 let noisy ?rng base =
   match rng with
@@ -409,8 +562,8 @@ let build_outcome t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
   Obs.span ~name:"engine.build"
     ~attrs:[ ("op", Obs.Str op.Op.opname) ]
     (fun () ->
-      let e, found = entry_of t ~passes ?skip_inputs ~verify op params in
-      let ((r, cached) as o) = outcome t e in
+      let e, prefix, found, _ = entry_of t ~passes ?skip_inputs ~verify op params in
+      let ((r, cached) as o) = outcome t e prefix in
       Obs.add_attr "hit" (Obs.Bool (found && cached));
       Obs.add_attr "ok" (Obs.Bool (Result.is_ok r));
       o)
@@ -425,48 +578,57 @@ let find t ?passes ?skip_inputs ?verify op params =
   let key = fingerprint ?passes ?skip_inputs ?verify op params in
   locked t (fun () ->
       match Hashtbl.find_opt t.entries key with
-      | Some { prefix = Error err; _ } -> Some (Error err)
-      | Some { prefix = Ok p; cost; _ } ->
-          Option.map (Result.map (artifact_of p)) cost
-      | None -> None)
+      | Some { prefix = { result = Ready (Error err); _ }; _ } -> Some (Error err)
+      | Some { prefix = { result = Ready (Ok p); _ }; cost = Ready r; _ } ->
+          Some (Result.map (artifact_of { p with pkey = key }) r)
+      | Some _ | None -> None)
 
 let prepare t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
   Obs.span ~name:"engine.prepare"
     ~attrs:[ ("op", Obs.Str op.Op.opname) ]
     (fun () ->
-      let e, hit = entry_of t ~passes ?skip_inputs ~verify op params in
-      Obs.add_attr "hit" (Obs.Bool hit);
-      Obs.add_attr "ok" (Obs.Bool (Result.is_ok e.prefix));
-      e.prefix)
+      let _, prefix, found, shared =
+        entry_of t ~passes ?skip_inputs ~verify op params
+      in
+      Obs.add_attr "hit" (Obs.Bool (found || shared));
+      Obs.add_attr "shared" (Obs.Bool shared);
+      Obs.add_attr "ok" (Obs.Bool (Result.is_ok prefix));
+      prefix)
 
 (* Computed outside the lock like every stage; two domains racing on
-   one key compute the same vector, and the last write wins.  A
+   one prefix compute the same vector, and the last write wins.  A
    candidate whose entry was evicted gets a fresh, unmemoized vector. *)
 let features t (p : prepared) =
-  let e, memo =
+  let prefix, memo =
     locked t (fun () ->
         match Hashtbl.find_opt t.entries p.pkey with
-        | Some e -> (Some e, e.feats)
+        | Some e -> (Some e.prefix, e.prefix.feats)
         | None -> (None, None))
   in
   match memo with
   | Some x -> x
   | None ->
       let x = Features.of_program p.pprogram in
-      Option.iter (fun e -> locked t (fun () -> e.feats <- Some x)) e;
+      Option.iter (fun pre -> locked t (fun () -> pre.feats <- Some x)) prefix;
       x
 
 let simulate t ?rng (p : prepared) =
   Obs.span ~name:"engine.simulate" (fun () ->
       (* Not a lookup: [p]'s request was counted when it was prepared.
-         An entry evicted since is filed again. *)
+         An entry evicted since is filed again, on its own prefix. *)
       let e =
         locked t (fun () ->
             match Hashtbl.find_opt t.entries p.pkey with
             | Some e -> e
             | None ->
-                let e = { prefix = Ok p; cost = None; feats = None } in
                 make_room t;
+                let e =
+                  {
+                    key = p.pkey;
+                    prefix = { result = Ready (Ok p); feats = None };
+                    cost = Absent;
+                  }
+                in
                 Hashtbl.replace t.entries p.pkey e;
                 e)
       in
@@ -483,22 +645,22 @@ let execute prog ~inputs =
     (fun () -> Imtp_tir.Exec.run_counted prog ~inputs)
 
 (* How each batch slot finds its entry, decided up front in list order
-   so the hit/miss ledger and [from_cache] flags are the same no matter
-   how many domains then race on the work:
-   - [Cached e]: the key was in the table when the batch started; the
+   so the hit/miss/shared ledger and [from_cache] flags are the same no
+   matter how many domains then race on the work:
+   - [Slot e]: the slot's own entry — found in the table when the batch
+     started, or filed now (a miss, or a hit on a shared prefix).  The
      entry is captured so a mid-batch eviction can't change it.
-   - [Build]: first occurrence of an uncached key; this slot builds the
-     prefix.
    - [Dup i]: later occurrence of slot [i]'s key; a cache hit (as the
      sequential walk would see it) sharing slot [i]'s entry. *)
-type plan = Cached of entry | Build | Dup of int
+type plan = Slot of entry | Dup of int
 
 (* The classify-and-dispatch driver behind [prepare_batch] and [batch]:
-   one lookup per slot, the uncached prefixes built across the pool
-   and, with [~cost], each distinct entry's cost stage run once, on the
-   pool, by the first slot holding it.  Returns every slot's entry and
+   one lookup per slot, the slots' prefixes built (or awaited) across
+   the pool and, with [~cost], each entry's cost stage run once, by the
+   first slot holding it.  Returns every slot's entry, its prefix and
    whether that slot ran the cost stage. *)
-let run_batch t ~name ?jobs ~cost ~passes ?skip_inputs ~verify op candidates =
+let run_batch t ~name ?jobs ~cost ~passes ?(skip_inputs = []) ~verify op
+    candidates =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let cands = Array.of_list candidates in
   let n = Array.length cands in
@@ -508,63 +670,64 @@ let run_batch t ~name ?jobs ~cost ~passes ?skip_inputs ~verify op candidates =
   @@ fun () ->
   let parent = Obs.current_span_id () in
   let keys =
-    Array.map (fun p -> fingerprint ~passes ?skip_inputs ~verify op p) cands
+    Array.map (fun p -> fingerprint ~passes ~skip_inputs ~verify op p) cands
   in
-  let plan =
+  let plan, misses, shared =
     locked t (fun () ->
         let first = Hashtbl.create (max 16 n) in
-        let hits = ref 0 in
+        let misses = ref 0 and shared = ref 0 in
         let plan =
           Array.mapi
             (fun i key ->
               match Hashtbl.find_opt first key with
-              | Some i0 ->
-                  incr hits;
-                  Dup i0
+              | Some i0 -> Dup i0
               | None -> (
                   Hashtbl.add first key i;
                   match Hashtbl.find_opt t.entries key with
-                  | Some e ->
-                      incr hits;
-                      Cached e
-                  | None -> Build))
+                  | Some e -> Slot e
+                  | None ->
+                      let prefix_key =
+                        prefix_key ~passes ~skip_inputs ~verify op cands.(i)
+                      in
+                      let e, sh = file t key ~prefix_key in
+                      if sh then incr shared else incr misses;
+                      Slot e))
             keys
         in
-        count_lookups t ~n ~hits:!hits;
-        plan)
+        count_lookups t ~n ~hits:(n - !misses) ~shared:!shared;
+        (plan, !misses, !shared))
   in
-  let slots = Array.map (function Cached e -> Some e | Build | Dup _ -> None) plan in
+  let prefixes = Array.make n None in
   let ran_cost = Array.make n false in
   let run i =
     Obs.with_ambient_parent parent @@ fun () ->
-    (match plan.(i) with
-    | Build ->
-        let p = cands.(i) in
-        let options = candidate_options ?skip_inputs p in
-        slots.(i) <-
-          Some
-            (add_entry t keys.(i)
-               (prepare_uncached t ~passes ~options ~verify ~key:keys.(i) op p))
-    | Cached _ | Dup _ -> ());
-    match slots.(i) with
-    | Some ({ prefix = Ok p; _ } as e) when cost ->
-        ran_cost.(i) <- not (snd (cost_entry t e p))
-    | Some _ | None -> ()
+    match plan.(i) with
+    | Dup _ -> ()
+    | Slot e -> (
+        let r = prefix_of t e ~passes ~skip_inputs ~verify op cands.(i) in
+        prefixes.(i) <- Some r;
+        match r with
+        | Ok p when cost -> ran_cost.(i) <- not (snd (cost_entry t e p))
+        | Ok _ | Error _ -> ())
   in
   let (_ : unit array), util = Pool.map_stats ~jobs run n in
-  Array.iteri
-    (fun i -> function Dup i0 -> slots.(i) <- slots.(i0) | Cached _ | Build -> ())
-    plan;
-  let misses = Array.fold_left (fun a -> function Build -> a + 1 | _ -> a) 0 plan in
   Obs.add_attr "hits" (Obs.Int (n - misses));
   Obs.add_attr "misses" (Obs.Int misses);
+  Obs.add_attr "shared" (Obs.Int shared);
   Obs.add_attr "domains_used" (Obs.Int (Array.length util));
   Obs.add_attr "utilization"
     (Obs.Str
        (String.concat ","
           (Array.to_list util
           |> List.map (fun (tasks, busy) -> Printf.sprintf "%d:%.4fs" tasks busy))));
-  Array.mapi (fun i e -> (Option.get e, ran_cost.(i))) slots
+  Array.mapi
+    (fun i -> function
+      | Slot e -> (e, Option.get prefixes.(i), ran_cost.(i))
+      | Dup i0 -> (
+          match plan.(i0) with
+          | Slot e -> (e, Option.get prefixes.(i0), false)
+          | Dup _ -> assert false))
+    plan
 
 let prepare_batch t ?jobs ?(passes = Pl.all_on) ?skip_inputs ?(verify = true)
     op candidates =
@@ -572,7 +735,11 @@ let prepare_batch t ?jobs ?(passes = Pl.all_on) ?skip_inputs ?(verify = true)
     run_batch t ~name:"engine.prepare_batch" ?jobs ~cost:false ~passes
       ?skip_inputs ~verify op candidates
   in
-  List.mapi (fun i p -> (p, (fst slots.(i)).prefix)) candidates
+  List.mapi
+    (fun i p ->
+      let _, prefix, _ = slots.(i) in
+      (p, prefix))
+    candidates
 
 let batch t ?jobs ?rng ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
     candidates =
@@ -585,15 +752,25 @@ let batch t ?jobs ?rng ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
   in
   List.mapi
     (fun i p ->
-      let e, ran_cost = slots.(i) in
+      let e, prefix, ran_cost = slots.(i) in
       let rng = Option.map (fun base -> Rng.stream ~base ~index:i) base in
-      (p, measurement ?rng (fst (outcome t e), not ran_cost)))
+      (p, measurement ?rng (fst (outcome t e prefix), not ran_cost)))
     candidates
 
 let lower_keyed t ~key thunk =
-  match lookup t t.lowerings key with
+  let found =
+    locked t (fun () ->
+        let found = Hashtbl.find_opt t.lowerings key in
+        let hit = Bool.to_int (Option.is_some found) in
+        count_lookups t ~n:1 ~hits:hit ~shared:0;
+        found)
+  in
+  match found with
   | Some r -> r
   | None ->
       let r = timed (Some t) lower_stage thunk in
-      store t t.lowerings key r r;
+      locked t (fun () ->
+          make_room t;
+          Hashtbl.replace t.lowerings key r;
+          count_outcome t r);
       r

@@ -8,32 +8,52 @@
 
     {v params -> sched -> lowered program -> pass-optimized program -> stats v}
 
-    exists exactly once.  Results are memoized in a content-addressed
-    table keyed by a canonical structural hash over the operator, the
-    sketch parameters, the pass configuration and the lowering options,
-    so repeated candidates (common under mutation-based evolutionary
+    exists exactly once.  Results are memoized in a table keyed by
+    {!fingerprint}: the operator, the sketch parameters, the pass
+    configuration, the lowering options and the verify toggle, so
+    repeated candidates (common under mutation-based evolutionary
     search) are served from cache instead of being re-lowered and
     re-costed.  Failures are typed (and cached too, so a re-proposed
     invalid candidate is rejected without recompilation).
 
     The table holds one entry per key: the candidate's {!prepared}
-    prefix (or its error), then its cost outcome once simulated, then
-    its model features once extracted.  {!build}, {!measure} and
+    prefix (or its error), its model features once extracted, and its
+    own cost outcome once simulated.  {!build}, {!measure} and
     {!batch} are {!prepare} / {!prepare_batch} followed by the cost
     stage on the same entry.
 
+    {2 Prefix sharing}
+
+    Many parameter settings instantiate to the same schedule: the
+    sketch clamps tasklets and caching tiles to the per-DPU slice, and
+    [host_threads] only matters to a host reduction over spatial DPU
+    blocks.  A second index, keyed by the candidate's canonical tiling
+    ({!Sketch.canonical}) with the same pass configuration, resident
+    inputs and verify toggle, points at the prefix each entry holds.
+    A new key whose canonical key is indexed files an entry on that
+    prefix and builds nothing: it counts as a hit ([shared]), so
+    [misses = built + failed] prefixes.  Features go with the prefix;
+    the cost outcome stays with each entry, so [costed] counts one
+    simulator run per key, as without sharing.
+
+    A prefix build or a cost stage runs at most once: a requester that
+    finds one in flight on another domain waits for it instead of
+    repeating it, so [built] and [costed] do not depend on thread
+    timing.
+
     {2 Thread safety and parallel batches}
 
-    An engine is domain-safe: one mutex guards the memo table and the
-    counters, and all stage work runs outside it, so a batch can
-    dispatch candidates across a {!Pool} of worker domains
+    An engine is domain-safe: one mutex guards the memo table, the
+    prefix index and the counters, and all stage work runs outside it,
+    so a batch can dispatch candidates across a {!Pool} of worker domains
     ([?jobs], default {!Pool.default_jobs}).  Parallelism never changes
-    answers: a batch classifies every slot up front (cache hit,
-    first build of a key, or duplicate of an earlier slot), draws one
+    answers: a batch classifies every slot up front (cache hit, new
+    entry on a new or a shared prefix, or duplicate of an earlier
+    slot), draws one
     value from the caller's [rng] and gives candidate [i] the
     derived stream [Rng.stream ~base ~index:i], so results, order,
     latencies, [from_cache] flags and the integer counters are
-    identical at any job count — [~jobs:1] runs the same classified
+    identical at any job count, and [~jobs:1] runs the same classified
     path inline on the calling domain with no domains spun up.  The
     only caveat: a duplicate slot shares its builder's entry directly,
     so if an eviction fires {e mid-batch} (a batch of distinct new keys
@@ -57,7 +77,7 @@ val error_to_string : error -> string
     (["sketch: ..."], ["verifier: ..."], ["lower: ..."], ["cost: ..."]). *)
 
 type artifact = {
-  key : string;  (** content hash this artifact is cached under. *)
+  key : string;  (** the {!fingerprint} this artifact is cached under. *)
   sched : Imtp_schedule.Sched.t;  (** instantiated schedule. *)
   lowered : Imtp_tir.Program.t;  (** raw lowering, before passes. *)
   program : Imtp_tir.Program.t;  (** after the PIM-aware passes. *)
@@ -74,7 +94,7 @@ type measurement = {
 }
 
 type prepared = {
-  pkey : string;  (** the same content hash an {!artifact} would use. *)
+  pkey : string;  (** the same key an {!artifact} would use. *)
   psched : Imtp_schedule.Sched.t;
   plowered : Imtp_tir.Program.t;
   pprogram : Imtp_tir.Program.t;
@@ -90,15 +110,24 @@ type counters = {
       (** candidate requests: one per {!prepare}, {!build}, {!measure},
           batch slot and {!lower_keyed} call.  {!simulate} continues a
           request already counted and is not a lookup. *)
-  hits : int;  (** lookups whose key already had an entry. *)
+  hits : int;
+      (** lookups whose key already had an entry, or that filed a new
+          entry on an existing prefix ([shared]). *)
   misses : int;
+      (** lookups that filed an entry on a new prefix, or missed a raw
+          lowering: [misses = built + failed] minus failed cost stages. *)
+  shared : int;
+      (** the hits that filed a new entry on the prefix of a
+          canonical-equal candidate: builds the prefix index saved. *)
   evictions : int;
       (** table resets after exceeding [max_entries]. *)
   built : int;  (** prepared prefixes (and raw lowerings) constructed. *)
-  failed : int;  (** typed errors constructed (and cached). *)
+  failed : int;
+      (** typed errors constructed (and cached): failed prefixes, raw
+          lowerings and cost stages. *)
   costed : int;
-      (** simulator executions: runs of the cost stage, at most one per
-          entry.  Measurement gating is judged against this ledger — a
+      (** simulator executions: runs of the cost stage, exactly one per
+          simulated entry.  Measurement gating is judged against this ledger — a
           gated search must show the same best latency with far fewer
           [costed]. *)
   sketch_s : float;
@@ -119,7 +148,8 @@ type t
 val create : ?max_entries:int -> Imtp_upmem.Config.t -> t
 (** [max_entries] (default 4096) bounds the memo table in keys — a
     candidate prepared and then simulated takes one; when exceeded the
-    table is reset (counted in [evictions]) rather than grown. *)
+    table is reset (counted in [evictions]) rather than grown, the
+    prefix index with it. *)
 
 val config : t -> Imtp_upmem.Config.t
 
@@ -148,9 +178,8 @@ val options_key : Imtp_lower.Lowering.options -> string
     list is sorted so its order never splits the cache. *)
 
 val digest_parts : string list -> string
-(** Hex digest of the concatenated parts — the content address used by
-    the memo table.  Exposed so callers with non-sketch entry points
-    (the fuzz oracle) can derive compatible keys. *)
+(** Hex digest of the concatenated parts: the content key callers with
+    non-sketch entry points (the fuzz oracle) pass to {!lower_keyed}. *)
 
 val fingerprint :
   ?passes:Imtp_passes.Pipeline.config ->
@@ -159,10 +188,12 @@ val fingerprint :
   Imtp_workload.Op.t ->
   Sketch.params ->
   string
-(** The cache key of a sketch candidate: a digest over the operator,
-    the parameters, the pass configuration, the lowering options
-    derived from the parameters, and the verify toggle.  Stable across
-    engine instances and process runs. *)
+(** The cache key of a sketch candidate over the operator, the
+    parameters, the pass configuration, the lowering options derived
+    from the parameters, and the verify toggle: a binary string of
+    fixed-width and length-prefixed fields followed by {!op_key},
+    built without formatting or hashing.  Stable across engine
+    instances and process runs. *)
 
 (** {2 The staged pipeline} *)
 
@@ -250,7 +281,7 @@ val batch :
     cost stage.  With an [rng], exactly one value is drawn from it per
     call and candidate [i]'s ±2 % noise comes from
     [Rng.stream ~base ~index:i] (see the determinism contract above).
-    The [engine.batch] span records [jobs], [hits], [misses],
+    The [engine.batch] span records [jobs], [hits], [misses], [shared],
     [domains_used] and a per-domain [utilization] breakdown. *)
 
 (** {2 The prepared (cost-free) prefix}
@@ -269,9 +300,11 @@ val prepare :
   Sketch.params ->
   (prepared, error) result
 (** The candidate's entry prefix: one lookup, and on a miss the
-    sketch, verify, lower and passes stages, without the cost stage.
-    Cache-hit and fresh-built candidates yield the same program, hence
-    bit-identical features. *)
+    sketch, verify, lower and passes stages (unless a canonical-equal
+    candidate's prefix is shared), without the cost stage.  Cache-hit,
+    shared and fresh-built candidates yield the same program, hence
+    bit-identical features.  The [engine.prepare] span records [hit],
+    [shared] and [ok]. *)
 
 val prepare_batch :
   t ->
@@ -286,13 +319,15 @@ val prepare_batch :
     ahead-of-time classification contract above (one lookup per slot):
     results, order and the hit/miss ledger are bit-identical at any job
     count.  Draws nothing from any rng — ranking a population must
-    leave the caller's noise stream untouched. *)
+    leave the caller's noise stream untouched.  The
+    [engine.prepare_batch] span records [hits], [misses] and [shared]
+    besides the pool telemetry of {!batch}. *)
 
 val features : t -> prepared -> float array
-(** [Features.of_program p.pprogram], memoized in the entry of
-    [p.pkey]: the vector is a pure function of the program, hence of
-    the fingerprint it was built under, so a memoized one is
-    bit-identical to a fresh extraction.  It takes no slot of its own,
+(** [Features.of_program p.pprogram], memoized with the prefix of
+    [p.pkey]'s entry: the vector is a pure function of the program, so
+    a memoized one — also one extracted for a canonical-equal
+    candidate — is bit-identical to a fresh extraction.  It takes no slot of its own,
     goes with its entry on eviction and leaves {!counters} untouched.
     The returned array is shared with the entry: callers must not
     mutate it. *)
@@ -303,7 +338,8 @@ val simulate :
     cost outcome) and apply the measurement objective, with the same
     ±2 % noise semantics as {!measure}.  Not a lookup: the request was
     counted by the {!prepare} that produced [p].  Each uncached call is
-    one simulator execution, counted in [counters.costed]. *)
+    one simulator execution, counted in [counters.costed]; concurrent
+    calls on one entry run it once. *)
 
 val lower_keyed :
   t ->

@@ -50,7 +50,85 @@ let family_of (op : Op.t) =
 let uses_rfactor p = p.reduction_dpus > 1
 let ceil_div a b = (a + b - 1) / b
 
-let maybe_unroll s p loop = if p.unroll_inner then S.unroll s loop
+(* --- canonical tiling ----------------------------------------------- *)
+
+type tiling = {
+  splits : int list list;
+  rfactor : bool;
+  unroll : bool;
+  host_threads : int;
+}
+
+(* Derive the per-DPU tiling for a 1-D axis of [n] elements spread over
+   [dpus] DPUs: the requested DPU count takes priority, the caching
+   tile shrinks to the per-DPU slice if needed, and tasklets beyond the
+   available caching blocks stay idle (exactly how PrIM's fixed 1,024 B
+   recommendation under-fills tasklets on small per-DPU slices, §7.1).
+   Factors [tasklets; chunk; cache]. *)
+let tile_1d ~n ~dpus p =
+  let per_dpu = max 1 (ceil_div n dpus) in
+  let cache_eff = max 1 (min p.cache_elems per_dpu) in
+  let t_eff = max 1 (min p.tasklets (ceil_div per_dpu cache_eff)) in
+  [ t_eff; max 1 (ceil_div per_dpu (t_eff * cache_eff)); cache_eff ]
+
+(* [rows] spatial rows over [dpus] DPUs.  The requested DPU count is
+   honored even when rows are scarce: the tasklet count is capped at the
+   rows available per DPU (idle tasklets on the real machine contribute
+   nothing).  Factors [tasklets; rows per tasklet]. *)
+let tile_rows ~rows ~dpus p =
+  let rows_per_dpu = max 1 (ceil_div rows dpus) in
+  let t_eff = max 1 (min p.tasklets rows_per_dpu) in
+  [ t_eff; max 1 (ceil_div rows_per_dpu t_eff) ]
+
+(* A reduction axis of [k] elements: [chunk; cache] under the rfactor'd
+   DPU split, one [cache] tile level without it. *)
+let tile_reduce ~k p =
+  if uses_rfactor p then
+    [ max 1 (ceil_div k (p.reduction_dpus * p.cache_elems)); p.cache_elems ]
+  else [ p.cache_elems ]
+
+let canonical op p =
+  let fam = family_of op in
+  let extent i = (List.nth op.Op.axes i).Op.extent in
+  let splits, rfactor =
+    match fam with
+    | Elementwise -> ([ tile_1d ~n:(extent 0) ~dpus:p.spatial_dpus p ], false)
+    | Tasklet_reduce ->
+        ([ tile_1d ~n:(extent 0) ~dpus:(max 1 p.reduction_dpus) p ], true)
+    | Mat_vec ->
+        ( [ tile_rows ~rows:(extent 0) ~dpus:p.spatial_dpus p;
+            tile_reduce ~k:(extent 1) p ],
+          uses_rfactor p )
+    | Batched ->
+        let t_eff =
+          max 1 (min p.tasklets (ceil_div (extent 1) p.rows_per_tasklet))
+        in
+        ( [ [ t_eff; p.rows_per_tasklet ]; tile_reduce ~k:(extent 2) p ],
+          uses_rfactor p )
+    | Mat_mat ->
+        (* split the spatial DPU budget between i and j. *)
+        let m = extent 1 in
+        let j_blocks = max 1 (min m (min 32 (p.spatial_dpus / 16))) in
+        let i_dpus = max 1 (p.spatial_dpus / j_blocks) in
+        ( [ tile_rows ~rows:(extent 0) ~dpus:i_dpus p;
+            [ max 1 (ceil_div m j_blocks) ];
+            tile_reduce ~k:(extent 2) p ],
+          uses_rfactor p )
+    | Grid_map ->
+        let j_dpus = max 1 (p.spatial_dpus / max 1 (extent 0)) in
+        ([ tile_1d ~n:(extent 1) ~dpus:j_dpus p ], false)
+  in
+  (* The lowering reads [host_threads] only to parallelize the host's
+     final reduction over the spatial DPU blocks, which a pure
+     reduction does not have. *)
+  let host_threads =
+    if rfactor && fam <> Tasklet_reduce then p.host_threads else 0
+  in
+  { splits; rfactor; unroll = p.unroll_inner; host_threads }
+
+(* --- schedule templates: each reads only the tiling ------------------ *)
+
+let maybe_unroll s c loop = if c.unroll then S.unroll s loop
 
 (* Only body-referenced inputs get read caches: epilogue-only inputs
    are staged by the lowering at the write-cache site instead. *)
@@ -65,233 +143,157 @@ let cache_output s at =
   let c = S.cache_write s (fst (S.op s).Op.output) in
   S.reverse_compute_at s c at
 
-(* Derive the per-DPU tiling for a 1-D axis of [n] elements spread over
-   [dpus] DPUs: the requested DPU count takes priority, the caching
-   tile shrinks to the per-DPU slice if needed, and tasklets beyond the
-   available caching blocks stay idle (exactly how PrIM's fixed 1,024 B
-   recommendation under-fills tasklets on small per-DPU slices, §7.1). *)
-let derive_1d ~n ~dpus ~tasklets ~cache_elems =
-  let per_dpu = max 1 (ceil_div n dpus) in
-  let cache_eff = max 1 (min cache_elems per_dpu) in
-  let t_eff = max 1 (min tasklets (ceil_div per_dpu cache_eff)) in
-  let chunk = max 1 (ceil_div per_dpu (t_eff * cache_eff)) in
-  (t_eff, chunk, cache_eff)
-
 (* i -> [dpu][thread][chunk][inner] *)
-let elementwise op p =
-  let s = S.create op in
-  let i = List.hd (S.order s) in
-  let n = i.S.extent in
-  let t_eff, chunk, cache_eff =
-    derive_1d ~n ~dpus:p.spatial_dpus ~tasklets:p.tasklets
-      ~cache_elems:p.cache_elems
-  in
-  match S.split s i ~factors:[ t_eff; chunk; cache_eff ] with
-  | [ i_dpu; i_th; i_chunk; i_in ] ->
-      S.bind s i_dpu S.Block_x;
-      S.bind s i_th S.Thread_x;
-      cache_all_inputs s i_chunk;
-      cache_output s i_chunk;
-      maybe_unroll s p i_in;
-      s
+let elementwise s c =
+  match (S.order s, c.splits) with
+  | [ i ], [ fi ] -> (
+      match S.split s i ~factors:fi with
+      | [ i_dpu; i_th; i_chunk; i_in ] ->
+          S.bind s i_dpu S.Block_x;
+          S.bind s i_th S.Thread_x;
+          cache_all_inputs s i_chunk;
+          cache_output s i_chunk;
+          maybe_unroll s c i_in
+      | _ -> assert false)
   | _ -> assert false
 
 (* i(red) -> [dpu rfactor][thread][chunk][inner], tasklet partials *)
-let tasklet_reduce op p =
-  let s = S.create op in
-  let i = List.hd (S.order s) in
-  let n = i.S.extent in
-  let dpus = max 1 p.reduction_dpus in
-  let t_eff, chunk, cache_eff =
-    derive_1d ~n ~dpus ~tasklets:p.tasklets ~cache_elems:p.cache_elems
-  in
-  match S.split s i ~factors:[ t_eff; chunk; cache_eff ] with
-  | [ i_dpu; i_th; i_chunk; i_in ] ->
-      S.bind s i_dpu S.Block_x;
-      S.rfactor s i_dpu;
-      S.bind s i_th S.Thread_x;
-      cache_all_inputs s i_chunk;
-      (let c = S.cache_write s (fst (S.op s).Op.output) in
-       S.reverse_compute_at s c i_th);
-      maybe_unroll s p i_in;
-      s
+let tasklet_reduce s c =
+  match (S.order s, c.splits) with
+  | [ i ], [ fi ] -> (
+      match S.split s i ~factors:fi with
+      | [ i_dpu; i_th; i_chunk; i_in ] ->
+          S.bind s i_dpu S.Block_x;
+          S.rfactor s i_dpu;
+          S.bind s i_th S.Thread_x;
+          cache_all_inputs s i_chunk;
+          (let cw = S.cache_write s (fst (S.op s).Op.output) in
+           S.reverse_compute_at s cw i_th);
+          maybe_unroll s c i_in
+      | _ -> assert false)
   | _ -> assert false
 
 (* i -> [dpu][thread][rows]; j -> ([dpu_r])[chunk][inner] *)
-let mat_vec op p =
-  let s = S.create op in
-  let i = List.nth (S.order s) 0 and j = List.nth (S.order s) 1 in
-  let n = i.S.extent and k = j.S.extent in
-  (* Honor the requested DPU count even when rows are scarce: cap the
-     tasklet count at the rows available per DPU (idle tasklets on the
-     real machine contribute nothing). *)
-  let rows_per_dpu = max 1 (ceil_div n p.spatial_dpus) in
-  let t_eff = max 1 (min p.tasklets rows_per_dpu) in
-  let rpt = max 1 (ceil_div rows_per_dpu t_eff) in
-  let i_loops = S.split s i ~factors:[ t_eff; rpt ] in
-  match i_loops with
-  | [ i_dpu; i_th; i_r ] -> (
-      S.bind s i_dpu S.Block_x;
-      S.bind s i_th S.Thread_x;
-      if p.reduction_dpus > 1 then begin
-        let chunkj = max 1 (ceil_div k (p.reduction_dpus * p.cache_elems)) in
-        match S.split s j ~factors:[ chunkj; p.cache_elems ] with
-        | [ j_blk; j_chunk; j_in ] ->
-            S.reorder s [ j_blk; i_th; i_r; j_chunk ];
-            S.bind s j_blk S.Block_y;
-            S.rfactor s j_blk;
-            cache_all_inputs s j_chunk;
-            cache_output s i_r;
-            maybe_unroll s p j_in;
-            s
-        | _ -> assert false
-      end
-      else begin
-        match S.split s j ~factors:[ p.cache_elems ] with
-        | [ j_chunk; j_in ] ->
-            cache_all_inputs s j_chunk;
-            cache_output s i_r;
-            maybe_unroll s p j_in;
-            s
-        | _ -> assert false
-      end)
+let mat_vec s c =
+  match (S.order s, c.splits) with
+  | [ i; j ], [ fi; fj ] -> (
+      match S.split s i ~factors:fi with
+      | [ i_dpu; i_th; i_r ] -> (
+          S.bind s i_dpu S.Block_x;
+          S.bind s i_th S.Thread_x;
+          match S.split s j ~factors:fj with
+          | [ j_blk; j_chunk; j_in ] when c.rfactor ->
+              S.reorder s [ j_blk; i_th; i_r; j_chunk ];
+              S.bind s j_blk S.Block_y;
+              S.rfactor s j_blk;
+              cache_all_inputs s j_chunk;
+              cache_output s i_r;
+              maybe_unroll s c j_in
+          | [ j_chunk; j_in ] ->
+              cache_all_inputs s j_chunk;
+              cache_output s i_r;
+              maybe_unroll s c j_in
+          | _ -> assert false)
+      | _ -> assert false)
   | _ -> assert false
 
 (* i -> Block_x; j -> [dpu][thread][rows]; k -> ([dpu_r])[chunk][inner] *)
-let batched op p =
-  let s = S.create op in
-  let i = List.nth (S.order s) 0
-  and j = List.nth (S.order s) 1
-  and k = List.nth (S.order s) 2 in
-  let kext = k.S.extent in
-  S.bind s i S.Block_x;
-  let t_eff =
-    max 1 (min p.tasklets (ceil_div j.S.extent p.rows_per_tasklet))
-  in
-  let j_th, j_r =
-    match S.split s j ~factors:[ t_eff; p.rows_per_tasklet ] with
-    | [ j_dpu; j_th; j_r ] ->
-        S.bind s j_dpu S.Block_y;
-        S.bind s j_th S.Thread_x;
-        (j_th, j_r)
-    | _ -> assert false
-  in
-  if p.reduction_dpus > 1 then begin
-    let chunkk = max 1 (ceil_div kext (p.reduction_dpus * p.cache_elems)) in
-    match S.split s k ~factors:[ chunkk; p.cache_elems ] with
-    | [ k_blk; k_chunk; k_in ] ->
-        S.reorder s [ k_blk; j_th; j_r; k_chunk ];
-        S.bind s k_blk S.Block_z;
-        S.rfactor s k_blk;
-        cache_all_inputs s k_chunk;
-        cache_output s j_r;
-        maybe_unroll s p k_in;
-        s
-    | _ -> assert false
-  end
-  else begin
-    match S.split s k ~factors:[ p.cache_elems ] with
-    | [ k_chunk; k_in ] ->
-        cache_all_inputs s k_chunk;
-        cache_output s j_r;
-        maybe_unroll s p k_in;
-        s
-    | _ -> assert false
-  end
+let batched s c =
+  match (S.order s, c.splits) with
+  | [ i; j; k ], [ fj; fk ] -> (
+      S.bind s i S.Block_x;
+      match S.split s j ~factors:fj with
+      | [ j_dpu; j_th; j_r ] -> (
+          S.bind s j_dpu S.Block_y;
+          S.bind s j_th S.Thread_x;
+          match S.split s k ~factors:fk with
+          | [ k_blk; k_chunk; k_in ] when c.rfactor ->
+              S.reorder s [ k_blk; j_th; j_r; k_chunk ];
+              S.bind s k_blk S.Block_z;
+              S.rfactor s k_blk;
+              cache_all_inputs s k_chunk;
+              cache_output s j_r;
+              maybe_unroll s c k_in
+          | [ k_chunk; k_in ] ->
+              cache_all_inputs s k_chunk;
+              cache_output s j_r;
+              maybe_unroll s c k_in
+          | _ -> assert false)
+      | _ -> assert false)
+  | _ -> assert false
 
 (* GEMM: i -> [dpu][thread][rows]; j -> [dpu][tile]; k -> [chunk][inner].
    A tiles cache at the k-chunk level (contiguous k rows); B tiles cache
    per i-row iteration (a k-tile x j-tile block, contiguous along j);
    the scalar C accumulator caches at the j-tile loop. *)
-let mat_mat op p =
-  let s = S.create op in
-  let i = List.nth (S.order s) 0
-  and j = List.nth (S.order s) 1
-  and k = List.nth (S.order s) 2 in
-  let n = i.S.extent and m = j.S.extent and kext = k.S.extent in
-  (* split the spatial DPU budget between i and j. *)
-  let j_blocks = max 1 (min m (min 32 (p.spatial_dpus / 16))) in
-  let i_dpus = max 1 (p.spatial_dpus / j_blocks) in
-  let rows_per_dpu = max 1 (ceil_div n i_dpus) in
-  let t_eff = max 1 (min p.tasklets rows_per_dpu) in
-  let rpt = max 1 (ceil_div rows_per_dpu t_eff) in
-  let i_th, i_r =
-    match S.split s i ~factors:[ t_eff; rpt ] with
-    | [ i_dpu; i_th; i_r ] ->
-        S.bind s i_dpu S.Block_x;
-        S.bind s i_th S.Thread_x;
-        (i_th, i_r)
-    | _ -> assert false
+let mat_mat s c =
+  let cache_ab ~a_at ~b_at =
+    (let ca = S.cache_read s "A" in
+     S.compute_at s ca a_at);
+    let cb = S.cache_read s "B" in
+    S.compute_at s cb b_at
   in
-  let j_dpu, j_t =
-    match S.split s j ~factors:[ max 1 (ceil_div m j_blocks) ] with
-    | [ j_dpu; j_t ] ->
-        S.bind s j_dpu S.Block_y;
-        (j_dpu, j_t)
-    | _ -> assert false
-  in
-  if p.reduction_dpus > 1 then begin
-    let chunkk = max 1 (ceil_div kext (p.reduction_dpus * p.cache_elems)) in
-    match S.split s k ~factors:[ chunkk; p.cache_elems ] with
-    | [ k_blk; k_chunk; k_in ] ->
-        S.reorder s [ j_dpu; k_blk; i_th; i_r; j_t; k_chunk ];
-        S.bind s k_blk S.Block_z;
-        S.rfactor s k_blk;
-        (let ca = S.cache_read s "A" in
-         S.compute_at s ca k_chunk);
-        (let cb = S.cache_read s "B" in
-         S.compute_at s cb i_r);
-        cache_output s j_t;
-        maybe_unroll s p k_in;
-        s
-    | _ -> assert false
-  end
-  else begin
-    match S.split s k ~factors:[ p.cache_elems ] with
-    | [ k_chunk; k_in ] ->
-        S.reorder s [ j_dpu; i_th; i_r; j_t; k_chunk ];
-        (let ca = S.cache_read s "A" in
-         S.compute_at s ca k_chunk);
-        (let cb = S.cache_read s "B" in
-         S.compute_at s cb i_r);
-        cache_output s j_t;
-        maybe_unroll s p k_in;
-        s
-    | _ -> assert false
-  end
+  match (S.order s, c.splits) with
+  | [ i; j; k ], [ fi; fj; fk ] -> (
+      let i_th, i_r =
+        match S.split s i ~factors:fi with
+        | [ i_dpu; i_th; i_r ] ->
+            S.bind s i_dpu S.Block_x;
+            S.bind s i_th S.Thread_x;
+            (i_th, i_r)
+        | _ -> assert false
+      in
+      match S.split s j ~factors:fj with
+      | [ j_dpu; j_t ] -> (
+          S.bind s j_dpu S.Block_y;
+          match S.split s k ~factors:fk with
+          | [ k_blk; k_chunk; k_in ] when c.rfactor ->
+              S.reorder s [ j_dpu; k_blk; i_th; i_r; j_t; k_chunk ];
+              S.bind s k_blk S.Block_z;
+              S.rfactor s k_blk;
+              cache_ab ~a_at:k_chunk ~b_at:i_r;
+              cache_output s j_t;
+              maybe_unroll s c k_in
+          | [ k_chunk; k_in ] ->
+              S.reorder s [ j_dpu; i_th; i_r; j_t; k_chunk ];
+              cache_ab ~a_at:k_chunk ~b_at:i_r;
+              cache_output s j_t;
+              maybe_unroll s c k_in
+          | _ -> assert false)
+      | _ -> assert false)
+  | _ -> assert false
 
 (* i -> Block_x; j -> [dpu][thread][chunk][inner]: two spatial axes, no
    reduction (rowdiv, 2-D scaling) — the outer axis maps whole to the
    X grid dimension, the inner axis tiles like the elementwise family. *)
-let grid_map op p =
-  let s = S.create op in
-  let i = List.nth (S.order s) 0 and j = List.nth (S.order s) 1 in
-  S.bind s i S.Block_x;
-  let j_dpus = max 1 (p.spatial_dpus / max 1 i.S.extent) in
-  let t_eff, chunk, cache_eff =
-    derive_1d ~n:j.S.extent ~dpus:j_dpus ~tasklets:p.tasklets
-      ~cache_elems:p.cache_elems
-  in
-  match S.split s j ~factors:[ t_eff; chunk; cache_eff ] with
-  | [ j_dpu; j_th; j_chunk; j_in ] ->
-      S.bind s j_dpu S.Block_y;
-      S.bind s j_th S.Thread_x;
-      cache_all_inputs s j_chunk;
-      cache_output s j_chunk;
-      maybe_unroll s p j_in;
-      s
+let grid_map s c =
+  match (S.order s, c.splits) with
+  | [ i; j ], [ fj ] -> (
+      S.bind s i S.Block_x;
+      match S.split s j ~factors:fj with
+      | [ j_dpu; j_th; j_chunk; j_in ] ->
+          S.bind s j_dpu S.Block_y;
+          S.bind s j_th S.Thread_x;
+          cache_all_inputs s j_chunk;
+          cache_output s j_chunk;
+          maybe_unroll s c j_in
+      | _ -> assert false)
   | _ -> assert false
 
 let instantiate op p =
-  match family_of op with
-  | Elementwise -> elementwise op p
-  | Grid_map -> grid_map op p
-  | Tasklet_reduce -> tasklet_reduce op p
-  | Mat_vec -> mat_vec op p
-  | Batched -> batched op p
-  | Mat_mat -> mat_mat op p
+  let c = canonical op p in
+  let s = S.create op in
+  (match family_of op with
+  | Elementwise -> elementwise s c
+  | Grid_map -> grid_map s c
+  | Tasklet_reduce -> tasklet_reduce s c
+  | Mat_vec -> mat_vec s c
+  | Batched -> batched s c
+  | Mat_mat -> mat_mat s c);
+  s
 
-let lower_options p = { L.default_options with L.host_reduce_threads = p.host_threads }
+let lower_options (p : params) =
+  { L.default_options with L.host_reduce_threads = p.host_threads }
 
 let describe p =
   Printf.sprintf

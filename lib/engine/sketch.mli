@@ -45,8 +45,30 @@ val family_of : Imtp_workload.Op.t -> family
 (** @raise Invalid_argument for iteration domains outside the
     supported families. *)
 
+type tiling = {
+  splits : int list list;
+      (** the factors of each [split] the family's template applies, in
+          template order, after clamping tasklets, caching tiles and
+          rows to the per-DPU slice. *)
+  rfactor : bool;  (** whether the schedule reduces hierarchically. *)
+  unroll : bool;
+  host_threads : int;
+      (** the host's final-reduction parallelism, or 0 when the
+          schedule has no host reduction over spatial DPU blocks (the
+          lowering then never reads it). *)
+}
+(** The effective tiling a sketch builds its schedule from. *)
+
+val canonical : Imtp_workload.Op.t -> params -> tiling
+(** The tiling {!instantiate} builds from: [instantiate op p] reads
+    [p] only through [canonical op p], so parameters with equal tilings
+    give the same schedule, and (for equal lowering options apart from
+    an unread [host_threads]) the same lowered program.  Arithmetic
+    only — no schedule is constructed.
+    @raise Invalid_argument as {!family_of}. *)
+
 val instantiate : Imtp_workload.Op.t -> params -> Imtp_schedule.Sched.t
-(** Build the schedule for the op's family with the given parameters.
+(** Build the schedule for the op's family from [canonical op p].
     The resulting DPU grid may be smaller than requested when the
     tensor has fewer tiles than DPUs. *)
 

@@ -22,7 +22,10 @@ let cap_chunks = 4096
    [cap_chunks / 2] chunks is an exact prefix of the run of
    [cap_chunks], which one loop records on the way.  Within a chunk,
    only the first DMA can wait for the engine: after it the tasklet's
-   clock is [engine_free], and [Float.max e e = e] bit for bit. *)
+   clock is [engine_free], and [max e e = e] bit for bit.  Every time is
+   finite and non-negative, so the loop takes maxima with a plain
+   comparison: [Float.max]'s NaN and signed-zero checks cost a C call
+   per chunk and change no result. *)
 let kernel_cycles cfg p =
   if p.chunks < 0 then invalid_arg "Dpu_model.kernel_cycles: negative chunks";
   let t = max 1 p.tasklets in
@@ -36,11 +39,12 @@ let kernel_cycles cfg p =
   let ndma = Array.length dma in
   let ready = Array.make t (p.prologue_slots *. period) in
   let finish () =
-    Array.fold_left
-      (fun acc r ->
-        let f = r +. epilogue in
-        if f > acc then f else acc)
-      0. ready
+    let acc = ref 0. in
+    for k = 0 to t - 1 do
+      let f = ready.(k) +. epilogue in
+      if f > !acc then acc := f
+    done;
+    !acc
   in
   let half = cap_chunks / 2 in
   let engine_free = ref 0. and t_half = ref 0. and i = ref 0 in
@@ -48,7 +52,8 @@ let kernel_cycles cfg p =
     if k = half then t_half := finish ();
     if ndma = 0 then ready.(!i) <- ready.(!i) +. compute
     else begin
-      engine_free := Float.max ready.(!i) !engine_free +. dma.(0);
+      let r = ready.(!i) in
+      engine_free := (if !engine_free > r then !engine_free else r) +. dma.(0);
       for j = 1 to ndma - 1 do
         engine_free := !engine_free +. dma.(j)
       done;

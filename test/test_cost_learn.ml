@@ -51,6 +51,33 @@ let test_ridge_recovers_linear_cost () =
   in
   Alcotest.(check bool) "holdout mean log err ~ 0" true (holdout_mean < 1e-6)
 
+(* The island merge adopts a lone observer's model instead of replaying
+   its observations into the shared one: both must end bit-identical,
+   error mean and weight cache included, so checkpoint payloads do not
+   change.  The observer predicts between observations, as a search
+   does, so its own weight cache is populated when it is adopted. *)
+let test_adopt_equals_replay () =
+  let rng = Rng.create ~seed:5 in
+  let y x = exp (Array.fold_left ( +. ) 0. x /. 10.) in
+  let shared = Cl.create () in
+  List.iter (fun x -> Cl.observe shared x (y x)) (List.init 5 (fun _ -> synth_x rng));
+  List.iter
+    (fun n ->
+      let island = Cl.copy shared in
+      let epoch = List.init n (fun _ -> synth_x rng) in
+      List.iter
+        (fun x ->
+          Cl.observe island x (y x);
+          ignore (Cl.predict island (synth_x rng)))
+        epoch;
+      let replay = Cl.copy shared in
+      List.iter (fun x -> Cl.observe replay x (y x)) epoch;
+      Cl.adopt shared ~from:island;
+      Alcotest.(check string)
+        (Printf.sprintf "adopted = replayed after %d observations" n)
+        (Marshal.to_string replay []) (Marshal.to_string shared []))
+    [ 1; 2; 9; 30 ]
+
 let test_untrained_predicts_infinity () =
   let model = Cl.create () in
   let rng = Rng.create ~seed:1 in
@@ -178,6 +205,8 @@ let () =
             test_ridge_recovers_linear_cost;
           Alcotest.test_case "untrained predicts +inf" `Quick
             test_untrained_predicts_infinity;
+          Alcotest.test_case "adopt equals replay" `Quick
+            test_adopt_equals_replay;
         ] );
       ( "features",
         [

@@ -51,6 +51,89 @@ let test_fingerprint_distinguishes () =
     (E.fingerprint ~skip_inputs:[ "A"; "B" ] op small_params)
     (E.fingerprint ~skip_inputs:[ "B"; "A" ] op small_params)
 
+(* Building a key allocates the key and a few words more: no
+   formatting, no digest. *)
+let test_fingerprint_alloc () =
+  let op = Ops.mtv 64 128 in
+  let key = E.fingerprint op small_params in
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (E.fingerprint ~skip_inputs:[ "A" ] op small_params))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  let budget = float_of_int ((String.length key + 8) / 8) +. 16. in
+  if per_call > budget then
+    Alcotest.failf "fingerprint: %.1f minor words per call, budget %.0f" per_call
+      budget
+
+(* --- canonical tiling ---------------------------------------------- *)
+
+(* Every point of the searched space of one small op per sketch family
+   (a misaligned MTV and a ragged GEMV among them), over unroll and
+   host_threads too: parameters with equal canonical tilings give the
+   same schedule trace — the lowering is a function of the trace and
+   the lowering options — and the same printed optimized program and
+   stats under the lowering options of each [host_threads] value in
+   the class. *)
+let test_canonical_sound () =
+  let module Printer = Imtp_tir.Printer in
+  let module S = Imtp_schedule.Sched in
+  let compile op p =
+    match
+      E.compile_sched ~options:(Sk.lower_options p) cfg (Sk.instantiate op p)
+    with
+    | Error err -> Error (E.error_to_string err)
+    | Ok prog -> (
+        match E.estimate cfg prog with
+        | Ok stats -> Ok (Printer.program_to_string prog, stats)
+        | Error err -> Error (E.error_to_string err))
+  in
+  List.iter
+    (fun (name, op) ->
+      let classes = Hashtbl.create 256 in
+      let shared = ref 0 in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun unroll_inner ->
+              List.iter
+                (fun host_threads ->
+                  let p = { p with Sk.unroll_inner; host_threads } in
+                  let c = Sk.canonical op p in
+                  let trace =
+                    match Sk.instantiate op p with
+                    | sched -> Ok (S.trace sched)
+                    | exception Invalid_argument m -> Error m
+                  in
+                  match Hashtbl.find_opt classes c with
+                  | None -> Hashtbl.add classes c (p, trace, ref [ (host_threads, compile op p) ])
+                  | Some (p0, trace0, programs) ->
+                      incr shared;
+                      if trace <> trace0 then
+                        Alcotest.failf "%s: %s and %s share a tiling, not a schedule"
+                          name (Sk.describe p0) (Sk.describe p);
+                      if not (List.mem_assoc host_threads !programs) then begin
+                        let r = compile op p in
+                        if r <> snd (List.hd !programs) then
+                          Alcotest.failf "%s: %s and %s share a tiling, not a program"
+                            name (Sk.describe p0) (Sk.describe p);
+                        programs := (host_threads, r) :: !programs
+                      end)
+                [ 1; 4; 16 ])
+            [ false; true ])
+        (Sk.space cfg op);
+      if !shared = 0 then Alcotest.failf "%s: no canonical-equal points" name)
+    [
+      ("va 1000", Ops.va 1000);
+      ("red 999", Ops.red 999);
+      ("mtv 31x61", Ops.mtv 31 61);
+      ("gemv 50x37", Ops.gemv ~c:3 50 37);
+      ("mmtv 3x10x14", Ops.mmtv 3 10 14);
+      ("gemm 12x10x9", Ops.gemm 12 10 9);
+      ("rowdiv 3x50", Ops.rowdiv 3 50);
+    ]
+
 (* --- the memo table ------------------------------------------------ *)
 
 let test_cache_hit_identical_stats () =
@@ -139,6 +222,7 @@ let same_measurement a b =
 
 let same_int_counters a b =
   a.E.lookups = b.E.lookups && a.E.hits = b.E.hits && a.E.misses = b.E.misses
+  && a.E.shared = b.E.shared
   && a.E.evictions = b.E.evictions
   && a.E.built = b.E.built && a.E.failed = b.E.failed
   && a.E.costed = b.E.costed
@@ -161,7 +245,7 @@ let test_batch_matches_sequential () =
   let candidates =
     [
       small_params;
-      { small_params with Sk.tasklets = 8 };
+      { small_params with Sk.tasklets = 2 };
       small_params (* duplicate: must be a cache hit, same stats *);
       { small_params with Sk.cache_elems = 32 };
     ]
@@ -190,6 +274,45 @@ let test_batch_matches_sequential () =
   Alcotest.(check int) "same lookups" c1.E.lookups c4.E.lookups;
   Alcotest.(check int) "same built" c1.E.built c4.E.built;
   Alcotest.(check bool) "rng advanced identically" true (next1 = next4)
+
+(* Canonical-equal candidates with distinct parameters share one
+   prefix: one build, a hit per sharer, each costed on its own, and the
+   same results and ledger at any job count. *)
+let test_batch_canonical_shares () =
+  let op = Ops.mtv 64 128 in
+  (* 4 rows per DPU: tasklets 8 and 12 clamp to 4, and host_threads is
+     unread without rfactor. *)
+  let candidates =
+    [
+      small_params;
+      { small_params with Sk.tasklets = 8 };
+      { small_params with Sk.host_threads = 4 };
+      { small_params with Sk.cache_elems = 32 };
+      { small_params with Sk.tasklets = 12; cache_elems = 32 };
+      { small_params with Sk.tasklets = 8 };
+    ]
+  in
+  let r1, c1, next1 = run_batch ~jobs:1 ~noise_seed:5 op candidates in
+  Alcotest.(check int) "two prefixes built" 2 c1.E.built;
+  Alcotest.(check int) "two misses" 2 c1.E.misses;
+  Alcotest.(check int) "three shared" 3 c1.E.shared;
+  Alcotest.(check int) "shares and the duplicate are hits" 4 c1.E.hits;
+  Alcotest.(check int) "one cost stage per key" 5 c1.E.costed;
+  List.iter
+    (fun jobs ->
+      let r, c, next = run_batch ~jobs ~noise_seed:5 op candidates in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs:%d results equal jobs:1" jobs)
+        true
+        (List.for_all2 (fun (p, a) (p', b) -> p = p' && same_measurement a b) r1 r);
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs:%d counters equal jobs:1" jobs)
+        true (same_int_counters c1 c);
+      Alcotest.(check bool) "rng advanced identically" true (next1 = next))
+    [ 2; 4 ];
+  let stats = List.map (fun (_, m) -> (Result.get_ok m).E.artifact.E.stats) r1 in
+  Alcotest.(check bool) "sharers have equal stats" true
+    (List.nth stats 0 = List.nth stats 1 && List.nth stats 0 = List.nth stats 2)
 
 (* A batch on a warm shared engine is served entirely from cache, even
    when the warm-up itself ran across domains. *)
@@ -338,7 +461,7 @@ let test_one_entry_per_key () =
    costed once, and the ledger is the same at any job count. *)
 let test_batch_costs_duplicate_once () =
   let op = Ops.mtv 64 128 in
-  let dup = { small_params with Sk.tasklets = 8 } in
+  let dup = { small_params with Sk.tasklets = 2 } in
   let candidates = [ dup; small_params; dup; dup ] in
   let _, c1, _ = run_batch ~jobs:1 ~noise_seed:3 op candidates in
   let r4, c4, _ = run_batch ~jobs:4 ~noise_seed:3 op candidates in
@@ -353,6 +476,51 @@ let test_batch_costs_duplicate_once () =
     (List.map
        (fun (_, r) -> (Result.get_ok r).E.from_cache)
        r4)
+
+(* Concurrent requesters of one entry's cost stage wait for the run in
+   flight instead of repeating it: [costed] counts one simulator run
+   per entry whatever the thread timing.  Each entry's program times
+   its kernel 200 more times, so its cost stage outlasts a scheduler
+   time slice and the requesters overlap even on one core. *)
+let test_concurrent_simulate_costs_once () =
+  let module P = Imtp_tir.Program in
+  let e = E.create cfg in
+  let base =
+    Result.get_ok
+      (E.prepare e (Ops.mtv 8192 8192)
+         { Sk.default_params with Sk.spatial_dpus = 256; tasklets = 16; cache_elems = 16 })
+  in
+  let k = List.hd base.E.pprogram.P.kernels in
+  let program =
+    {
+      base.E.pprogram with
+      P.kernels =
+        base.E.pprogram.P.kernels
+        @ List.init 200 (fun i -> { k with P.kname = Printf.sprintf "%s_%d" k.P.kname i });
+    }
+  in
+  let preps =
+    List.init 3 (fun i -> { base with E.pkey = Printf.sprintf "heavy%d" i; pprogram = program })
+  in
+  (* Three domains meet at a barrier before each entry's requests. *)
+  let domains = 3 in
+  let arrived = List.map (fun _ -> Atomic.make 0) preps in
+  let requester () =
+    List.map2
+      (fun prep arrived ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < domains do
+          Domain.cpu_relax ()
+        done;
+        (Result.get_ok (E.simulate e prep)).E.artifact.E.stats)
+      preps arrived
+  in
+  let runs = List.map Domain.join (List.init domains (fun _ -> Domain.spawn requester)) in
+  List.iter
+    (fun r -> Alcotest.(check bool) "same stats" true (r = List.hd runs))
+    runs;
+  Alcotest.(check int) "one cost stage per entry" (List.length preps)
+    (E.counters e).E.costed
 
 (* The feature memo lives in the candidate's entry: bit-identical to a
    fresh extraction on miss and on hit, outside [max_entries], gone
@@ -537,6 +705,35 @@ let test_build_alloc_budget () =
           (1.25 *. recorded) recorded)
     alloc_budgets
 
+(* The cost stage's inner loop allocates nothing per chunk: the minor
+   words of one [kernel_cycles] call do not grow with the chunk count. *)
+let test_kernel_cycles_alloc_flat () =
+  let profile chunks =
+    {
+      U.Dpu_model.tasklets = 16;
+      chunks;
+      dma_bytes = [ (256, 1.); (64, 0.5) ];
+      compute_slots = 200.;
+      prologue_slots = 3.;
+      epilogue_slots = 5.;
+    }
+  in
+  let words chunks =
+    let p = profile chunks in
+    ignore (U.Dpu_model.kernel_cycles cfg p);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (U.Dpu_model.kernel_cycles cfg p));
+    Gc.minor_words () -. w0
+  in
+  let counts = [ 32; 3000; 4096; 1_000_000 ] in
+  let ws = List.map words counts in
+  let lo = List.fold_left Float.min infinity ws
+  and hi = List.fold_left Float.max 0. ws in
+  if hi > lo +. 8. then
+    Alcotest.failf "kernel_cycles minor words grow with chunks: %s"
+      (String.concat ", "
+         (List.map2 (Printf.sprintf "%d chunks: %.0f") counts ws))
+
 let () =
   Alcotest.run "engine"
     [
@@ -544,6 +741,14 @@ let () =
         [
           Alcotest.test_case "stable" `Quick test_fingerprint_stable;
           Alcotest.test_case "distinguishes" `Quick test_fingerprint_distinguishes;
+          Alcotest.test_case "allocation" `Quick test_fingerprint_alloc;
+        ] );
+      ( "canonical",
+        [
+          Alcotest.test_case "equal tilings, equal programs" `Quick
+            test_canonical_sound;
+          Alcotest.test_case "batch shares prefixes" `Quick
+            test_batch_canonical_shares;
         ] );
       ( "cache",
         [
@@ -566,10 +771,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_batch_jobs_equivalent;
           Alcotest.test_case "duplicate costed once" `Quick
             test_batch_costs_duplicate_once;
+          Alcotest.test_case "concurrent simulate costs once" `Quick
+            test_concurrent_simulate_costs_once;
           Alcotest.test_case "stage timing is single-clock" `Quick
             test_stage_timing_single_clock;
           Alcotest.test_case "build allocation budget" `Quick
             test_build_alloc_budget;
+          Alcotest.test_case "kernel_cycles allocation is flat" `Quick
+            test_kernel_cycles_alloc_flat;
         ] );
       ( "verifier",
         [
