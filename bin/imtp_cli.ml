@@ -83,15 +83,6 @@ let no_passes_arg =
     value & flag
     & info [ "no-passes" ] ~doc:"Disable the PIM-aware optimization passes.")
 
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "v"; "verbose" ] ~doc:"Enable debug logging (search telemetry).")
-
-let setup_logging verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
 let jobs_arg =
   Arg.(
     value
@@ -125,13 +116,6 @@ let machine dpus = Imtp.Config.with_dpus cfg dpus
 
 let build_op name sizes = Imtp.Ops.by_name name ~sizes
 
-let default_params config op =
-  let dpus = min 256 (Imtp.Config.nr_dpus config) in
-  let p = { Imtp.Sketch.default_params with Imtp.Sketch.spatial_dpus = dpus; tasklets = 8; cache_elems = 32 } in
-  match Imtp.Sketch.family_of op with
-  | Imtp.Sketch.Tasklet_reduce -> { p with Imtp.Sketch.reduction_dpus = dpus }
-  | _ -> p
-
 (* --- info ------------------------------------------------------------ *)
 
 let info_cmd =
@@ -160,7 +144,7 @@ let lower_cmd =
   let run name sizes no_passes dpus =
     let op = build_op name sizes in
     let config = machine dpus in
-    let sched = Imtp.Sketch.instantiate op (default_params config op) in
+    let sched = Imtp.Sketch.instantiate op (Imtp.Sketch.default_for config op) in
     let prog =
       if no_passes then Imtp.Lowering.lower sched
       else Imtp.compile ~config sched
@@ -178,9 +162,8 @@ let codegen_cmd =
   let run name sizes dpus =
     let op = build_op name sizes in
     let config = machine dpus in
-    let prog =
-      Imtp.compile ~config (Imtp.Sketch.instantiate op (default_params config op))
-    in
+    let sched = Imtp.Sketch.instantiate op (Imtp.Sketch.default_for config op) in
+    let prog = Imtp.compile ~config sched in
     print_string (Imtp.Codegen_c.program_to_c prog)
   in
   Cmd.v (Cmd.info "codegen" ~doc) Term.(const run $ op_arg $ sizes_arg $ dpus_arg)
@@ -196,7 +179,7 @@ let run_cmd =
     let op = build_op name sizes in
     let config = machine dpus in
     let engine = Imtp.Engine.create config in
-    match Imtp.Engine.build engine op (default_params config op) with
+    match Imtp.Engine.build engine op (Imtp.Sketch.default_for config op) with
     | Error e ->
         Format.eprintf "error: %s@." (Imtp.Engine.error_to_string e);
         exit 1
@@ -262,8 +245,7 @@ let no_cost_model_arg =
 let tune_cmd =
   let doc = "Autotune an operation and report the winning schedule." in
   let run name sizes trials seed dpus jobs islands measure_ratio no_cost_model
-      log verbose trace =
-    setup_logging verbose;
+      log trace =
     apply_jobs jobs;
     with_trace trace @@ fun () ->
     let op = build_op name sizes in
@@ -322,7 +304,7 @@ let tune_cmd =
     Term.(
       const run $ op_arg $ sizes_arg $ trials_arg $ seed_arg $ dpus_arg
       $ jobs_arg $ islands_arg $ measure_ratio_arg $ no_cost_model_arg
-      $ log_arg $ verbose_arg $ trace_arg)
+      $ log_arg $ trace_arg)
 
 (* --- graph ----------------------------------------------------------- *)
 
@@ -390,8 +372,7 @@ let graph_cmd =
              host-transfer comparison.")
   in
   let graph_cmd_run name sizes trials seed dpus jobs islands measure_ratio
-      no_cost_model no_fuse no_resident baseline verbose trace =
-    setup_logging verbose;
+      no_cost_model no_fuse no_resident baseline trace =
     apply_jobs jobs;
     with_trace trace @@ fun () ->
     let sizes = match sizes with [] -> None | s -> Some s in
@@ -484,7 +465,7 @@ let graph_cmd =
       const graph_cmd_run $ net_arg $ net_sizes_arg $ graph_trials_arg
       $ seed_arg $ dpus_arg $ jobs_arg $ islands_arg $ measure_ratio_arg
       $ no_cost_model_arg $ no_fuse_arg $ no_resident_arg
-      $ graph_baseline_arg $ verbose_arg $ trace_arg)
+      $ graph_baseline_arg $ trace_arg)
 
 (* --- replay ---------------------------------------------------------- *)
 
@@ -578,8 +559,7 @@ let fuzz_cmd =
              executors.  Budget with a smaller $(b,--cases) — each case \
              compiles and tunes a whole graph twice.")
   in
-  let run seed cases case no_shrink graph jobs verbose trace =
-    setup_logging verbose;
+  let run seed cases case no_shrink graph jobs trace =
     apply_jobs jobs;
     with_trace trace @@ fun () ->
     if graph then begin
@@ -631,7 +611,7 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ fuzz_seed_arg $ cases_arg $ case_arg $ no_shrink_arg
-      $ fuzz_graph_arg $ jobs_arg $ verbose_arg $ trace_arg)
+      $ fuzz_graph_arg $ jobs_arg $ trace_arg)
 
 (* --- report ---------------------------------------------------------- *)
 
@@ -739,9 +719,7 @@ let serve_cmd =
           ~doc:"Checkpoint period, in search generations.")
   in
   let run socket checkpoint_dir max_sessions queue_limit checkpoint_every dpus
-      jobs verbose trace =
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info));
+      jobs trace =
     apply_jobs jobs;
     with_trace trace @@ fun () ->
     let config = machine dpus in
@@ -764,7 +742,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ ckpt_dir_arg $ max_sessions_arg
       $ queue_limit_arg $ checkpoint_every_arg $ dpus_arg $ jobs_arg
-      $ verbose_arg $ trace_arg)
+      $ trace_arg)
 
 (* --- client ---------------------------------------------------------- *)
 

@@ -1,6 +1,3 @@
-let log_src = Logs.Src.create "imtp.search" ~doc:"IMTP evolutionary search"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 module Obs = Imtp_obs.Obs
 
 type strategy = { balanced_sampling : bool; adaptive_epsilon : bool }
@@ -114,7 +111,6 @@ let checkpoint_trial ck =
   Array.fold_left (fun a s -> a + s.il_trial) 0 ck.ck_states
 
 let checkpoint_trials ck = ck.ck_trials
-let checkpoint_op_name ck = ck.ck_op_name
 let checkpoint_seed ck = ck.ck_seed
 let checkpoint_measure_ratio ck = ck.ck_measure_ratio
 let checkpoint_islands ck = ck.ck_islands
@@ -704,14 +700,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     (match cx.best with
     | Some b -> Obs.add_attr "best_s" (Obs.Float b.Measure.latency_s)
     | None -> ());
-    Log.debug (fun m ->
-        m "island %d trial %d/%d: population %d, best %.6f ms, %d invalid so far"
-          cx.ix cx.trial cx.ix_trials
-          (List.length cx.population)
-          (match cx.best with
-          | Some b -> b.Measure.latency_s *. 1e3
-          | None -> Float.nan)
-          cx.invalid);
     cx.generations <- cx.generations + 1
   in
   (* Confirmation pass (gated only): the final population may hold

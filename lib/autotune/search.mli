@@ -197,9 +197,6 @@ val checkpoint_trial : checkpoint -> int
 val checkpoint_trials : checkpoint -> int
 (** The run's total trial budget. *)
 
-val checkpoint_op_name : checkpoint -> string
-(** Name of the operator the search was tuning. *)
-
 val checkpoint_seed : checkpoint -> int
 (** The run's seed. *)
 

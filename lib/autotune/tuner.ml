@@ -36,7 +36,6 @@ let tune ?strategy ?seed ?jobs ?islands ?migrate_every ?(trials = 128) ?passes
       match Engine.measure engine ?passes ?skip_inputs op params with
       | Error e -> Error (Engine.error_to_string e)
       | Ok m ->
-          Engine.log_summary engine;
           Ok
             {
               params;

@@ -55,8 +55,8 @@ val save : string -> op_name:string -> Search.outcome -> unit
 
 val load : string -> (header * entry list, string) Result.t
 (** Returns the parsed header and the entries, preserving order.  I/O
-    or parse failures are [Error]; this function never raises.  Logs
-    written before [duration_s] existed load with
+    or parse failures are [Error]; this function never raises.  Log
+    files written before [duration_s] existed load with
     [header.duration_s = None]. *)
 
 val best : entry list -> entry option

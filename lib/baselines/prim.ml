@@ -246,13 +246,21 @@ let build ?skip_inputs cfg (op : Op.t) p =
       Imtp_autotune.Measure.build ~passes:prim_passes ?skip_inputs cfg op
         (sketch_params op p)
 
+(* The engine memoizes the cost of what it builds, so only the
+   hand-built RED program is costed here. *)
 let measure ?skip_inputs cfg op p =
-  match build ?skip_inputs cfg op p with
-  | Error m -> Error m
-  | Ok prog -> (
-      match Imtp_tir.Cost.measure cfg prog with
-      | exception Imtp_tir.Cost.Error m -> Error m
-      | stats -> Ok stats)
+  match Sk.family_of op with
+  | Sk.Tasklet_reduce -> (
+      match build ?skip_inputs cfg op p with
+      | Error m -> Error m
+      | Ok prog -> (
+          match Imtp_tir.Cost.measure cfg prog with
+          | exception Imtp_tir.Cost.Error m -> Error m
+          | stats -> Ok stats))
+  | Sk.Elementwise | Sk.Mat_vec | Sk.Batched | Sk.Mat_mat | Sk.Grid_map ->
+      Imtp_autotune.Measure.measure ~passes:prim_passes ?skip_inputs cfg op
+        (sketch_params op p)
+      |> Result.map (fun r -> r.Imtp_autotune.Measure.stats)
 
 let default_dpu_grid (op : Op.t) =
   let lo = if op.Op.opname = "mmtv" then 5 else 8 in

@@ -1,6 +1,3 @@
-let log_src = Logs.Src.create "imtp.engine" ~doc:"IMTP build/measure engine"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 module Obs = Imtp_obs.Obs
 module Op = Imtp_workload.Op
 module L = Imtp_lower.Lowering
@@ -80,14 +77,13 @@ type t = {
   cfg : Imtp_upmem.Config.t;
   max_entries : int;
   lock : Mutex.t;
-      (* Guards the three tables, the entries' and prefixes' mutable
+      (* Guards the two tables, the entries' and prefixes' mutable
          fields and [c].  Stage work (sketch, lower, passes, verify,
          cost) always runs outside it, so parallel builds only contend
          on table lookups and counter bumps. *)
   ready : Condition.t;  (* broadcast whenever a [Running] cell settles *)
   entries : (string, entry) Hashtbl.t;
   prefixes : (string, prefix) Hashtbl.t;  (* by canonical key *)
-  lowerings : (string, (Imtp_tir.Program.t, error) result) Hashtbl.t;
   mutable c : counters;
 }
 
@@ -116,7 +112,6 @@ let create ?(max_entries = 4096) cfg =
     ready = Condition.create ();
     entries = Hashtbl.create 256;
     prefixes = Hashtbl.create 256;
-    lowerings = Hashtbl.create 64;
     c = zero_counters;
   }
 
@@ -130,19 +125,6 @@ let counters t = locked t (fun () -> t.c)
 
 let hit_rate c =
   if c.lookups = 0 then 0. else float_of_int c.hits /. float_of_int c.lookups
-
-let log_summary t =
-  let c = counters t in
-  Log.info (fun m ->
-      m
-        "cache: %d/%d hits (%.1f%%, %d shared prefixes), %d built, %d failed, \
-         %d evictions; stage times: sketch %.1f ms, lower %.1f ms, passes \
-         %.1f ms, verify %.1f ms, cost %.1f ms"
-        c.hits c.lookups
-        (100. *. hit_rate c)
-        c.shared c.built c.failed c.evictions (c.sketch_s *. 1e3)
-        (c.lower_s *. 1e3) (c.passes_s *. 1e3) (c.verify_s *. 1e3)
-        (c.cost_s *. 1e3))
 
 let noise_amplitude = 0.02
 
@@ -185,18 +167,6 @@ let op_key (op : Op.t) =
   (* Appended only when present so pre-epilogue keys stay unchanged
      (golden search traces depend on them). *)
   ^ match op.Op.epilogue with None -> "" | Some e -> ";epi" ^ elem_key e
-
-let options_key (o : L.options) =
-  Printf.sprintf "bulk%b;par%b;hrt%d;skip%s" o.L.bulk_transfer
-    o.L.parallel_transfer o.L.host_reduce_threads
-    (String.concat "," (List.sort String.compare o.L.skip_input_transfer))
-  (* conditional so pre-residency keys stay byte-identical. *)
-  ^ if o.L.skip_output_transfer then ";skipout" else ""
-
-let digest_parts parts = Digest.to_hex (Digest.string (String.concat "|" parts))
-
-let candidate_options ?(skip_inputs = []) params =
-  { (Sketch.lower_options params) with L.skip_input_transfer = skip_inputs }
 
 (* A search fingerprints every candidate against one operator value, so
    the keys of the last few operators seen are kept, matched by physical
@@ -370,9 +340,10 @@ let compile_sched ?(options = L.default_options) ?(passes = Pl.all_on) cfg sched
 
 let estimate cfg prog = stage_cost cfg prog
 
+let lower t ?(options = L.default_options) sched = stage_lower ~t ~options sched
+
 let optimize t ?(passes = Pl.all_on) prog =
   stage_passes ~t ~passes t.cfg prog
-
 
 (* ------------------------------------------------------------------ *)
 (* The memo table.                                                     *)
@@ -398,11 +369,9 @@ let count_lookups t ~n ~hits ~shared =
 (* Under the lock: room for one more key.  A full table is reset rather
    than grown, the prefix index with it. *)
 let make_room t =
-  if Hashtbl.length t.entries + Hashtbl.length t.lowerings >= t.max_entries
-  then begin
+  if Hashtbl.length t.entries >= t.max_entries then begin
     Hashtbl.reset t.entries;
     Hashtbl.reset t.prefixes;
-    Hashtbl.reset t.lowerings;
     t.c <- { t.c with evictions = t.c.evictions + 1 };
     Obs.incr "engine.cache.evictions"
   end
@@ -484,14 +453,16 @@ let prepare_uncached t ~passes ~options ~verify ~key op params =
 (* An entry's prefix under the entry's own key: built here from the
    requesting candidate when nobody has built it yet, awaited while
    another domain builds it.  A build is one [built] or [failed]. *)
-let prefix_of t e ~passes ?skip_inputs ~verify op params =
+let prefix_of t e ~passes ~skip_inputs ~verify op params =
   let r, _ =
     demand t
       ~get:(fun () -> e.prefix.result)
       ~set:(fun s -> e.prefix.result <- s)
       ~settle:(count_outcome t)
       (fun () ->
-        let options = candidate_options ?skip_inputs params in
+        let options =
+          { L.default_options with L.skip_input_transfer = skip_inputs }
+        in
         prepare_uncached t ~passes ~options ~verify ~key:e.key op params)
   in
   match r with
@@ -756,21 +727,3 @@ let batch t ?jobs ?rng ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
       let rng = Option.map (fun base -> Rng.stream ~base ~index:i) base in
       (p, measurement ?rng (fst (outcome t e prefix), not ran_cost)))
     candidates
-
-let lower_keyed t ~key thunk =
-  let found =
-    locked t (fun () ->
-        let found = Hashtbl.find_opt t.lowerings key in
-        let hit = Bool.to_int (Option.is_some found) in
-        count_lookups t ~n:1 ~hits:hit ~shared:0;
-        found)
-  in
-  match found with
-  | Some r -> r
-  | None ->
-      let r = timed (Some t) lower_stage thunk in
-      locked t (fun () ->
-          make_room t;
-          Hashtbl.replace t.lowerings key r;
-          count_outcome t r);
-      r

@@ -10,7 +10,7 @@
 
     exists exactly once.  Results are memoized in a table keyed by
     {!fingerprint}: the operator, the sketch parameters, the pass
-    configuration, the lowering options and the verify toggle, so
+    configuration, the resident inputs and the verify toggle, so
     repeated candidates (common under mutation-based evolutionary
     search) are served from cache instead of being re-lowered and
     re-costed.  Failures are typed (and cached too, so a re-proposed
@@ -107,24 +107,24 @@ type prepared = {
 
 type counters = {
   lookups : int;
-      (** candidate requests: one per {!prepare}, {!build}, {!measure},
-          batch slot and {!lower_keyed} call.  {!simulate} continues a
-          request already counted and is not a lookup. *)
+      (** candidate requests: one per {!prepare}, {!build}, {!measure}
+          and batch slot.  {!simulate} continues a request already
+          counted and is not a lookup. *)
   hits : int;
       (** lookups whose key already had an entry, or that filed a new
           entry on an existing prefix ([shared]). *)
   misses : int;
-      (** lookups that filed an entry on a new prefix, or missed a raw
-          lowering: [misses = built + failed] minus failed cost stages. *)
+      (** lookups that filed an entry on a new prefix:
+          [misses = built + failed] minus failed cost stages. *)
   shared : int;
       (** the hits that filed a new entry on the prefix of a
           canonical-equal candidate: builds the prefix index saved. *)
   evictions : int;
       (** table resets after exceeding [max_entries]. *)
-  built : int;  (** prepared prefixes (and raw lowerings) constructed. *)
+  built : int;  (** prepared prefixes constructed. *)
   failed : int;
-      (** typed errors constructed (and cached): failed prefixes, raw
-          lowerings and cost stages. *)
+      (** typed errors constructed (and cached): failed prefixes and
+          cost stages. *)
   costed : int;
       (** simulator executions: runs of the cost stage, exactly one per
           simulated entry.  Measurement gating is judged against this ledger — a
@@ -160,10 +160,6 @@ val counters : t -> counters
 val hit_rate : counters -> float
 (** [hits / lookups], 0 when no lookups. *)
 
-val log_summary : t -> unit
-(** Emit the cache hit rate and per-stage build times on the
-    [imtp.engine] {!Logs} source (info level). *)
-
 val noise_amplitude : float
 (** Relative measurement noise (±2 %) applied when an [rng] is given. *)
 
@@ -173,14 +169,6 @@ val op_key : Imtp_workload.Op.t -> string
 (** Canonical serialization of an operator definition (name, dtype,
     axes, tensor bindings, element expression). *)
 
-val options_key : Imtp_lower.Lowering.options -> string
-(** Canonical serialization of lowering options; the resident-input
-    list is sorted so its order never splits the cache. *)
-
-val digest_parts : string list -> string
-(** Hex digest of the concatenated parts: the content key callers with
-    non-sketch entry points (the fuzz oracle) pass to {!lower_keyed}. *)
-
 val fingerprint :
   ?passes:Imtp_passes.Pipeline.config ->
   ?skip_inputs:string list ->
@@ -189,8 +177,8 @@ val fingerprint :
   Sketch.params ->
   string
 (** The cache key of a sketch candidate over the operator, the
-    parameters, the pass configuration, the lowering options derived
-    from the parameters, and the verify toggle: a binary string of
+    parameters, the pass configuration, the resident inputs and the
+    verify toggle: a binary string of
     fixed-width and length-prefixed fields followed by {!op_key},
     built without formatting or hashing.  Stable across engine
     instances and process runs. *)
@@ -205,6 +193,16 @@ val compile_sched :
   (Imtp_tir.Program.t, error) result
 (** Uncached schedule-level entry: lower, then run the passes.  No
     verification — this is the facade ([Imtp.compile]) path. *)
+
+val lower :
+  t ->
+  ?options:Imtp_lower.Lowering.options ->
+  Imtp_schedule.Sched.t ->
+  (Imtp_tir.Program.t, error) result
+(** Uncached raw lowering under this engine (counted in [lower_s] and
+    traced as an [engine.lower] span) — for schedules that do not come
+    from sketch parameters, e.g. the fuzz oracle's replayed step
+    lists. *)
 
 val estimate :
   Imtp_upmem.Config.t -> Imtp_tir.Program.t -> (Imtp_upmem.Stats.t, error) result
@@ -340,14 +338,3 @@ val simulate :
     counted by the {!prepare} that produced [p].  Each uncached call is
     one simulator execution, counted in [counters.costed]; concurrent
     calls on one entry run it once. *)
-
-val lower_keyed :
-  t ->
-  key:string ->
-  (unit -> (Imtp_tir.Program.t, error) result) ->
-  (Imtp_tir.Program.t, error) result
-(** Cached raw lowering under a caller-provided content key (see
-    {!digest_parts}) — the entry point for consumers whose schedules do
-    not come from sketch parameters, e.g. the fuzz oracle's replayed
-    step lists.  The thunk runs only on a miss; its outcome (success or
-    typed error) is cached either way. *)

@@ -47,6 +47,15 @@ let family_of (op : Op.t) =
             reduction axes)"
            s r)
 
+let default_for cfg op =
+  let dpus = min 256 (Imtp_upmem.Config.nr_dpus cfg) in
+  let p =
+    { default_params with spatial_dpus = dpus; tasklets = 8; cache_elems = 32 }
+  in
+  match family_of op with
+  | Tasklet_reduce -> { p with reduction_dpus = dpus }
+  | Elementwise | Mat_vec | Batched | Mat_mat | Grid_map -> p
+
 let uses_rfactor p = p.reduction_dpus > 1
 let ceil_div a b = (a + b - 1) / b
 
@@ -130,6 +139,12 @@ let canonical op p =
 
 let maybe_unroll s c loop = if c.unroll then S.unroll s loop
 
+(* Host post-processing parallelism is a schedule primitive (Table 2):
+   the row loop the host's final reduction walks runs on [host_threads]
+   threads. *)
+let maybe_parallel s c loop =
+  if c.host_threads > 1 then S.parallel s loop ~threads:c.host_threads
+
 (* Only body-referenced inputs get read caches: epilogue-only inputs
    are staged by the lowering at the write-cache site instead. *)
 let cache_all_inputs s at =
@@ -188,6 +203,7 @@ let mat_vec s c =
               S.rfactor s j_blk;
               cache_all_inputs s j_chunk;
               cache_output s i_r;
+              maybe_parallel s c i_r;
               maybe_unroll s c j_in
           | [ j_chunk; j_in ] ->
               cache_all_inputs s j_chunk;
@@ -213,6 +229,7 @@ let batched s c =
               S.rfactor s k_blk;
               cache_all_inputs s k_chunk;
               cache_output s j_r;
+              maybe_parallel s c j_r;
               maybe_unroll s c k_in
           | [ k_chunk; k_in ] ->
               cache_all_inputs s k_chunk;
@@ -253,6 +270,7 @@ let mat_mat s c =
               S.rfactor s k_blk;
               cache_ab ~a_at:k_chunk ~b_at:i_r;
               cache_output s j_t;
+              maybe_parallel s c i_r;
               maybe_unroll s c k_in
           | [ k_chunk; k_in ] ->
               S.reorder s [ j_dpu; i_th; i_r; j_t; k_chunk ];
@@ -292,8 +310,7 @@ let instantiate op p =
   | Mat_mat -> mat_mat s c);
   s
 
-let lower_options (p : params) =
-  { L.default_options with L.host_reduce_threads = p.host_threads }
+let lower_options (_ : params) = L.default_options
 
 let describe p =
   Printf.sprintf

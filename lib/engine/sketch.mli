@@ -12,7 +12,7 @@
       (hierarchical reduction);
     - multi-level tiling and intra-DPU caching: [tasklets],
       [cache_elems], [rows_per_tasklet], [unroll_inner];
-    - post-processing: [host_threads]. *)
+    - post-processing: [host_threads], the [parallel] of Table 2. *)
 
 type params = {
   spatial_dpus : int;  (** DPUs along the (outer) spatial dimension. *)
@@ -23,10 +23,19 @@ type params = {
   rows_per_tasklet : int;  (** spatial rows handled per tasklet
                                iteration (matrix/batched ops). *)
   unroll_inner : bool;
-  host_threads : int;  (** host post-processing parallelism. *)
+  host_threads : int;
+      (** host post-processing parallelism: rfactor templates with
+          spatial DPU blocks apply [Sched.parallel] to the row loop of
+          the host's final reduction when it is > 1. *)
 }
 
 val default_params : params
+
+val default_for : Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params
+(** The untuned schedule [imtp run], [lower], [codegen] and the
+    daemon's [run] build: up to 256 spatial DPUs, 8 tasklets and
+    32-element caching tiles; a pure reduction puts those DPUs on its
+    reduction axis. *)
 
 type family =
   | Elementwise  (** one spatial axis, no reduction (VA, GEVA). *)
@@ -54,17 +63,17 @@ type tiling = {
   unroll : bool;
   host_threads : int;
       (** the host's final-reduction parallelism, or 0 when the
-          schedule has no host reduction over spatial DPU blocks (the
-          lowering then never reads it). *)
+          schedule has no host reduction over spatial DPU blocks;
+          {!instantiate} emits [Sched.parallel] exactly when it is
+          > 1. *)
 }
 (** The effective tiling a sketch builds its schedule from. *)
 
 val canonical : Imtp_workload.Op.t -> params -> tiling
 (** The tiling {!instantiate} builds from: [instantiate op p] reads
     [p] only through [canonical op p], so parameters with equal tilings
-    give the same schedule, and (for equal lowering options apart from
-    an unread [host_threads]) the same lowered program.  Arithmetic
-    only — no schedule is constructed.
+    give the same schedule, and (for equal lowering options) the same
+    lowered program.  Arithmetic only — no schedule is constructed.
     @raise Invalid_argument as {!family_of}. *)
 
 val instantiate : Imtp_workload.Op.t -> params -> Imtp_schedule.Sched.t
@@ -73,6 +82,9 @@ val instantiate : Imtp_workload.Op.t -> params -> Imtp_schedule.Sched.t
     tensor has fewer tiles than DPUs. *)
 
 val lower_options : params -> Imtp_lower.Lowering.options
+(** {!Imtp_lower.Lowering.default_options} for every [params]: the
+    schedule carries the host parallelism itself. *)
+
 val describe : params -> string
 
 val space : Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params list

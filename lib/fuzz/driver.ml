@@ -20,8 +20,6 @@ type outcome = {
   configs_checked : int;
   coverage : coverage;
   failures : (int * Oracle.case * Oracle.failure) list;
-  cache_hits : int;
-  cache_lookups : int;
 }
 
 let no_coverage =
@@ -86,7 +84,6 @@ let case_of_seed ~seed ~index =
   go 0
 
 let run ?jobs ?(progress = fun _ -> ()) ?(shrink = true) ~seed ~cases () =
-  let module Engine = Imtp_engine.Engine in
   let module Pool = Imtp_engine.Pool in
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   Obs.span ~name:"fuzz.campaign"
@@ -98,7 +95,6 @@ let run ?jobs ?(progress = fun _ -> ()) ?(shrink = true) ~seed ~cases () =
       ]
   @@ fun () ->
   let t0 = Obs.now_s () in
-  let c0 = Engine.counters Oracle.engine in
   let cases = max 0 cases in
   let parent = Obs.current_span_id () in
   let progress_lock = Mutex.create () in
@@ -165,16 +161,12 @@ let run ?jobs ?(progress = fun _ -> ()) ?(shrink = true) ~seed ~cases () =
   let elapsed_s = Obs.now_s () -. t0 in
   if elapsed_s > 0. then
     Obs.set_gauge "fuzz.cases_per_s" (float_of_int cases /. elapsed_s);
-  let c1 = Engine.counters Oracle.engine in
-  Engine.log_summary Oracle.engine;
   {
     cases;
     rejected = !rejected;
     configs_checked = !configs_checked;
     coverage = !coverage;
     failures = List.rev !failures;
-    cache_hits = c1.Engine.hits - c0.Engine.hits;
-    cache_lookups = c1.Engine.lookups - c0.Engine.lookups;
   }
 
 let report_failure index (case : Oracle.case) failure =
@@ -214,8 +206,6 @@ let summary ~seed outcome =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf "fuzz campaign: seed=%d cases=%d rejected_draws=%d pass_configs_checked=%d\n"
     seed outcome.cases outcome.rejected outcome.configs_checked;
-  pf "engine cache: %d/%d lowering lookups served from cache\n"
-    outcome.cache_hits outcome.cache_lookups;
   pf "coverage: %s\n" (coverage_to_string outcome.coverage);
   (match outcome.failures with
   | [] -> pf "no failures.\n"

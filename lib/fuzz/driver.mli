@@ -28,9 +28,6 @@ type outcome = {
   coverage : coverage;
   failures : (int * Oracle.case * Oracle.failure) list;
       (** (case index, minimized case, failure), oldest first. *)
-  cache_hits : int;
-      (** lowerings served from {!Oracle.engine}'s cache this campaign. *)
-  cache_lookups : int;  (** cache probes this campaign. *)
 }
 
 val case_of_seed : seed:int -> index:int -> Oracle.case option
@@ -49,12 +46,9 @@ val run :
 (** Run a campaign of [cases] checked cases, distributed over up to
     [jobs] worker domains (default {!Imtp_engine.Pool.default_jobs});
     every case is fully determined by [(seed, index)], so failures,
-    coverage and counts are identical at any job count — only
-    [cache_hits]/[cache_lookups], which report the shared oracle
-    engine's counter deltas, can in principle vary if concurrent cases
-    race on one key.  [progress] is called with each finished case
-    index (serialized, but not necessarily in index order when
-    [jobs > 1]).  Failing cases are minimized with {!Shrink.minimize}
+    coverage and counts are identical at any job count.  [progress] is
+    called with each finished case index (serialized, but not
+    necessarily in index order when [jobs > 1]).  Failing cases are minimized with {!Shrink.minimize}
     unless [shrink] is [false]. *)
 
 val report_failure : int -> Oracle.case -> Oracle.failure -> string

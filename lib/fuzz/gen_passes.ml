@@ -10,11 +10,10 @@ let random_options rng =
   {
     L.bulk_transfer = Rng.bool rng;
     parallel_transfer = Rng.bool rng;
-    host_reduce_threads = Rng.pick rng [ 1; 1; 2; 4 ];
     skip_input_transfer = [];
     skip_output_transfer = false;
   }
 
 let options_to_string (o : L.options) =
-  Printf.sprintf "bulk_transfer=%b parallel_transfer=%b host_reduce_threads=%d"
-    o.L.bulk_transfer o.L.parallel_transfer o.L.host_reduce_threads
+  Printf.sprintf "bulk_transfer=%b parallel_transfer=%b" o.L.bulk_transfer
+    o.L.parallel_transfer

@@ -13,9 +13,10 @@ val random : Imtp_engine.Rng.t -> string * Imtp_passes.Pipeline.config
 (** Uniform over all eight toggle combinations. *)
 
 val random_options : Imtp_engine.Rng.t -> Imtp_lower.Lowering.options
-(** Random transfer coalescing / bank parallelism / host post-processing
-    threads.  [skip_input_transfer] stays empty: skipping a transfer is
-    only sound across launches, which a single-program oracle cannot
-    model. *)
+(** Random transfer coalescing and bank parallelism (host
+    post-processing threads are drawn as [parallel] schedule steps by
+    {!Gen_sched}).  [skip_input_transfer] stays empty: skipping a
+    transfer is only sound across launches, which a single-program
+    oracle cannot model. *)
 
 val options_to_string : Imtp_lower.Lowering.options -> string

@@ -34,10 +34,9 @@ type verdict =
 
 let machine = Imtp_upmem.Config.default
 
-(* The oracle's engine: raw lowerings are cached under a key derived
-   from the case content, so a campaign's draw-then-check pattern (and
-   the shrinker's repeated re-checks) lowers each candidate once. *)
-let engine = Engine.create ~max_entries:8192 machine
+(* The oracle's engine: lowering and every pass-pipeline application
+   run under it, so fuzz traces carry the autotuner's stage spans. *)
+let engine = Engine.create machine
 
 let configs case =
   Pl.ablations
@@ -46,25 +45,10 @@ let configs case =
   | Some (name, c) when not (List.mem_assoc name Pl.ablations) -> [ (name, c) ]
   | Some _ | None -> []
 
-let case_key case =
-  let op = Gen_workload.op case.workload in
-  Engine.digest_parts
-    (Engine.op_key op
-     :: Engine.options_key case.options
-     :: List.map Gen_sched.step_to_string case.steps)
-
 let lower case =
-  let result =
-    Engine.lower_keyed engine ~key:(case_key case) (fun () ->
-        let op = Gen_workload.op case.workload in
-        let sched, _ = Gen_sched.replay op case.steps in
-        match L.lower ~options:case.options sched with
-        | prog -> Ok prog
-        | exception L.Lower_error m -> Error (Engine.Lower_failed m))
-  in
-  match result with
-  | Ok prog -> Ok prog
-  | Error e -> Error (Engine.error_to_string e)
+  let sched, _ = Gen_sched.replay (Gen_workload.op case.workload) case.steps in
+  Result.map_error Engine.error_to_string
+    (Engine.lower engine ~options:case.options sched)
 
 (* First index where two value lists diverge. *)
 let first_diff got want =

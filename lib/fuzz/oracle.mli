@@ -58,23 +58,16 @@ type verdict =
   | Failed of failure
 
 val engine : Imtp_engine.Engine.t
-(** The oracle's build engine: raw lowerings are memoized under
-    {!case_key}, and every pass-pipeline application goes through it,
-    so the fuzzer shares the compile path (and its cache telemetry)
-    with the autotuner. *)
-
-val case_key : case -> string
-(** Content hash of everything that determines the raw lowering: the
-    operator, the schedule steps and the lowering options. *)
+(** The oracle's build engine: every lowering and pass-pipeline
+    application runs under it, so the fuzzer shares the compile path
+    (and its [engine.lower]/[engine.passes] spans) with the
+    autotuner. *)
 
 val configs : case -> (string * Imtp_passes.Pipeline.config) list
 (** The four ablations plus the case's extra configuration, if any. *)
 
 val lower : case -> (Imtp_tir.Program.t, string) result
-(** The unoptimized lowering of the case's schedule, served from the
-    engine cache when the case was lowered before (a campaign checks
-    each draw it previously probed, and the shrinker re-checks
-    sub-candidates repeatedly). *)
+(** The unoptimized lowering of the case's replayed schedule. *)
 
 val check : case -> verdict
 

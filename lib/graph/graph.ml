@@ -400,16 +400,15 @@ module Compiled = struct
     resident_edges : int;
   }
 
-  let node_options params ~skips ~skip_out =
-    {
-      (Sk.lower_options params) with
-      L.skip_input_transfer = skips;
-      skip_output_transfer = skip_out;
-    }
-
   let node_program cfg op params ~skips ~skip_out =
     let sched = Sk.instantiate op params in
-    let options = node_options params ~skips ~skip_out in
+    let options =
+      {
+        L.default_options with
+        L.skip_input_transfer = skips;
+        skip_output_transfer = skip_out;
+      }
+    in
     match Engine.compile_sched ~options cfg sched with
     | Ok prog -> Ok (sched, prog)
     | Error e -> Error (Engine.error_to_string e)

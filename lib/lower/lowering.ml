@@ -14,7 +14,6 @@ let err fmt = Printf.ksprintf (fun m -> raise (Lower_error m)) fmt
 type options = {
   bulk_transfer : bool;
   parallel_transfer : bool;
-  host_reduce_threads : int;
   skip_input_transfer : string list;
   skip_output_transfer : bool;
       (* Omit the device-to-host gather of the output: the graph
@@ -27,7 +26,6 @@ let default_options =
   {
     bulk_transfer = true;
     parallel_transfer = true;
-    host_reduce_threads = 1;
     skip_input_transfer = [];
     skip_output_transfer = false;
   }
@@ -817,16 +815,15 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
 
 (* --- host reduction ----------------------------------------------------- *)
 
-(* Effective host post-processing parallelism: the lowering option, or
-   any [Sched.parallel] annotation in the schedule, whichever is
-   larger. *)
+(* Host post-processing parallelism: the largest [Sched.parallel]
+   annotation in the schedule, 1 without one. *)
 let host_par_threads ctx =
   List.fold_left
     (fun acc (l : S.loop) ->
       match l.S.annot with
       | S.Host_parallel n -> max acc n
       | S.Serial | S.Unrolled | S.Bound _ -> acc)
-    ctx.opts.host_reduce_threads (S.order ctx.sched)
+    1 (S.order ctx.sched)
 
 let final_reduction ctx =
   match S.rfactor_loop ctx.sched with

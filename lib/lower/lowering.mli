@@ -29,9 +29,6 @@ type options = {
   parallel_transfer : bool;
       (** bank-parallel push/broadcast transfers (Fig. 7(d)); serial
           per-DPU copies otherwise. *)
-  host_reduce_threads : int;
-      (** threads for the host post-processing loop (Table 2
-          "Post-processing"); 1 = sequential. *)
   skip_input_transfer : string list;
       (** inputs resident in MRAM across launches (§5.4 weight reuse):
           their H2D transfer is omitted. *)
@@ -44,7 +41,7 @@ type options = {
 }
 
 val default_options : options
-(** bulk and parallel transfers on, single-threaded post-processing. *)
+(** bulk and parallel transfers on, nothing resident. *)
 
 val lower : ?options:options -> Imtp_schedule.Sched.t -> Imtp_tir.Program.t
 (** @raise Lower_error when the schedule is outside the supported
@@ -54,11 +51,11 @@ val lower : ?options:options -> Imtp_schedule.Sched.t -> Imtp_tir.Program.t
     locations must dominate the segments they cover, and a DPU-bound
     reduction segment must be the [rfactor] loop.
 
-    A [Sched.parallel] annotation on a trailing kernel loop is treated
-    as a host post-processing hint (Table 2): the loop itself lowers to
-    a serial per-tasklet loop, and its thread count raises the
-    [host_reduce_threads] used for the hierarchical-reduction
-    post-processing loop. *)
+    Host post-processing parallelism (Table 2 "Post-processing") is a
+    schedule primitive: a [Sched.parallel] annotation on a trailing
+    kernel loop lowers to a serial per-tasklet loop inside the kernel,
+    and the largest such thread count runs the hierarchical-reduction
+    loop on the host as [Host_parallel n] ([Serial] without one). *)
 
 val partial_buffer_name : string
 (** Name of the host buffer holding gathered per-DPU partials when

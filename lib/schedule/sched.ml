@@ -75,14 +75,6 @@ let find_loop t name =
   | Some l -> l
   | None -> raise Not_found
 
-let loop_index t l =
-  let rec go i = function
-    | [] -> raise Not_found
-    | x :: _ when x.lid = l.lid -> i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 t.sorder
-
 let mem t l = List.exists (fun x -> x.lid = l.lid) t.sorder
 
 let ceil_div a b = (a + b - 1) / b

@@ -112,8 +112,6 @@ val thread_loop : t -> loop option
 val grid_dpus : t -> int
 val tasklets : t -> int
 val is_block : loop -> bool
-val loop_index : t -> loop -> int
-(** Position in the current order.  @raise Not_found on stale loops. *)
 
 val serial_loops : t -> loop list
 (** Loops still carrying the [Serial] annotation, i.e. the candidates

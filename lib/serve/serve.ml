@@ -21,10 +21,6 @@ module Op = Imtp_workload.Op
 module Stats = Imtp_upmem.Stats
 module P = Protocol
 
-let src = Logs.Src.create "imtp.serve" ~doc:"imtp serving daemon"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type config = {
   socket : string;
   checkpoint_dir : string;
@@ -200,25 +196,9 @@ let build_op name sizes =
     | op -> Ok op
     | exception (Invalid_argument m | Failure m) -> Error (P.Bad_request, m)
 
-(* Mirrors the CLI's default schedule for `run`: a reasonable non-tuned
-   configuration, not the search winner. *)
-let default_params config op =
-  let dpus = min 256 (Imtp_upmem.Config.nr_dpus config) in
-  let p =
-    {
-      Sketch.default_params with
-      Sketch.spatial_dpus = dpus;
-      tasklets = 8;
-      cache_elems = 32;
-    }
-  in
-  match Sketch.family_of op with
-  | Sketch.Tasklet_reduce -> { p with Sketch.reduction_dpus = dpus }
-  | _ -> p
-
 let handle_run state ~op ~sizes =
   let* op_t = build_op op sizes in
-  match Engine.build state.engine op_t (default_params state.machine op_t) with
+  match Engine.build state.engine op_t (Sketch.default_for state.machine op_t) with
   | Error e -> Error (P.Engine_error, Engine.error_to_string e)
   | Ok art ->
       let inputs = Ops.random_inputs op_t in
@@ -314,13 +294,6 @@ let handle_tune state ~client (t : P.tune_spec) =
         if resume <> None then state.ledger.resumed <- state.ledger.resumed + 1);
     Obs.incr "serve.sessions.started";
     if resume <> None then Obs.incr "serve.sessions.resumed";
-    Log.info (fun m ->
-        m "session %s: op=%s trials=%d seed=%d%s%s" session t.op t.trials
-          t.seed
-          (match t.islands with
-          | None -> ""
-          | Some k -> Printf.sprintf " islands=%d" k)
-          (if resume = None then "" else " (resumed)"));
     match
       Search.run ~seed:t.seed ?measure_ratio:t.measure_ratio
         ?islands:t.islands ~engine:state.engine ?resume
@@ -640,9 +613,6 @@ let run ?machine cfg =
       (* Sockets answer to whoever can connect — keep it owner-only. *)
       Unix.chmod cfg.socket 0o600;
       Unix.listen lfd 16;
-      Log.info (fun m ->
-          m "listening on %s (max_sessions=%d queue_limit=%d checkpoints in %s)"
-            cfg.socket cfg.max_sessions cfg.queue_limit cfg.checkpoint_dir);
       let conns = ref [] in
       let next_client = ref 0 in
       let rec accept_loop () =
@@ -655,7 +625,6 @@ let run ?machine cfg =
               | fd, _ ->
                   let client = !next_client in
                   incr next_client;
-                  Log.debug (fun m -> m "client %d connected" client);
                   conns :=
                     Thread.create (fun () -> handle_conn state fd client) ()
                     :: !conns
@@ -667,5 +636,4 @@ let run ?machine cfg =
       (try Unix.close lfd with Unix.Unix_error _ -> ());
       List.iter Thread.join !conns;
       (try Sys.remove cfg.socket with Sys_error _ -> ());
-      Log.info (fun m -> m "shut down cleanly");
       Ok ()

@@ -56,8 +56,3 @@ let pp ppf t =
      dpus=%d tasklets=%d"
     (total_s t *. 1e3) (t.h2d_s *. 1e3) (t.kernel_s *. 1e3) (t.d2h_s *. 1e3)
     (t.host_s *. 1e3) (t.launch_s *. 1e3) t.dpus_used t.tasklets_used
-
-let pp_row ppf t =
-  Format.fprintf ppf "%10.4f %10.4f %10.4f %10.4f %10.4f" (total_s t *. 1e3)
-    (t.h2d_s *. 1e3) (t.kernel_s *. 1e3) (t.d2h_s *. 1e3)
-    ((t.host_s +. t.launch_s) *. 1e3)

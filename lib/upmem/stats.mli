@@ -24,5 +24,3 @@ val speedup : baseline:t -> t -> float
 (** [speedup ~baseline s] = baseline total / s total. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_row : Format.formatter -> t -> unit
-(** One-line fixed-width breakdown, for benchmark tables. *)

@@ -74,8 +74,7 @@ let test_fingerprint_alloc () =
    host_threads too: parameters with equal canonical tilings give the
    same schedule trace — the lowering is a function of the trace and
    the lowering options — and the same printed optimized program and
-   stats under the lowering options of each [host_threads] value in
-   the class. *)
+   stats for each [host_threads] value in the class. *)
 let test_canonical_sound () =
   let module Printer = Imtp_tir.Printer in
   let module S = Imtp_schedule.Sched in
@@ -274,6 +273,67 @@ let test_batch_matches_sequential () =
   Alcotest.(check int) "same lookups" c1.E.lookups c4.E.lookups;
   Alcotest.(check int) "same built" c1.E.built c4.E.built;
   Alcotest.(check bool) "rng advanced identically" true (next1 = next4)
+
+(* Host post-processing parallelism is a schedule primitive: for
+   rfactor and non-rfactor params of mtv, mmtv and gemm, the sketch
+   emits [parallel] exactly when the canonical tiling's [host_threads]
+   is > 1, and the lowered host reduction loop is then
+   [Host_parallel n]; every other host loop stays serial. *)
+let test_host_parallel_from_schedule () =
+  let module S = Imtp_schedule.Sched in
+  let module St = Imtp_tir.Stmt in
+  let rec host_parallel acc = function
+    | St.For { kind = St.Host_parallel n; body; _ } ->
+        host_parallel (n :: acc) body
+    | St.For { body; _ } | St.Alloc { body; _ } -> host_parallel acc body
+    | St.Seq l -> List.fold_left host_parallel acc l
+    | St.If { then_; else_; _ } ->
+        Option.fold ~none:(host_parallel acc then_)
+          ~some:(host_parallel (host_parallel acc then_))
+          else_
+    | St.Store _ | St.Dma _ | St.Xfer _ | St.Launch _ | St.Barrier | St.Nop -> acc
+  in
+  List.iter
+    (fun (name, op) ->
+      List.iter
+        (fun reduction_dpus ->
+          List.iter
+            (fun host_threads ->
+              let p = { small_params with Sk.reduction_dpus; host_threads } in
+              let what = Printf.sprintf "%s %s" name (Sk.describe p) in
+              let c = Sk.canonical op p in
+              Alcotest.(check bool)
+                (what ^ ": threaded exactly under rfactor")
+                (reduction_dpus > 1 && host_threads > 1)
+                (c.Sk.host_threads > 1);
+              let want =
+                if c.Sk.host_threads > 1 then [ c.Sk.host_threads ] else []
+              in
+              let sched = Sk.instantiate op p in
+              let annotated =
+                List.filter_map
+                  (fun (l : S.loop) ->
+                    match l.S.annot with
+                    | S.Host_parallel n -> Some n
+                    | S.Serial | S.Unrolled | S.Bound _ -> None)
+                  (S.order sched)
+              in
+              Alcotest.(check (list int))
+                (what ^ ": parallel steps") want annotated;
+              match E.compile_sched cfg sched with
+              | Error err -> Alcotest.failf "%s: %s" what (E.error_to_string err)
+              | Ok prog ->
+                  Alcotest.(check (list int))
+                    (what ^ ": host parallel loops")
+                    want
+                    (host_parallel [] prog.Imtp_tir.Program.host))
+            [ 1; 4; 16 ])
+        [ 1; 4 ])
+    [
+      ("mtv 64x128", Ops.mtv 64 128);
+      ("mmtv 4x32x64", Ops.mmtv 4 32 64);
+      ("gemm 16x16x32", Ops.gemm 16 16 32);
+    ]
 
 (* Canonical-equal candidates with distinct parameters share one
    prefix: one build, a hit per sharer, each costed on its own, and the
@@ -749,6 +809,8 @@ let () =
             test_canonical_sound;
           Alcotest.test_case "batch shares prefixes" `Quick
             test_batch_canonical_shares;
+          Alcotest.test_case "host parallelism from the schedule" `Quick
+            test_host_parallel_from_schedule;
         ] );
       ( "cache",
         [

@@ -65,6 +65,35 @@ let test_campaign_primitive_coverage () =
   assert_cov "cache_read+compute_at" c.Fz.cache_read;
   assert_cov "cache_write+reverse_compute_at" c.Fz.cache_write
 
+(* Host post-processing threads are only a [parallel] schedule step, so
+   the campaign's threaded host reductions come from [parallel] steps on
+   rfactor schedules: some campaign case must lower to a
+   [Host_parallel] host loop. *)
+let test_campaign_threaded_host_reduction () =
+  let rec threaded = function
+    | St.For { kind = St.Host_parallel _; _ } -> true
+    | St.For { body; _ } | St.Alloc { body; _ } -> threaded body
+    | St.Seq l -> List.exists threaded l
+    | St.If { then_; else_; _ } ->
+        threaded then_ || Option.fold ~none:false ~some:threaded else_
+    | St.Store _ | St.Dma _ | St.Xfer _ | St.Launch _ | St.Barrier | St.Nop -> false
+  in
+  let n =
+    List.length
+      (List.filter
+         (fun index ->
+           match Fz.case_of_seed ~seed:campaign_seed ~index with
+           | None -> false
+           | Some case -> (
+               match Oracle.lower case with
+               | Ok prog -> threaded prog.P.host
+               | Error _ -> false))
+         (List.init campaign_cases Fun.id))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "threaded host reductions (%d)" n)
+    true (n > 0)
+
 let test_case_of_seed_deterministic () =
   match
     (Fz.case_of_seed ~seed:campaign_seed ~index:3,
@@ -301,6 +330,8 @@ let () =
           Alcotest.test_case "config coverage" `Quick test_campaign_config_coverage;
           Alcotest.test_case "primitive coverage" `Quick
             test_campaign_primitive_coverage;
+          Alcotest.test_case "threaded host reduction" `Quick
+            test_campaign_threaded_host_reduction;
           Alcotest.test_case "deterministic" `Quick test_case_of_seed_deterministic;
         ] );
       ( "oracle",

@@ -54,7 +54,8 @@ let sched_reduction op ~dpus ~tasklets ~cache_elems =
   | _ -> assert false
 
 (* MTV/GEMV 1-D (PrIM-style): spatial rows over DPUs/tasklets, serial
-   reduction with caching; optional 2-D tiling with rfactor. *)
+   reduction with caching; optional 2-D tiling with rfactor, whose host
+   reduction runs on [host_threads] threads. *)
 let sched_mv op ~i_dpus ~j_dpus ~tasklets ~rows_per_tasklet ~j_cache
     ~host_threads =
   let s = S.create op in
@@ -80,7 +81,8 @@ let sched_mv op ~i_dpus ~j_dpus ~tasklets ~rows_per_tasklet ~j_cache
           S.compute_at s ca j_chunk;
           S.compute_at s cb j_chunk;
           let cw = S.cache_write s "C" in
-          S.reverse_compute_at s cw i_r
+          S.reverse_compute_at s cw i_r;
+          if host_threads > 1 then S.parallel s i_r ~threads:host_threads
       | [ j_chunk; j_in ] ->
           ignore j_in;
           let ca = S.cache_read s "A" and cb = S.cache_read s "B" in
@@ -91,7 +93,6 @@ let sched_mv op ~i_dpus ~j_dpus ~tasklets ~rows_per_tasklet ~j_cache
       | _ -> assert false)
   | _ -> assert false);
   ignore i_dpus;
-  ignore host_threads;
   s
 
 (* MMTV/TTV: batch over Block_x, rows over Block_y + tasklets, serial
@@ -224,7 +225,6 @@ let test_options_serial_copy () =
 let test_options_host_parallel_reduce () =
   let op = Ops.mtv 32 64 in
   run_and_check op
-    ~options:{ L.default_options with L.host_reduce_threads = 8 }
     (sched_mv op ~i_dpus:8 ~j_dpus:2 ~tasklets:4 ~rows_per_tasklet:1 ~j_cache:8
        ~host_threads:8)
 
