@@ -48,39 +48,54 @@ let copy t =
 let trained t = t.n >= t.min_samples
 let sample_count t = t.n
 
-(* (XtX + λI) w = Xty by Gaussian elimination with partial pivoting. *)
+(* (XtX + λI) w = Xty by Gaussian elimination with partial pivoting.
+   Every index is below [dim], so accesses are unchecked.  Search
+   trajectories depend on the weights bit for bit (a test pins them):
+   keep the order of the float operations. *)
 let solve t =
   let dim = Array.length t.xty in
   let a = Array.init dim (fun i -> Array.copy t.xtx.(i)) in
   let b = Array.copy t.xty in
   for i = 0 to dim - 1 do
-    a.(i).(i) <- a.(i).(i) +. t.lambda
+    let ai = Array.unsafe_get a i in
+    Array.unsafe_set ai i (Array.unsafe_get ai i +. t.lambda)
   done;
   for col = 0 to dim - 1 do
     let pivot = ref col in
+    let best = ref (Float.abs (Array.unsafe_get (Array.unsafe_get a col) col)) in
     for r = col + 1 to dim - 1 do
-      if Float.abs a.(r).(col) > Float.abs a.(!pivot).(col) then pivot := r
+      let v = Float.abs (Array.unsafe_get (Array.unsafe_get a r) col) in
+      if v > !best then begin
+        pivot := r;
+        best := v
+      end
     done;
-    let tmp = a.(col) in
-    a.(col) <- a.(!pivot);
-    a.(!pivot) <- tmp;
-    let tb = b.(col) in
-    b.(col) <- b.(!pivot);
-    b.(!pivot) <- tb;
-    let d = a.(col).(col) in
+    let p = !pivot in
+    let tmp = Array.unsafe_get a col in
+    Array.unsafe_set a col (Array.unsafe_get a p);
+    Array.unsafe_set a p tmp;
+    let tb = Array.unsafe_get b col in
+    Array.unsafe_set b col (Array.unsafe_get b p);
+    Array.unsafe_set b p tb;
+    let acol = Array.unsafe_get a col in
+    let d = Array.unsafe_get acol col in
     if Float.abs d > 1e-12 then
       for r = 0 to dim - 1 do
         if r <> col then begin
-          let f = a.(r).(col) /. d in
+          let ar = Array.unsafe_get a r in
+          let f = Array.unsafe_get ar col /. d in
           for c = 0 to dim - 1 do
-            a.(r).(c) <- a.(r).(c) -. (f *. a.(col).(c))
+            Array.unsafe_set ar c
+              (Array.unsafe_get ar c -. (f *. Array.unsafe_get acol c))
           done;
-          b.(r) <- b.(r) -. (f *. b.(col))
+          Array.unsafe_set b r
+            (Array.unsafe_get b r -. (f *. Array.unsafe_get b col))
         end
       done
   done;
   Array.init dim (fun i ->
-      if Float.abs a.(i).(i) > 1e-12 then b.(i) /. a.(i).(i) else 0.)
+      let d = Array.unsafe_get (Array.unsafe_get a i) i in
+      if Float.abs d > 1e-12 then Array.unsafe_get b i /. d else 0.)
 
 let weights t =
   match t.weights with
@@ -114,11 +129,16 @@ let add t x y =
   t.n <- t.n + 1;
   t.weights <- None
 
-let observe t x y =
+let observe ?predicted_log t x y =
   (* Ground-truth the running prediction error before the sample joins
-     the training set (a pure holdout residual). *)
+     the training set (a pure holdout residual).  A caller that already
+     predicted the sample passes that prediction, which spares the
+     refit [add] would otherwise force on the next sample. *)
   if trained t then begin
-    let err = Float.abs (predict_log t x -. log (Float.max 1e-12 y)) in
+    let predicted =
+      match predicted_log with Some l -> l | None -> predict_log t x
+    in
+    let err = Float.abs (predicted -. log (Float.max 1e-12 y)) in
     t.err_sum <- t.err_sum +. err;
     t.err_n <- t.err_n + 1;
     Obs.set_gauge "cost_learn.mean_abs_log_err" (t.err_sum /. float_of_int t.err_n)

@@ -56,12 +56,20 @@ val add : t -> float array -> float -> unit
     and invalidates the cached weights; it solves nothing and tracks no
     error. *)
 
-val observe : t -> float array -> float -> unit
+val observe : ?predicted_log:float -> t -> float array -> float -> unit
 (** {!add}, after tracking the sample's holdout residual: when the
-    model is already trained, the absolute log-latency error under the
-    pre-update weights feeds the running error mean
-    ({!mean_abs_log_err}) and the [cost_learn.mean_abs_log_err]
-    observability gauge. *)
+    model is already trained, the absolute log-latency error of a
+    prediction made before the sample joined feeds the running error
+    mean ({!mean_abs_log_err}) and the [cost_learn.mean_abs_log_err]
+    observability gauge.
+
+    [predicted_log] is that prediction when the caller already made
+    one — the search passes the one its measurement gate acted on —
+    and the residual then costs no solve, so observing a generation's
+    measurements leaves a single refit for the next {!predict}.
+    Without it the model predicts the sample under its current
+    weights, refitting first if an earlier [observe] invalidated them.
+    The weights never depend on [predicted_log]. *)
 
 val adopt : t -> from:t -> unit
 (** [adopt m ~from] gives [m] the training state of [from] (same

@@ -1,5 +1,3 @@
-module Op = Imtp_workload.Op
-
 (* The mutation ranker is the gate model's ridge regression over 11
    sketch-parameter features, fed through [Cost_learn.add]: no holdout
    residual, so an observation never pays for a solve. *)
@@ -8,10 +6,18 @@ type t = Cost_learn.t
 let create () = Cost_learn.create ~dim:11 ()
 let copy = Cost_learn.copy
 
-let log2 x = log (float_of_int (max 1 x)) /. log 2.
+(* [log2] is tabulated over every value the sampling tables hold and
+   their tasklet x cache products; larger values fall back to the same
+   expression. *)
+let log2_expr x = log (float_of_int (max 1 x)) /. log 2.
+let log2_table = Array.init (1 lsl 14) log2_expr
 
-let features op (p : Sketch.params) =
-  let work = Op.total_flops op in
+let log2 x =
+  if x >= 0 && x < Array.length log2_table then Array.unsafe_get log2_table x
+  else log2_expr x
+
+let features cfg op (p : Sketch.params) =
+  let work = (Sketch.table cfg op).Sketch.work in
   let dpus = p.Sketch.spatial_dpus * p.Sketch.reduction_dpus in
   [|
     1.;

@@ -19,9 +19,11 @@ val copy : t -> t
 (** A deep snapshot: later {!observe} calls on either model leave the
     other untouched.  Search checkpoints capture the model this way. *)
 
-val features : Imtp_workload.Op.t -> Sketch.params -> float array
+val features :
+  Imtp_upmem.Config.t -> Imtp_workload.Op.t -> Sketch.params -> float array
 (** The feature vector for one candidate: log-scaled schedule
-    parameters and workload shape terms. *)
+    parameters and workload shape terms, the op's work read from its
+    {!Sketch.table}. *)
 
 val observe : t -> float array -> float -> unit
 (** [observe m x latency_s] adds a training sample ({!Cost_learn.add}). *)

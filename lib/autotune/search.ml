@@ -212,9 +212,10 @@ type island_ctx = {
   mutable population : (Sketch.params * float) list;
   mutable generations : int;
   mutable migrations : int;
-  mutable epoch_obs : (float array * float) list;
-      (* newest first: (features, latency) observed since the last
-         model merge — published at the next boundary (gated only). *)
+  mutable epoch_obs : (float array * float * float option) list;
+      (* newest first: (features, latency, gate's log prediction)
+         observed since the last model merge — published at the next
+         boundary (gated only). *)
   mutable done_ : bool;
 }
 
@@ -225,7 +226,7 @@ type island_ctx = {
    the boundary is checkpointed. *)
 type publication = {
   pub_population : (Sketch.params * float) list;
-  pub_obs : (float array * float) list;
+  pub_obs : (float array * float * float option) list;
 }
 
 (* Rendezvous state shared by all islands of one run.  [shared_tir] is
@@ -448,16 +449,20 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
   let best_so_far cx =
     match cx.best with Some b -> b.Measure.latency_s | None -> infinity
   in
-  let record cx ~prep ?predicted_s ~trial params (m : Engine.measurement) =
+  (* [predicted_log] is the gate's prediction for the candidate, which
+     the learned model scores its residual against instead of
+     refitting per measurement. *)
+  let record cx ~prep ?predicted_s ?predicted_log ~trial params
+      (m : Engine.measurement) =
     cx.measured <- cx.measured + 1;
     Hashtbl.replace cx.seen params ();
     Hashtbl.remove cx.skipped_seen params;
     let latency_s = m.Engine.latency_s in
-    Cost_model.observe cx.model (Cost_model.features op params) latency_s;
+    Cost_model.observe cx.model (Cost_model.features cfg op params) latency_s;
     if gated then begin
       let x = Engine.features engine prep in
-      Cost_learn.observe cx.tir x latency_s;
-      cx.epoch_obs <- (x, latency_s) :: cx.epoch_obs
+      Cost_learn.observe ?predicted_log cx.tir x latency_s;
+      cx.epoch_obs <- (x, latency_s, predicted_log) :: cx.epoch_obs
     end;
     let r =
       { Measure.params; stats = m.Engine.artifact.Engine.stats; latency_s }
@@ -550,10 +555,11 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         done)
   in
   (* The gate: rank the fresh candidates with the learned model and keep
-     the top fraction, in proposal order, with the predictions the
-     selection was made from.  The model refits as measurements are
-     observed, so predictions are snapshotted here (the re-rank
-     invariant tests hold the log to them); they exist only once the
+     the top fraction, in proposal order, with the log-latency
+     predictions the selection was made from.  The model changes as
+     measurements are observed, so predictions are snapshotted here
+     (the re-rank invariant tests hold the log to them, and the model
+     scores its residuals against them); they exist only once the
      model is trained.  Ungated, every fresh candidate is selected. *)
   let select cx fresh =
     let n = Array.length fresh in
@@ -572,7 +578,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         let predicted =
           Array.of_list
             (List.map
-               (fun x -> if trained then Some (Cost_learn.predict cx.tir x) else None)
+               (fun x -> if trained then Some (Cost_learn.predict_log cx.tir x) else None)
                feats)
         in
         Obs.add_attr "selected" (Obs.Int n_sel);
@@ -612,7 +618,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         if use_cost_model && Cost_model.trained cx.model then
           List.fold_left
             (fun acc c ->
-              let s = Cost_model.predict cx.model (Cost_model.features op c) in
+              let s = Cost_model.predict cx.model (Cost_model.features cfg op c) in
               match acc with
               | Some (_, s') when s' <= s -> acc
               | _ -> Some (c, s))
@@ -668,8 +674,9 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         match result with
         | Error e -> tally cx e
         | Ok m ->
-            record cx ~prep ?predicted_s:predicted.(idx) ~trial:(cx.trial + i)
-              params m;
+            record cx ~prep
+              ?predicted_s:(Option.map exp predicted.(idx))
+              ?predicted_log:predicted.(idx) ~trial:(cx.trial + i) params m;
             measured_now.(idx) <- Some (params, m.Engine.latency_s))
       sims;
     Obs.incr ~by:(List.length selected) "search.gate.measured";
@@ -682,7 +689,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     let offspring =
       Array.to_list fresh
       |> List.mapi (fun idx (i, params, _) ->
-             match (measured_now.(idx), predicted.(idx)) with
+             match (measured_now.(idx), Option.map exp predicted.(idx)) with
              | (Some _ as c), _ -> c
              | None, Some predicted_s
                when Float.is_finite predicted_s && not (known cx params) ->
@@ -732,7 +739,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
                 match Engine.simulate engine ~rng:cx.rng prep with
                 | Error e -> tally cx e
                 | Ok m ->
-                    record cx ~prep ~predicted_s ~trial:cx.trial params m;
+                    record cx ~prep ~predicted_s
+                      ~predicted_log:(log predicted_s) ~trial:cx.trial params m;
                     cx.trial <- cx.trial + 1))
           promising
   in
@@ -874,7 +882,10 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
             Cost_learn.adopt sh.shared_tir ~from:ctxs.(j).tir
         | _ ->
             for j = 0 to k - 1 do
-              List.iter (fun (x, y) -> Cost_learn.observe sh.shared_tir x y) (obs j)
+              List.iter
+                (fun (x, y, predicted_log) ->
+                  Cost_learn.observe ?predicted_log sh.shared_tir x y)
+                (obs j)
             done);
         Hashtbl.filter_map_inplace
           (fun (_, bb) p -> if bb < b then None else Some p)

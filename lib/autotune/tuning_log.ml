@@ -8,12 +8,41 @@ type entry = {
 }
 type header = { op_name : string; duration_s : float option; islands : int }
 
-let params_to_string (p : Sketch.params) =
-  Printf.sprintf "sd=%d rd=%d t=%d c=%d rows=%d unroll=%d ht=%d"
-    p.Sketch.spatial_dpus p.Sketch.reduction_dpus p.Sketch.tasklets
-    p.Sketch.cache_elems p.Sketch.rows_per_tasklet
-    (if p.Sketch.unroll_inner then 1 else 0)
-    p.Sketch.host_threads
+(* Log lines are rendered into one [Buffer], ints by a digit loop and
+   floats through a single [%.9e] conversion each: a digest of a whole
+   search history renders a hundred lines per request.  The digits of
+   [v <= 0], most significant first; accumulating on the negative side
+   covers [min_int], whose magnitude is not an [int]. *)
+let rec add_neg_digits b v =
+  if v <= -10 then add_neg_digits b (v / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (v mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
+let add_float b f = Buffer.add_string b (Printf.sprintf "%.9e" f)
+
+let add_field b key n =
+  Buffer.add_string b key;
+  add_int b n
+
+let add_params b (p : Sketch.params) =
+  add_field b "sd=" p.Sketch.spatial_dpus;
+  add_field b " rd=" p.Sketch.reduction_dpus;
+  add_field b " t=" p.Sketch.tasklets;
+  add_field b " c=" p.Sketch.cache_elems;
+  add_field b " rows=" p.Sketch.rows_per_tasklet;
+  add_field b " unroll=" (Bool.to_int p.Sketch.unroll_inner);
+  add_field b " ht=" p.Sketch.host_threads
+
+let params_to_string p =
+  let b = Buffer.create 64 in
+  add_params b p;
+  Buffer.contents b
 
 let params_of_string s =
   let kvs =
@@ -57,15 +86,34 @@ let params_of_string s =
    [island] is only emitted when non-zero, so single-island logs stay
    byte-identical to their pre-island form — the golden-trace and
    replay fixtures depend on that. *)
+let add_entry b e =
+  add_field b "trial=" e.trial;
+  Buffer.add_string b " latency=";
+  add_float b e.latency_s;
+  Buffer.add_char b ' ';
+  add_params b e.params;
+  add_field b " measured=" (Bool.to_int e.measured);
+  (match e.predicted_s with
+  | Some p ->
+      Buffer.add_string b " predicted_cost=";
+      add_float b p
+  | None -> ());
+  if e.island > 0 then add_field b " island=" e.island
+
 let entry_to_string e =
-  Printf.sprintf "trial=%d latency=%.9e %s measured=%d%s%s" e.trial
-    e.latency_s
-    (params_to_string e.params)
-    (if e.measured then 1 else 0)
-    (match e.predicted_s with
-    | Some p -> Printf.sprintf " predicted_cost=%.9e" p
-    | None -> "")
-    (if e.island > 0 then Printf.sprintf " island=%d" e.island else "")
+  let b = Buffer.create 128 in
+  add_entry b e;
+  Buffer.contents b
+
+let of_record (r : Search.record) =
+  {
+    trial = r.Search.trial;
+    island = r.Search.island;
+    params = r.Search.params;
+    latency_s = r.Search.latency_s;
+    measured = r.Search.measured;
+    predicted_s = r.Search.predicted_s;
+  }
 
 let entry_of_string line =
   let ( let* ) = Result.bind in
@@ -125,17 +173,8 @@ let save path ~op_name (o : Search.outcome) =
            Printf.sprintf " islands=%d" o.Search.islands
          else "");
       List.iter
-        (fun (r : Search.record) ->
-          output_string oc
-            (entry_to_string
-               {
-                 trial = r.Search.trial;
-                 island = r.Search.island;
-                 params = r.Search.params;
-                 latency_s = r.Search.latency_s;
-                 measured = r.Search.measured;
-                 predicted_s = r.Search.predicted_s;
-               });
+        (fun r ->
+          output_string oc (entry_to_string (of_record r));
           output_char oc '\n')
         o.Search.history)
 

@@ -45,6 +45,12 @@ val entry_to_string : entry -> string
     [predicted_cost=P]) and, for sharded runs, [island=I] — all
     trailing so older readers still parse. *)
 
+val add_entry : Buffer.t -> entry -> unit
+(** Append {!entry_to_string}'s line to a buffer, without a newline. *)
+
+val of_record : Search.record -> entry
+(** The log entry of one search-history record. *)
+
 val entry_of_string : string -> (entry, string) Result.t
 (** Inverse of {!entry_to_string}; malformed lines are [Error]. *)
 

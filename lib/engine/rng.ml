@@ -7,6 +7,10 @@ let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))
 
+let pick_array t a =
+  if Array.length a = 0 then invalid_arg "Rng.pick_array: empty array";
+  Array.unsafe_get a (int t (Array.length a))
+
 let float t bound = Random.State.float t bound
 let bool t = Random.State.bool t
 let split t = Random.State.make [| Random.State.bits t |]

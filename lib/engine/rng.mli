@@ -13,6 +13,11 @@ val int : t -> int -> int
 val pick : t -> 'a list -> 'a
 (** Uniform choice.  @raise Invalid_argument on the empty list. *)
 
+val pick_array : t -> 'a array -> 'a
+(** [pick_array t a] makes the draw [pick t (Array.to_list a)] makes
+    and returns the same element, without walking a list.
+    @raise Invalid_argument on the empty array. *)
+
 val float : t -> float -> float
 (** Uniform in [0, bound). *)
 

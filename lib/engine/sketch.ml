@@ -318,51 +318,92 @@ let describe p =
     p.spatial_dpus p.reduction_dpus p.tasklets p.cache_elems p.rows_per_tasklet
     p.unroll_inner p.host_threads
 
-(* --- parameter value sets --------------------------------------------- *)
+(* --- the sampling table ------------------------------------------------ *)
+
+type table = {
+  family : family;
+  spatial_choices : int array;
+  reduction_choices : int array;
+  rfactor_choices : int array;
+  tasklet_choices : int array;
+  cache_choices : int array;
+  rows_choices : int array;
+  host_thread_choices : int array;
+  work : float;
+}
 
 let pow2s lo hi =
   let rec go v = if v > hi then [] else v :: go (2 * v) in
   go lo
 
-let spatial_dpu_choices cfg =
+let tasklet_choices = [| 1; 2; 4; 8; 12; 16; 20; 24 |]
+let rows_choices = [| 1; 2; 4; 8; 16 |]
+let host_thread_choices = [| 1; 4; 16 |]
+
+let build_table cfg (op : Op.t) =
+  let family = family_of op in
   let maxd = Imtp_upmem.Config.nr_dpus cfg in
-  List.filter (fun d -> d <= maxd) (pow2s 16 maxd)
-
-let reduction_dpu_choices cfg (op : Op.t) =
-  match Op.reduction_axes op with
-  | [] -> [ 1 ]
-  | a :: _ ->
-      (* Pure reductions use the whole machine along the reduction
-         dimension; ops with spatial axes multiply grids, so cap it. *)
-      let cap =
-        if Op.spatial_axes op = [] then Imtp_upmem.Config.nr_dpus cfg else 128
-      in
-      List.filter (fun d -> d <= a.Op.extent) (pow2s 1 cap)
-
-let tasklet_choices = [ 1; 2; 4; 8; 12; 16; 20; 24 ]
-
-let cache_choices (op : Op.t) =
-  (* elements; 8 B .. 2 KB at 4 B/elem. *)
-  let innermost = List.nth op.Op.axes (List.length op.Op.axes - 1) in
-  let pow2 =
-    List.filter (fun c -> c <= max 2 (2 * innermost.Op.extent)) (pow2s 2 512)
+  let reduction =
+    match Op.reduction_axes op with
+    | [] -> [ 1 ]
+    | a :: _ ->
+        (* Pure reductions use the whole machine along the reduction
+           dimension; ops with spatial axes multiply grids, so cap it. *)
+        let cap = if Op.spatial_axes op = [] then maxd else 128 in
+        List.filter (fun d -> d <= a.Op.extent) (pow2s 1 cap)
   in
-  (* Shape-derived tiles: the ceil-halving chain of the innermost
-     extent opens non-divisible split factors on ragged axes
-     (500 → 500, 250, 125, 63, …) whose partial tiles carry boundary
-     guards for the passes to remove.  On power-of-two extents
-     the chain is a subset of [pow2] and dedups away, so existing
-     search trajectories are unchanged. *)
-  let rec chain v = if v < 2 then [] else v :: chain ((v + 1) / 2) in
-  List.sort_uniq Int.compare (pow2 @ chain (min innermost.Op.extent 512))
+  let cache =
+    (* elements; 8 B .. 2 KB at 4 B/elem. *)
+    let innermost = List.nth op.Op.axes (List.length op.Op.axes - 1) in
+    let pow2 =
+      List.filter (fun c -> c <= max 2 (2 * innermost.Op.extent)) (pow2s 2 512)
+    in
+    (* Shape-derived tiles: the ceil-halving chain of the innermost
+       extent opens non-divisible split factors on ragged axes
+       (500 → 500, 250, 125, 63, …) whose partial tiles carry boundary
+       guards for the passes to remove.  On power-of-two extents
+       the chain is a subset of [pow2] and dedups away, so existing
+       search trajectories are unchanged. *)
+    let rec chain v = if v < 2 then [] else v :: chain ((v + 1) / 2) in
+    List.sort_uniq Int.compare (pow2 @ chain (min innermost.Op.extent 512))
+  in
+  {
+    family;
+    spatial_choices =
+      Array.of_list (List.filter (fun d -> d <= maxd) (pow2s 16 maxd));
+    reduction_choices = Array.of_list reduction;
+    rfactor_choices = Array.of_list (List.filter (fun v -> v > 1) reduction);
+    tasklet_choices;
+    cache_choices = Array.of_list cache;
+    rows_choices;
+    host_thread_choices;
+    work = Op.total_flops op;
+  }
 
-let rows_choices = [ 1; 2; 4; 8; 16 ]
-let host_thread_choices = [ 1; 4; 16 ]
+(* A search draws every proposal against one (config, operator) pair,
+   so the tables of the last few pairs seen are kept, matched by
+   physical identity as [Engine.memo_op_key] matches operators; domains
+   racing on the list at worst rebuild a table. *)
+let recent_tables : (Imtp_upmem.Config.t * Op.t * table) list Atomic.t =
+  Atomic.make []
+
+let rec find_table cfg op = function
+  | [] -> None
+  | (c, o, t) :: rest ->
+      if c == cfg && o == op then Some t else find_table cfg op rest
+
+let table cfg op =
+  let recent = Atomic.get recent_tables in
+  match find_table cfg op recent with
+  | Some t -> t
+  | None ->
+      let t = build_table cfg op in
+      Atomic.set recent_tables
+        ((cfg, op, t) :: List.filteri (fun i _ -> i < 3) recent);
+      t
 
 let space cfg op =
-  let fam = family_of op in
-  let sd = spatial_dpu_choices cfg in
-  let rd = reduction_dpu_choices cfg op in
+  let t = table cfg op in
   let base =
     List.concat_map
       (fun spatial_dpus ->
@@ -379,12 +420,12 @@ let space cfg op =
                       tasklets;
                       cache_elems;
                     })
-                  (cache_choices op))
-              tasklet_choices)
-          rd)
-      sd
+                  (Array.to_list t.cache_choices))
+              (Array.to_list t.tasklet_choices))
+          (Array.to_list t.reduction_choices))
+      (Array.to_list t.spatial_choices)
   in
-  match fam with
+  match t.family with
   | Elementwise | Grid_map ->
       List.filter (fun p -> p.reduction_dpus = 1) base
   | Tasklet_reduce ->
@@ -395,22 +436,31 @@ let space cfg op =
   | Batched ->
       List.concat_map
         (fun rows -> List.map (fun p -> { p with rows_per_tasklet = rows }) base)
-        rows_choices
+        (Array.to_list t.rows_choices)
 
 let random rng cfg op =
-  let fam = family_of op in
+  let t = table cfg op in
+  (* One draw per field, last field first: search trajectories and
+     the golden traces depend on this order. *)
+  let host_threads = Rng.pick_array rng t.host_thread_choices in
+  let unroll_inner = Rng.bool rng in
+  let rows_per_tasklet = Rng.pick_array rng t.rows_choices in
+  let cache_elems = Rng.pick_array rng t.cache_choices in
+  let tasklets = Rng.pick_array rng t.tasklet_choices in
+  let reduction_dpus = Rng.pick_array rng t.reduction_choices in
+  let spatial_dpus = Rng.pick_array rng t.spatial_choices in
   let p =
     {
-      spatial_dpus = Rng.pick rng (spatial_dpu_choices cfg);
-      reduction_dpus = Rng.pick rng (reduction_dpu_choices cfg op);
-      tasklets = Rng.pick rng tasklet_choices;
-      cache_elems = Rng.pick rng (cache_choices op);
-      rows_per_tasklet = Rng.pick rng rows_choices;
-      unroll_inner = Rng.bool rng;
-      host_threads = Rng.pick rng host_thread_choices;
+      spatial_dpus;
+      reduction_dpus;
+      tasklets;
+      cache_elems;
+      rows_per_tasklet;
+      unroll_inner;
+      host_threads;
     }
   in
-  match fam with
+  match t.family with
   | Elementwise | Grid_map -> { p with reduction_dpus = 1; rows_per_tasklet = 1 }
   | Tasklet_reduce ->
       {
@@ -422,34 +472,39 @@ let random rng cfg op =
   | Mat_vec | Mat_mat -> { p with rows_per_tasklet = 1 }
   | Batched -> p
 
+type field = Sd | Rd | T | C | R | U | H
+
+let fields_flat = [| Sd; T; C; U; H |]
+let fields_reduce = [| Sd; Rd; T; C; U |]
+let fields_rfactor = [| Sd; Rd; T; C; U; H |]
+let fields_batched_rfactor = [| Rd; T; C; R; U; H |]
+let fields_batched = [| T; C; R; U; H |]
+
 let mutate rng cfg op p =
-  let fam = family_of op in
+  let t = table cfg op in
   (* Mutation stays within the parent's design space: whether the
      schedule rfactors is a structural (sketch-level) choice, not a
      tunable parameter — evolution cannot cross it, only fresh
-     sampling can (§5.2.3).  [`Rd] therefore re-draws the reduction
+     sampling can (§5.2.3).  [Rd] therefore re-draws the reduction
      DPU count within the same family. *)
   let fields =
-    match fam with
-    | Elementwise | Grid_map -> [ `Sd; `T; `C; `U; `H ]
-    | Tasklet_reduce -> [ `Sd; `Rd; `T; `C; `U ]
-    | Mat_vec | Mat_mat ->
-        if uses_rfactor p then [ `Sd; `Rd; `T; `C; `U; `H ]
-        else [ `Sd; `T; `C; `U; `H ]
+    match t.family with
+    | Elementwise | Grid_map -> fields_flat
+    | Tasklet_reduce -> fields_reduce
+    | Mat_vec | Mat_mat -> if uses_rfactor p then fields_rfactor else fields_flat
     | Batched ->
-        if uses_rfactor p then [ `Rd; `T; `C; `R; `U; `H ]
-        else [ `T; `C; `R; `U; `H ]
+        if uses_rfactor p then fields_batched_rfactor else fields_batched
   in
-  match Rng.pick rng fields with
-  | `Sd -> { p with spatial_dpus = Rng.pick rng (spatial_dpu_choices cfg) }
-  | `Rd ->
-      let choices =
-        List.filter (fun v -> v > 1) (reduction_dpu_choices cfg op)
+  match Rng.pick_array rng fields with
+  | Sd -> { p with spatial_dpus = Rng.pick_array rng t.spatial_choices }
+  | Rd ->
+      let v =
+        if Array.length t.rfactor_choices = 0 then p.reduction_dpus
+        else Rng.pick_array rng t.rfactor_choices
       in
-      let v = if choices = [] then p.reduction_dpus else Rng.pick rng choices in
       { p with reduction_dpus = v }
-  | `T -> { p with tasklets = Rng.pick rng tasklet_choices }
-  | `C -> { p with cache_elems = Rng.pick rng (cache_choices op) }
-  | `R -> { p with rows_per_tasklet = Rng.pick rng rows_choices }
-  | `U -> { p with unroll_inner = not p.unroll_inner }
-  | `H -> { p with host_threads = Rng.pick rng host_thread_choices }
+  | T -> { p with tasklets = Rng.pick_array rng t.tasklet_choices }
+  | C -> { p with cache_elems = Rng.pick_array rng t.cache_choices }
+  | R -> { p with rows_per_tasklet = Rng.pick_array rng t.rows_choices }
+  | U -> { p with unroll_inner = not p.unroll_inner }
+  | H -> { p with host_threads = Rng.pick_array rng t.host_thread_choices }

@@ -87,13 +87,38 @@ val lower_options : params -> Imtp_lower.Lowering.options
 
 val describe : params -> string
 
+type table = private {
+  family : family;
+  spatial_choices : int array;
+  reduction_choices : int array;
+  rfactor_choices : int array;  (** the [reduction_choices] above 1. *)
+  tasklet_choices : int array;
+  cache_choices : int array;  (** caching-tile lengths, ascending. *)
+  rows_choices : int array;
+  host_thread_choices : int array;
+  work : float;  (** [Imtp_workload.Op.total_flops] of the op. *)
+}
+(** The value sets one (config, op) pair samples from, each in its
+    enumeration order.  Shared and read-only: never mutate its
+    arrays. *)
+
+val table : Imtp_upmem.Config.t -> Imtp_workload.Op.t -> table
+(** The op's sampling table, built on first use and memoized for the
+    last few (config, op) pairs by physical identity, so a search pays
+    for the value sets once rather than on every draw.
+    @raise Invalid_argument as {!family_of}. *)
+
 val space : Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params list
 (** The full (pruned) discrete parameter space used for exhaustive
     searches in tests; the evolutionary search samples from the same
     value sets. *)
 
 val random : Rng.t -> Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params
+(** One fresh draw from the op's {!table}: one {!Rng.pick_array} per
+    field (a {!Rng.bool} for [unroll_inner]), then the family's fixed
+    fields. *)
+
 val mutate : Rng.t -> Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params -> params
-(** Randomly re-draw one tunable field. *)
+(** Randomly re-draw one tunable field from the op's {!table}. *)
 
 val uses_rfactor : params -> bool

@@ -405,13 +405,21 @@ let min_exp = -9.
 let finite_buckets = 60
 let bucket_count = finite_buckets + 1
 
+let bound_of i =
+  10. ** (min_exp +. (float_of_int (i + 1) /. float_of_int buckets_per_decade))
+
+(* Every engine stage observes a histogram, so the finite bounds are
+   computed once. *)
+let upper_bounds = Array.init finite_buckets bound_of
+
 let bucket_upper_bound i =
   if i >= finite_buckets then infinity
-  else 10. ** (min_exp +. (float_of_int (i + 1) /. float_of_int buckets_per_decade))
+  else if i >= 0 then upper_bounds.(i)
+  else bound_of i
 
 let bucket_index v =
-  if Float.is_nan v || v <= bucket_upper_bound 0 then 0
-  else if v > bucket_upper_bound (finite_buckets - 1) then finite_buckets
+  if Float.is_nan v || v <= upper_bounds.(0) then 0
+  else if v > upper_bounds.(finite_buckets - 1) then finite_buckets
   else begin
     let guess =
       int_of_float
@@ -420,10 +428,10 @@ let bucket_index v =
     in
     let i = ref (max 0 (min (finite_buckets - 1) guess)) in
     (* fix up floating-point error at bucket boundaries. *)
-    while !i > 0 && v <= bucket_upper_bound (!i - 1) do
+    while !i > 0 && v <= upper_bounds.(!i - 1) do
       decr i
     done;
-    while v > bucket_upper_bound !i do
+    while v > upper_bounds.(!i) do
       incr i
     done;
     !i

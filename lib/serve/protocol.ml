@@ -309,19 +309,24 @@ let send_response fd resp =
 (* History digests                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* One buffer, reused under a lock: a history renders to about 12 KB,
+   and a fresh buffer of that size per request is a large allocation on
+   every tune, which raised the serve benchmark's peak RSS by about
+   2 MB. *)
+let digest_buffer = Buffer.create 16384
+let digest_lock = Mutex.create ()
+
 let history_digest (o : Imtp_autotune.Search.outcome) =
-  let line (r : Imtp_autotune.Search.record) =
-    Imtp_autotune.Tuning_log.entry_to_string
-      {
-        Imtp_autotune.Tuning_log.trial = r.Imtp_autotune.Search.trial;
-        island = r.Imtp_autotune.Search.island;
-        params = r.Imtp_autotune.Search.params;
-        latency_s = r.Imtp_autotune.Search.latency_s;
-        measured = r.Imtp_autotune.Search.measured;
-        predicted_s = r.Imtp_autotune.Search.predicted_s;
-      }
-  in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n"
-          (List.map line o.Imtp_autotune.Search.history)))
+  let module Tl = Imtp_autotune.Tuning_log in
+  Mutex.protect digest_lock @@ fun () ->
+  let b = digest_buffer in
+  Buffer.clear b;
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char b '\n';
+      Tl.add_entry b (Tl.of_record r))
+    o.Imtp_autotune.Search.history;
+  let d = Digest.string (Buffer.contents b) in
+  (* an unusually long history does not keep its buffer *)
+  if Buffer.length b > 1 lsl 16 then Buffer.reset b;
+  Digest.to_hex d

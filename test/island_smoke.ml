@@ -2,23 +2,26 @@
    a 2-island tune must produce the same history digest at -j 1 and
    -j 2 (jobs never change the trajectory at a fixed island count),
    and a run killed at a mid-run migration-boundary checkpoint then
-   resumed must land on the uninterrupted run's digest bit-for-bit. *)
+   resumed must land on the uninterrupted run's digest bit-for-bit.
+   Both ungated and under the measurement gate (ratio 0.2), whose
+   boundary merge replays each island's observations with the
+   predictions its gate made. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
-let () =
+let smoke ~name ?measure_ratio ~seed () =
   let cfg = Imtp.default_config in
   let op = Imtp.Ops.mtv 128 256 in
-  let trials = 128 and seed = 23 in
+  let trials = 128 in
   let run ?jobs ?resume ?on_checkpoint ?stop () =
-    Imtp.Search.run ~seed ?jobs ~islands:2 ~migrate_every:1 ?resume
-      ?on_checkpoint ?stop cfg op ~trials
+    Imtp.Search.run ~seed ?jobs ~islands:2 ~migrate_every:1 ?measure_ratio
+      ?resume ?on_checkpoint ?stop cfg op ~trials
   in
   let full_j1 = run ~jobs:1 () in
   let full_j2 = run ~jobs:2 () in
   let digest = Imtp.Protocol.history_digest in
   if digest full_j1 <> digest full_j2 then
-    fail "island smoke: -j1 and -j2 digests differ at islands=2";
+    fail "island smoke (%s): -j1 and -j2 digests differ at islands=2" name;
   let n_ck = ref 0 and last = ref None in
   let killed =
     run ~jobs:2
@@ -29,21 +32,28 @@ let () =
       ()
   in
   if not killed.Imtp.Search.interrupted then
-    fail "island smoke: stop callback did not interrupt the run";
+    fail "island smoke (%s): stop callback did not interrupt the run" name;
   let ck =
-    match !last with Some ck -> ck | None -> fail "island smoke: no checkpoint"
+    match !last with
+    | Some ck -> ck
+    | None -> fail "island smoke (%s): no checkpoint" name
   in
   let at = Imtp.Search.checkpoint_trial ck in
   if at <= 0 || at >= trials then
-    fail "island smoke: checkpoint at trial %d is not mid-run" at;
+    fail "island smoke (%s): checkpoint at trial %d is not mid-run" name at;
   if Imtp.Search.checkpoint_islands ck <> 2 then
-    fail "island smoke: checkpoint lost the island count";
+    fail "island smoke (%s): checkpoint lost the island count" name;
   let resumed = run ~jobs:2 ~resume:ck () in
   if resumed.Imtp.Search.interrupted then
-    fail "island smoke: resumed run did not complete";
+    fail "island smoke (%s): resumed run did not complete" name;
   if digest resumed <> digest full_j2 then
-    fail "island smoke: resumed digest differs from the uninterrupted run";
+    fail "island smoke (%s): resumed digest differs from the uninterrupted run"
+      name;
   Printf.printf
-    "island smoke ok: islands=2, %d trials, killed at trial %d, resumed \
+    "island smoke ok (%s): islands=2, %d trials, killed at trial %d, resumed \
      digest %s\n"
-    trials at (digest resumed)
+    name trials at (digest resumed)
+
+let () =
+  smoke ~name:"ungated" ~seed:23 ();
+  smoke ~name:"gated" ~measure_ratio:0.2 ~seed:23 ()

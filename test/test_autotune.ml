@@ -158,7 +158,7 @@ let test_cost_model_learns_ranking () =
     match Ms.measure cfg op p with
     | Ok r ->
         samples := (p, r.Ms.latency_s) :: !samples;
-        Cm.observe model (Cm.features op p) r.Ms.latency_s
+        Cm.observe model (Cm.features cfg op p) r.Ms.latency_s
     | Error _ -> ()
   done;
   Alcotest.(check bool) "trained" true (Cm.trained model);
@@ -170,7 +170,7 @@ let test_cost_model_learns_ranking () =
     incr tries;
     let p = Sk.random rng cfg op in
     match Ms.measure cfg op p with
-    | Ok r -> eval := (Cm.predict model (Cm.features op p), r.Ms.latency_s) :: !eval
+    | Ok r -> eval := (Cm.predict model (Cm.features cfg op p), r.Ms.latency_s) :: !eval
     | Error _ -> ()
   done;
   let correct = ref 0 and total = ref 0 in
@@ -269,6 +269,80 @@ let test_tuning_log_roundtrip () =
       | _ -> Alcotest.fail "missing best"));
   Sys.remove path
 
+(* The tuning-log line as it was rendered through [Printf] before lines
+   were written into a [Buffer]: the oracle the buffer rendering must
+   match byte for byte, history digests and log files included. *)
+let printf_entry (e : Imtp_autotune.Tuning_log.entry) =
+  let module Tl = Imtp_autotune.Tuning_log in
+  let p = e.Tl.params in
+  Printf.sprintf "trial=%d latency=%.9e %s measured=%d%s%s" e.Tl.trial
+    e.Tl.latency_s
+    (Printf.sprintf "sd=%d rd=%d t=%d c=%d rows=%d unroll=%d ht=%d"
+       p.Sk.spatial_dpus p.Sk.reduction_dpus p.Sk.tasklets p.Sk.cache_elems
+       p.Sk.rows_per_tasklet
+       (if p.Sk.unroll_inner then 1 else 0)
+       p.Sk.host_threads)
+    (if e.Tl.measured then 1 else 0)
+    (match e.Tl.predicted_s with
+    | Some p -> Printf.sprintf " predicted_cost=%.9e" p
+    | None -> "")
+    (if e.Tl.island > 0 then Printf.sprintf " island=%d" e.Tl.island else "")
+
+let prop_entry_to_string_matches_printf =
+  let module Tl = Imtp_autotune.Tuning_log in
+  let open QCheck2.Gen in
+  let edge_int =
+    oneof
+      [
+        oneofl [ min_int; min_int + 1; max_int; max_int - 1; 0; -1; 1; -9; -10; 10 ];
+        int;
+        int_range (-100_000) 100_000;
+      ]
+  in
+  let edge_float =
+    oneof
+      [
+        oneofl
+          [
+            nan; Float.neg nan; infinity; neg_infinity; 0.; -0.; 4.9e-324;
+            -4.9e-324; 2.225073858507201e-308; Float.min_float;
+            Float.max_float; 1e-9; 9.9999999995e-1;
+          ];
+        float;
+        map Int64.float_of_bits ui64;
+      ]
+  in
+  let gen =
+    let* trial = edge_int and* island = oneof [ pure 0; edge_int ] in
+    let* spatial_dpus = edge_int and* reduction_dpus = edge_int
+    and* tasklets = edge_int and* cache_elems = edge_int in
+    let* rows_per_tasklet = edge_int and* unroll_inner = bool
+    and* host_threads = edge_int in
+    let* latency_s = edge_float and* measured = bool
+    and* predicted_s = opt edge_float in
+    pure
+      {
+        Tl.trial;
+        island;
+        params =
+          {
+            Sk.spatial_dpus;
+            reduction_dpus;
+            tasklets;
+            cache_elems;
+            rows_per_tasklet;
+            unroll_inner;
+            host_threads;
+          };
+        latency_s;
+        measured;
+        predicted_s;
+      }
+  in
+  QCheck2.Test.make ~name:"entry_to_string = Printf rendering" ~count:2000
+    ~print:printf_entry gen (fun e ->
+      String.equal (Tl.entry_to_string e) (printf_entry e))
+
 let test_tuning_log_params_roundtrip () =
   let module Tl = Imtp_autotune.Tuning_log in
   let rng = Rng.create ~seed:5 in
@@ -326,6 +400,26 @@ let check_against_golden ~got ~want =
     in
     first_diff 1 (gl, wl)
   end
+
+(* The history digest of fixed-seed gated tunes on one and two
+   islands, recorded before the proposal tables, the residuals scored
+   against the gate's predictions and the buffer rendering of log
+   lines: none of them may move a trajectory or a digest byte. *)
+let test_gated_history_digest_pinned () =
+  let op = Ops.mtv 128 256 in
+  List.iter
+    (fun (islands, want) ->
+      let o =
+        Se.run ~seed:11 ~jobs:1 ~islands ~measure_ratio:0.2 cfg op ~trials:96
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "islands=%d digest" islands)
+        want
+        (Imtp_serve.Protocol.history_digest o))
+    [
+      (1, "47d30e43b723e00d013bcc16e4439893");
+      (2, "982f275c2050469c6655885bc0397dbb");
+    ]
 
 let test_ungated_trace_matches_golden () =
   let buf = Buffer.create 4096 in
@@ -1057,6 +1151,8 @@ let () =
             test_ungated_trace_matches_golden;
           Alcotest.test_case "gated trace matches golden" `Quick
             test_gated_trace_matches_golden;
+          Alcotest.test_case "gated history digest pinned" `Quick
+            test_gated_history_digest_pinned;
           Alcotest.test_case "gemv: same-or-better best, >=5x fewer sims"
             `Slow test_gate_acceptance_gemv;
           Alcotest.test_case "mmtv: same-or-better best, >=5x fewer sims"
@@ -1103,5 +1199,10 @@ let () =
             test_one_island_ignores_migrate_every;
         ] );
       ( "properties",
-        q [ prop_verified_candidates_run; prop_islands_jobs_equivalence ] );
+        q
+          [
+            prop_verified_candidates_run;
+            prop_islands_jobs_equivalence;
+            prop_entry_to_string_matches_printf;
+          ] );
     ]

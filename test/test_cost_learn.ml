@@ -78,6 +78,98 @@ let test_adopt_equals_replay () =
         (Marshal.to_string replay []) (Marshal.to_string shared []))
     [ 1; 2; 9; 30 ]
 
+(* Fixed normal-equation systems in exact arithmetic: 40 samples over
+   [dim] features with a zero last column and, at 16 features, a
+   column that is twice another, so the unregularized system is
+   singular and the solver's small-pivot path runs. *)
+let pinned_model ~dim ~lambda =
+  let m = Cl.create ~lambda ~dim () in
+  for k = 0 to 39 do
+    let x =
+      Array.init dim (fun i ->
+          if i = 0 then 1.
+          else if i = dim - 1 then 0.
+          else if i = dim - 2 then float_of_int (k * 5 mod 11) /. 4.
+          else float_of_int (((k * ((2 * i) + 3)) + (i * i)) mod 11) /. 4.)
+    in
+    if dim > 12 then x.(dim - 3) <- x.(3) *. 2.;
+    Cl.observe m x (1e-4 *. float_of_int (1 + (((k * 7) + 3) mod 13)))
+  done;
+  m
+
+(* [predict_log] of the i-th unit vector is the i-th weight exactly. *)
+let weights_of m dim =
+  Array.init dim (fun i ->
+      Cl.predict_log m (Array.init dim (fun j -> if i = j then 1. else 0.)))
+
+(* Weights and holdout error recorded as hex floats before the solver
+   read its arrays unchecked and cached the pivot magnitude: the
+   rewrite must reproduce every bit. *)
+let test_solver_weights_pinned () =
+  let check name m dim want_w want_err =
+    Array.iteri
+      (fun i w ->
+        if Int64.bits_of_float w <> Int64.bits_of_float want_w.(i) then
+          Alcotest.failf "%s: weight %d is %h, pinned %h" name i w want_w.(i))
+      (weights_of m dim);
+    let err = Option.get (Cl.mean_abs_log_err m) in
+    if Int64.bits_of_float err <> Int64.bits_of_float want_err then
+      Alcotest.failf "%s: mean error %h, pinned %h" name err want_err
+  in
+  check "11 features" (pinned_model ~dim:11 ~lambda:1e-2) 11
+    [|
+      -0x1.877d181a8d051p+1; 0x1.239100ed706cfp-1; 0x1.755cab81bd2d5p-2;
+      0x1.b5a19d7d38f4dp-3; -0x1.e95c5e212e0eep+1; 0x1.17a22bdb4940fp-3;
+      -0x1.12a1f82fb0a6p-5; -0x1.ba7ef0365a6f5p-2; -0x1.9cc0ad3e6c053p-2;
+      -0x1.2dbc14ec65334p-3; 0x0p+0;
+    |]
+    0x1.679bacd58fd1fp-1;
+  check "16 features" (pinned_model ~dim:16 ~lambda:1e-2) 16
+    [|
+      -0x1.efd7ac833505cp+0; 0x1.71d1c5225dffep-2; -0x1.6283c7bb4efdcp-1;
+      -0x1.3829922f4377dp-2; -0x1.35e6cbd1fe9b9p+1; -0x1.3260b1d8a1915p-1;
+      -0x1.4f85d7f5fbacep+0; -0x1.9a8b396b942e2p-1; 0x1.fd2d8dbeb2a9ap-1;
+      0x1.bd103bb1512e9p-1; -0x1.7408af9fb0bfbp-1; 0x1.e203de39e670fp-1;
+      0x1.71d1c5225e3e3p-2; -0x1.3829922f455fap-1; 0x1.b9f66c07216a2p-4;
+      0x0p+0;
+    |]
+    0x1.2122e3769e5b6p-1;
+  check "16 features, singular" (pinned_model ~dim:16 ~lambda:0.) 16
+    [|
+      -0x1.db069360e7711p+2; 0x1.90b7363a233c7p-1; 0x1.3c2e10295e801p-2;
+      -0x1.fc5d1a4762a83p-2; 0x0p+0; 0x1.8644722532b5fp-2;
+      -0x1.7814f1b3c8971p-2; -0x1.7e5385bfb5af5p-1; 0x1.6c7eac4a5b6acp-10;
+      0x1.94d1400f8b1e5p-1; -0x1.69721a2a9ff88p-1; 0x0p+0; 0x0p+0; 0x0p+0;
+      0x0p+0; 0x0p+0;
+    |]
+    0x1.0461ed3f98c24p-1
+
+(* A caller-supplied prediction replaces the residual's solve and
+   nothing else: the weights are those of observing without it, and
+   the error mean is the error of the supplied predictions. *)
+let test_observe_predicted_log () =
+  let rng = Rng.create ~seed:9 in
+  let y x = exp (Array.fold_left ( +. ) 0. x /. 10.) in
+  let plain = Cl.create () and given = Cl.create () in
+  let errs = ref [] in
+  for k = 1 to 30 do
+    let x = synth_x rng in
+    Cl.observe plain x (y x);
+    let predicted_log = float_of_int k /. 7. in
+    if Cl.trained given then
+      errs := Float.abs (predicted_log -. log (y x)) :: !errs;
+    Cl.observe ~predicted_log given x (y x)
+  done;
+  Alcotest.(check bool) "same weights" true
+    (weights_of plain Cl.dim = weights_of given Cl.dim);
+  let n = float_of_int (List.length !errs) in
+  let want = List.fold_left ( +. ) 0. (List.rev !errs) /. n in
+  match Cl.mean_abs_log_err given with
+  | None -> Alcotest.fail "no residual tracked"
+  | Some e ->
+      if Float.abs (e -. want) > 1e-12 *. Float.abs want then
+        Alcotest.failf "error mean %.17g, want %.17g" e want
+
 let test_untrained_predicts_infinity () =
   let model = Cl.create () in
   let rng = Rng.create ~seed:1 in
@@ -207,6 +299,10 @@ let () =
             test_untrained_predicts_infinity;
           Alcotest.test_case "adopt equals replay" `Quick
             test_adopt_equals_replay;
+          Alcotest.test_case "solver weights pinned" `Quick
+            test_solver_weights_pinned;
+          Alcotest.test_case "observe with the caller's prediction" `Quick
+            test_observe_predicted_log;
         ] );
       ( "features",
         [

@@ -72,9 +72,11 @@ let test_fingerprint_alloc () =
 (* Every point of the searched space of one small op per sketch family
    (a misaligned MTV and a ragged GEMV among them), over unroll and
    host_threads too: parameters with equal canonical tilings give the
-   same schedule trace — the lowering is a function of the trace and
-   the lowering options — and the same printed optimized program and
-   stats for each [host_threads] value in the class. *)
+   same schedule trace.  The lowering is a function of the trace and
+   the lowering options, which are the same for every point
+   ([Sketch.lower_options]), so equal traces are equal programs; each
+   class is compiled once, from its first point, and must compile to a
+   program or a typed error. *)
 let test_canonical_sound () =
   let module Printer = Imtp_tir.Printer in
   let module S = Imtp_schedule.Sched in
@@ -106,19 +108,14 @@ let test_canonical_sound () =
                     | exception Invalid_argument m -> Error m
                   in
                   match Hashtbl.find_opt classes c with
-                  | None -> Hashtbl.add classes c (p, trace, ref [ (host_threads, compile op p) ])
-                  | Some (p0, trace0, programs) ->
+                  | None ->
+                      ignore (compile op p);
+                      Hashtbl.add classes c (p, trace)
+                  | Some (p0, trace0) ->
                       incr shared;
                       if trace <> trace0 then
                         Alcotest.failf "%s: %s and %s share a tiling, not a schedule"
-                          name (Sk.describe p0) (Sk.describe p);
-                      if not (List.mem_assoc host_threads !programs) then begin
-                        let r = compile op p in
-                        if r <> snd (List.hd !programs) then
-                          Alcotest.failf "%s: %s and %s share a tiling, not a program"
-                            name (Sk.describe p0) (Sk.describe p);
-                        programs := (host_threads, r) :: !programs
-                      end)
+                          name (Sk.describe p0) (Sk.describe p))
                 [ 1; 4; 16 ])
             [ false; true ])
         (Sk.space cfg op);
@@ -132,6 +129,63 @@ let test_canonical_sound () =
       ("gemm 12x10x9", Ops.gemm 12 10 9);
       ("rowdiv 3x50", Ops.rowdiv 3 50);
     ]
+
+(* --- the sampling table ---------------------------------------------- *)
+
+let member a v = Array.exists (( = ) v) a
+
+(* A drawn or mutated field comes from the op's table, or is a value
+   the family pins: a pure reduction's one spatial DPU and at least two
+   reduction DPUs, and one row per tasklet outside batched ops. *)
+let in_table (t : Sk.table) (p : Sk.params) =
+  let reduce = t.Sk.family = Sk.Tasklet_reduce in
+  (member t.Sk.spatial_choices p.Sk.spatial_dpus
+  || (reduce && p.Sk.spatial_dpus = 1))
+  && (member t.Sk.reduction_choices p.Sk.reduction_dpus
+     || (reduce && p.Sk.reduction_dpus = 2))
+  && member t.Sk.tasklet_choices p.Sk.tasklets
+  && member t.Sk.cache_choices p.Sk.cache_elems
+  && (if t.Sk.family = Sk.Batched then
+        member t.Sk.rows_choices p.Sk.rows_per_tasklet
+      else p.Sk.rows_per_tasklet = 1)
+  && member t.Sk.host_thread_choices p.Sk.host_threads
+
+(* One random draw and a chain of mutations, with the rng state they
+   leave behind. *)
+let draws rng op =
+  let p = Sk.random rng cfg op in
+  let rec chain p n acc =
+    if n = 0 then List.rev acc
+    else
+      let q = Sk.mutate rng cfg op p in
+      chain q (n - 1) (q :: acc)
+  in
+  (p :: chain p 12 [], Rng.bits rng)
+
+let prop_sampling_table =
+  QCheck2.Test.make
+    ~name:"random/mutate draw from the op's table; cold and warm tables agree"
+    ~count:80
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let w = Imtp_fuzz.Gen_workload.random rng in
+      (* [Gen_workload.op] builds a new operator value per call, so the
+         first draw against each misses the table memo. *)
+      let cold_op = Imtp_fuzz.Gen_workload.op w in
+      let cold = draws (Rng.copy rng) cold_op in
+      let warm = draws (Rng.copy rng) cold_op in
+      let params, _ = warm in
+      let t = Sk.table cfg cold_op in
+      (* a mutation as the first draw against a cold table, too *)
+      let parent = List.hd params in
+      let mutated_cold =
+        Sk.mutate (Rng.copy rng) cfg (Imtp_fuzz.Gen_workload.op w) parent
+      in
+      let mutated_warm = Sk.mutate (Rng.copy rng) cfg cold_op parent in
+      cold = warm
+      && mutated_cold = mutated_warm
+      && List.for_all (in_table t) (mutated_cold :: params))
 
 (* --- the memo table ------------------------------------------------ *)
 
@@ -812,6 +866,7 @@ let () =
           Alcotest.test_case "host parallelism from the schedule" `Quick
             test_host_parallel_from_schedule;
         ] );
+      ("sampling table", [ QCheck_alcotest.to_alcotest prop_sampling_table ]);
       ( "cache",
         [
           Alcotest.test_case "hit returns identical stats" `Quick

@@ -116,6 +116,49 @@ let test_bucket_boundaries () =
   Alcotest.(check int) "huge goes to overflow" (Obs.bucket_count - 1)
     (Obs.bucket_index 1e9)
 
+(* The bounds are precomputed once; the oracle is the expression the
+   bounds were evaluated with on every call before, and the bucket walk
+   that read them.  Both must agree bit for bit with the table, on the
+   bounds themselves and on their neighbouring floats. *)
+let test_bucket_table () =
+  let expr i = 10. ** (-9. +. (float_of_int (i + 1) /. 5.)) in
+  let old_bound i = if i >= 60 then infinity else expr i in
+  let old_index v =
+    if Float.is_nan v || v <= old_bound 0 then 0
+    else if v > old_bound 59 then 60
+    else begin
+      let guess = int_of_float (Float.ceil ((Float.log10 v +. 9.) *. 5.)) - 1 in
+      let i = ref (max 0 (min 59 guess)) in
+      while !i > 0 && v <= old_bound (!i - 1) do
+        decr i
+      done;
+      while v > old_bound !i do
+        incr i
+      done;
+      !i
+    end
+  in
+  for i = -2 to Obs.bucket_count + 1 do
+    let got = Obs.bucket_upper_bound i and want = old_bound i in
+    if Int64.bits_of_float got <> Int64.bits_of_float want then
+      Alcotest.failf "bucket_upper_bound %d = %h, expression gives %h" i got
+        want
+  done;
+  for i = 0 to Obs.bucket_count - 2 do
+    let ub = old_bound i in
+    List.iter
+      (fun v ->
+        Alcotest.(check int)
+          (Printf.sprintf "bucket of %h (bound %d)" v i)
+          (old_index v) (Obs.bucket_index v))
+      [ Float.pred ub; ub; Float.succ ub ]
+  done;
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Printf.sprintf "bucket of %h" v) (old_index v)
+        (Obs.bucket_index v))
+    [ nan; neg_infinity; -0.; 0.; 4.9e-324; 1e-300; infinity; 1e300 ]
+
 let test_histogram () =
   Obs.reset ();
   List.iter (Obs.observe "h") [ 0.001; 0.002; 0.004; 0.1; 2.0 ];
@@ -284,6 +327,7 @@ let () =
           Alcotest.test_case "counters and gauges" `Quick
             test_counters_and_gauges;
           Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
+          Alcotest.test_case "bucket table" `Quick test_bucket_table;
           Alcotest.test_case "histogram snapshot" `Quick test_histogram;
         ] );
       ( "jsonl",
