@@ -166,13 +166,13 @@ let select_count ~ratio n =
   else max 1 (int_of_float (ceil (ratio *. float_of_int n)))
 
 let rank t xs =
-  let scored =
-    List.mapi (fun i x -> (i, predict_log t x)) xs
-  in
+  let predicted = Array.map (predict_log t) xs in
   (* Stable ascending order: ties (and the untrained model's uniform
      +inf) keep proposal order, so gating is a pure function of the
      trial history and the seed. *)
-  List.stable_sort
-    (fun (_, a) (_, b) -> Float.compare a b)
-    scored
-  |> List.map fst
+  let order =
+    List.stable_sort
+      (fun i j -> Float.compare predicted.(i) predicted.(j))
+      (List.init (Array.length xs) Fun.id)
+  in
+  (order, predicted)

@@ -97,8 +97,9 @@ val select_count : ratio:float -> int -> int
 (** How many of [n] ranked candidates a gate at [ratio] forwards to the
     simulator: [max 1 (ceil (ratio * n))], 0 only when [n = 0]. *)
 
-val rank : t -> float array list -> int list
+val rank : t -> float array array -> int list * float array
 (** Indices of the given feature vectors in ascending predicted-cost
-    order; stable under ties (and under an untrained model, which
-    predicts uniformly), so ranking is deterministic given the trial
-    history. *)
+    order, with the {!predict_log} value of each vector (by index) the
+    order was sorted by; stable under ties (and under an untrained
+    model, which predicts uniformly), so ranking is deterministic given
+    the trial history. *)

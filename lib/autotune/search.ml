@@ -569,17 +569,13 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         Obs.span ~name:"search.rank" ~attrs:[ ("size", Obs.Int n) ]
         @@ fun () ->
         let feats =
-          Array.to_list
-            (Array.map (fun (_, _, prep) -> Engine.features engine prep) fresh)
+          Array.map (fun (_, _, prep) -> Engine.features engine prep) fresh
         in
-        let order = Cost_learn.rank cx.tir feats in
+        let order, predicted = Cost_learn.rank cx.tir feats in
         let trained = Cost_learn.trained cx.tir in
         let n_sel = if trained then Cost_learn.select_count ~ratio n else n in
         let predicted =
-          Array.of_list
-            (List.map
-               (fun x -> if trained then Some (Cost_learn.predict_log cx.tir x) else None)
-               feats)
+          Array.map (fun l -> if trained then Some l else None) predicted
         in
         Obs.add_attr "selected" (Obs.Int n_sel);
         (List.sort compare (take n_sel order), predicted)

@@ -96,44 +96,46 @@ let tile_reduce ~k p =
     [ max 1 (ceil_div k (p.reduction_dpus * p.cache_elems)); p.cache_elems ]
   else [ p.cache_elems ]
 
-let canonical op p =
+let canonical op =
   let fam = family_of op in
-  let extent i = (List.nth op.Op.axes i).Op.extent in
-  let splits, rfactor =
-    match fam with
-    | Elementwise -> ([ tile_1d ~n:(extent 0) ~dpus:p.spatial_dpus p ], false)
-    | Tasklet_reduce ->
-        ([ tile_1d ~n:(extent 0) ~dpus:(max 1 p.reduction_dpus) p ], true)
-    | Mat_vec ->
-        ( [ tile_rows ~rows:(extent 0) ~dpus:p.spatial_dpus p;
-            tile_reduce ~k:(extent 1) p ],
-          uses_rfactor p )
-    | Batched ->
-        let t_eff =
-          max 1 (min p.tasklets (ceil_div (extent 1) p.rows_per_tasklet))
-        in
-        ( [ [ t_eff; p.rows_per_tasklet ]; tile_reduce ~k:(extent 2) p ],
-          uses_rfactor p )
-    | Mat_mat ->
-        (* split the spatial DPU budget between i and j. *)
-        let m = extent 1 in
-        let j_blocks = max 1 (min m (min 32 (p.spatial_dpus / 16))) in
-        let i_dpus = max 1 (p.spatial_dpus / j_blocks) in
-        ( [ tile_rows ~rows:(extent 0) ~dpus:i_dpus p;
-            [ max 1 (ceil_div m j_blocks) ];
-            tile_reduce ~k:(extent 2) p ],
-          uses_rfactor p )
-    | Grid_map ->
-        let j_dpus = max 1 (p.spatial_dpus / max 1 (extent 0)) in
-        ([ tile_1d ~n:(extent 1) ~dpus:j_dpus p ], false)
-  in
-  (* The lowering reads [host_threads] only to parallelize the host's
-     final reduction over the spatial DPU blocks, which a pure
-     reduction does not have. *)
-  let host_threads =
-    if rfactor && fam <> Tasklet_reduce then p.host_threads else 0
-  in
-  { splits; rfactor; unroll = p.unroll_inner; host_threads }
+  let extents = Array.of_list (List.map (fun a -> a.Op.extent) op.Op.axes) in
+  let extent i = extents.(i) in
+  fun p ->
+    let splits, rfactor =
+      match fam with
+      | Elementwise -> ([ tile_1d ~n:(extent 0) ~dpus:p.spatial_dpus p ], false)
+      | Tasklet_reduce ->
+          ([ tile_1d ~n:(extent 0) ~dpus:(max 1 p.reduction_dpus) p ], true)
+      | Mat_vec ->
+          ( [ tile_rows ~rows:(extent 0) ~dpus:p.spatial_dpus p;
+              tile_reduce ~k:(extent 1) p ],
+            uses_rfactor p )
+      | Batched ->
+          let t_eff =
+            max 1 (min p.tasklets (ceil_div (extent 1) p.rows_per_tasklet))
+          in
+          ( [ [ t_eff; p.rows_per_tasklet ]; tile_reduce ~k:(extent 2) p ],
+            uses_rfactor p )
+      | Mat_mat ->
+          (* split the spatial DPU budget between i and j. *)
+          let m = extent 1 in
+          let j_blocks = max 1 (min m (min 32 (p.spatial_dpus / 16))) in
+          let i_dpus = max 1 (p.spatial_dpus / j_blocks) in
+          ( [ tile_rows ~rows:(extent 0) ~dpus:i_dpus p;
+              [ max 1 (ceil_div m j_blocks) ];
+              tile_reduce ~k:(extent 2) p ],
+            uses_rfactor p )
+      | Grid_map ->
+          let j_dpus = max 1 (p.spatial_dpus / max 1 (extent 0)) in
+          ([ tile_1d ~n:(extent 1) ~dpus:j_dpus p ], false)
+    in
+    (* The lowering reads [host_threads] only to parallelize the host's
+       final reduction over the spatial DPU blocks, which a pure
+       reduction does not have. *)
+    let host_threads =
+      if rfactor && fam <> Tasklet_reduce then p.host_threads else 0
+    in
+    { splits; rfactor; unroll = p.unroll_inner; host_threads }
 
 (* --- schedule templates: each reads only the tiling ------------------ *)
 
@@ -402,16 +404,16 @@ let table cfg op =
         ((cfg, op, t) :: List.filteri (fun i _ -> i < 3) recent);
       t
 
-let space cfg op =
+let space_seq cfg op =
   let t = table cfg op in
   let base =
-    List.concat_map
+    Seq.concat_map
       (fun spatial_dpus ->
-        List.concat_map
+        Seq.concat_map
           (fun reduction_dpus ->
-            List.concat_map
+            Seq.concat_map
               (fun tasklets ->
-                List.map
+                Seq.map
                   (fun cache_elems ->
                     {
                       default_params with
@@ -420,23 +422,25 @@ let space cfg op =
                       tasklets;
                       cache_elems;
                     })
-                  (Array.to_list t.cache_choices))
-              (Array.to_list t.tasklet_choices))
-          (Array.to_list t.reduction_choices))
-      (Array.to_list t.spatial_choices)
+                  (Array.to_seq t.cache_choices))
+              (Array.to_seq t.tasklet_choices))
+          (Array.to_seq t.reduction_choices))
+      (Array.to_seq t.spatial_choices)
   in
   match t.family with
   | Elementwise | Grid_map ->
-      List.filter (fun p -> p.reduction_dpus = 1) base
+      Seq.filter (fun p -> p.reduction_dpus = 1) base
   | Tasklet_reduce ->
       (* the rfactor'd reduction split is the only DPU dimension. *)
-      List.filter (fun p -> p.spatial_dpus = 16) base
-      |> List.map (fun p -> { p with spatial_dpus = 1; reduction_dpus = max 2 p.reduction_dpus })
+      Seq.filter (fun p -> p.spatial_dpus = 16) base
+      |> Seq.map (fun p -> { p with spatial_dpus = 1; reduction_dpus = max 2 p.reduction_dpus })
   | Mat_vec | Mat_mat -> base
   | Batched ->
-      List.concat_map
-        (fun rows -> List.map (fun p -> { p with rows_per_tasklet = rows }) base)
-        (Array.to_list t.rows_choices)
+      Seq.concat_map
+        (fun rows -> Seq.map (fun p -> { p with rows_per_tasklet = rows }) base)
+        (Array.to_seq t.rows_choices)
+
+let space cfg op = List.of_seq (space_seq cfg op)
 
 let random rng cfg op =
   let t = table cfg op in

@@ -74,7 +74,9 @@ val canonical : Imtp_workload.Op.t -> params -> tiling
     [p] only through [canonical op p], so parameters with equal tilings
     give the same schedule, and (for equal lowering options) the same
     lowered program.  Arithmetic only — no schedule is constructed.
-    @raise Invalid_argument as {!family_of}. *)
+    [canonical op] reads the op once, so a caller tiling many points of
+    one op applies it once.
+    @raise Invalid_argument as {!family_of}, when applied to [op]. *)
 
 val instantiate : Imtp_workload.Op.t -> params -> Imtp_schedule.Sched.t
 (** Build the schedule for the op's family from [canonical op p].
@@ -112,6 +114,11 @@ val space : Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params list
 (** The full (pruned) discrete parameter space used for exhaustive
     searches in tests; the evolutionary search samples from the same
     value sets. *)
+
+val space_seq : Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params Seq.t
+(** {!space} in the same order, enumerated on demand: a walk that stops
+    early builds only the points it reached.
+    @raise Invalid_argument as {!family_of}, when called. *)
 
 val random : Rng.t -> Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params
 (** One fresh draw from the op's {!table}: one {!Rng.pick_array} per

@@ -15,6 +15,7 @@ module S = Imtp_schedule.Sched
 module Sk = Imtp_engine.Sketch
 module Engine = Imtp_engine.Engine
 module Verifier = Imtp_engine.Verifier
+module Obs = Imtp_obs.Obs
 module L = Imtp_lower.Lowering
 module P = Imtp_tir.Program
 module St = Imtp_tir.Stmt
@@ -375,6 +376,147 @@ module Compiled = struct
       && List.for_all2 (fun pd xd -> mram_ext sp pd = mram_ext sc xd) pod xdims
     with Incompat | Not_found -> false
 
+  (* ---- re-selection scans ---------------------------------------------- *)
+
+  (* The planner's two walks over a plan node's [Sketch.space], in
+     space order: the producer's non-rfactor alternatives to its winner
+     (first 32) and a consumer's residency-compatible candidates (first
+     48).  A point whose schedule cannot be built matches neither. *)
+  type scans = {
+    alternatives : int -> Sk.params -> Sk.params list;
+    compatible : int -> (S.t -> bool) -> Sk.params list;
+    tilings : unit -> int;
+  }
+
+  module Tilings = Hashtbl.Make (struct
+    type t = Sk.tiling
+
+    let equal = ( = )
+    let hash = Hashtbl.hash_param 64 128
+  end)
+
+  (* One plan node's space, walked in order as far as the scans have
+     needed it and indexed by canonical tiling.  [instantiate] reads a
+     point only through [Sketch.canonical], so a schedule, and any test
+     of it, is a function of the tiling: a tiling is named by its first
+     point in space order, instantiated once per compile and tested
+     once per scan. *)
+  type indexed = {
+    op : Op.t;
+    canon : Sk.params -> Sk.tiling;
+    mutable rest : Sk.params Seq.t;  (* the points not walked yet *)
+    mutable points : Sk.params array;  (* walked prefix, [0, walked) *)
+    mutable first_of : int array;  (* same tiling's first point; -1: none *)
+    mutable walked : int;
+    firsts : int Tilings.t;
+    scheds : (int, S.t option) Hashtbl.t;  (* by first point, once built *)
+  }
+
+  let index cfg op =
+    let rest = Sk.space_seq cfg op in
+    {
+      op;
+      canon = Sk.canonical op;
+      rest;
+      points = [||];
+      first_of = [||];
+      walked = 0;
+      firsts = Tilings.create 256;
+      scheds = Hashtbl.create 256;
+    }
+
+  (* Whether point [i] exists, walking one point further when [i] is
+     the first point not walked yet.  Scans advance one point at a
+     time from 0, so [i] is never past [walked]. *)
+  let reach ix i =
+    i < ix.walked
+    ||
+    match ix.rest () with
+    | Seq.Nil -> false
+    | Seq.Cons (p, rest) ->
+        ix.rest <- rest;
+        if i = Array.length ix.points then begin
+          let more = max 256 i in
+          ix.points <- Array.append ix.points (Array.make more p);
+          ix.first_of <- Array.append ix.first_of (Array.make more (-1))
+        end;
+        ix.points.(i) <- p;
+        (ix.first_of.(i) <-
+           match ix.canon p with
+           | exception (Invalid_argument _ | Failure _) -> -1
+           | c -> (
+               match Tilings.find_opt ix.firsts c with
+               | Some f -> f
+               | None ->
+                   Tilings.replace ix.firsts c i;
+                   i));
+        ix.walked <- i + 1;
+        true
+
+  let sched ix f =
+    match Hashtbl.find_opt ix.scheds f with
+    | Some s -> s
+    | None ->
+        let s =
+          try Some (Sk.instantiate ix.op ix.points.(f))
+          with Invalid_argument _ | Failure _ -> None
+        in
+        Hashtbl.replace ix.scheds f s;
+        s
+
+  (* The first [keep] points [skip] lets through whose schedule passes
+     [ok], in space order; [ok] runs at most once per tiling. *)
+  let first ix ~keep ~skip ok =
+    let memo = ref (Bytes.make (max 256 ix.walked) '?') in
+    let passes f =
+      if f >= Bytes.length !memo then begin
+        let grown = Bytes.make (2 * (f + 1)) '?' in
+        Bytes.blit !memo 0 grown 0 (Bytes.length !memo);
+        memo := grown
+      end;
+      match Bytes.get !memo f with
+      | 'y' -> true
+      | 'n' -> false
+      | _ ->
+          let r =
+            match sched ix f with
+            | None -> false
+            | Some s -> ( try ok s with Invalid_argument _ | Failure _ -> false)
+          in
+          Bytes.set !memo f (if r then 'y' else 'n');
+          r
+    in
+    let rec go i kept acc =
+      if kept = keep || not (reach ix i) then List.rev acc
+      else
+        let p = ix.points.(i) in
+        if (not (skip p))
+           &&
+           let f = ix.first_of.(i) in
+           f >= 0 && passes f
+        then go (i + 1) (kept + 1) (p :: acc)
+        else go (i + 1) kept acc
+    in
+    go 0 0 []
+
+  let indexed_scans cfg ops =
+    let ixs = Array.map (fun op -> lazy (index cfg op)) ops in
+    {
+      alternatives =
+        (fun i winner ->
+          first (Lazy.force ixs.(i)) ~keep:32 ~skip:(fun p -> p = winner)
+            (fun s -> S.rfactor_loop s = None));
+      compatible =
+        (fun i ok -> first (Lazy.force ixs.(i)) ~keep:48 ~skip:(fun _ -> false) ok);
+      tilings =
+        (fun () ->
+          Array.fold_left
+            (fun acc ix ->
+              if Lazy.is_val ix then acc + Tilings.length (Lazy.force ix).firsts
+              else acc)
+            0 ixs);
+    }
+
   (* ---- compiled representation ---------------------------------------- *)
 
   type cnode = {
@@ -479,10 +621,13 @@ module Compiled = struct
 
   exception Compile_failed of string
 
-  let compile ?(trials = 96) ?(seed = 17) ?jobs ?islands ?measure_ratio
-      ?(fuse = true) ?(resident = true) ?engine cfg (g : graph) =
+  let compile_with ~scans ?(trials = 96) ?(seed = 17) ?jobs ?islands
+      ?measure_ratio ?(fuse = true) ?(resident = true) ?engine cfg (g : graph) =
     if g.n = 0 then Error "Graph.compile: empty graph"
-    else begin
+    else
+      Obs.span ~name:"graph.compile"
+        ~attrs:[ ("net", Obs.Str g.gname); ("nodes", Obs.Int g.n) ]
+      @@ fun () ->
       let plan = Array.of_list (plan_of ~fuse g) in
       let np = Array.length plan in
       let engine =
@@ -499,6 +644,7 @@ module Compiled = struct
       let per = max 16 (trials / max 1 (Hashtbl.length uniq)) in
       try
         let tuned =
+          Obs.span ~name:"graph.tune" @@ fun () ->
           Array.mapi
             (fun i p ->
               match Hashtbl.find uniq keys.(i) with
@@ -552,158 +698,155 @@ module Compiled = struct
               | Error _ -> acc)
             None results
         in
-        if resident then
-          for pi = 0 to np - 1 do
-            let cs = consumers.(pi) in
-            if cs <> [] then begin
-              let pop = plan.(pi).pop in
-              (* group edges by consumer: a consumer keeps ONE set of
-                 params across all its resident inputs. *)
-              let grouped =
-                let tbl = Hashtbl.create 4 and order = ref [] in
-                List.iter
-                  (fun (c, x) ->
-                    (if not (Hashtbl.mem tbl c) then order := c :: !order);
-                    Hashtbl.replace tbl c
-                      (x
-                      ::
-                      (match Hashtbl.find_opt tbl c with
-                      | Some l -> l
-                      | None -> [])))
-                  cs;
-                List.rev_map (fun c -> (c, List.rev (Hashtbl.find tbl c))) !order
-              in
-              (* producer candidates: the tuned winner first, then (when
-                 the producer is free to move) its non-rfactor
-                 alternatives best-first by noise-free measurement — the
-                 winner's partitioning may be one no consumer can
-                 mirror. *)
-              let prod_cands =
-                let winner = fparams.(pi) in
-                if pinned.(pi) then [ winner ]
-                else begin
-                  let alts =
-                    List.filter
-                      (fun prm ->
-                        prm <> winner
-                        &&
-                        try S.rfactor_loop (Sk.instantiate pop prm) = None
-                        with Invalid_argument _ | Failure _ -> false)
-                      (Sk.space cfg pop)
+        Obs.span ~name:"graph.residency" (fun () ->
+            let scans = scans cfg (Array.map (fun p -> p.pop) plan) in
+            let candidates = ref 0 in
+            let batch ~skip_inputs op cands =
+              candidates := !candidates + List.length cands;
+              Engine.batch engine ?jobs ~skip_inputs op cands
+            in
+            if resident then
+              for pi = 0 to np - 1 do
+                let cs = consumers.(pi) in
+                if cs <> [] then begin
+                  let pop = plan.(pi).pop in
+                  (* group edges by consumer: a consumer keeps ONE set of
+                     params across all its resident inputs. *)
+                  let grouped =
+                    let tbl = Hashtbl.create 4 and order = ref [] in
+                    List.iter
+                      (fun (c, x) ->
+                        (if not (Hashtbl.mem tbl c) then order := c :: !order);
+                        Hashtbl.replace tbl c
+                          (x
+                          ::
+                          (match Hashtbl.find_opt tbl c with
+                          | Some l -> l
+                          | None -> [])))
+                      cs;
+                    List.rev_map
+                      (fun c -> (c, List.rev (Hashtbl.find tbl c)))
+                      !order
                   in
-                  let alts = List.filteri (fun i _ -> i < 32) alts in
-                  let measured =
-                    Engine.batch engine ?jobs ~skip_inputs:skip_in.(pi) pop
-                      alts
-                  in
-                  let ranked =
-                    List.filter_map
-                      (fun (prm, r) ->
-                        match r with
-                        | Ok (m : Engine.measurement) ->
-                            Some (prm, m.Engine.latency_s)
-                        | Error _ -> None)
-                      measured
-                  in
-                  let ranked =
-                    List.stable_sort
-                      (fun (_, a) (_, b) -> compare a b)
-                      ranked
-                  in
-                  winner
-                  :: List.filteri (fun i _ -> i < 8) (List.map fst ranked)
-                end
-              in
-              let try_producer pprm =
-                let sp = Sk.instantiate pop pprm in
-                if S.rfactor_loop sp <> None then None
-                else begin
-                  let ok_all (c, xs) =
-                    let check prm =
-                      let sc = Sk.instantiate plan.(c).pop prm in
-                      List.for_all
-                        (fun x ->
-                          residency_compatible ~prod:(pop, sp)
-                            ~cons:(plan.(c).pop, sc) ~input:x)
-                        xs
-                    in
-                    if check fparams.(c) then Some (c, xs, fparams.(c))
-                    else if pinned.(c) then None
+                  (* producer candidates: the tuned winner first, then
+                     (when the producer is free to move) its non-rfactor
+                     alternatives best-first by noise-free measurement —
+                     the winner's partitioning may be one no consumer can
+                     mirror. *)
+                  let prod_cands =
+                    let winner = fparams.(pi) in
+                    if pinned.(pi) then [ winner ]
                     else begin
-                      (* constrained re-selection: restrict the
-                         consumer's space to residency-compatible
-                         candidates and pick the fastest. *)
-                      let cands =
-                        List.filter
-                          (fun prm ->
-                            try check prm with
-                            | Invalid_argument _ | Failure _ -> false)
-                          (Sk.space cfg plan.(c).pop)
+                      let measured =
+                        batch ~skip_inputs:skip_in.(pi) pop
+                          (scans.alternatives pi winner)
                       in
-                      let cands = List.filteri (fun i _ -> i < 48) cands in
-                      if cands = [] then None
-                      else begin
-                        let skips = xs @ skip_in.(c) in
-                        let results =
-                          Engine.batch engine ?jobs ~skip_inputs:skips
-                            plan.(c).pop cands
-                        in
-                        match best_of results with
-                        | Some (prm, _) -> Some (c, xs, prm)
-                        | None -> None
-                      end
+                      let ranked =
+                        List.filter_map
+                          (fun (prm, r) ->
+                            match r with
+                            | Ok (m : Engine.measurement) ->
+                                Some (prm, m.Engine.latency_s)
+                            | Error _ -> None)
+                          measured
+                      in
+                      let ranked =
+                        List.stable_sort
+                          (fun (_, a) (_, b) -> compare a b)
+                          ranked
+                      in
+                      winner
+                      :: List.filteri (fun i _ -> i < 8) (List.map fst ranked)
                     end
                   in
-                  let resolved = List.map ok_all grouped in
-                  if List.for_all (fun r -> r <> None) resolved then
-                    Some (pprm, List.filter_map (fun r -> r) resolved)
-                  else None
+                  let try_producer pprm =
+                    let sp = Sk.instantiate pop pprm in
+                    if S.rfactor_loop sp <> None then None
+                    else begin
+                      let ok_all (c, xs) =
+                        let ok sc =
+                          List.for_all
+                            (fun x ->
+                              residency_compatible ~prod:(pop, sp)
+                                ~cons:(plan.(c).pop, sc) ~input:x)
+                            xs
+                        in
+                        if ok (Sk.instantiate plan.(c).pop fparams.(c)) then
+                          Some (c, xs, fparams.(c))
+                        else if pinned.(c) then None
+                        else begin
+                          (* constrained re-selection: restrict the
+                             consumer's space to residency-compatible
+                             candidates and pick the fastest. *)
+                          let cands = scans.compatible c ok in
+                          if cands = [] then None
+                          else begin
+                            let results =
+                              batch ~skip_inputs:(xs @ skip_in.(c))
+                                plan.(c).pop cands
+                            in
+                            match best_of results with
+                            | Some (prm, _) -> Some (c, xs, prm)
+                            | None -> None
+                          end
+                        end
+                      in
+                      let resolved = List.map ok_all grouped in
+                      if List.for_all (fun r -> r <> None) resolved then
+                        Some (pprm, List.filter_map (fun r -> r) resolved)
+                      else None
+                    end
+                  in
+                  let feasible =
+                    List.fold_left
+                      (fun acc pprm ->
+                        match acc with
+                        | Some _ -> acc
+                        | None -> try_producer pprm)
+                      None prod_cands
+                  in
+                  match feasible with
+                  | None -> ()
+                  | Some (pprm, resolved) ->
+                      (* commit only when residency wins the modeled cost *)
+                      let base =
+                        node_latency cfg pop fparams.(pi) ~skips:skip_in.(pi)
+                          ~skip_out:false
+                        +. List.fold_left
+                             (fun acc (c, _, _) ->
+                               acc
+                               +. node_latency cfg plan.(c).pop fparams.(c)
+                                    ~skips:skip_in.(c) ~skip_out:false)
+                             0. resolved
+                      in
+                      let res =
+                        node_latency cfg pop pprm ~skips:skip_in.(pi)
+                          ~skip_out:true
+                        +. List.fold_left
+                             (fun acc (c, xs, prm) ->
+                               acc
+                               +. node_latency cfg plan.(c).pop prm
+                                    ~skips:(xs @ skip_in.(c)) ~skip_out:false)
+                             0. resolved
+                      in
+                      if res < base then begin
+                        fparams.(pi) <- pprm;
+                        skip_out.(pi) <- true;
+                        pinned.(pi) <- true;
+                        List.iter
+                          (fun (c, xs, prm) ->
+                            fparams.(c) <- prm;
+                            skip_in.(c) <- xs @ skip_in.(c);
+                            pinned.(c) <- true;
+                            resident_edges := !resident_edges + List.length xs)
+                          resolved
+                      end
                 end
-              in
-              let feasible =
-                List.fold_left
-                  (fun acc pprm ->
-                    match acc with Some _ -> acc | None -> try_producer pprm)
-                  None prod_cands
-              in
-              match feasible with
-              | None -> ()
-              | Some (pprm, resolved) ->
-                  (* commit only when residency wins the modeled cost *)
-                  let base =
-                    node_latency cfg pop fparams.(pi) ~skips:skip_in.(pi)
-                      ~skip_out:false
-                    +. List.fold_left
-                         (fun acc (c, _, _) ->
-                           acc
-                           +. node_latency cfg plan.(c).pop fparams.(c)
-                                ~skips:skip_in.(c) ~skip_out:false)
-                         0. resolved
-                  in
-                  let res =
-                    node_latency cfg pop pprm ~skips:skip_in.(pi)
-                      ~skip_out:true
-                    +. List.fold_left
-                         (fun acc (c, xs, prm) ->
-                           acc
-                           +. node_latency cfg plan.(c).pop prm
-                                ~skips:(xs @ skip_in.(c)) ~skip_out:false)
-                         0. resolved
-                  in
-                  if res < base then begin
-                    fparams.(pi) <- pprm;
-                    skip_out.(pi) <- true;
-                    pinned.(pi) <- true;
-                    List.iter
-                      (fun (c, xs, prm) ->
-                        fparams.(c) <- prm;
-                        skip_in.(c) <- xs @ skip_in.(c);
-                        pinned.(c) <- true;
-                        resident_edges := !resident_edges + List.length xs)
-                      resolved
-                  end
-            end
-          done;
+              done;
+            Obs.add_attr "tilings" (Obs.Int (scans.tilings ()));
+            Obs.add_attr "candidates" (Obs.Int !candidates);
+            Obs.add_attr "resident_edges" (Obs.Int !resident_edges));
+        Obs.span ~name:"graph.link" @@ fun () ->
         (* link: lower every plan node under its final options, rename
            its buffers and kernel into the graph namespace, and
            concatenate into one combined program. *)
@@ -850,7 +993,8 @@ module Compiled = struct
             resident_edges = !resident_edges;
           }
       with Compile_failed m -> Error m
-    end
+
+  let compile = compile_with ~scans:indexed_scans
 
   (* ---- execution -------------------------------------------------------- *)
 
@@ -919,6 +1063,9 @@ module Compiled = struct
         ( Printf.sprintf "node%d:%s" cn.nid (String.concat "+" cn.chain),
           cn.nstats ))
       c.cnodes
+
+  let plan (c : t) =
+    List.map (fun cn -> (cn.params, cn.resident_in, cn.resident_out)) c.cnodes
 
   let fused_count c = c.fused_away
   let resident_count c = c.resident_edges

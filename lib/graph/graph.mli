@@ -80,6 +80,53 @@ module Compiled : sig
       combined program.  [jobs]/[islands]/[measure_ratio] thread to the
       per-op searches.  Pass [engine] to share builds across compiles. *)
 
+  (** {2 Residency re-selection scans} *)
+
+  type scans = {
+    alternatives :
+      int -> Imtp_engine.Sketch.params -> Imtp_engine.Sketch.params list;
+        (** [alternatives i winner]: the first 32 points of plan node
+            [i]'s space, other than [winner], whose schedule does not
+            rfactor — the producer alternatives to its tuned winner. *)
+    compatible :
+      int -> (Imtp_schedule.Sched.t -> bool) -> Imtp_engine.Sketch.params list;
+        (** [compatible i ok]: the first 48 points of plan node [i]'s
+            space whose schedule passes [ok] — a consumer's
+            residency-compatible candidates. *)
+    tilings : unit -> int;
+        (** Distinct canonical tilings indexed so far (the
+            [graph.residency] span's [tilings]). *)
+  }
+  (** The residency planner's two walks over a plan node's
+      {!Imtp_engine.Sketch.space}, in space order.  A point whose
+      tiling or schedule cannot be built ([Invalid_argument] or
+      [Failure]) matches neither, and so does a schedule on which [ok]
+      raises either.  Plan nodes are numbered in plan order. *)
+
+  val indexed_scans :
+    Imtp_upmem.Config.t -> Imtp_workload.Op.t array -> scans
+  (** The scans {!compile} uses for the plan nodes' (fused) ops: each
+      space is walked only as far as a scan needs, each distinct
+      canonical tiling ({!Imtp_engine.Sketch.canonical}) is
+      instantiated once per compile and tested once per scan. *)
+
+  val compile_with :
+    scans:(Imtp_upmem.Config.t -> Imtp_workload.Op.t array -> scans) ->
+    ?trials:int ->
+    ?seed:int ->
+    ?jobs:int ->
+    ?islands:int ->
+    ?measure_ratio:float ->
+    ?fuse:bool ->
+    ?resident:bool ->
+    ?engine:Imtp_engine.Engine.t ->
+    Imtp_upmem.Config.t ->
+    graph ->
+    (t, string) Result.t
+  (** {!compile} with [scans] in place of {!indexed_scans}: any scans
+      with the documented results give the same compile, which is how
+      the planner is tested differentially. *)
+
   val run :
     t ->
     inputs:(string * Imtp_tensor.Tensor.t) list ->
@@ -114,6 +161,11 @@ module Compiled : sig
 
   val resident_count : t -> int
   (** Producer->consumer edges kept in MRAM. *)
+
+  val plan : t -> (Imtp_engine.Sketch.params * string list * bool) list
+  (** Per plan node, in plan order: the committed schedule parameters,
+      the inputs read from MRAM in place, and whether the output stays
+      in MRAM. *)
 
   val describe : t -> string list
   (** Human-readable plan: per node the fused chain, winning schedule

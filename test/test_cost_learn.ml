@@ -258,16 +258,25 @@ let test_select_count () =
 let test_rank_stable () =
   let model = Cl.create () in
   let rng = Rng.create ~seed:3 in
-  let xs = List.init 10 (fun _ -> synth_x rng) in
+  let xs = Array.init 10 (fun _ -> synth_x rng) in
   (* untrained: uniform +inf predictions must keep proposal order *)
   Alcotest.(check (list int)) "untrained keeps order"
-    (List.init 10 Fun.id) (Cl.rank model xs);
+    (List.init 10 Fun.id) (fst (Cl.rank model xs));
   (* trained: ranking sorts by predicted cost, deterministically *)
-  List.iter (fun x -> Cl.observe model x (exp x.(1))) xs;
-  let a = Cl.rank model xs and b = Cl.rank model xs in
+  Array.iter (fun x -> Cl.observe model x (exp x.(1))) xs;
+  let a, pa = Cl.rank model xs and b, _ = Cl.rank model xs in
   Alcotest.(check (list int)) "deterministic" a b;
   Alcotest.(check int) "permutation" 10
-    (List.length (List.sort_uniq compare a))
+    (List.length (List.sort_uniq compare a));
+  (* the returned predictions are the model's, and the order sorts them *)
+  Array.iteri
+    (fun i x ->
+      Alcotest.(check bool) "prediction" true
+        (Float.equal pa.(i) (Cl.predict_log model x)))
+    xs;
+  let sorted = List.map (fun i -> pa.(i)) a in
+  Alcotest.(check bool) "ascending" true
+    (List.sort Float.compare sorted = sorted)
 
 (* Fuzz-generated workload x random schedule: every prepared candidate
    yields an all-finite feature vector. *)

@@ -285,6 +285,123 @@ let test_engine_dedup () =
   Alcotest.(check int) "no rebuilds across compiles" built1 built2;
   Alcotest.(check bool) "cache hits grew" true (hits2 > hits1)
 
+(* --- residency re-selection ------------------------------------------- *)
+
+(* The planner's scans as written before the tiling index: instantiate
+   and test every point of the space, then keep the first 32 / 48.  The
+   oracle of the indexed scans. *)
+let filtered_scans cfg ops =
+  {
+    G.Compiled.alternatives =
+      (fun pi winner ->
+        let pop = ops.(pi) in
+        let alts =
+          List.filter
+            (fun prm ->
+              prm <> winner
+              &&
+              try S.rfactor_loop (Sk.instantiate pop prm) = None
+              with Invalid_argument _ | Failure _ -> false)
+            (Sk.space cfg pop)
+        in
+        List.filteri (fun i _ -> i < 32) alts);
+    compatible =
+      (fun c ok ->
+        let check prm = ok (Sk.instantiate ops.(c) prm) in
+        let cands =
+          List.filter
+            (fun prm ->
+              try check prm with Invalid_argument _ | Failure _ -> false)
+            (Sk.space cfg ops.(c))
+        in
+        List.filteri (fun i _ -> i < 48) cands);
+    tilings = (fun () -> 0);
+  }
+
+(* Indexed scans that also run the filtered ones on every call and fail
+   on the first differing answer; counts the calls. *)
+let checked_scans calls cfg ops =
+  let ix = G.Compiled.indexed_scans cfg ops and fl = filtered_scans cfg ops in
+  let same what i got want =
+    incr calls;
+    if got <> want then
+      Alcotest.failf "%s scan of plan node %d: %d points, filtered %d" what i
+        (List.length got) (List.length want)
+  in
+  {
+    ix with
+    G.Compiled.alternatives =
+      (fun i w ->
+        let got = ix.G.Compiled.alternatives i w in
+        same "alternatives" i got (fl.G.Compiled.alternatives i w);
+        got);
+    compatible =
+      (fun i ok ->
+        let got = ix.G.Compiled.compatible i ok in
+        same "compatible" i got (fl.G.Compiled.compatible i ok);
+        got);
+  }
+
+(* Per-node params, residency roles, plan text and modeled cost of the
+   default (indexed) compile equal the filtered oracle's, scan by scan
+   and in the result, over nets that commit resident edges (attention)
+   and nets whose consumers find no compatible point (the MLP). *)
+let test_indexed_scans_match_filtered () =
+  let calls = ref 0 and edges = ref 0 in
+  List.iter
+    (fun (spec, trials) ->
+      List.iter
+        (fun (seed, islands) ->
+          let compile scans =
+            let g, _ = G.of_spec spec in
+            match
+              G.Compiled.compile_with ~scans ~trials ~seed ~jobs:1 ~islands cfg g
+            with
+            | Ok c -> c
+            | Error m -> Alcotest.fail m
+          in
+          let name =
+            Printf.sprintf "%s seed %d islands %d" spec.Nets.sname seed islands
+          in
+          let got = compile (checked_scans calls)
+          and want = compile filtered_scans in
+          Alcotest.(check bool) (name ^ ": params and residency") true
+            (G.Compiled.plan got = G.Compiled.plan want);
+          Alcotest.(check (list string)) (name ^ ": describe")
+            (G.Compiled.describe want) (G.Compiled.describe got);
+          Alcotest.(check bool) (name ^ ": estimate") true
+            (G.Compiled.estimate got = G.Compiled.estimate want);
+          edges := !edges + G.Compiled.resident_count got)
+        [ (1, 1); (2, 1); (3, 1); (1, 2); (2, 2); (3, 2) ])
+    [
+      (Nets.mlp ~d_in:256 ~d_hidden:256 ~d_out:128 (), 64);
+      (Nets.attention ~heads:16 ~tokens:64 ~dim:32 (), 96);
+      (Nets.attention ~heads:8 ~tokens:32 ~dim:16 (), 96);
+    ];
+  Alcotest.(check bool) "scans compared" true (!calls > 0);
+  Alcotest.(check bool) "resident edges committed" true (!edges > 0)
+
+(* Minor words of one fixed-seed single-job compile of the attention
+   block, recorded with OCaml 5.1 (deterministic on one domain).  The
+   filtered scans allocated about ten times as much. *)
+let test_compile_alloc_budget () =
+  let recorded = 2827137. in
+  let words () =
+    let g, _ = G.of_spec (Nets.attention ~heads:16 ~tokens:64 ~dim:32 ()) in
+    let engine = Engine.create cfg in
+    let w0 = Gc.minor_words () in
+    (match G.Compiled.compile ~seed:11 ~jobs:1 ~islands:1 ~engine cfg g with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m);
+    Gc.minor_words () -. w0
+  in
+  (* warm up lazily initialized state outside the measurement *)
+  ignore (words ());
+  let w = words () in
+  if w > 1.25 *. recorded then
+    Alcotest.failf "attention compile: %.0f minor words, budget %.0f (1.25 x %.0f)"
+      w (1.25 *. recorded) recorded
+
 let () =
   Alcotest.run "graph"
     [
@@ -316,5 +433,12 @@ let () =
             test_fused_matches_unfused;
           Alcotest.test_case "structural dedup across nodes" `Quick
             test_engine_dedup;
+        ] );
+      ( "residency",
+        [
+          Alcotest.test_case "indexed scans match filtered" `Slow
+            test_indexed_scans_match_filtered;
+          Alcotest.test_case "compile allocation budget" `Quick
+            test_compile_alloc_budget;
         ] );
     ]
