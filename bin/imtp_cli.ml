@@ -228,10 +228,10 @@ let islands_arg =
         ~doc:
           "Shard the evolutionary search into $(docv) independent island \
            populations with ring migration of elites (see DESIGN.md).  \
-           Defaults to $(b,IMTP_ISLANDS) from the environment, else 1, \
-           whatever the job count.  Results are bit-identical at any \
-           $(b,--jobs) value for a fixed $(docv); different island counts \
-           are different (equally deterministic) searches.")
+           Defaults to 1, whatever the job count or the environment.  \
+           Results are bit-identical at any $(b,--jobs) value for a fixed \
+           $(docv); different island counts are different (equally \
+           deterministic) searches.")
 
 let no_cost_model_arg =
   Arg.(

@@ -10,9 +10,11 @@ let features = Features.of_program
 (* Online ridge regression on log-latency.                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Measured trials observed before the model claims to be trained. *)
+let min_samples = 8
+
 type t = {
   lambda : float;
-  min_samples : int;
   xtx : float array array;
   xty : float array;
   mutable n : int;
@@ -21,10 +23,9 @@ type t = {
   mutable err_n : int;
 }
 
-let create ?(lambda = 1e-2) ?(min_samples = 8) ?(dim = dim) () =
+let create ?(lambda = 1e-2) ?(dim = dim) () =
   {
     lambda;
-    min_samples;
     xtx = Array.make_matrix dim dim 0.;
     xty = Array.make dim 0.;
     n = 0;
@@ -36,7 +37,6 @@ let create ?(lambda = 1e-2) ?(min_samples = 8) ?(dim = dim) () =
 let copy t =
   {
     lambda = t.lambda;
-    min_samples = t.min_samples;
     xtx = Array.map Array.copy t.xtx;
     xty = Array.copy t.xty;
     n = t.n;
@@ -45,7 +45,7 @@ let copy t =
     err_n = t.err_n;
   }
 
-let trained t = t.n >= t.min_samples
+let trained t = t.n >= min_samples
 let sample_count t = t.n
 
 (* (XtX + λI) w = Xty by Gaussian elimination with partial pivoting.

@@ -41,11 +41,10 @@ type t
     solver: {!Cost_model} is the same regression over sketch-parameter
     features. *)
 
-val create : ?lambda:float -> ?min_samples:int -> ?dim:int -> unit -> t
-(** [lambda] (default 1e-2) is the ridge regularizer; [min_samples]
-    (default 8) is how many measured trials must be observed before the
-    model claims to be {!trained}; [dim] (default {!dim}) is the
-    feature-vector width. *)
+val create : ?lambda:float -> ?dim:int -> unit -> t
+(** [lambda] (default 1e-2) is the ridge regularizer; [dim] (default
+    {!dim}) is the feature-vector width.  The model claims to be
+    {!trained} once it has observed 8 measured trials. *)
 
 val copy : t -> t
 (** A deep snapshot: later {!observe} calls on either model leave the

@@ -46,6 +46,11 @@ type outcome = {
 (* Checkpoints                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A population member: a candidate and its latency, measured (by this
+   island or, for a migrant, by the island it came from) or, under the
+   gate, predicted. *)
+type member = Sketch.params * float * bool
+
 (* Everything one island's loop mutates, snapshotted at a boundary
    (with one island, every generation).  All fields
    are plain data (no closures), so a checkpoint marshals to disk
@@ -70,7 +75,7 @@ type island_state = {
   il_measured : int;
   il_skipped : int;
   il_trial : int;
-  il_population : (Sketch.params * float) list;
+  il_population : member list;
   il_generations : int;
   il_migrations : int;
   il_done : bool;  (* trial budget exhausted *)
@@ -90,7 +95,6 @@ type checkpoint = {
   ck_use_cost_model : bool;
   ck_measure_ratio : float option;
   ck_islands : int;
-  ck_migrate_every : int;
   ck_boundary : int;  (* generations (k=1) or migration boundary (k>1) *)
   ck_tir_model : Cost_learn.t;
       (* the shared model merged from every island's observations
@@ -104,8 +108,10 @@ type checkpoint = {
 (* Bump whenever the checkpoint layout (or anything it transitively
    contains) changes incompatibly; {!run} rejects other formats.
    Format 2: island-aware checkpoints.  Format 3: the mutation ranker
-   is a [Cost_learn.t]. *)
-let checkpoint_format = 3
+   is a [Cost_learn.t].  Format 4: population members record whether
+   their latency was measured; the migration cadence and the learned
+   model's training threshold are constants. *)
+let checkpoint_format = 4
 
 let checkpoint_trial ck =
   Array.fold_left (fun a s -> a + s.il_trial) 0 ck.ck_states
@@ -130,6 +136,7 @@ let top_k = 8
 let mutations_per_pick = 4
 let exploration_fraction = 0.4
 let migration_elites = 2
+let migrate_every = 2  (* generations between migration boundaries *)
 let max_islands = 64
 
 let epsilon strategy ~trial ~trials =
@@ -140,7 +147,7 @@ let epsilon strategy ~trial ~trials =
   end
   else 0.05
 
-let by_latency = fun (_, a) (_, b) -> Float.compare a b
+let by_latency = fun (_, a, _) (_, b, _) -> Float.compare a b
 let take n l = List.filteri (fun i _ -> i < n) l
 
 (* The generational population: with balanced sampling active, half the
@@ -153,7 +160,7 @@ let take n l = List.filteri (fun i _ -> i < n) l
 let truncate_population strategy ~early pool =
   let sorted = List.sort by_latency pool in
   if strategy.balanced_sampling && early then begin
-    let rf, no_rf = List.partition (fun (p, _) -> Sketch.uses_rfactor p) sorted in
+    let rf, no_rf = List.partition (fun (p, _, _) -> Sketch.uses_rfactor p) sorted in
     let half = population_size / 2 in
     let a = take half rf and b = take half no_rf in
     let rest =
@@ -168,7 +175,7 @@ let truncate_population strategy ~early pool =
 let parent_pool strategy ~early population =
   let sorted = List.sort by_latency population in
   if strategy.balanced_sampling && early then begin
-    let rf, no_rf = List.partition (fun (p, _) -> Sketch.uses_rfactor p) sorted in
+    let rf, no_rf = List.partition (fun (p, _, _) -> Sketch.uses_rfactor p) sorted in
     let half = max 1 (top_k / 2) in
     match take half rf @ take half no_rf with
     | [] -> take top_k sorted
@@ -181,16 +188,6 @@ let elites population = take migration_elites (List.sort by_latency population)
 (* ------------------------------------------------------------------ *)
 (* Islands                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let clamp_islands k = max 1 (min max_islands k)
-
-let env_islands () =
-  match Sys.getenv_opt "IMTP_ISLANDS" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some k when k >= 1 -> Some (clamp_islands k)
-      | Some _ | None -> None)
 
 (* The mutable working state of one island — the multi-island run keeps
    [k] of these, the single-island run exactly one. *)
@@ -209,7 +206,7 @@ type island_ctx = {
   mutable measured : int;
   mutable skipped : int;
   mutable trial : int;
-  mutable population : (Sketch.params * float) list;
+  mutable population : member list;
   mutable generations : int;
   mutable migrations : int;
   mutable epoch_obs : (float array * float * float option) list;
@@ -225,7 +222,7 @@ type island_ctx = {
    publishing copies nothing; full state snapshots are only taken when
    the boundary is checkpointed. *)
 type publication = {
-  pub_population : (Sketch.params * float) list;
+  pub_population : member list;
   pub_obs : (float array * float * float option) list;
 }
 
@@ -249,39 +246,27 @@ type island_shared = {
 
 exception Island_aborted
 
-let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
-    ?(migrate_every = 2) ?passes ?skip_inputs ?(use_cost_model = true)
-    ?measure_ratio ?engine ?resume ?on_checkpoint ?(checkpoint_every = 1)
-    ?stop cfg op ~trials =
+let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
+    ?skip_inputs ?(use_cost_model = true) ?measure_ratio ?engine ?resume
+    ?on_checkpoint ?(checkpoint_every = 1) ?stop cfg op ~trials =
   let jobs =
     match jobs with Some j -> j | None -> Pool.default_jobs ()
   in
   if checkpoint_every < 1 then
     invalid_arg "Search.run: checkpoint_every must be >= 1";
-  if migrate_every < 1 then
-    invalid_arg "Search.run: migrate_every must be >= 1";
   let op_key = Engine.op_key op in
   (* A resumed run replays the killed run's own configuration — the
      caller's seed/strategy/gating/island arguments are overridden by
      the checkpoint, because mixing a serialized rng stream with
      different search dynamics could not be bit-identical to
      anything. *)
-  let strategy, seed, use_cost_model, measure_ratio, trials, islands,
-      migrate_every =
+  let strategy, seed, use_cost_model, measure_ratio, trials, islands =
     match resume with
     | None ->
-        (* The default is a constant, not the job count: [jobs] only
-           schedules work, so it must never change the search. *)
-        let k =
-          match islands with
-          | Some k -> clamp_islands k
-          | None -> Option.value (env_islands ()) ~default:1
-        in
         (* Every island needs at least an initial population's worth of
            budget to evolve anything, so tiny runs shed islands. *)
-        let k = min k (max 1 (trials / population_size)) in
-        (strategy, seed, use_cost_model, measure_ratio, trials, k,
-         migrate_every)
+        let k = max 1 (min (min max_islands islands) (trials / population_size)) in
+        (strategy, seed, use_cost_model, measure_ratio, trials, k)
     | Some ck ->
         if ck.ck_format <> checkpoint_format then
           invalid_arg
@@ -298,8 +283,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
           ck.ck_use_cost_model,
           ck.ck_measure_ratio,
           ck.ck_trials,
-          ck.ck_islands,
-          ck.ck_migrate_every )
+          ck.ck_islands )
   in
   (match measure_ratio with
   | Some r when not (r > 0. && r <= 1.) ->
@@ -431,7 +415,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
       ck_use_cost_model = use_cost_model;
       ck_measure_ratio = measure_ratio;
       ck_islands = k;
-      ck_migrate_every = migrate_every;
       ck_boundary = boundary;
       ck_tir_model = Cost_learn.copy tir;
       ck_states = states;
@@ -518,7 +501,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         let params = Sketch.random cx.rng cfg op in
         if gated && known cx params then retry ()
         else
-          match Engine.prepare engine ?passes ?skip_inputs op params with
+          match Engine.prepare engine ?skip_inputs op params with
           | Error e ->
               tally cx e;
               retry ()
@@ -527,7 +510,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
                 Cost_learn.predict cx.tir (Engine.features engine prep)
               in
               record_skipped cx ~trial:cx.trial params ~predicted_s;
-              Some (params, predicted_s)
+              Some (params, predicted_s, false)
           | Ok prep -> (
               match Engine.simulate engine ~rng:cx.rng prep with
               | Error e ->
@@ -536,7 +519,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
               | Ok _ when Hashtbl.mem cx.seen params -> retry ()
               | Ok m ->
                   record cx ~prep ~trial:cx.trial params m;
-                  Some (params, m.Engine.latency_s))
+                  Some (params, m.Engine.latency_s, true))
       end
     in
     go 16
@@ -602,7 +585,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
       if Rng.float cx.rng 1. < eps || parents = [] then
         Sketch.random cx.rng cfg op
       else begin
-        let parent, _ = Rng.pick cx.rng parents in
+        let parent, _, _ = Rng.pick cx.rng parents in
         let muts =
           (* mostly single-field mutations, occasionally two fields
              at once to escape coordinate-wise local optima. *)
@@ -627,7 +610,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     let candidates = List.init gen_size propose in
     (* (slot, params, prepared) of every candidate not measured before *)
     let fresh =
-      Engine.prepare_batch engine ~jobs ?passes ?skip_inputs op candidates
+      Engine.prepare_batch engine ~jobs ?skip_inputs op candidates
       |> List.mapi (fun i (params, r) ->
              match r with
              | Error e ->
@@ -673,7 +656,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
             record cx ~prep
               ?predicted_s:(Option.map exp predicted.(idx))
               ?predicted_log:predicted.(idx) ~trial:(cx.trial + i) params m;
-            measured_now.(idx) <- Some (params, m.Engine.latency_s))
+            measured_now.(idx) <- Some (params, m.Engine.latency_s, true))
       sims;
     Obs.incr ~by:(List.length selected) "search.gate.measured";
     Obs.incr
@@ -690,7 +673,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
              | None, Some predicted_s
                when Float.is_finite predicted_s && not (known cx params) ->
                  record_skipped cx ~trial:(cx.trial + i) params ~predicted_s;
-                 Some (params, predicted_s)
+                 Some (params, predicted_s, false)
              | None, _ -> None)
       |> List.filter_map Fun.id
     in
@@ -710,7 +693,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
      measured — simulate the most promising few before declaring a
      winner, so a model that found the optimum late still cashes it
      in.  Bounded by a small budget so the simulator ledger stays
-     ~ratio-proportional. *)
+     ~ratio-proportional.  A migrant the sibling island measured is no
+     prediction: it is neither re-simulated nor scored as one. *)
   let confirm cx =
     match measure_ratio with
     | None -> ()
@@ -721,15 +705,16 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         let budget = max 3 (Cost_learn.select_count ~ratio population_size) in
         let promising =
           List.filter
-            (fun (p, l) ->
-              (not (Hashtbl.mem cx.seen p)) && l < best_so_far cx)
+            (fun (p, l, measured) ->
+              (not measured) && (not (Hashtbl.mem cx.seen p))
+              && l < best_so_far cx)
             cx.population
           |> List.stable_sort by_latency |> take budget
         in
         Obs.add_attr "candidates" (Obs.Int (List.length promising));
         List.iter
-          (fun (params, predicted_s) ->
-            match Engine.prepare engine ?passes ?skip_inputs op params with
+          (fun (params, predicted_s, _) ->
+            match Engine.prepare engine ?skip_inputs op params with
             | Error e -> tally cx e
             | Ok prep -> (
                 match Engine.simulate engine ~rng:cx.rng prep with
@@ -744,8 +729,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
   let apply_migration cx migrants =
     let fresh =
       List.filter
-        (fun (p, _) ->
-          not (List.exists (fun (q, _) -> q = p) cx.population))
+        (fun (p, _, _) ->
+          not (List.exists (fun (q, _, _) -> q = p) cx.population))
         migrants
     in
     if fresh <> [] then begin

@@ -31,7 +31,7 @@
     thread with its own deterministic rng substream
     ([Rng.stream ~base:seed ~index:island]).  Islands step generations
     {e asynchronously} — there is no global per-generation barrier —
-    and rendezvous only every [migrate_every] generations at a
+    and rendezvous only every 2 generations at a
     {e migration boundary}, where each island:
 
     - publishes its population (the ring successor's migration source),
@@ -50,9 +50,9 @@
     after every generation (there is nothing to migrate) and the
     historical [Rng.create ~seed] stream, so it reproduces pre-island
     traces byte-for-byte.  Note that {e different} island counts are
-    different searches.  [islands] defaults to 1 (or [IMTP_ISLANDS]),
-    never to the job count, so a default search is the same on every
-    host.
+    different searches.  [islands] defaults to 1, never to the job
+    count or to anything in the environment, so a default search is the
+    same on every host.
 
     {2 Measurement gating}
 
@@ -216,8 +216,6 @@ val run :
   ?seed:int ->
   ?jobs:int ->
   ?islands:int ->
-  ?migrate_every:int ->
-  ?passes:Imtp_passes.Pipeline.config ->
   ?skip_inputs:string list ->
   ?use_cost_model:bool ->
   ?measure_ratio:float ->
@@ -238,11 +236,11 @@ val run :
     exchange state only at fixed migration boundaries.
 
     [jobs] (default {!Imtp_engine.Pool.default_jobs}) bounds the worker
-    domains per engine batch.  [islands] (default: [IMTP_ISLANDS] from
-    the environment, else 1; clamped to [1, 64] and to at most
-    [trials / 16] so every island can seed an initial population)
-    shards the search island-model style; [migrate_every] (default 2,
-    generations; inert with one island) sets the migration cadence.  [use_cost_model] (default
+    domains per engine batch.  [islands] (default 1; clamped to
+    [1, 64] and to at most [trials / 16] so every island can seed an
+    initial population) shards the search island-model style.
+    Candidates are built with every PIM-aware pass on
+    ({!Imtp_passes.Pipeline.all_on}).  [use_cost_model] (default
     true) lets the parameter-space {!Cost_model} rank candidate
     mutations before proposal; disabling it falls back to unguided
     mutation (an ablation of Fig. 5's "evolutionary search guided by a
@@ -261,16 +259,16 @@ val run :
     callback runs holding the islands' rendezvous lock, so keep it
     cheap (write the file, return).  [resume] restarts from such a
     snapshot: the initial-sampling phase is skipped and the
-    checkpoint's own seed, strategy, gating, island count, migration
-    cadence and trial budget override the caller's (anything else could
-    not be bit-identical) — only [op], which must hash to the
-    checkpoint's recorded operator, and the execution knobs ([jobs],
-    [engine], [passes], checkpointing) are taken from the call.  [stop]
+    checkpoint's own seed, strategy, gating, island count and trial
+    budget override the caller's (anything else could not be
+    bit-identical) — only [op], which must hash to the checkpoint's
+    recorded operator, and the execution knobs ([jobs], [engine],
+    checkpointing) are taken from the call.  [stop]
     is polled at every boundary, after that boundary's periodic
     checkpoint; when it returns [true] the run ends there (emitting the
     boundary's checkpoint if the cadence skipped it) and returns early
     with [outcome.interrupted = true].
 
     @raise Invalid_argument if [measure_ratio] is outside (0, 1], if
-    [checkpoint_every < 1] or [migrate_every < 1], or if [resume]
+    [checkpoint_every < 1], or if [resume]
     belongs to a different operator or checkpoint format. *)

@@ -8,8 +8,7 @@ type result = {
   cache : Engine.counters;
 }
 
-let tune ?strategy ?seed ?jobs ?islands ?migrate_every ?(trials = 128) ?passes
-    ?skip_inputs ?measure_ratio ?engine ?resume ?on_checkpoint
+let tune ?strategy ?seed ?jobs ?islands ?(trials = 128) ?skip_inputs ?measure_ratio ?engine ?resume ?on_checkpoint
     ?checkpoint_every ?stop cfg op =
   Obs.span ~name:"tuner.tune"
     ~attrs:
@@ -21,8 +20,7 @@ let tune ?strategy ?seed ?jobs ?islands ?migrate_every ?(trials = 128) ?passes
   Obs.incr "tuner.tunes";
   let engine = match engine with Some e -> e | None -> Engine.create cfg in
   let search =
-    Search.run ?strategy ?seed ?jobs ?islands ?migrate_every ?passes
-      ?skip_inputs ?measure_ratio ?resume ?on_checkpoint ?checkpoint_every
+    Search.run ?strategy ?seed ?jobs ?islands ?skip_inputs ?measure_ratio ?resume ?on_checkpoint ?checkpoint_every
       ?stop ~engine cfg op ~trials
   in
   match search.Search.best with
@@ -33,7 +31,7 @@ let tune ?strategy ?seed ?jobs ?islands ?migrate_every ?(trials = 128) ?passes
          entry already holds the cost outcome: this deterministic
          re-measurement is one lookup that runs no stage and serves both
          the program and the noise-free stats. *)
-      match Engine.measure engine ?passes ?skip_inputs op params with
+      match Engine.measure engine ?skip_inputs op params with
       | Error e -> Error (Engine.error_to_string e)
       | Ok m ->
           Ok

@@ -10,7 +10,7 @@ type result = {
   stats : Imtp_upmem.Stats.t;
   search : Search.outcome;
   cache : Imtp_engine.Engine.counters;
-      (** engine cache/stage telemetry at the end of the tuning run. *)
+      (** the engine's cache ledger at the end of the tuning run. *)
 }
 
 val tune :
@@ -18,9 +18,7 @@ val tune :
   ?seed:int ->
   ?jobs:int ->
   ?islands:int ->
-  ?migrate_every:int ->
   ?trials:int ->
-  ?passes:Imtp_passes.Pipeline.config ->
   ?skip_inputs:string list ->
   ?measure_ratio:float ->
   ?engine:Imtp_engine.Engine.t ->
@@ -34,19 +32,17 @@ val tune :
 (** Defaults: IMTP strategy, 128 trials, a fresh engine, and
     [Imtp_engine.Pool.default_jobs] worker domains per generation batch
     ([jobs] — results are identical at any value for a fixed
-    [islands]).  [islands] and [migrate_every] shard the search
-    island-model style across the pool (see {!Search.run}; [islands]
-    defaults to 1, whatever the job count).  [measure_ratio]
+    [islands]).  [islands] shards the search island-model style across
+    the pool (see {!Search.run}; it defaults to 1, whatever the job
+    count or the environment).  [measure_ratio]
     (default off) enables {!Search.run}'s learned-model measurement
     gate at the given simulator fraction.  [resume], [on_checkpoint],
     [checkpoint_every] and [stop] thread straight through to
     {!Search.run} — the serving daemon's checkpointed sessions use
     them; an interrupted run that already holds a best candidate still
     returns [Ok] (check [result.search.interrupted]).  [Error] only
-    when no valid candidate was found at all.  A cache summary (hit
-    rate, per-stage build times) is logged on the [imtp.engine] source
-    when tuning finishes; pass a shared [engine] to reuse builds across
-    repeated tunes of the same op. *)
+    when no valid candidate was found at all.  Pass a shared [engine]
+    to reuse builds across repeated tunes of the same op. *)
 
 val describe : result -> string
 (** One line summarizing the winning configuration (Table 3 format:

@@ -43,11 +43,6 @@ type counters = {
   built : int;
   failed : int;
   costed : int;
-  sketch_s : float;
-  lower_s : float;
-  passes_s : float;
-  verify_s : float;
-  cost_s : float;
 }
 
 (* Work done at most once: [Running] while one domain computes it;
@@ -97,11 +92,6 @@ let zero_counters =
     built = 0;
     failed = 0;
     costed = 0;
-    sketch_s = 0.;
-    lower_s = 0.;
-    passes_s = 0.;
-    verify_s = 0.;
-    cost_s = 0.;
   }
 
 let create ?(max_entries = 4096) cfg =
@@ -265,69 +255,55 @@ let prefix_key ~passes ~skip_inputs ~verify op params =
                pos c.Sketch.splits))
 
 (* ------------------------------------------------------------------ *)
-(* The staged pipeline.  Each stage exists once; stage timings are     *)
-(* accumulated into the engine's counters when one is at hand.         *)
+(* The staged pipeline.  Each stage exists once.                       *)
 (* ------------------------------------------------------------------ *)
 
 (* One wall-clock duration per stage run: the `engine.<stage>` span's
-   own, which the `engine.stage.<stage>_s` histogram and the engine's
-   counters are charged with too.  Names are built once per stage. *)
-type stage = {
-  span_name : string;
-  hist_name : string;
-  add : counters -> float -> counters;
-}
+   own, which the `engine.stage.<stage>_s` histogram is charged with
+   too.  Names are built once per stage. *)
+type stage = { span_name : string; hist_name : string }
 
-let stage name add =
-  { span_name = "engine." ^ name; hist_name = "engine.stage." ^ name ^ "_s"; add }
+let stage name = { span_name = "engine." ^ name; hist_name = "engine.stage." ^ name ^ "_s" }
+let sketch_stage = stage "sketch"
+let lower_stage = stage "lower"
+let passes_stage = stage "passes"
+let verify_stage = stage "verify"
+let cost_stage = stage "cost"
 
-let sketch_stage = stage "sketch" (fun c dt -> { c with sketch_s = c.sketch_s +. dt })
-let lower_stage = stage "lower" (fun c dt -> { c with lower_s = c.lower_s +. dt })
-let passes_stage = stage "passes" (fun c dt -> { c with passes_s = c.passes_s +. dt })
-let verify_stage = stage "verify" (fun c dt -> { c with verify_s = c.verify_s +. dt })
-
-(* Every run of the cost stage is one simulator execution; [costed] is
-   the ledger the measurement-gated search is judged against. *)
-let cost_stage =
-  stage "cost" (fun c dt -> { c with cost_s = c.cost_s +. dt; costed = c.costed + 1 })
-
-let timed t stage f =
+let timed stage f =
   let r, dt = Obs.span_timed ~name:stage.span_name f in
-  (match t with
-  | Some t -> locked t (fun () -> t.c <- stage.add t.c dt)
-  | None -> ());
   Obs.observe stage.hist_name dt;
   r
 
-let stage_sketch ?t op params =
-  timed t sketch_stage (fun () ->
+let stage_sketch op params =
+  timed sketch_stage (fun () ->
       match Sketch.instantiate op params with
       | sched -> Ok sched
       | exception Invalid_argument m -> Error (Sketch_invalid m))
 
-let stage_lower ?t ~options sched =
-  timed t lower_stage (fun () ->
+let stage_lower ~options sched =
+  timed lower_stage (fun () ->
       match L.lower ~options sched with
       | prog -> Ok prog
       | exception L.Lower_error m -> Error (Lower_failed m))
 
-let stage_passes ?t ~passes cfg prog =
-  timed t passes_stage (fun () -> Pl.run ~config:passes cfg prog)
+let stage_passes ~passes cfg prog =
+  timed passes_stage (fun () -> Pl.run ~config:passes cfg prog)
 
-let stage_verify_sched ?t cfg sched =
-  timed t verify_stage (fun () ->
+let stage_verify_sched cfg sched =
+  timed verify_stage (fun () ->
       match Verifier.check_sched cfg sched with
       | Ok () -> Ok ()
       | Error r -> Error (Verifier_rejected r))
 
-let stage_verify_program ?t cfg prog =
-  timed t verify_stage (fun () ->
+let stage_verify_program cfg prog =
+  timed verify_stage (fun () ->
       match Verifier.check cfg prog with
       | Ok () -> Ok ()
       | Error r -> Error (Verifier_rejected r))
 
-let stage_cost ?t cfg prog =
-  timed t cost_stage (fun () ->
+let stage_cost cfg prog =
+  timed cost_stage (fun () ->
       match Cost.measure cfg prog with
       | stats -> Ok stats
       | exception Cost.Error m -> Error (Cost_failed m))
@@ -340,10 +316,8 @@ let compile_sched ?(options = L.default_options) ?(passes = Pl.all_on) cfg sched
 
 let estimate cfg prog = stage_cost cfg prog
 
-let lower t ?(options = L.default_options) sched = stage_lower ~t ~options sched
-
-let optimize t ?(passes = Pl.all_on) prog =
-  stage_passes ~t ~passes t.cfg prog
+let lower ?(options = L.default_options) sched = stage_lower ~options sched
+let optimize cfg ?(passes = Pl.all_on) prog = stage_passes ~passes cfg prog
 
 (* ------------------------------------------------------------------ *)
 (* The memo table.                                                     *)
@@ -443,11 +417,11 @@ let ( let* ) = Result.bind
 (* Everything but the cost stage: the cheap prefix of the pipeline that
    the learned cost model's feature extraction needs. *)
 let prepare_uncached t ~passes ~options ~verify ~key op params =
-  let* sched = stage_sketch ~t op params in
-  let* () = if verify then stage_verify_sched ~t t.cfg sched else Ok () in
-  let* lowered = stage_lower ~t ~options sched in
-  let program = stage_passes ~t ~passes t.cfg lowered in
-  let* () = if verify then stage_verify_program ~t t.cfg program else Ok () in
+  let* sched = stage_sketch op params in
+  let* () = if verify then stage_verify_sched t.cfg sched else Ok () in
+  let* lowered = stage_lower ~options sched in
+  let program = stage_passes ~passes t.cfg lowered in
+  let* () = if verify then stage_verify_program t.cfg program else Ok () in
   Ok { pkey = key; psched = sched; plowered = lowered; pprogram = program }
 
 (* An entry's prefix under the entry's own key: built here from the
@@ -494,16 +468,20 @@ let artifact_of (p : prepared) stats =
   { key = p.pkey; sched = p.psched; lowered = p.plowered; program = p.pprogram; stats }
 
 (* The cost stage of an entry, run once per entry: a concurrent
-   requester waits for a run in flight.  Returns the outcome and
-   whether it was already there. *)
+   requester waits for a run in flight.  Every run is one simulator
+   execution, counted in [costed] — the ledger the measurement-gated
+   search is judged against.  Returns the outcome and whether it was
+   already there. *)
 let cost_entry t e (p : prepared) =
   let r, cached =
     demand t
       ~get:(fun () -> e.cost)
       ~set:(fun s -> e.cost <- s)
-      ~settle:(fun r -> if Result.is_error r then count_outcome t r)
+      ~settle:(fun r ->
+        t.c <- { t.c with costed = t.c.costed + 1 };
+        if Result.is_error r then count_outcome t r)
       (fun () ->
-        let r = stage_cost ~t t.cfg p.pprogram in
+        let r = stage_cost t.cfg p.pprogram in
         Result.iter
           (fun stats ->
             Obs.incr ~by:stats.Stats.bytes_h2d "engine.bytes_h2d";

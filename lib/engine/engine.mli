@@ -130,15 +130,11 @@ type counters = {
           simulated entry.  Measurement gating is judged against this ledger — a
           gated search must show the same best latency with far fewer
           [costed]. *)
-  sketch_s : float;
-      (** cumulative per-stage build time in wall-clock seconds: the
-          sum of the stage's [engine.<stage>] span durations, which
-          the [engine.stage.<stage>_s] histogram also receives. *)
-  lower_s : float;
-  passes_s : float;
-  verify_s : float;
-  cost_s : float;
 }
+(** The engine's cache ledger.  Stage wall-clock times are not kept
+    here: every stage run is an [engine.<stage>] span and one
+    observation of the [engine.stage.<stage>_s] histogram
+    ({!Imtp_obs.Obs}). *)
 
 type t
 (** An engine instance: one machine configuration plus its memo table
@@ -195,22 +191,23 @@ val compile_sched :
     verification — this is the facade ([Imtp.compile]) path. *)
 
 val lower :
-  t ->
   ?options:Imtp_lower.Lowering.options ->
   Imtp_schedule.Sched.t ->
   (Imtp_tir.Program.t, error) result
-(** Uncached raw lowering under this engine (counted in [lower_s] and
-    traced as an [engine.lower] span) — for schedules that do not come
-    from sketch parameters, e.g. the fuzz oracle's replayed step
-    lists. *)
+(** Uncached raw lowering, traced as an [engine.lower] span — for
+    schedules that do not come from sketch parameters, e.g. the fuzz
+    oracle's replayed step lists. *)
 
 val estimate :
   Imtp_upmem.Config.t -> Imtp_tir.Program.t -> (Imtp_upmem.Stats.t, error) result
 (** Uncached cost-model entry ([Cost_failed] instead of an exception). *)
 
 val optimize :
-  t -> ?passes:Imtp_passes.Pipeline.config -> Imtp_tir.Program.t -> Imtp_tir.Program.t
-(** Run the pass pipeline under this engine (counted in [passes_s]). *)
+  Imtp_upmem.Config.t ->
+  ?passes:Imtp_passes.Pipeline.config ->
+  Imtp_tir.Program.t ->
+  Imtp_tir.Program.t
+(** Run the pass pipeline, traced as an [engine.passes] span. *)
 
 val build :
   t ->

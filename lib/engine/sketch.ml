@@ -431,8 +431,14 @@ let space_seq cfg op =
   | Elementwise | Grid_map ->
       Seq.filter (fun p -> p.reduction_dpus = 1) base
   | Tasklet_reduce ->
-      (* the rfactor'd reduction split is the only DPU dimension. *)
-      Seq.filter (fun p -> p.spatial_dpus = 16) base
+      (* the rfactor'd reduction split is the only DPU dimension, over
+         at least two DPUs: a one-DPU split is the two-DPU one, listed
+         only when there is no two-DPU choice. *)
+      Seq.filter
+        (fun p ->
+          p.spatial_dpus = 16
+          && (p.reduction_dpus > 1 || Array.length t.rfactor_choices = 0))
+        base
       |> Seq.map (fun p -> { p with spatial_dpus = 1; reduction_dpus = max 2 p.reduction_dpus })
   | Mat_vec | Mat_mat -> base
   | Batched ->

@@ -112,8 +112,8 @@ val table : Imtp_upmem.Config.t -> Imtp_workload.Op.t -> table
 
 val space : Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params list
 (** The full (pruned) discrete parameter space used for exhaustive
-    searches in tests; the evolutionary search samples from the same
-    value sets. *)
+    searches in tests, each point listed once; the evolutionary search
+    samples from the same value sets. *)
 
 val space_seq : Imtp_upmem.Config.t -> Imtp_workload.Op.t -> params Seq.t
 (** {!space} in the same order, enumerated on demand: a walk that stops

@@ -34,10 +34,6 @@ type verdict =
 
 let machine = Imtp_upmem.Config.default
 
-(* The oracle's engine: lowering and every pass-pipeline application
-   run under it, so fuzz traces carry the autotuner's stage spans. *)
-let engine = Engine.create machine
-
 let configs case =
   Pl.ablations
   @
@@ -48,7 +44,7 @@ let configs case =
 let lower case =
   let sched, _ = Gen_sched.replay (Gen_workload.op case.workload) case.steps in
   Result.map_error Engine.error_to_string
-    (Engine.lower engine ~options:case.options sched)
+    (Engine.lower ~options:case.options sched)
 
 (* First index where two value lists diverge. *)
 let first_diff got want =
@@ -146,7 +142,7 @@ let executed_outcome prog ~inputs =
 
 let check_config op inputs want raw (name, config) =
   match
-    let prog = Engine.optimize engine ~passes:config raw in
+    let prog = Engine.optimize machine ~passes:config raw in
     match executed_outcome prog ~inputs with
     | `Mismatch detail -> `Mismatch (name, detail)
     | `Run (Error m) -> raise (Eval.Error m)

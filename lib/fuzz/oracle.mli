@@ -57,12 +57,6 @@ type verdict =
   | Rejected of string
   | Failed of failure
 
-val engine : Imtp_engine.Engine.t
-(** The oracle's build engine: every lowering and pass-pipeline
-    application runs under it, so the fuzzer shares the compile path
-    (and its [engine.lower]/[engine.passes] spans) with the
-    autotuner. *)
-
 val configs : case -> (string * Imtp_passes.Pipeline.config) list
 (** The four ablations plus the case's extra configuration, if any. *)
 

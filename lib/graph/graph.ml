@@ -362,17 +362,25 @@ module Compiled = struct
      [x] must be a body input: epilogue-referenced inputs are read on
      the HOST whenever the lowering applies the epilogue after the
      combine (hierarchical and tasklet-level reductions), where a
-     resident producer's host buffer was never filled. *)
-  let residency_compatible ~prod:(pop, sp) ~cons:(cop, sc) ~input:x =
+     resident producer's host buffer was never filled.  The consumer's
+     half of the test does not read the producer's schedule. *)
+  let consumer_compatible ~prod:pop ~cons:(cop, sc) ~input:x =
     try
-      S.rfactor_loop sp = None
-      && (not (List.mem x (Op.epilogue_refs cop)))
+      (not (List.mem x (Op.epilogue_refs cop)))
       && pop.Op.dtype = cop.Op.dtype
       &&
-      let pod = snd pop.Op.output in
       let xdims = List.assoc x cop.Op.inputs in
-      List.length pod = List.length xdims
-      && block_sig sp pod = block_sig sc xdims
+      List.length (snd pop.Op.output) = List.length xdims
+      && (ignore (block_sig sc xdims); true)
+    with Incompat | Not_found -> false
+
+  let residency_compatible ~prod:(pop, sp) ~cons:(cop, sc) ~input:x =
+    consumer_compatible ~prod:pop ~cons:(cop, sc) ~input:x
+    && S.rfactor_loop sp = None
+    &&
+    try
+      let pod = snd pop.Op.output and xdims = List.assoc x cop.Op.inputs in
+      block_sig sp pod = block_sig sc xdims
       && List.for_all2 (fun pd xd -> mram_ext sp pd = mram_ext sc xd) pod xdims
     with Incompat | Not_found -> false
 
@@ -728,14 +736,32 @@ module Compiled = struct
                       (fun c -> (c, List.rev (Hashtbl.find tbl c)))
                       !order
                   in
-                  (* producer candidates: the tuned winner first, then
+                  (* whether the consumer's current schedule, or (when
+                     it is free to move) some point of its space, passes
+                     the consumer's half of [residency_compatible]: if
+                     not, no producer schedule can make the edges
+                     resident. *)
+                  let reachable (c, xs) =
+                    let ok sc =
+                      List.for_all
+                        (fun x ->
+                          consumer_compatible ~prod:pop
+                            ~cons:(plan.(c).pop, sc) ~input:x)
+                        xs
+                    in
+                    ok (Sk.instantiate plan.(c).pop fparams.(c))
+                    || ((not pinned.(c)) && scans.compatible c ok <> [])
+                  in
+                  (* producer candidates: none when some consumer is
+                     unreachable, else the tuned winner first, then
                      (when the producer is free to move) its non-rfactor
                      alternatives best-first by noise-free measurement —
                      the winner's partitioning may be one no consumer can
                      mirror. *)
                   let prod_cands =
                     let winner = fparams.(pi) in
-                    if pinned.(pi) then [ winner ]
+                    if not (List.for_all reachable grouped) then []
+                    else if pinned.(pi) then [ winner ]
                     else begin
                       let measured =
                         batch ~skip_inputs:skip_in.(pi) pop

@@ -257,6 +257,27 @@ type span = {
   attrs : (string * value) list;
 }
 
+let value_to_json : value -> Json.t = function
+  | Bool b -> Json.Bool b
+  | Int i -> Json.Num (float_of_int i)
+  | Float f -> Json.Num f
+  | Str s -> Json.Str s
+
+let span_to_json s =
+  Json.Obj
+    [
+      ("type", Json.Str "span");
+      ("id", Json.Num (float_of_int s.id));
+      ( "parent",
+        match s.parent with
+        | None -> Json.Null
+        | Some p -> Json.Num (float_of_int p) );
+      ("name", Json.Str s.name);
+      ("start_s", Json.Num s.start_s);
+      ("dur_s", Json.Num s.dur_s);
+      ("attrs", Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) s.attrs));
+    ]
+
 type open_span = {
   o_id : int;
   o_name : string;
@@ -282,10 +303,10 @@ let ambient_key : int option ref Domain.DLS.key =
 let stack () = Domain.DLS.get stack_key
 let ambient () = Domain.DLS.get ambient_key
 
-(* One lock guards everything cross-domain: the span ring, the trace
-   sink, and the metrics registry.  Sections under the lock are short
-   (no user code, no I/O beyond one sink line), so contention stays
-   negligible next to the instrumented work. *)
+(* One lock guards everything cross-domain: the trace sink and the
+   metrics registry.  Sections under the lock are short (no user code,
+   no I/O beyond one sink line), so contention stays negligible next to
+   the instrumented work. *)
 let state_lock = Mutex.create ()
 let locked f = Mutex.protect state_lock f
 
@@ -298,39 +319,12 @@ let with_ambient_parent parent f =
   r := parent;
   Fun.protect ~finally:(fun () -> r := saved) f
 
-(* Bounded ring of finished spans (under [state_lock]). *)
-let ring_capacity = ref 8192
-let ring : span option array ref = ref (Array.make !ring_capacity None)
-let ring_next = ref 0
-let ring_count = ref 0
+(* The trace sink.  Set and cleared under [state_lock]; read without
+   it first, so a span finished while no sink is open takes no lock. *)
+let sink : out_channel option Atomic.t = Atomic.make None
 
-let set_ring_capacity c =
-  locked (fun () ->
-      let c = max 1 c in
-      ring_capacity := c;
-      ring := Array.make c None;
-      ring_next := 0;
-      ring_count := 0)
-
-let ring_push s =
-  !ring.(!ring_next) <- Some s;
-  ring_next := (!ring_next + 1) mod !ring_capacity;
-  if !ring_count < !ring_capacity then incr ring_count
-
-let ring_spans_locked () =
-  let cap = !ring_capacity in
-  let first = (!ring_next - !ring_count + cap) mod cap in
-  List.init !ring_count (fun i ->
-      match !ring.((first + i) mod cap) with
-      | Some s -> s
-      | None -> assert false)
-
-(* Sink plumbing is defined below but spans need to write to it; a
-   forward reference keeps the file in reading order.  Written and
-   called under [state_lock]. *)
-let sink_write : (span -> unit) ref = ref (fun _ -> ())
-
-(* Records the span and returns its duration. *)
+(* Writes the span to the sink, if one is open, and returns its
+   duration. *)
 let finish_span o =
   let dur = now_s () -. o.o_start in
   let stack = stack () in
@@ -344,19 +338,22 @@ let finish_span o =
         | [] -> []
       in
       stack := pop !stack);
-  let s =
-    {
-      id = o.o_id;
-      parent = o.o_parent;
-      name = o.o_name;
-      start_s = o.o_start;
-      dur_s = dur;
-      attrs = List.rev o.o_attrs;
-    }
-  in
-  locked (fun () ->
-      ring_push s;
-      !sink_write s);
+  if Option.is_some (Atomic.get sink) then begin
+    let line =
+      Json.to_string
+        (span_to_json
+           {
+             id = o.o_id;
+             parent = o.o_parent;
+             name = o.o_name;
+             start_s = o.o_start;
+             dur_s = dur;
+             attrs = List.rev o.o_attrs;
+           })
+      ^ "\n"
+    in
+    locked (fun () -> Option.iter (fun oc -> output_string oc line) (Atomic.get sink))
+  end;
   dur
 
 let open_span attrs name =
@@ -540,12 +537,6 @@ type event =
   | Gauge of string * float
   | Histogram of string * hist
 
-let value_to_json : value -> Json.t = function
-  | Bool b -> Json.Bool b
-  | Int i -> Json.Num (float_of_int i)
-  | Float f -> Json.Num f
-  | Str s -> Json.Str s
-
 let value_of_json : Json.t -> (value, string) result = function
   | Json.Bool b -> Ok (Bool b)
   | Json.Num f ->
@@ -554,21 +545,6 @@ let value_of_json : Json.t -> (value, string) result = function
       else Ok (Float f)
   | Json.Str s -> Ok (Str s)
   | _ -> Error "bad attribute value"
-
-let span_to_json s =
-  Json.Obj
-    [
-      ("type", Json.Str "span");
-      ("id", Json.Num (float_of_int s.id));
-      ( "parent",
-        match s.parent with
-        | None -> Json.Null
-        | Some p -> Json.Num (float_of_int p) );
-      ("name", Json.Str s.name);
-      ("start_s", Json.Num s.start_s);
-      ("dur_s", Json.Num s.dur_s);
-      ("attrs", Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) s.attrs));
-    ]
 
 let event_to_json = function
   | Span s -> span_to_json s
@@ -676,7 +652,7 @@ let event_of_json j =
       Ok (Histogram (name, { count; sum; vmin; vmax; buckets }))
   | t -> Error (Printf.sprintf "unknown event type %s" t)
 
-(* Assumes [state_lock] is held (callers: [snapshot], [close_sink]). *)
+(* Assumes [state_lock] is held (callers: [metrics], [close_sink]). *)
 let metric_events_locked () =
   let sorted tbl mk =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
@@ -686,10 +662,6 @@ let metric_events_locked () =
   sorted counters (fun (name, r) -> Counter (name, !r))
   @ sorted gauges (fun (name, r) -> Gauge (name, !r))
   @ sorted histograms (fun (name, h) -> Histogram (name, hist_of_state h))
-
-let snapshot () =
-  locked (fun () ->
-      List.map (fun s -> Span s) (ring_spans_locked ()) @ metric_events_locked ())
 
 let metrics () = locked metric_events_locked
 
@@ -728,15 +700,12 @@ let load_jsonl path =
 (* The sink                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let sink : out_channel option ref = ref None
-
 let close_sink () =
   locked (fun () ->
-      match !sink with
+      match Atomic.get sink with
       | None -> ()
       | Some oc ->
-          sink := None;
-          sink_write := (fun _ -> ());
+          Atomic.set sink None;
           List.iter
             (fun e -> output_string oc (Json.to_string (event_to_json e) ^ "\n"))
             (metric_events_locked ());
@@ -744,11 +713,7 @@ let close_sink () =
 
 let set_sink path =
   close_sink ();
-  locked (fun () ->
-      let oc = open_out path in
-      sink := Some oc;
-      sink_write :=
-        fun s -> output_string oc (Json.to_string (event_to_json (Span s)) ^ "\n"))
+  locked (fun () -> Atomic.set sink (Some (open_out path)))
 
 let with_sink path f =
   match path with
@@ -880,9 +845,6 @@ let reset () =
   stack () := [];
   ambient () := None;
   locked (fun () ->
-      ring := Array.make !ring_capacity None;
-      ring_next := 0;
-      ring_count := 0;
       Hashtbl.reset counters;
       Hashtbl.reset gauges;
       Hashtbl.reset histograms)

@@ -8,11 +8,11 @@
     consumer:
 
     - {b spans} — hierarchical wall-clock timings with attributes,
-      kept in a bounded in-memory ring buffer and optionally streamed
-      to a JSONL trace file ({!set_sink});
+      streamed to a JSONL trace file while one is open ({!set_sink})
+      and otherwise kept nowhere;
     - {b metrics} — named counters, gauges and fixed log-scale-bucket
       histograms, interned in a process-global registry;
-    - {b reporting} — {!snapshot} / {!to_jsonl} for programmatic
+    - {b reporting} — {!metrics} / {!to_jsonl} for programmatic
       access, {!load_jsonl} + {!pp_events} for the [imtp report]
       subcommand, and {!folded} for flamegraph-friendly folded stacks.
 
@@ -30,14 +30,14 @@
     {b Thread safety.}  The module is safe to use from multiple
     domains concurrently: span identifiers are allocated atomically,
     each domain tracks its own stack of open spans (so {!span} nesting
-    and {!add_attr} are race-free per domain), and the finished-span
-    ring, the trace sink and the metrics registry are guarded by one
-    internal mutex.  Spans opened on a worker domain are parented to
+    and {!add_attr} are race-free per domain), and the trace sink and
+    the metrics registry are guarded by one internal mutex, which a
+    finished span takes only while a sink is open.  Spans opened on a worker domain are parented to
     the domain's innermost open span, or — when the worker runs a task
     on behalf of a span open elsewhere (see {!with_ambient_parent}) —
     to that ambient span, so traces from parallel batches remain
     well-nested.  Metric updates ({!incr}, {!observe}, {!set_gauge})
-    are atomic with respect to each other and to {!snapshot}. *)
+    are atomic with respect to each other and to {!metrics}. *)
 
 (** {1 Attribute values} *)
 
@@ -81,15 +81,15 @@ type span = {
   dur_s : float;  (** wall-clock duration, seconds. *)
   attrs : (string * value) list;  (** key/value attributes, in order. *)
 }
-(** A finished span.  Spans are recorded when they {e finish}, so in
-    {!snapshot} a child precedes its parent. *)
+(** A finished span.  Spans are written when they {e finish}, so in a
+    trace file a child precedes its parent. *)
 
 val span : ?attrs:(string * value) list -> name:string -> (unit -> 'a) -> 'a
 (** [span ~name f] times [f ()] as a span named [name], parented to
     the innermost span currently open on the calling domain (falling
     back to the domain's ambient parent, see {!with_ambient_parent}).
-    The span is recorded — ring buffer, and sink if one is set —
-    whether [f] returns or raises. *)
+    The span is written to the sink, if one is set, whether [f]
+    returns or raises. *)
 
 val span_timed :
   ?attrs:(string * value) list -> name:string -> (unit -> 'a) -> 'a * float
@@ -178,7 +178,7 @@ val hist_quantile : hist -> float -> float
     target rank, clamped to [vmax].  [nan] when the histogram is
     empty. *)
 
-(** {1 Snapshots and the JSONL trace format} *)
+(** {1 Metric readings and the JSONL trace format} *)
 
 (** One telemetry event — a finished span or a metric reading. *)
 type event =
@@ -187,16 +187,12 @@ type event =
   | Gauge of string * float
   | Histogram of string * hist
 
-val snapshot : unit -> event list
-(** The ring buffer's spans (oldest first) followed by every
-    registered metric (each kind sorted by name).  Pure read — the
-    registry and ring are unchanged. *)
-
 val metrics : unit -> event list
-(** Just the metric readings of {!snapshot} — no spans.  This is what
-    long-running consumers (the serving daemon's [stats] endpoint)
-    poll: counters, gauges and histograms, each kind sorted by name,
-    without dragging the span ring over the wire. *)
+(** Every registered metric: counters, gauges and histograms, each kind
+    sorted by name.  Pure read — the registry is unchanged.  This is
+    what long-running consumers (the serving daemon's [stats] endpoint)
+    poll; spans are read back from a trace file ({!with_sink},
+    {!load_jsonl}). *)
 
 val event_to_json : event -> Json.t
 val event_of_json : Json.t -> (event, string) result
@@ -245,9 +241,6 @@ val folded : event list -> (string * int) list
 
 (** {1 Lifecycle} *)
 
-val set_ring_capacity : int -> unit
-(** Resize (and clear) the span ring buffer (default 8192 spans). *)
-
 val reset : unit -> unit
-(** Clear spans, open-span state and all metrics — for tests.  The
-    sink and the process epoch are left untouched. *)
+(** Clear open-span state and all metrics — for tests.  The sink and
+    the process epoch are left untouched. *)

@@ -14,7 +14,7 @@ let smoke ~name ?measure_ratio ~seed () =
   let op = Imtp.Ops.mtv 128 256 in
   let trials = 128 in
   let run ?jobs ?resume ?on_checkpoint ?stop () =
-    Imtp.Search.run ~seed ?jobs ~islands:2 ~migrate_every:1 ?measure_ratio
+    Imtp.Search.run ~seed ?jobs ~islands:2 ?measure_ratio
       ?resume ?on_checkpoint ?stop cfg op ~trials
   in
   let full_j1 = run ~jobs:1 () in

@@ -404,7 +404,9 @@ let check_against_golden ~got ~want =
 (* The history digest of fixed-seed gated tunes on one and two
    islands, recorded before the proposal tables, the residuals scored
    against the gate's predictions and the buffer rendering of log
-   lines: none of them may move a trajectory or a digest byte. *)
+   lines: none of them may move a trajectory or a digest byte.  The
+   two-island digest was re-recorded once, when the confirmation pass
+   stopped re-simulating migrants the sibling island had measured. *)
 let test_gated_history_digest_pinned () =
   let op = Ops.mtv 128 256 in
   List.iter
@@ -418,7 +420,7 @@ let test_gated_history_digest_pinned () =
         (Imtp_serve.Protocol.history_digest o))
     [
       (1, "47d30e43b723e00d013bcc16e4439893");
-      (2, "982f275c2050469c6655885bc0397dbb");
+      (2, "3096f6ff0afabb298ca30d69b664790e");
     ]
 
 let test_ungated_trace_matches_golden () =
@@ -665,13 +667,12 @@ let outcome_key (o : Se.outcome) =
    emits #(1+b); [stop] is polled after each boundary's checkpoint, so
    stopping once [!n_ck > k] interrupts right at boundary [k], whose
    snapshot is the last one emitted. *)
-let check_kill_resume ?measure_ratio ?(islands = 1) ?migrate_every ~k op
-    ~trials =
+let check_kill_resume ?measure_ratio ?(islands = 1) ~k op ~trials =
   let seed = 23 in
-  let full = Se.run ~seed ?measure_ratio ~islands ?migrate_every cfg op ~trials in
+  let full = Se.run ~seed ?measure_ratio ~islands cfg op ~trials in
   let n_ck = ref 0 and last = ref None in
   let killed =
-    Se.run ~seed ?measure_ratio ~islands ?migrate_every cfg op ~trials
+    Se.run ~seed ?measure_ratio ~islands cfg op ~trials
       ~on_checkpoint:(fun ck ->
         incr n_ck;
         last := Some ck)
@@ -712,13 +713,16 @@ let test_kill_resume_gated () =
 let test_kill_resume_islands () =
   (* kill a 2-island run right after a migration boundary's checkpoint
      and resume it: the stitched run must be bit-identical to the
-     uninterrupted one, migrations included. *)
-  check_kill_resume ~islands:2 ~migrate_every:1 ~k:1 (Ops.mtv 128 256)
-    ~trials:128
+     uninterrupted one, migrations included.  64 trials an island are
+     three generations past the initial population: boundaries 1 and 2
+     both migrate. *)
+  check_kill_resume ~islands:2 ~k:1 (Ops.mtv 128 256) ~trials:128
 
 let test_kill_resume_islands_gated () =
-  check_kill_resume ~islands:2 ~migrate_every:1 ~measure_ratio:0.2 ~k:2
-    (Ops.mmtv 8 64 64) ~trials:160
+  (* 112 trials an island: six generations, three migration boundaries,
+     killed at the second. *)
+  check_kill_resume ~islands:2 ~measure_ratio:0.2 ~k:2 (Ops.mmtv 8 64 64)
+    ~trials:224
 
 (* The committed acceptance criterion: a killed-then-resumed run on the
    golden workloads reproduces the golden trace byte-for-byte — same
@@ -872,7 +876,7 @@ let test_checkpoint_failure_propagates () =
       let n = ref 0 in
       let t0 = Unix.gettimeofday () in
       (match
-         Se.run ~seed:23 ~islands ~migrate_every:1 cfg (Ops.mtv 128 256)
+         Se.run ~seed:23 ~islands cfg (Ops.mtv 128 256)
            ~trials:128
            ~on_checkpoint:(fun _ ->
              incr n;
@@ -995,9 +999,10 @@ let prop_islands_jobs_equivalence =
 let test_migration_determinism () =
   (* migration happens at fixed generation boundaries, so two runs of
      the same seed produce identical histories, migration traffic
-     included — and the ring actually moves elites. *)
+     included — and the ring actually moves elites.  64 trials an
+     island cross two migration boundaries. *)
   let op = Ops.mtv 128 256 in
-  let run () = Se.run ~seed:17 ~islands:3 ~migrate_every:1 cfg op ~trials:96 in
+  let run () = Se.run ~seed:17 ~islands:3 cfg op ~trials:192 in
   let a = run () and b = run () in
   Alcotest.(check bool) "two same-seed island runs identical" true
     (history_key a = history_key b);
@@ -1041,18 +1046,55 @@ let test_island_outcome_shape () =
         island_best b.Ms.latency_s
   | None -> Alcotest.fail "no best"
 
-let test_one_island_ignores_migrate_every () =
-  (* a single island has nothing to migrate: its boundaries fall on
-     every generation whatever [migrate_every] says. *)
+(* A confirmation pass simulates predicted-only population members; a
+   migrant the sibling island measured is not one.  Re-simulating it
+   logged the sibling's measurement as the record's prediction. *)
+let test_confirm_skips_measured_migrants () =
+  List.iter
+    (fun (name, op, seed) ->
+      let o = Se.run ~seed ~jobs:1 ~islands:2 ~measure_ratio:0.2 cfg op ~trials:64 in
+      List.iter
+        (fun (r : Se.record) ->
+          match r.Se.predicted_s with
+          | Some p when r.Se.measured ->
+              if
+                List.exists
+                  (fun (q : Se.record) ->
+                    q.Se.island <> r.Se.island && q.Se.measured
+                    && q.Se.params = r.Se.params && q.Se.latency_s = p)
+                  o.Se.history
+              then
+                Alcotest.failf
+                  "%s seed %d: island %d trial %d predicted the sibling's \
+                   measurement"
+                  name seed r.Se.island r.Se.trial
+          | Some _ | None -> ())
+        o.Se.history)
+    [
+      ("mtv", Ops.mtv 128 256, 1);
+      ("gemv", Ops.gemv ~c:3 512 512, 2);
+      ("mmtv", Ops.mmtv 8 64 64, 5);
+    ]
+
+(* The island count is the caller's, never the environment's. *)
+let test_islands_ignore_environment () =
   let op = Ops.mtv 128 256 in
-  let run ?migrate_every ?measure_ratio () =
-    Se.run ~seed:31 ~islands:1 ?migrate_every ?measure_ratio cfg op ~trials:64
+  let tune env =
+    Unix.putenv "IMTP_ISLANDS" env;
+    match Imtp_autotune.Tuner.tune ~seed:3 ~jobs:1 ~trials:64 cfg op with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
   in
-  Alcotest.(check bool) "ungated: migrate_every:3 = default" true
-    (outcome_key (run ~migrate_every:3 ()) = outcome_key (run ()));
-  Alcotest.(check bool) "gated: migrate_every:3 = default" true
-    (outcome_key (run ~migrate_every:3 ~measure_ratio:0.2 ())
-    = outcome_key (run ~measure_ratio:0.2 ()))
+  let saved = Option.value (Sys.getenv_opt "IMTP_ISLANDS") ~default:"" in
+  let plain = tune "" and stray = tune "3" in
+  Unix.putenv "IMTP_ISLANDS" saved;
+  let search (r : Imtp_autotune.Tuner.result) = r.Imtp_autotune.Tuner.search in
+  Alcotest.(check int) "one island" 1 (search stray).Se.islands;
+  Alcotest.(check string) "same history digest"
+    (Imtp_serve.Protocol.history_digest (search plain))
+    (Imtp_serve.Protocol.history_digest (search stray));
+  Alcotest.(check bool) "same winner" true
+    (plain.Imtp_autotune.Tuner.params = stray.Imtp_autotune.Tuner.params)
 
 let test_island_defaults () =
   let op = Ops.mtv 128 256 in
@@ -1062,11 +1104,6 @@ let test_island_defaults () =
   (* defaults to one island, whatever the job count *)
   let o = Se.run ~seed:3 ~jobs:2 cfg op ~trials:64 in
   Alcotest.(check int) "defaults to one island" 1 o.Se.islands;
-  (* IMTP_ISLANDS fills in when no explicit count is given *)
-  Unix.putenv "IMTP_ISLANDS" "3";
-  let o = Se.run ~seed:3 ~jobs:1 cfg op ~trials:64 in
-  Unix.putenv "IMTP_ISLANDS" "";
-  Alcotest.(check int) "IMTP_ISLANDS respected" 3 o.Se.islands;
   (* tiny budgets shed islands so each can seed a population *)
   let o = Se.run ~seed:3 ~islands:8 cfg op ~trials:32 in
   Alcotest.(check int) "auto-shrunk to trials/16" 2 o.Se.islands;
@@ -1195,8 +1232,10 @@ let () =
             test_migration_determinism;
           Alcotest.test_case "outcome shape" `Quick test_island_outcome_shape;
           Alcotest.test_case "defaults and clamps" `Quick test_island_defaults;
-          Alcotest.test_case "one island ignores migrate_every" `Quick
-            test_one_island_ignores_migrate_every;
+          Alcotest.test_case "confirm skips measured migrants" `Quick
+            test_confirm_skips_measured_migrants;
+          Alcotest.test_case "environment sets no island count" `Quick
+            test_islands_ignore_environment;
         ] );
       ( "properties",
         q

@@ -13,16 +13,29 @@ let cfg = Imtp_upmem.Config.default
 let spans_of events =
   List.filter_map (function Obs.Span s -> Some s | _ -> None) events
 
+(* [f ()] under a trace file, and the events read back from it: the
+   spans [f] finished, then the closing metric readings. *)
+let traced f =
+  let file = Filename.temp_file "imtp_obs" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let r = Obs.with_sink (Some file) f in
+      match Obs.load_jsonl file with
+      | Ok events -> (r, events)
+      | Error m -> Alcotest.failf "load_jsonl failed: %s" m)
+
 (* --- spans --------------------------------------------------------- *)
 
 let test_span_nesting () =
   Obs.reset ();
-  let r =
+  let r, events =
+    traced @@ fun () ->
     Obs.span ~name:"outer" @@ fun () ->
     Obs.span ~name:"inner" (fun () -> 6) * 7
   in
   Alcotest.(check int) "span returns f ()" 42 r;
-  match spans_of (Obs.snapshot ()) with
+  match spans_of events with
   | [ inner; outer ] ->
       (* children finish (and are recorded) before their parent *)
       Alcotest.(check string) "child recorded first" "inner" inner.Obs.name;
@@ -40,10 +53,12 @@ let test_span_nesting () =
 
 let test_span_records_on_raise () =
   Obs.reset ();
-  (try
-     Obs.span ~name:"doomed" (fun () -> failwith "boom")
-   with Failure _ -> ());
-  match spans_of (Obs.snapshot ()) with
+  let (), events =
+    traced (fun () ->
+        try Obs.span ~name:"doomed" (fun () -> failwith "boom")
+        with Failure _ -> ())
+  in
+  match spans_of events with
   | [ s ] -> Alcotest.(check string) "span survives the raise" "doomed" s.Obs.name
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
@@ -51,9 +66,12 @@ let test_attrs () =
   Obs.reset ();
   Obs.add_attr "ignored" (Obs.Int 1);
   (* no-op outside a span *)
-  Obs.span ~attrs:[ ("op", Obs.Str "mtv") ] ~name:"s" (fun () ->
-      Obs.add_attr "hit" (Obs.Bool true));
-  match spans_of (Obs.snapshot ()) with
+  let (), events =
+    traced (fun () ->
+        Obs.span ~attrs:[ ("op", Obs.Str "mtv") ] ~name:"s" (fun () ->
+            Obs.add_attr "hit" (Obs.Bool true)))
+  in
+  match spans_of events with
   | [ s ] ->
       Alcotest.(check int) "two attrs" 2 (List.length s.Obs.attrs);
       Alcotest.(check bool) "static attr present" true
@@ -61,18 +79,6 @@ let test_attrs () =
       Alcotest.(check bool) "mid-flight attr present" true
         (List.mem_assoc "hit" s.Obs.attrs)
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
-
-let test_ring_bounded () =
-  Obs.reset ();
-  Obs.set_ring_capacity 4;
-  for i = 0 to 9 do
-    Obs.span ~name:(Printf.sprintf "s%d" i) (fun () -> ())
-  done;
-  let names = List.map (fun s -> s.Obs.name) (spans_of (Obs.snapshot ())) in
-  Alcotest.(check (list string))
-    "ring keeps the newest spans, oldest first"
-    [ "s6"; "s7"; "s8"; "s9" ] names;
-  Obs.set_ring_capacity 8192
 
 (* --- metrics ------------------------------------------------------- *)
 
@@ -165,7 +171,7 @@ let test_histogram () =
   match
     List.filter_map
       (function Obs.Histogram ("h", h) -> Some h | _ -> None)
-      (Obs.snapshot ())
+      (Obs.metrics ())
   with
   | [ h ] ->
       Alcotest.(check int) "count" 5 h.Obs.count;
@@ -210,12 +216,20 @@ let test_json_rejects_garbage () =
 
 let test_jsonl_roundtrip () =
   Obs.reset ();
-  Obs.span ~attrs:[ ("op", Obs.Str "va"); ("ok", Obs.Bool true) ] ~name:"a"
-    (fun () -> Obs.span ~name:"b" (fun () -> ()));
   Obs.incr ~by:7 "trips";
   Obs.set_gauge "best" 0.25;
   Obs.observe "lat" 0.003;
-  let events = Obs.snapshot () in
+  let span id parent name attrs =
+    Obs.Span
+      { Obs.id; parent; name; start_s = 0.125 *. float_of_int id; dur_s = 1e-3; attrs }
+  in
+  let events =
+    span 1 (Some 0) "b" []
+    :: span 0 None "a"
+         [ ("op", Obs.Str "va"); ("ok", Obs.Bool true); ("n", Obs.Int 3);
+           ("x", Obs.Float 0.1) ]
+    :: Obs.metrics ()
+  in
   let file = Filename.temp_file "imtp_obs" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
@@ -254,10 +268,13 @@ let test_sink_stream () =
 
 let test_folded () =
   Obs.reset ();
-  Obs.span ~name:"root" (fun () ->
-      Obs.span ~name:"leaf" (fun () -> Unix.sleepf 0.002);
-      Obs.span ~name:"leaf" (fun () -> Unix.sleepf 0.002));
-  let f = Obs.folded (Obs.snapshot ()) in
+  let (), events =
+    traced (fun () ->
+        Obs.span ~name:"root" (fun () ->
+            Obs.span ~name:"leaf" (fun () -> Unix.sleepf 0.002);
+            Obs.span ~name:"leaf" (fun () -> Unix.sleepf 0.002)))
+  in
+  let f = Obs.folded events in
   Alcotest.(check bool) "leaf path present under root" true
     (List.mem_assoc "root;leaf" f);
   Alcotest.(check bool) "both leaf occurrences summed" true
@@ -320,7 +337,6 @@ let () =
           Alcotest.test_case "recorded on raise" `Quick
             test_span_records_on_raise;
           Alcotest.test_case "attributes" `Quick test_attrs;
-          Alcotest.test_case "ring buffer bounded" `Quick test_ring_bounded;
         ] );
       ( "metrics",
         [
