@@ -700,13 +700,13 @@ let serve_cmd =
   in
   let max_sessions_arg =
     Arg.(
-      value & opt int 2
+      value & opt positive_int 2
       & info [ "max-sessions" ] ~docv:"N"
           ~doc:"Concurrent tune sessions; further requests queue.")
   in
   let queue_limit_arg =
     Arg.(
-      value & opt int 16
+      value & opt positive_int 16
       & info [ "queue-limit" ] ~docv:"N"
           ~doc:
             "Waiting tune requests before new ones are refused with the \
@@ -714,7 +714,7 @@ let serve_cmd =
   in
   let checkpoint_every_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "checkpoint-every" ] ~docv:"G"
           ~doc:"Checkpoint period, in search generations.")
   in

@@ -17,22 +17,9 @@ let error_to_string = function
   | Lower_failed m -> "lower: " ^ m
   | Cost_failed m -> "cost: " ^ m
 
-type artifact = {
-  key : string;
-  sched : Imtp_schedule.Sched.t;
-  lowered : Imtp_tir.Program.t;
-  program : Imtp_tir.Program.t;
-  stats : Imtp_upmem.Stats.t;
-}
-
-type measurement = { artifact : artifact; latency_s : float; from_cache : bool }
-
-type prepared = {
-  pkey : string;
-  psched : Imtp_schedule.Sched.t;
-  plowered : Imtp_tir.Program.t;
-  pprogram : Imtp_tir.Program.t;
-}
+type artifact = { program : Imtp_tir.Program.t; stats : Imtp_upmem.Stats.t }
+type measurement = { artifact : artifact; latency_s : float }
+type prepared = { pkey : string; pprogram : Imtp_tir.Program.t }
 
 type counters = {
   lookups : int;
@@ -70,7 +57,6 @@ type entry = {
 
 type t = {
   cfg : Imtp_upmem.Config.t;
-  max_entries : int;
   lock : Mutex.t;
       (* Guards the two tables, the entries' and prefixes' mutable
          fields and [c].  Stage work (sketch, lower, passes, verify,
@@ -94,10 +80,13 @@ let zero_counters =
     costed = 0;
   }
 
-let create ?(max_entries = 4096) cfg =
+(* The memo table's bound, in keys: a full table is reset rather than
+   grown. *)
+let max_entries = 4096
+
+let create cfg =
   {
     cfg;
-    max_entries;
     lock = Mutex.create ();
     ready = Condition.create ();
     entries = Hashtbl.create 256;
@@ -105,7 +94,6 @@ let create ?(max_entries = 4096) cfg =
     c = zero_counters;
   }
 
-let config t = t.cfg
 let locked t f = Mutex.protect t.lock f
 
 (* A consistent snapshot: the counters record is immutable, so taking
@@ -218,8 +206,7 @@ let make_key ~passes ~skip_inputs ~verify op ~body_len write_body =
   Bytes.unsafe_blit_string opk 0 b pos (String.length opk);
   Bytes.unsafe_to_string b
 
-let fingerprint ?(passes = Pl.all_on) ?(skip_inputs = []) ?(verify = true) op
-    (p : Sketch.params) =
+let fingerprint ~passes ~skip_inputs ~verify op (p : Sketch.params) =
   make_key ~passes ~skip_inputs ~verify op ~body_len:56 (fun b pos ->
       let pos = put_int b pos p.Sketch.spatial_dpus in
       let pos = put_int b pos p.Sketch.reduction_dpus in
@@ -233,7 +220,7 @@ let fingerprint ?(passes = Pl.all_on) ?(skip_inputs = []) ?(verify = true) op
    parameters.  Candidates the sketch cannot tile get no shared prefix. *)
 let prefix_key ~passes ~skip_inputs ~verify op params =
   match Sketch.canonical op params with
-  | exception (Invalid_argument _ | Division_by_zero) -> None
+  | exception Invalid_argument _ -> None
   | c ->
       let body_len =
         List.fold_left
@@ -343,7 +330,7 @@ let count_lookups t ~n ~hits ~shared =
 (* Under the lock: room for one more key.  A full table is reset rather
    than grown, the prefix index with it. *)
 let make_room t =
-  if Hashtbl.length t.entries >= t.max_entries then begin
+  if Hashtbl.length t.entries >= max_entries then begin
     Hashtbl.reset t.entries;
     Hashtbl.reset t.prefixes;
     t.c <- { t.c with evictions = t.c.evictions + 1 };
@@ -422,7 +409,7 @@ let prepare_uncached t ~passes ~options ~verify ~key op params =
   let* lowered = stage_lower ~options sched in
   let program = stage_passes ~passes t.cfg lowered in
   let* () = if verify then stage_verify_program t.cfg program else Ok () in
-  Ok { pkey = key; psched = sched; plowered = lowered; pprogram = program }
+  Ok { pkey = key; pprogram = program }
 
 (* An entry's prefix under the entry's own key: built here from the
    requesting candidate when nobody has built it yet, awaited while
@@ -464,8 +451,7 @@ let entry_of t ~passes ?(skip_inputs = []) ~verify op params =
   in
   (e, prefix_of t e ~passes ~skip_inputs ~verify op params, found, shared)
 
-let artifact_of (p : prepared) stats =
-  { key = p.pkey; sched = p.psched; lowered = p.plowered; program = p.pprogram; stats }
+let artifact_of (p : prepared) stats = { program = p.pprogram; stats }
 
 (* The cost stage of an entry, run once per entry: a concurrent
    requester waits for a run in flight.  Every run is one simulator
@@ -500,10 +486,9 @@ let noisy ?rng base =
   | None -> base
   | Some r -> base *. (1. +. (noise_amplitude *. ((2. *. Rng.float r 1.) -. 1.)))
 
-let measurement ?rng (r, from_cache) =
+let measurement ?rng r =
   Result.map
-    (fun artifact ->
-      { artifact; latency_s = noisy ?rng (Stats.total_s artifact.stats); from_cache })
+    (fun artifact -> { artifact; latency_s = noisy ?rng (Stats.total_s artifact.stats) })
     r
 
 let build_outcome t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
@@ -521,16 +506,7 @@ let build t ?passes ?skip_inputs ?verify op params =
   fst (build_outcome t ?passes ?skip_inputs ?verify op params)
 
 let measure t ?rng ?passes ?skip_inputs ?verify op params =
-  measurement ?rng (build_outcome t ?passes ?skip_inputs ?verify op params)
-
-let find t ?passes ?skip_inputs ?verify op params =
-  let key = fingerprint ?passes ?skip_inputs ?verify op params in
-  locked t (fun () ->
-      match Hashtbl.find_opt t.entries key with
-      | Some { prefix = { result = Ready (Error err); _ }; _ } -> Some (Error err)
-      | Some { prefix = { result = Ready (Ok p); _ }; cost = Ready r; _ } ->
-          Some (Result.map (artifact_of { p with pkey = key }) r)
-      | Some _ | None -> None)
+  measurement ?rng (build t ?passes ?skip_inputs ?verify op params)
 
 let prepare t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
   Obs.span ~name:"engine.prepare"
@@ -581,9 +557,9 @@ let simulate t ?rng (p : prepared) =
                 Hashtbl.replace t.entries p.pkey e;
                 e)
       in
-      let ((_, hit) as o) = cost_entry t e p in
+      let r, hit = cost_entry t e p in
       Obs.add_attr "hit" (Obs.Bool hit);
-      measurement ?rng o)
+      measurement ?rng r)
 
 (* Functional execution of a built program.  All hot-path executions
    (CLI runs, graph nodes, the core [Imtp.execute]) funnel through
@@ -593,23 +569,16 @@ let execute prog ~inputs =
     ~attrs:[ ("executor", Obs.Str (Imtp_tir.Exec.backend_name ())) ]
     (fun () -> Imtp_tir.Exec.run_counted prog ~inputs)
 
-(* How each batch slot finds its entry, decided up front in list order
-   so the hit/miss/shared ledger and [from_cache] flags are the same no
-   matter how many domains then race on the work:
-   - [Slot e]: the slot's own entry — found in the table when the batch
-     started, or filed now (a miss, or a hit on a shared prefix).  The
-     entry is captured so a mid-batch eviction can't change it.
-   - [Dup i]: later occurrence of slot [i]'s key; a cache hit (as the
-     sequential walk would see it) sharing slot [i]'s entry. *)
-type plan = Slot of entry | Dup of int
-
-(* The classify-and-dispatch driver behind [prepare_batch] and [batch]:
-   one lookup per slot, the slots' prefixes built (or awaited) across
-   the pool and, with [~cost], each entry's cost stage run once, by the
-   first slot holding it.  Returns every slot's entry, its prefix and
-   whether that slot ran the cost stage. *)
-let run_batch t ~name ?jobs ~cost ~passes ?(skip_inputs = []) ~verify op
-    candidates =
+(* The driver behind [prepare_batch] and [batch]: one lookup per slot,
+   taken in list order under one lock, so a later duplicate of a key
+   finds the entry an earlier slot just filed and the hit/miss/shared
+   ledger is the same no matter how many domains then race on the
+   work.  Each slot's entry is captured there, so a mid-batch eviction
+   can't change it.  The slots' prefixes are then built (or awaited)
+   across the pool, and [finish] runs on each slot's entry and prefix
+   there too. *)
+let run_batch t ~name ?jobs ~passes ?(skip_inputs = []) ~verify op candidates
+    finish =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let cands = Array.of_list candidates in
   let n = Array.length cands in
@@ -621,45 +590,32 @@ let run_batch t ~name ?jobs ~cost ~passes ?(skip_inputs = []) ~verify op
   let keys =
     Array.map (fun p -> fingerprint ~passes ~skip_inputs ~verify op p) cands
   in
-  let plan, misses, shared =
+  let entries, misses, shared =
     locked t (fun () ->
-        let first = Hashtbl.create (max 16 n) in
         let misses = ref 0 and shared = ref 0 in
-        let plan =
+        let entries =
           Array.mapi
             (fun i key ->
-              match Hashtbl.find_opt first key with
-              | Some i0 -> Dup i0
-              | None -> (
-                  Hashtbl.add first key i;
-                  match Hashtbl.find_opt t.entries key with
-                  | Some e -> Slot e
-                  | None ->
-                      let prefix_key =
-                        prefix_key ~passes ~skip_inputs ~verify op cands.(i)
-                      in
-                      let e, sh = file t key ~prefix_key in
-                      if sh then incr shared else incr misses;
-                      Slot e))
+              match Hashtbl.find_opt t.entries key with
+              | Some e -> e
+              | None ->
+                  let prefix_key =
+                    prefix_key ~passes ~skip_inputs ~verify op cands.(i)
+                  in
+                  let e, sh = file t key ~prefix_key in
+                  if sh then incr shared else incr misses;
+                  e)
             keys
         in
         count_lookups t ~n ~hits:(n - !misses) ~shared:!shared;
-        (plan, !misses, !shared))
+        (entries, !misses, !shared))
   in
-  let prefixes = Array.make n None in
-  let ran_cost = Array.make n false in
   let run i =
     Obs.with_ambient_parent parent @@ fun () ->
-    match plan.(i) with
-    | Dup _ -> ()
-    | Slot e -> (
-        let r = prefix_of t e ~passes ~skip_inputs ~verify op cands.(i) in
-        prefixes.(i) <- Some r;
-        match r with
-        | Ok p when cost -> ran_cost.(i) <- not (snd (cost_entry t e p))
-        | Ok _ | Error _ -> ())
+    let e = entries.(i) in
+    finish e (prefix_of t e ~passes ~skip_inputs ~verify op cands.(i))
   in
-  let (_ : unit array), util = Pool.map_stats ~jobs run n in
+  let results, util = Pool.map_stats ~jobs run n in
   Obs.add_attr "hits" (Obs.Int (n - misses));
   Obs.add_attr "misses" (Obs.Int misses);
   Obs.add_attr "shared" (Obs.Int shared);
@@ -669,39 +625,27 @@ let run_batch t ~name ?jobs ~cost ~passes ?(skip_inputs = []) ~verify op
        (String.concat ","
           (Array.to_list util
           |> List.map (fun (tasks, busy) -> Printf.sprintf "%d:%.4fs" tasks busy))));
-  Array.mapi
-    (fun i -> function
-      | Slot e -> (e, Option.get prefixes.(i), ran_cost.(i))
-      | Dup i0 -> (
-          match plan.(i0) with
-          | Slot e -> (e, Option.get prefixes.(i0), false)
-          | Dup _ -> assert false))
-    plan
+  results
 
 let prepare_batch t ?jobs ?(passes = Pl.all_on) ?skip_inputs ?(verify = true)
     op candidates =
-  let slots =
-    run_batch t ~name:"engine.prepare_batch" ?jobs ~cost:false ~passes
-      ?skip_inputs ~verify op candidates
+  let prefixes =
+    run_batch t ~name:"engine.prepare_batch" ?jobs ~passes ?skip_inputs ~verify
+      op candidates (fun _ prefix -> prefix)
   in
-  List.mapi
-    (fun i p ->
-      let _, prefix, _ = slots.(i) in
-      (p, prefix))
-    candidates
+  List.mapi (fun i p -> (p, prefixes.(i))) candidates
 
 let batch t ?jobs ?rng ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
     candidates =
   (* One draw per batch: the caller's rng advances identically whatever
      [jobs] is, and candidate [i]'s noise comes from its own stream. *)
   let base = Option.map Rng.bits rng in
-  let slots =
-    run_batch t ~name:"engine.batch" ?jobs ~cost:true ~passes ?skip_inputs
-      ~verify op candidates
+  let outcomes =
+    run_batch t ~name:"engine.batch" ?jobs ~passes ?skip_inputs ~verify op
+      candidates (fun e prefix -> fst (outcome t e prefix))
   in
   List.mapi
     (fun i p ->
-      let e, prefix, ran_cost = slots.(i) in
       let rng = Option.map (fun base -> Rng.stream ~base ~index:i) base in
-      (p, measurement ?rng (fst (outcome t e prefix), not ran_cost)))
+      (p, measurement ?rng outcomes.(i)))
     candidates

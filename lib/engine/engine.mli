@@ -8,8 +8,8 @@
 
     {v params -> sched -> lowered program -> pass-optimized program -> stats v}
 
-    exists exactly once.  Results are memoized in a table keyed by
-    {!fingerprint}: the operator, the sketch parameters, the pass
+    exists exactly once.  Results are memoized in a table keyed by the
+    operator ({!op_key}), the sketch parameters, the pass
     configuration, the resident inputs and the verify toggle, so
     repeated candidates (common under mutation-based evolutionary
     search) are served from cache instead of being re-lowered and
@@ -47,21 +47,14 @@
     prefix index and the counters, and all stage work runs outside it,
     so a batch can dispatch candidates across a {!Pool} of worker domains
     ([?jobs], default {!Pool.default_jobs}).  Parallelism never changes
-    answers: a batch classifies every slot up front (cache hit, new
-    entry on a new or a shared prefix, or duplicate of an earlier
-    slot), draws one
-    value from the caller's [rng] and gives candidate [i] the
-    derived stream [Rng.stream ~base ~index:i], so results, order,
-    latencies, [from_cache] flags and the integer counters are
-    identical at any job count, and [~jobs:1] runs the same classified
-    path inline on the calling domain with no domains spun up.  The
-    only caveat: a duplicate slot shares its builder's entry directly,
-    so if an eviction fires {e mid-batch} (a batch of distinct new keys
-    larger than the remaining [max_entries] headroom) the sequential
-    walk could in principle rebuild where the parallel one reuses —
-    same values either way, it is only the [from_cache]/counter ledger
-    that is defined by the classified contract rather than the table's
-    transient state. *)
+    answers: a batch looks every slot up in list order under the lock
+    before any work starts (a later duplicate of a key finds the entry
+    an earlier slot filed, and is a hit), draws one value from the
+    caller's [rng] and gives candidate [i] the derived stream
+    [Rng.stream ~base ~index:i], so results, order, latencies and the
+    integer counters are identical at any job count, and [~jobs:1]
+    runs the same path inline on the calling domain with no domains
+    spun up. *)
 
 (** Why a candidate failed to build, stage by stage. *)
 type error =
@@ -77,27 +70,22 @@ val error_to_string : error -> string
     (["sketch: ..."], ["verifier: ..."], ["lower: ..."], ["cost: ..."]). *)
 
 type artifact = {
-  key : string;  (** the {!fingerprint} this artifact is cached under. *)
-  sched : Imtp_schedule.Sched.t;  (** instantiated schedule. *)
-  lowered : Imtp_tir.Program.t;  (** raw lowering, before passes. *)
   program : Imtp_tir.Program.t;  (** after the PIM-aware passes. *)
   stats : Imtp_upmem.Stats.t;  (** deterministic latency breakdown. *)
 }
-(** Everything the staged pipeline produces for one candidate. *)
+(** What the staged pipeline keeps of one candidate: the program its
+    callers execute and the statistics they rank it by. *)
 
 type measurement = {
   artifact : artifact;
   latency_s : float;
       (** the tuning objective: [Stats.total_s artifact.stats], with
           multiplicative measurement noise when an [rng] was given. *)
-  from_cache : bool;  (** whether the artifact was served from cache. *)
 }
 
 type prepared = {
-  pkey : string;  (** the same key an {!artifact} would use. *)
-  psched : Imtp_schedule.Sched.t;
-  plowered : Imtp_tir.Program.t;
-  pprogram : Imtp_tir.Program.t;
+  pkey : string;  (** the cache key of the candidate's entry. *)
+  pprogram : Imtp_tir.Program.t;  (** after the PIM-aware passes. *)
 }
 (** Everything the pipeline produces {e before} the cost stage — the
     cheap prefix (sketch, verify, lower, passes) whose lowered TIR the
@@ -120,7 +108,8 @@ type counters = {
       (** the hits that filed a new entry on the prefix of a
           canonical-equal candidate: builds the prefix index saved. *)
   evictions : int;
-      (** table resets after exceeding [max_entries]. *)
+      (** table resets: a full table (4096 keys) is reset rather than
+          grown. *)
   built : int;  (** prepared prefixes constructed. *)
   failed : int;
       (** typed errors constructed (and cached): failed prefixes and
@@ -141,13 +130,10 @@ type t
     and counters.  Create a fresh engine per independent search run for
     run-local deduplication, or share one across runs to reuse builds. *)
 
-val create : ?max_entries:int -> Imtp_upmem.Config.t -> t
-(** [max_entries] (default 4096) bounds the memo table in keys — a
-    candidate prepared and then simulated takes one; when exceeded the
-    table is reset (counted in [evictions]) rather than grown, the
-    prefix index with it. *)
-
-val config : t -> Imtp_upmem.Config.t
+val create : Imtp_upmem.Config.t -> t
+(** The memo table holds up to 4096 keys — a candidate prepared and
+    then simulated takes one; the next new key resets it (counted in
+    [evictions]), the prefix index with it. *)
 
 val counters : t -> counters
 (** A consistent snapshot, taken under the engine lock — safe to diff
@@ -164,20 +150,6 @@ val noise_amplitude : float
 val op_key : Imtp_workload.Op.t -> string
 (** Canonical serialization of an operator definition (name, dtype,
     axes, tensor bindings, element expression). *)
-
-val fingerprint :
-  ?passes:Imtp_passes.Pipeline.config ->
-  ?skip_inputs:string list ->
-  ?verify:bool ->
-  Imtp_workload.Op.t ->
-  Sketch.params ->
-  string
-(** The cache key of a sketch candidate over the operator, the
-    parameters, the pass configuration, the resident inputs and the
-    verify toggle: a binary string of
-    fixed-width and length-prefixed fields followed by {!op_key},
-    built without formatting or hashing.  Stable across engine
-    instances and process runs. *)
 
 (** {2 The staged pipeline} *)
 
@@ -222,17 +194,6 @@ val build :
     be disabled for experiments that deliberately sweep beyond
     hardware limits. *)
 
-val find :
-  t ->
-  ?passes:Imtp_passes.Pipeline.config ->
-  ?skip_inputs:string list ->
-  ?verify:bool ->
-  Imtp_workload.Op.t ->
-  Sketch.params ->
-  (artifact, error) result option
-(** Pure cache inspection: no build, no counter updates.  [None] also
-    for a candidate that was prepared but never costed. *)
-
 val measure :
   t ->
   ?rng:Rng.t ->
@@ -245,8 +206,7 @@ val measure :
 (** {!build} plus the measurement objective.  [rng] draws fresh ±2 %
     multiplicative noise per call — also on cache hits, modelling
     run-to-run variation of a real re-measurement — while the cached
-    [stats] stay bit-identical.  [from_cache] is whether the cost
-    outcome was already cached. *)
+    [stats] stay bit-identical. *)
 
 val execute :
   Imtp_tir.Program.t ->
@@ -272,8 +232,7 @@ val batch :
     the same pool dispatch (up to [jobs] domains, default
     {!Pool.default_jobs}; [~jobs:1] stays on the calling domain).
     Results keep candidate order and are bit-identical at any job
-    count; a slot's [from_cache] is false only in the slot that ran the
-    cost stage.  With an [rng], exactly one value is drawn from it per
+    count.  With an [rng], exactly one value is drawn from it per
     call and candidate [i]'s ±2 % noise comes from
     [Rng.stream ~base ~index:i] (see the determinism contract above).
     The [engine.batch] span records [jobs], [hits], [misses], [shared],
@@ -311,7 +270,7 @@ val prepare_batch :
   Sketch.params list ->
   (Sketch.params * (prepared, error) result) list
 (** Prepare a whole generation across up to [jobs] domains, under the
-    ahead-of-time classification contract above (one lookup per slot):
+    determinism contract above (one lookup per slot, in list order):
     results, order and the hit/miss ledger are bit-identical at any job
     count.  Draws nothing from any rng — ranking a population must
     leave the caller's noise stream untouched.  The

@@ -96,16 +96,30 @@ let tile_reduce ~k p =
     [ max 1 (ceil_div k (p.reduction_dpus * p.cache_elems)); p.cache_elems ]
   else [ p.cache_elems ]
 
+(* Every field is a count the templates divide by or tile with. *)
+let check_positive p =
+  let field name v =
+    if v < 1 then
+      invalid_arg (Printf.sprintf "Sketch.canonical: %s = %d, expected >= 1" name v)
+  in
+  field "spatial_dpus" p.spatial_dpus;
+  field "reduction_dpus" p.reduction_dpus;
+  field "tasklets" p.tasklets;
+  field "cache_elems" p.cache_elems;
+  field "rows_per_tasklet" p.rows_per_tasklet;
+  field "host_threads" p.host_threads
+
 let canonical op =
   let fam = family_of op in
   let extents = Array.of_list (List.map (fun a -> a.Op.extent) op.Op.axes) in
   let extent i = extents.(i) in
   fun p ->
+    check_positive p;
     let splits, rfactor =
       match fam with
       | Elementwise -> ([ tile_1d ~n:(extent 0) ~dpus:p.spatial_dpus p ], false)
       | Tasklet_reduce ->
-          ([ tile_1d ~n:(extent 0) ~dpus:(max 1 p.reduction_dpus) p ], true)
+          ([ tile_1d ~n:(extent 0) ~dpus:p.reduction_dpus p ], true)
       | Mat_vec ->
           ( [ tile_rows ~rows:(extent 0) ~dpus:p.spatial_dpus p;
               tile_reduce ~k:(extent 1) p ],

@@ -76,7 +76,8 @@ val canonical : Imtp_workload.Op.t -> params -> tiling
     lowered program.  Arithmetic only — no schedule is constructed.
     [canonical op] reads the op once, so a caller tiling many points of
     one op applies it once.
-    @raise Invalid_argument as {!family_of}, when applied to [op]. *)
+    @raise Invalid_argument as {!family_of}, when applied to [op], and
+    naming the field when a field of [p] is below 1. *)
 
 val instantiate : Imtp_workload.Op.t -> params -> Imtp_schedule.Sched.t
 (** Build the schedule for the op's family from [canonical op p].

@@ -293,7 +293,7 @@ let test_folded () =
 let prop_engine_bit_identical =
   (* variable identifiers are freshly generated on every lowering, so
      two builds of the same candidate are compared through the printed
-     program (which is stable) plus the key and the full stats record. *)
+     program (which is stable) plus the full stats record. *)
   let print_program p =
     Format.asprintf "%a" Imtp_tir.Printer.pp_program p
   in
@@ -319,9 +319,7 @@ let prop_engine_bit_identical =
       Obs.reset ();
       match (plain, traced) with
       | Ok a, Ok b ->
-          a.E.key = b.E.key && a.E.sched = b.E.sched
-          && print_program a.E.lowered = print_program b.E.lowered
-          && print_program a.E.program = print_program b.E.program
+          print_program a.E.program = print_program b.E.program
           && a.E.stats = b.E.stats
       | Error a, Error b -> a = b
       | _ -> false)

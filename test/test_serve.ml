@@ -295,6 +295,25 @@ let test_daemon_run_and_stats () =
           | Error (Client.Server (P.Not_found, _)) -> ()
           | Error e -> fail_client e
           | Ok _ -> Alcotest.fail "missing log accepted");
+          (* a logged schedule with a zero field is an engine error, not
+             an internal one *)
+          let log = Filename.temp_file "imtp_zero_rows" ".log" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove log)
+            (fun () ->
+              Out_channel.with_open_text log (fun oc ->
+                  output_string oc
+                    "# imtp-tuning-log op=mmtv\n\
+                     trial=0 latency=2.1e-03 sd=32 rd=16 t=4 c=512 rows=0 \
+                     unroll=0 ht=1 measured=1\n");
+              match Client.replay c ~log ~sizes:[ 16; 64; 256 ] with
+              | Error (Client.Server (P.Engine_error, m)) ->
+                  Alcotest.(check bool)
+                    ("a sketch error: " ^ m)
+                    true
+                    (String.starts_with ~prefix:"sketch: " m)
+              | Error e -> fail_client e
+              | Ok _ -> Alcotest.fail "rows=0 replayed");
           let stats = ok (Client.stats c) in
           ignore (jobj stats "engine");
           let pool = jobj stats "pool" in
