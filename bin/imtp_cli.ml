@@ -192,9 +192,7 @@ let run_cmd =
         in
         let got = List.assoc (fst op.Imtp.Op.output) outs in
         let want = Imtp.Op.reference op inputs in
-        let ok =
-          Imtp.Tensor.to_value_list got = Imtp.Tensor.to_value_list want
-        in
+        let ok = Imtp.Tensor.same_values got want in
         Format.printf "result: %s@." (if ok then "VALID" else "MISMATCH");
         Format.printf "timing: %a@." Imtp.Stats.pp art.Imtp.Engine.stats;
         if not ok then exit 1
@@ -420,9 +418,7 @@ let graph_cmd =
             | None -> ()
             | Some got ->
                 incr checked;
-                if Imtp.Tensor.to_value_list got
-                   <> Imtp.Tensor.to_value_list want
-                then begin
+                if not (Imtp.Tensor.same_values got want) then begin
                   incr bad;
                   Format.eprintf "MISMATCH at %s (%s)@." id gname
                 end)

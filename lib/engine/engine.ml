@@ -508,16 +508,21 @@ let build t ?passes ?skip_inputs ?verify op params =
 let measure t ?rng ?passes ?skip_inputs ?verify op params =
   measurement ?rng (build t ?passes ?skip_inputs ?verify op params)
 
+(* A warm hit costs little more than its span's attributes would, so
+   they are built only while a trace sink can receive them. *)
 let prepare t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
+  let traced = Obs.sink_open () in
   Obs.span ~name:"engine.prepare"
-    ~attrs:[ ("op", Obs.Str op.Op.opname) ]
+    ~attrs:(if traced then [ ("op", Obs.Str op.Op.opname) ] else [])
     (fun () ->
       let _, prefix, found, shared =
         entry_of t ~passes ?skip_inputs ~verify op params
       in
-      Obs.add_attr "hit" (Obs.Bool (found || shared));
-      Obs.add_attr "shared" (Obs.Bool shared);
-      Obs.add_attr "ok" (Obs.Bool (Result.is_ok prefix));
+      if traced then begin
+        Obs.add_attr "hit" (Obs.Bool (found || shared));
+        Obs.add_attr "shared" (Obs.Bool shared);
+        Obs.add_attr "ok" (Obs.Bool (Result.is_ok prefix))
+      end;
       prefix)
 
 (* Computed outside the lock like every stage; two domains racing on

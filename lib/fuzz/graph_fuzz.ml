@@ -78,8 +78,6 @@ let spec_of_seed ~seed ~index =
   let rng = Rng.stream ~base:seed ~index in
   random_spec rng ~seed ~index
 
-let tensors_equal a b = T.to_value_list a = T.to_value_list b
-
 (* One case: compile the graph fused+resident and unfused, run both,
    and demand
    - every unfused node output is bit-identical to the reference chain,
@@ -107,7 +105,7 @@ let check ?(trials = 12) ~engine cfg ~seed ~index () =
           (fun (id, want) ->
             let gname = Graph.tid_name (List.assoc id ids) in
             match List.assoc_opt gname outs with
-            | Some got when tensors_equal got want -> None
+            | Some got when T.same_values got want -> None
             | Some _ -> Some (variant, id, gname, "diverges from reference")
             | None when require_all ->
                 Some (variant, id, gname, "not materialized")
@@ -132,7 +130,7 @@ let check ?(trials = 12) ~engine cfg ~seed ~index () =
               List.find_opt
                 (fun (name, ev) ->
                   match List.assoc_opt name couts with
-                  | Some cv -> not (tensors_equal ev cv)
+                  | Some cv -> not (T.same_values ev cv)
                   | None -> true)
                 eouts
             with

@@ -46,7 +46,9 @@ let lower case =
   Result.map_error Engine.error_to_string
     (Engine.lower ~options:case.options sched)
 
-(* First index where two value lists diverge. *)
+(* First flat index where two tensors' values diverge by
+   [Value.compare]; [same_values] settles the common equal case without
+   building the value lists. *)
 let first_diff got want =
   let rec go i g w =
     match (g, w) with
@@ -56,7 +58,8 @@ let first_diff got want =
     | x :: _, [] -> Some (i, x, T.Value.Int 0)
     | [], y :: _ -> Some (i, T.Value.Int 0, y)
   in
-  go 0 got want
+  if T.Tensor.same_values got want then None
+  else go 0 (T.Tensor.to_value_list got) (T.Tensor.to_value_list want)
 
 (* One run through an executor, with Eval.Error reified so the two
    executors' outcomes can be compared. *)
@@ -97,11 +100,7 @@ let diff_outcomes compiled interpreted =
             if not (String.equal n1 n2) then
               Some (Printf.sprintf "buffer order: %s vs %s" n1 n2)
             else if not (T.Tensor.equal t1 t2) then
-              let d =
-                first_diff
-                  (T.Tensor.to_value_list t1)
-                  (T.Tensor.to_value_list t2)
-              in
+              let d = first_diff t1 t2 in
               Some
                 (match d with
                 | Some (i, g, w) ->
@@ -147,10 +146,7 @@ let check_config op inputs want raw (name, config) =
     | `Mismatch detail -> `Mismatch (name, detail)
     | `Run (Error m) -> raise (Eval.Error m)
     | `Run (Ok (outs, counters)) ->
-        let got =
-          T.Tensor.to_value_list (List.assoc (fst op.Op.output) outs)
-        in
-        `Checked (prog, counters, got)
+        `Checked (prog, counters, List.assoc (fst op.Op.output) outs)
   with
   | exception Eval.Error m -> Some (Crash { config = name; message = m })
   | exception Cost.Error m -> Some (Crash { config = name; message = m })
@@ -191,7 +187,7 @@ let check case =
   | Ok raw -> (
       let op = Gen_workload.op case.workload in
       let inputs = Ops.random_inputs ~seed:case.input_seed op in
-      let want = T.Tensor.to_value_list (Op.reference op inputs) in
+      let want = Op.reference op inputs in
       let cfgs = configs case in
       let rec go checked = function
         | [] -> Passed { configs_checked = checked }

@@ -322,6 +322,7 @@ let with_ambient_parent parent f =
 (* The trace sink.  Set and cleared under [state_lock]; read without
    it first, so a span finished while no sink is open takes no lock. *)
 let sink : out_channel option Atomic.t = Atomic.make None
+let sink_open () = Option.is_some (Atomic.get sink)
 
 (* Writes the span to the sink, if one is open, and returns its
    duration. *)
@@ -338,7 +339,7 @@ let finish_span o =
         | [] -> []
       in
       stack := pop !stack);
-  if Option.is_some (Atomic.get sink) then begin
+  if sink_open () then begin
     let line =
       Json.to_string
         (span_to_json

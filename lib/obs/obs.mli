@@ -218,6 +218,11 @@ val close_sink : unit -> unit
 (** Append a final metrics snapshot (counters, gauges, histograms) and
     close the file.  No-op when no sink is active. *)
 
+val sink_open : unit -> bool
+(** Whether a trace sink is open: one atomic read, no lock.  Attributes
+    reach nothing but the sink, so a hot span may build them only while
+    this holds. *)
+
 val with_sink : string option -> (unit -> 'a) -> 'a
 (** [with_sink (Some path) f] brackets [f] with {!set_sink} /
     {!close_sink} (closing on exceptions too); [with_sink None f] is

@@ -42,17 +42,20 @@ let linearize t idx =
   done;
   !off
 
-let delinearize t off =
-  if off < 0 || off >= size t then invalid_arg "Shape.delinearize: offset";
-  let s = strides t in
-  Array.mapi (fun i _ -> off / s.(i) mod t.(i)) t
-
 let equal a b = a = b
 
+(* An odometer over the index, last axis fastest. *)
 let iter t f =
-  let total = size t in
-  for off = 0 to total - 1 do
-    f (delinearize t off)
+  let n = Array.length t in
+  let idx = Array.make n 0 in
+  for _ = 1 to size t do
+    f (Array.copy idx);
+    let i = ref (n - 1) in
+    while !i >= 0 && idx.(!i) = t.(!i) - 1 do
+      idx.(!i) <- 0;
+      decr i
+    done;
+    if !i >= 0 then idx.(!i) <- idx.(!i) + 1
   done
 
 let to_string t =

@@ -21,14 +21,13 @@ val linearize : t -> int array -> int
 (** [linearize shape idx] maps a multi-index to its flat offset.
     @raise Invalid_argument if [idx] is out of bounds or wrong rank. *)
 
-val delinearize : t -> int -> int array
-(** Inverse of {!linearize}. *)
-
 val in_bounds : t -> int array -> bool
 val equal : t -> t -> bool
 val iter : t -> (int array -> unit) -> unit
-(** Row-major iteration over all multi-indices.  The callback receives a
-    fresh array each call. *)
+(** Row-major iteration over all multi-indices: the [k]-th index the
+    callback receives linearizes to [k].  Each call receives a fresh
+    array, so a callback may keep or mutate it without disturbing the
+    walk. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -68,7 +68,10 @@ let set t idx v = set_flat t (Shape.linearize t.shape idx) v
 
 let init dt shape f =
   let t = create dt shape in
-  Shape.iter shape (fun idx -> set t idx (f idx));
+  let off = ref 0 in
+  Shape.iter shape (fun idx ->
+      set_flat t !off (f idx);
+      incr off);
   t
 
 let scalar v =
@@ -145,6 +148,16 @@ let close ?(rtol = 1e-4) ?(atol = 1e-5) a b =
    !ok)
 
 let to_value_list t = List.init (size t) (get_flat t)
+
+(* [to_value_list a = to_value_list b] without the lists: polymorphic
+   equality on the flat arrays differs on length and compares floats
+   with IEEE [=].  A shape is never empty, so an int and a float tensor
+   always differ. *)
+let same_values a b =
+  match (view a, view b) with
+  | Ints x, Ints y -> x = y
+  | Floats x, Floats y -> x = y
+  | Ints _, Floats _ | Floats _, Ints _ -> false
 
 let pp ppf t =
   let n = min 16 (size t) in

@@ -7,6 +7,11 @@ val create : Dtype.t -> Shape.t -> t
 (** Zero-initialized tensor. *)
 
 val init : Dtype.t -> Shape.t -> (int array -> Value.t) -> t
+(** [init dt shape f] stores [f idx] at every index, calling [f] once
+    per element in row-major order (the order of {!Shape.iter}), so a
+    stateful [f] such as a random stream fills the tensor
+    deterministically. *)
+
 val scalar : Value.t -> t
 (** Rank-1, single-element tensor holding one value. *)
 
@@ -51,5 +56,14 @@ val close : ?rtol:float -> ?atol:float -> t -> t -> bool
 
 val max_abs_diff : t -> t -> float
 val to_value_list : t -> Value.t list
+
+val same_values : t -> t -> bool
+(** [same_values a b] is [to_value_list a = to_value_list b] without
+    building the lists: the flat elements in row-major order, shapes
+    aside.  Tensors of different sizes differ; an int tensor never
+    equals a float one; I8 and I32 elements compare as ints; floats
+    compare with IEEE [=] ([nan] differs from itself, [0.] equals
+    [-0.]). *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints shape, dtype and up to the first 16 elements. *)

@@ -124,64 +124,115 @@ let value_bin op x y =
           T.Value.Int (if r <> 0 && r < 0 <> (b < 0) then q - 1 else q)
       | _ -> T.Value.div x y)
 
+let out_of_bounds () = invalid_arg "Shape.linearize: out of bounds"
+
+(* [sum_j point.(slots.(j)) * strides.(j)]. *)
+let offset point slots strides () =
+  let off = ref 0 in
+  for j = 0 to Array.length slots - 1 do
+    off := !off + (point.(slots.(j)) * strides.(j))
+  done;
+  !off
+
+(* The golden evaluator, staged once per call.  Every axis gets a slot
+   in one [int array] point; every [Ref] resolves to its tensor and
+   (slot, stride) pairs over that tensor's own shape; the body and
+   epilogue become closures that apply [value_bin] as a walk of the
+   expression at each point would.  The loop nest then does no lookups.
+
+   Staging raises what such a walk raises at its first access of each
+   [Ref], in the same order: right operands before left ones (OCaml
+   evaluates [value_bin]'s arguments right to left), every lookup and
+   rank check of an expression before any of its dimension checks (a
+   dimension smaller than its axis's extent is first reached past the
+   first point), and the epilogue only once the body has run. *)
 let reference t inputs =
-  let find name =
-    match List.assoc_opt name inputs with
-    | Some x -> x
-    | None -> invalid_arg (Printf.sprintf "Op.reference: missing input %s" name)
+  let axes = Array.of_list t.axes in
+  let slot name =
+    let rec go i =
+      if i = Array.length axes then raise Not_found
+      else if String.equal axes.(i).aname name then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let point = Array.make (Array.length axes) 0 in
+  (* Stages [e]; [acc] holds the accumulated output value while an
+     epilogue runs.  Dimension checks are made once the whole of [e]
+     has been resolved. *)
+  let stage acc e =
+    let checks = ref [] in
+    let rec go = function
+      | Const v -> fun () -> v
+      | Acc -> (
+          match acc with
+          | Some r -> fun () -> !r
+          | None -> invalid_arg "Op.reference: Acc outside an epilogue")
+      | Ref name ->
+          let slots = Array.of_list (List.map slot (List.assoc name t.inputs)) in
+          let x =
+            match List.assoc_opt name inputs with
+            | Some x -> x
+            | None -> invalid_arg (Printf.sprintf "Op.reference: missing input %s" name)
+          in
+          let shape = T.Tensor.shape x in
+          if T.Shape.rank shape <> Array.length slots then out_of_bounds ();
+          checks := (slots, shape) :: !checks;
+          let off = offset point slots (T.Shape.strides shape) in
+          fun () -> T.Tensor.get_flat x (off ())
+      | Bin (op, a, b) ->
+          let fb = go b in
+          let fa = go a in
+          fun () ->
+            let vb = fb () in
+            value_bin op (fa ()) vb
+    in
+    let f = go e in
+    List.iter
+      (fun (slots, shape) ->
+        Array.iteri
+          (fun j s -> if T.Shape.dim shape j < axes.(s).extent then out_of_bounds ())
+          slots)
+      (List.rev !checks);
+    f
   in
   let out_shape =
     match output_shape t with [] -> T.Shape.create [ 1 ] | dims -> T.Shape.create dims
   in
   let out = T.Tensor.create t.dtype out_shape in
-  let point = Hashtbl.create 8 in
-  let rec eval_elem acc = function
-    | Const v -> v
-    | Acc -> (
-        match acc with
-        | Some v -> v
-        | None -> invalid_arg "Op.reference: Acc outside an epilogue")
-    | Ref name ->
-        let dims = List.assoc name t.inputs in
-        let idx = Array.of_list (List.map (Hashtbl.find point) dims) in
-        T.Tensor.get (find name) idx
-    | Bin (op, a, b) ->
-        value_bin op (eval_elem acc a) (eval_elem acc b)
+  let out_slots = Array.of_list (List.map slot (snd t.output)) in
+  let out_off = offset point out_slots (T.Shape.strides out_shape) in
+  let rec nest leaf = function
+    | [] -> leaf
+    | s :: rest ->
+        let inner = nest leaf rest in
+        let extent = axes.(s).extent in
+        fun () ->
+          for i = 0 to extent - 1 do
+            point.(s) <- i;
+            inner ()
+          done
   in
-  let out_index () =
-    match snd t.output with
-    | [] -> [| 0 |]
-    | dims -> Array.of_list (List.map (Hashtbl.find point) dims)
+  let body = stage None t.body in
+  let leaf =
+    if has_reduction t then fun () ->
+      let off = out_off () in
+      let v = body () in
+      T.Tensor.set_flat out off (T.Value.add (T.Tensor.get_flat out off) v)
+    else fun () -> T.Tensor.set_flat out (out_off ()) (body ())
   in
-  let rec loop = function
-    | [] ->
-        let idx = out_index () in
-        let v = eval_elem None t.body in
-        if has_reduction t then T.Tensor.set out idx (T.Value.add (T.Tensor.get out idx) v)
-        else T.Tensor.set out idx v
-    | a :: rest ->
-        for i = 0 to a.extent - 1 do
-          Hashtbl.replace point a.aname i;
-          loop rest
-        done
-  in
-  loop t.axes;
+  nest leaf (List.init (Array.length axes) Fun.id) ();
   (match t.epilogue with
   | None -> ()
   | Some e ->
-      let rec eloop = function
-        | [] ->
-            let idx = out_index () in
-            let v = eval_elem (Some (T.Tensor.get out idx)) e in
-            T.Tensor.set out idx v
-        | d :: rest ->
-            let a = axis t d in
-            for i = 0 to a.extent - 1 do
-              Hashtbl.replace point a.aname i;
-              eloop rest
-            done
+      let acc = ref (T.Value.Int 0) in
+      let epi = stage (Some acc) e in
+      let leaf () =
+        let off = out_off () in
+        acc := T.Tensor.get_flat out off;
+        T.Tensor.set_flat out off (epi ())
       in
-      eloop (snd t.output));
+      nest leaf (Array.to_list out_slots) ());
   out
 
 let rec pp_elem ppf = function

@@ -84,7 +84,19 @@ val value_bin : bin -> Imtp_tensor.Value.t -> Imtp_tensor.Value.t -> Imtp_tensor
 
 val reference : t -> (string * Imtp_tensor.Tensor.t) list -> Imtp_tensor.Tensor.t
 (** Direct-loop evaluation of the definition; the golden semantics every
-    schedule must preserve. *)
+    schedule must preserve.  Each call first stages the definition:
+    every input is looked up and its shape checked against the axes
+    that index it, then the loop nest runs without lookups.  Each
+    element is combined with {!value_bin} and stored with
+    {!Imtp_tensor.Tensor.set_flat}, reading an input at its own shape's
+    strides, so an input may be larger than its axes' extents.
+    @raise Invalid_argument ["Op.reference: missing input n"] for an
+    input not supplied, and ["Shape.linearize: out of bounds"] for an
+    input of the wrong rank or with a dimension smaller than its axis's
+    extent.  Both are raised before the loop that reads the input runs
+    (the body's loop nest, then the epilogue's), in the order a
+    point-by-point walk meets them: right operands first.
+    @raise Division_by_zero on an integer division by zero. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_elem : Format.formatter -> elem -> unit

@@ -73,7 +73,8 @@ let test_fingerprint_distinguishes () =
 (* Minor words of one warm cache hit ([Engine.prepare] of a key the
    table holds, no trace sink), recorded with OCaml 5.1: the key, the
    request's span and its result.  Formatting the key or digesting it
-   would cost that again. *)
+   would cost that again; so would building the span's attributes
+   while no sink can receive them. *)
 let test_fingerprint_alloc () =
   let op = Ops.mtv 64 128 in
   let e = E.create cfg in
@@ -84,7 +85,7 @@ let test_fingerprint_alloc () =
     ignore (Sys.opaque_identity (E.prepare e ~skip_inputs:[ "A" ] op small_params))
   done;
   let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
-  let recorded = 175. in
+  let recorded = 141. in
   if per_call > 1.25 *. recorded then
     Alcotest.failf "cache hit: %.1f minor words per call, budget %.0f (1.25 x %.0f)"
       per_call (1.25 *. recorded) recorded

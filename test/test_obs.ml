@@ -80,6 +80,31 @@ let test_attrs () =
         (List.mem_assoc "hit" s.Obs.attrs)
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
+(* [Engine.prepare] builds its span's attributes only while a sink is
+   open; under one, a cold and a warm request still carry all four. *)
+let test_prepare_attrs () =
+  Obs.reset ();
+  Alcotest.(check bool) "no sink" false (Obs.sink_open ());
+  let e = E.create cfg in
+  let op = Ops.mtv 64 128 in
+  let params = List.hd (Sk.space cfg op) in
+  let (), events =
+    traced (fun () ->
+        Alcotest.(check bool) "sink open" true (Obs.sink_open ());
+        ignore (E.prepare e op params);
+        ignore (E.prepare e op params))
+  in
+  let prepares =
+    List.filter (fun s -> String.equal s.Obs.name "engine.prepare") (spans_of events)
+  in
+  Alcotest.(check (list (list string)))
+    "attributes, cold then warm"
+    [ [ "op"; "hit"; "shared"; "ok" ]; [ "op"; "hit"; "shared"; "ok" ] ]
+    (List.map (fun s -> List.map fst s.Obs.attrs) prepares);
+  Alcotest.(check (list bool))
+    "hit" [ false; true ]
+    (List.map (fun s -> List.assoc "hit" s.Obs.attrs = Obs.Bool true) prepares)
+
 (* --- metrics ------------------------------------------------------- *)
 
 let test_counters_and_gauges () =
@@ -335,6 +360,8 @@ let () =
           Alcotest.test_case "recorded on raise" `Quick
             test_span_records_on_raise;
           Alcotest.test_case "attributes" `Quick test_attrs;
+          Alcotest.test_case "prepare attributes under a sink" `Quick
+            test_prepare_attrs;
         ] );
       ( "metrics",
         [

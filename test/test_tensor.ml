@@ -21,12 +21,19 @@ let test_shape_linearize () =
   Alcotest.(check int) "last" 59 (T.Shape.linearize s [| 2; 3; 4 |]);
   Alcotest.(check int) "mixed" 27 (T.Shape.linearize s [| 1; 1; 2 |])
 
-let test_shape_delinearize_roundtrip () =
-  let s = shape [ 3; 4; 5 ] in
-  for off = 0 to 59 do
-    let idx = T.Shape.delinearize s off in
-    Alcotest.(check int) "roundtrip" off (T.Shape.linearize s idx)
-  done
+(* The k-th index [Shape.iter] hands out linearizes to k, and a callback
+   that scribbles on its array does not disturb the walk. *)
+let test_shape_iter_linearize_order () =
+  List.iter
+    (fun dims ->
+      let s = shape dims in
+      let k = ref 0 in
+      T.Shape.iter s (fun idx ->
+          Alcotest.(check int) "k-th index" !k (T.Shape.linearize s idx);
+          Array.fill idx 0 (Array.length idx) 7;
+          incr k);
+      Alcotest.(check int) "every index once" (T.Shape.size s) !k)
+    [ [ 1 ]; [ 5 ]; [ 3; 4; 5 ]; [ 2; 1; 3 ]; [ 1; 1 ] ]
 
 let test_shape_invalid () =
   Alcotest.check_raises "empty" (Invalid_argument "Shape.of_array: empty shape")
@@ -92,6 +99,54 @@ let test_tensor_init_copy () =
     (T.Value.equal (T.Tensor.get t [| 0 |]) (T.Value.Int 0));
   Alcotest.(check bool) "copy holds" true
     (T.Value.equal (T.Tensor.get u [| 3 |]) (T.Value.Int 30))
+
+(* [Tensor.random ~seed:42 ~bound:9] digested over one shape per dtype,
+   pinned: filling by flat offset must draw the stream in the same
+   order as filling by index did. *)
+let test_tensor_random_pinned () =
+  let elem = function
+    | T.Value.Int n -> string_of_int n
+    | T.Value.Float f -> Printf.sprintf "%h" f
+  in
+  let digest =
+    [ (T.Dtype.I8, [ 7; 5 ]); (T.Dtype.I32, [ 3; 4; 5 ]); (T.Dtype.F32, [ 33 ]) ]
+    |> List.map (fun (dt, dims) ->
+           T.Tensor.random ~seed:42 ~bound:9 dt (shape dims)
+           |> T.Tensor.to_value_list |> List.map elem |> String.concat ",")
+    |> String.concat ";" |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string) "digest" "e49144bd59a351aabd3209c24aed9694" digest
+
+(* [same_values] is [to_value_list a = to_value_list b]. *)
+let test_tensor_same_values () =
+  let of_list dt dims l =
+    let t = T.Tensor.create dt (shape dims) in
+    List.iteri (T.Tensor.set_flat t) l;
+    t
+  in
+  let ints dt l = of_list dt [ List.length l ] (List.map (fun n -> T.Value.Int n) l) in
+  let floats l =
+    of_list T.Dtype.F32 [ List.length l ] (List.map (fun f -> T.Value.Float f) l)
+  in
+  List.iter
+    (fun (name, a, b, want) ->
+      Alcotest.(check bool) name want (T.Tensor.same_values a b);
+      Alcotest.(check bool)
+        (name ^ " as value lists") want
+        (T.Tensor.to_value_list a = T.Tensor.to_value_list b))
+    [
+      ("equal ints", ints T.Dtype.I32 [ 1; -2 ], ints T.Dtype.I32 [ 1; -2 ], true);
+      ("one differs", ints T.Dtype.I32 [ 1; -2 ], ints T.Dtype.I32 [ 1; 2 ], false);
+      ("sizes differ", ints T.Dtype.I32 [ 1 ], ints T.Dtype.I32 [ 1; 0 ], false);
+      ("i8 = i32", ints T.Dtype.I8 [ 5; -3 ], ints T.Dtype.I32 [ 5; -3 ], true);
+      ("int <> float", ints T.Dtype.I32 [ 1 ], floats [ 1. ], false);
+      ("nan <> nan", floats [ Float.nan ], floats [ Float.nan ], false);
+      ("0. = -0.", floats [ 0. ], floats [ -0. ], true);
+      ( "shapes aside",
+        of_list T.Dtype.I32 [ 2; 1 ] [ T.Value.Int 1; T.Value.Int 2 ],
+        ints T.Dtype.I32 [ 1; 2 ],
+        true );
+    ]
 
 let test_tensor_random_deterministic () =
   let a = T.Tensor.random ~seed:5 T.Dtype.I32 (shape [ 100 ]) in
@@ -182,12 +237,12 @@ let test_ref_mmtv () =
 
 let prop_linearize_bijective =
   QCheck2.Test.make ~name:"shape linearize bijective"
-    QCheck2.Gen.(
-      pair (list_size (int_range 1 3) (int_range 1 6)) (int_range 0 10_000))
-    (fun (dims, seed) ->
+    QCheck2.Gen.(list_size (int_range 1 3) (int_range 1 6))
+    (fun dims ->
       let s = shape dims in
-      let off = seed mod T.Shape.size s in
-      T.Shape.linearize s (T.Shape.delinearize s off) = off)
+      let offs = ref [] in
+      T.Shape.iter s (fun idx -> offs := T.Shape.linearize s idx :: !offs);
+      List.rev !offs = List.init (T.Shape.size s) Fun.id)
 
 let prop_va_commutes =
   QCheck2.Test.make ~name:"va commutative"
@@ -227,8 +282,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_shape_basics;
           Alcotest.test_case "strides" `Quick test_shape_strides;
           Alcotest.test_case "linearize" `Quick test_shape_linearize;
-          Alcotest.test_case "delinearize roundtrip" `Quick
-            test_shape_delinearize_roundtrip;
+          Alcotest.test_case "iter linearize order" `Quick
+            test_shape_iter_linearize_order;
           Alcotest.test_case "invalid" `Quick test_shape_invalid;
           Alcotest.test_case "in_bounds" `Quick test_shape_in_bounds;
           Alcotest.test_case "iter order" `Quick test_shape_iter_order;
@@ -245,6 +300,8 @@ let () =
           Alcotest.test_case "init/copy" `Quick test_tensor_init_copy;
           Alcotest.test_case "random deterministic" `Quick
             test_tensor_random_deterministic;
+          Alcotest.test_case "random pinned" `Quick test_tensor_random_pinned;
+          Alcotest.test_case "same values" `Quick test_tensor_same_values;
           Alcotest.test_case "close" `Quick test_tensor_close;
           Alcotest.test_case "flat conversion" `Quick test_set_flat_conversion;
         ] );
