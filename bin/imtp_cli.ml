@@ -43,6 +43,18 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let int_in ~lo ~hi =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | Some _ | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected an integer in [%d, %d]"
+                s lo hi))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let unit_ratio =
   let parse s =
     match float_of_string_opt s with
@@ -696,9 +708,13 @@ let serve_cmd =
   in
   let max_sessions_arg =
     Arg.(
-      value & opt positive_int 2
+      value
+      & opt (int_in ~lo:1 ~hi:Imtp.Serve.max_sessions_limit) 2
       & info [ "max-sessions" ] ~docv:"N"
-          ~doc:"Concurrent tune sessions; further requests queue.")
+          ~doc:
+            "Tune sessions run in parallel, each on a domain of its own \
+             (at most 32); further requests queue.  Values above the \
+             host's core count oversubscribe it.")
   in
   let queue_limit_arg =
     Arg.(

@@ -309,8 +309,9 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
   let engine =
     match engine with Some e -> e | None -> Engine.create cfg
   in
-  let hits0 = (Engine.counters engine).Engine.hits in
-  let costed0 = (Engine.counters engine).Engine.costed in
+  (* This run's own hits and simulator runs: a shared engine's
+     counters also move with other runs' work. *)
+  let ledger = Engine.ledger () in
   (* Cumulative ledgers carried over from the killed run, so a resumed
      outcome still reports every simulator execution it (transitively)
      paid for. *)
@@ -398,9 +399,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
     }
   in
   let ledger_counters () =
-    let c = Engine.counters engine in
-    ( base_measured_trials + c.Engine.costed - costed0,
-      base_cache_hits + c.Engine.hits - hits0,
+    ( base_measured_trials + Engine.ledger_costed ledger,
+      base_cache_hits + Engine.ledger_hits ledger,
       base_elapsed_s +. (Obs.now_s () -. t0) )
   in
   let make_checkpoint ~boundary ~tir states =
@@ -501,7 +501,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         let params = Sketch.random cx.rng cfg op in
         if gated && known cx params then retry ()
         else
-          match Engine.prepare engine ?skip_inputs op params with
+          match Engine.prepare engine ~ledger ?skip_inputs op params with
           | Error e ->
               tally cx e;
               retry ()
@@ -512,7 +512,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
               record_skipped cx ~trial:cx.trial params ~predicted_s;
               Some (params, predicted_s, false)
           | Ok prep -> (
-              match Engine.simulate engine ~rng:cx.rng prep with
+              match Engine.simulate engine ~ledger ~rng:cx.rng prep with
               | Error e ->
                   tally cx e;
                   retry ()
@@ -610,7 +610,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
     let candidates = List.init gen_size propose in
     (* (slot, params, prepared) of every candidate not measured before *)
     let fresh =
-      Engine.prepare_batch engine ~jobs ?skip_inputs op candidates
+      Engine.prepare_batch engine ~ledger ~jobs ?skip_inputs op candidates
       |> List.mapi (fun i (params, r) ->
              match r with
              | Error e ->
@@ -642,7 +642,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
       Pool.map ~jobs
         (fun si ->
           let i, _, prep = fresh.(sel.(si)) in
-          Engine.simulate engine ~rng:(Rng.stream ~base ~index:i) prep)
+          Engine.simulate engine ~ledger ~rng:(Rng.stream ~base ~index:i) prep)
         (Array.length sel)
     in
     let measured_now = Array.make (Array.length fresh) None in
@@ -714,10 +714,10 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         Obs.add_attr "candidates" (Obs.Int (List.length promising));
         List.iter
           (fun (params, predicted_s, _) ->
-            match Engine.prepare engine ?skip_inputs op params with
+            match Engine.prepare engine ~ledger ?skip_inputs op params with
             | Error e -> tally cx e
             | Ok prep -> (
-                match Engine.simulate engine ~rng:cx.rng prep with
+                match Engine.simulate engine ~ledger ~rng:cx.rng prep with
                 | Error e -> tally cx e
                 | Ok m ->
                     record cx ~prep ~predicted_s

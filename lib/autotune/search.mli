@@ -126,19 +126,22 @@ type outcome = {
           descending; sums to [invalid_candidates]. *)
   measured : int;  (** distinct candidates actually measured. *)
   measured_trials : int;
-      (** simulator executions this run actually paid for (the engine's
-          [costed] delta): cache hits, duplicates and gated-out
-          candidates all cost zero.  The measurement gate's acceptance
-          metric — a gated run must reach the same best with far fewer
-          of these. *)
+      (** simulator executions this run actually paid for, counted in
+          the run's own {!Imtp_engine.Engine.ledger} (cumulative across
+          a resume): cache hits, duplicates, gated-out candidates and
+          cost stages another run on a shared engine executed all cost
+          zero.  The measurement gate's acceptance metric — a gated run
+          must reach the same best with far fewer of these. *)
   skipped : int;
       (** distinct candidates the gate recorded with a predicted cost
           instead of measuring (0 in an ungated search). *)
   cache_hits : int;
-      (** engine-cache hits during the run — trials whose build was
-          deduplicated instead of recompiled (duplicate proposals,
-          candidates sharing the built prefix of a canonical-equal one,
-          and warm entries when a shared engine is passed in). *)
+      (** this run's own engine-cache hits (its ledger's, cumulative
+          across a resume) — trials whose build was deduplicated
+          instead of recompiled (duplicate proposals, candidates
+          sharing the built prefix of a canonical-equal one, and warm
+          entries when a shared engine is passed in).  Concurrent runs
+          on one engine do not count each other's lookups. *)
   elapsed_s : float;
       (** wall-clock duration of the whole run — recorded in tuning-log
           headers so replayed logs can report trials/sec.  For a

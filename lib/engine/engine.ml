@@ -32,6 +32,19 @@ type counters = {
   costed : int;
 }
 
+(* A caller's own share of the hit and simulator ledgers.  Atomic:
+   the calls charging it may run on several domains at once. *)
+type ledger = { l_hits : int Atomic.t; l_costed : int Atomic.t }
+
+let ledger () = { l_hits = Atomic.make 0; l_costed = Atomic.make 0 }
+let ledger_hits l = Atomic.get l.l_hits
+let ledger_costed l = Atomic.get l.l_costed
+
+let charge ledger field n =
+  match ledger with
+  | Some l when n > 0 -> ignore (Atomic.fetch_and_add (field l) n)
+  | Some _ | None -> ()
+
 (* Work done at most once: [Running] while one domain computes it;
    every other requester waits for that domain instead of repeating
    the work. *)
@@ -311,8 +324,10 @@ let optimize cfg ?(passes = Pl.all_on) prog = stage_passes ~passes cfg prog
 (* ------------------------------------------------------------------ *)
 
 (* Under the lock: charge [n] cache probes, [hits] of them hits and
-   [shared] of those hits new entries on an existing prefix. *)
-let count_lookups t ~n ~hits ~shared =
+   [shared] of those hits new entries on an existing prefix, to the
+   engine and to the caller's [ledger]. *)
+let count_lookups t ?ledger ~n ~hits ~shared () =
+  charge ledger (fun l -> l.l_hits) hits;
   let misses = n - hits in
   t.c <-
     {
@@ -434,19 +449,19 @@ let prefix_of t e ~passes ~skip_inputs ~verify op params =
    shared prefix when its canonical key is indexed), then its prefix.
    Returns the entry, its prefix, whether the key was present and
    whether a new entry shares a prefix. *)
-let entry_of t ~passes ?(skip_inputs = []) ~verify op params =
+let entry_of t ?ledger ~passes ?(skip_inputs = []) ~verify op params =
   let key = fingerprint ~passes ~skip_inputs ~verify op params in
   let e, found, shared =
     locked t (fun () ->
         match Hashtbl.find_opt t.entries key with
         | Some e ->
-            count_lookups t ~n:1 ~hits:1 ~shared:0;
+            count_lookups t ?ledger ~n:1 ~hits:1 ~shared:0 ();
             (e, true, false)
         | None ->
             let prefix_key = prefix_key ~passes ~skip_inputs ~verify op params in
             let e, shared = file t key ~prefix_key in
             let s = Bool.to_int shared in
-            count_lookups t ~n:1 ~hits:s ~shared:s;
+            count_lookups t ?ledger ~n:1 ~hits:s ~shared:s ();
             (e, false, shared))
   in
   (e, prefix_of t e ~passes ~skip_inputs ~verify op params, found, shared)
@@ -456,15 +471,16 @@ let artifact_of (p : prepared) stats = { program = p.pprogram; stats }
 (* The cost stage of an entry, run once per entry: a concurrent
    requester waits for a run in flight.  Every run is one simulator
    execution, counted in [costed] — the ledger the measurement-gated
-   search is judged against.  Returns the outcome and whether it was
-   already there. *)
-let cost_entry t e (p : prepared) =
+   search is judged against — and in the caller's [ledger].  Returns
+   the outcome and whether it was already there. *)
+let cost_entry t ?ledger e (p : prepared) =
   let r, cached =
     demand t
       ~get:(fun () -> e.cost)
       ~set:(fun s -> e.cost <- s)
       ~settle:(fun r ->
         t.c <- { t.c with costed = t.c.costed + 1 };
+        charge ledger (fun l -> l.l_costed) 1;
         if Result.is_error r then count_outcome t r)
       (fun () ->
         let r = stage_cost t.cfg p.pprogram in
@@ -510,13 +526,14 @@ let measure t ?rng ?passes ?skip_inputs ?verify op params =
 
 (* A warm hit costs little more than its span's attributes would, so
    they are built only while a trace sink can receive them. *)
-let prepare t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
+let prepare t ?ledger ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
+    params =
   let traced = Obs.sink_open () in
   Obs.span ~name:"engine.prepare"
     ~attrs:(if traced then [ ("op", Obs.Str op.Op.opname) ] else [])
     (fun () ->
       let _, prefix, found, shared =
-        entry_of t ~passes ?skip_inputs ~verify op params
+        entry_of t ?ledger ~passes ?skip_inputs ~verify op params
       in
       if traced then begin
         Obs.add_attr "hit" (Obs.Bool (found || shared));
@@ -542,7 +559,7 @@ let features t (p : prepared) =
       Option.iter (fun pre -> locked t (fun () -> pre.feats <- Some x)) prefix;
       x
 
-let simulate t ?rng (p : prepared) =
+let simulate t ?ledger ?rng (p : prepared) =
   Obs.span ~name:"engine.simulate" (fun () ->
       (* Not a lookup: [p]'s request was counted when it was prepared.
          An entry evicted since is filed again, on its own prefix. *)
@@ -562,7 +579,7 @@ let simulate t ?rng (p : prepared) =
                 Hashtbl.replace t.entries p.pkey e;
                 e)
       in
-      let r, hit = cost_entry t e p in
+      let r, hit = cost_entry t ?ledger e p in
       Obs.add_attr "hit" (Obs.Bool hit);
       measurement ?rng r)
 
@@ -582,8 +599,8 @@ let execute prog ~inputs =
    can't change it.  The slots' prefixes are then built (or awaited)
    across the pool, and [finish] runs on each slot's entry and prefix
    there too. *)
-let run_batch t ~name ?jobs ~passes ?(skip_inputs = []) ~verify op candidates
-    finish =
+let run_batch t ?ledger ~name ?jobs ~passes ?(skip_inputs = []) ~verify op
+    candidates finish =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let cands = Array.of_list candidates in
   let n = Array.length cands in
@@ -612,7 +629,7 @@ let run_batch t ~name ?jobs ~passes ?(skip_inputs = []) ~verify op candidates
                   e)
             keys
         in
-        count_lookups t ~n ~hits:(n - !misses) ~shared:!shared;
+        count_lookups t ?ledger ~n ~hits:(n - !misses) ~shared:!shared ();
         (entries, !misses, !shared))
   in
   let run i =
@@ -632,10 +649,10 @@ let run_batch t ~name ?jobs ~passes ?(skip_inputs = []) ~verify op candidates
           |> List.map (fun (tasks, busy) -> Printf.sprintf "%d:%.4fs" tasks busy))));
   results
 
-let prepare_batch t ?jobs ?(passes = Pl.all_on) ?skip_inputs ?(verify = true)
-    op candidates =
+let prepare_batch t ?ledger ?jobs ?(passes = Pl.all_on) ?skip_inputs
+    ?(verify = true) op candidates =
   let prefixes =
-    run_batch t ~name:"engine.prepare_batch" ?jobs ~passes ?skip_inputs ~verify
+    run_batch t ?ledger ~name:"engine.prepare_batch" ?jobs ~passes ?skip_inputs ~verify
       op candidates (fun _ prefix -> prefix)
   in
   List.mapi (fun i p -> (p, prefixes.(i))) candidates

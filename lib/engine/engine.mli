@@ -125,6 +125,22 @@ type counters = {
     observation of the [engine.stage.<stage>_s] histogram
     ({!Imtp_obs.Obs}). *)
 
+type ledger
+(** One caller's own share of {!counters}: the [hits] of the lookups
+    it made and the [costed] simulator runs its calls executed.  A
+    search passes one to every {!prepare}, {!prepare_batch} and
+    {!simulate} call, so runs sharing an engine (the daemon's
+    concurrent sessions) each count only their own work.  A run that
+    found a cost stage in flight for another caller waits for it and
+    charges nothing; alone on an engine, a caller's ledger equals the
+    engine's [hits] and [costed] deltas.  Domain-safe. *)
+
+val ledger : unit -> ledger
+(** A ledger at zero. *)
+
+val ledger_hits : ledger -> int
+val ledger_costed : ledger -> int
+
 type t
 (** An engine instance: one machine configuration plus its memo table
     and counters.  Create a fresh engine per independent search run for
@@ -247,6 +263,7 @@ val batch :
 
 val prepare :
   t ->
+  ?ledger:ledger ->
   ?passes:Imtp_passes.Pipeline.config ->
   ?skip_inputs:string list ->
   ?verify:bool ->
@@ -262,6 +279,7 @@ val prepare :
 
 val prepare_batch :
   t ->
+  ?ledger:ledger ->
   ?jobs:int ->
   ?passes:Imtp_passes.Pipeline.config ->
   ?skip_inputs:string list ->
@@ -287,7 +305,7 @@ val features : t -> prepared -> float array
     mutate it. *)
 
 val simulate :
-  t -> ?rng:Rng.t -> prepared -> (measurement, error) result
+  t -> ?ledger:ledger -> ?rng:Rng.t -> prepared -> (measurement, error) result
 (** Run the cost stage on a prepared candidate (or serve its entry's
     cost outcome) and apply the measurement objective, with the same
     ±2 % noise semantics as {!measure}.  Not a lookup: the request was

@@ -46,17 +46,26 @@ let lower case =
   Result.map_error Engine.error_to_string
     (Engine.lower ~options:case.options sched)
 
-(* First flat index where two tensors' values diverge by
-   [Value.compare]; [same_values] settles the common equal case without
-   building the value lists. *)
+(* The verdict is [Tensor.same_values], the equality every other
+   validation site uses (IEEE floats, so NaN differs from NaN; an int
+   never equals a float); only a mismatch builds the value lists, to
+   find the first flat index whose values differ by that standard. *)
 let first_diff got want =
+  let same (x : T.Value.t) (y : T.Value.t) =
+    match (x, y) with
+    | Int a, Int b -> a = b
+    | Float a, Float b -> a = b
+    | Int _, Float _ | Float _, Int _ -> false
+  in
   let rec go i g w =
     match (g, w) with
-    | [], [] -> None
-    | x :: g', y :: w' ->
-        if T.Value.compare x y = 0 then go (i + 1) g' w' else Some (i, x, y)
+    | x :: g', y :: w' -> if same x y then go (i + 1) g' w' else Some (i, x, y)
     | x :: _, [] -> Some (i, x, T.Value.Int 0)
     | [], y :: _ -> Some (i, T.Value.Int 0, y)
+    | [], [] ->
+        (* no element differs: both are empty, one holding ints and
+           the other floats *)
+        Some (i, T.Value.Int 0, T.Value.Float 0.)
   in
   if T.Tensor.same_values got want then None
   else go 0 (T.Tensor.to_value_list got) (T.Tensor.to_value_list want)

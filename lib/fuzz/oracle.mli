@@ -65,4 +65,15 @@ val lower : case -> (Imtp_tir.Program.t, string) result
 
 val check : case -> verdict
 
+val first_diff :
+  Imtp_tensor.Tensor.t ->
+  Imtp_tensor.Tensor.t ->
+  (int * Imtp_tensor.Value.t * Imtp_tensor.Value.t) option
+(** The output verdict of {!check}: [None] exactly when
+    {!Imtp_tensor.Tensor.same_values} holds (IEEE floats, so [nan]
+    differs from itself; an int never equals a float).  Otherwise the
+    first flat index whose elements differ by that standard, with both
+    elements; past the end of the shorter tensor the missing element
+    reads as [Int 0]. *)
+
 val failure_to_string : failure -> string

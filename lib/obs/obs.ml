@@ -238,11 +238,17 @@ end
    floats is not. *)
 let epoch : float option Atomic.t = Atomic.make None
 
-let now_s () =
+(* Integer nanoseconds since the epoch, so a span can note its start
+   without boxing a float. *)
+let now_ns () =
   let t = Unix.gettimeofday () in
   if Atomic.get epoch = None then
     ignore (Atomic.compare_and_set epoch None (Some t));
-  match Atomic.get epoch with Some e -> t -. e | None -> 0.
+  match Atomic.get epoch with
+  | Some e -> int_of_float ((t -. e) *. 1e9)
+  | None -> 0
+
+let now_s () = float_of_int (now_ns ()) /. 1e9
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -278,13 +284,29 @@ let span_to_json s =
       ("attrs", Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) s.attrs));
     ]
 
+(* An open span.  Its parent is an id or -1, its start an integer
+   count of nanoseconds on the {!now_s} clock, and the domain's stack
+   is linked through [o_below] down to [bottom]: opening a span with no
+   sink allocates this record and nothing else (no list cell, no boxed
+   float, no [Some]). *)
 type open_span = {
   o_id : int;
   o_name : string;
-  o_parent : int option;
-  o_start : float;
+  o_parent : int;
+  o_start_ns : int;
   mutable o_attrs : (string * value) list;  (* reversed *)
+  o_below : open_span;
 }
+
+let rec bottom =
+  {
+    o_id = -1;
+    o_name = "";
+    o_parent = -1;
+    o_start_ns = 0;
+    o_attrs = [];
+    o_below = bottom;
+  }
 
 let next_id = Atomic.make 0
 
@@ -294,8 +316,8 @@ let next_id = Atomic.make 0
    engine batch dispatching builds across a pool) inherits that span as
    its "ambient parent": the task's outermost spans are parented to it,
    keeping traces from parallel batches well-nested. *)
-let stack_key : open_span list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let stack_key : open_span ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref bottom)
 
 let ambient_key : int option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -311,7 +333,8 @@ let state_lock = Mutex.create ()
 let locked f = Mutex.protect state_lock f
 
 let current_span_id () =
-  match !(stack ()) with o :: _ -> Some o.o_id | [] -> !(ambient ())
+  let top = !(stack ()) in
+  if top != bottom then Some top.o_id else !(ambient ())
 
 let with_ambient_parent parent f =
   let r = ambient () in
@@ -324,71 +347,91 @@ let with_ambient_parent parent f =
 let sink : out_channel option Atomic.t = Atomic.make None
 let sink_open () = Option.is_some (Atomic.get sink)
 
-(* Writes the span to the sink, if one is open, and returns its
-   duration. *)
-let finish_span o =
-  let dur = now_s () -. o.o_start in
+let start_s o = float_of_int o.o_start_ns /. 1e9
+
+(* Pops [o] off the domain's stack. *)
+let pop_span o =
   let stack = stack () in
-  (match !stack with
-  | top :: rest when top == o -> stack := rest
-  | _ ->
-      (* a span escaped its dynamic extent (e.g. an exception skipped
-         an inner finish); drop down to — and including — [o]. *)
-      let rec pop = function
-        | top :: rest -> if top == o then rest else pop rest
-        | [] -> []
-      in
-      stack := pop !stack);
-  if sink_open () then begin
-    let line =
-      Json.to_string
-        (span_to_json
-           {
-             id = o.o_id;
-             parent = o.o_parent;
-             name = o.o_name;
-             start_s = o.o_start;
-             dur_s = dur;
-             attrs = List.rev o.o_attrs;
-           })
-      ^ "\n"
+  if !stack == o then stack := o.o_below
+  else begin
+    (* a span escaped its dynamic extent (e.g. an exception skipped an
+       inner finish); drop down to — and including — [o]. *)
+    let rec pop top =
+      if top == bottom then bottom else if top == o then o.o_below else pop top.o_below
     in
-    locked (fun () -> Option.iter (fun oc -> output_string oc line) (Atomic.get sink))
-  end;
-  dur
+    stack := pop !stack
+  end
+
+(* Writes the finished span to the sink, if one is open. *)
+let emit o dur =
+  let line =
+    Json.to_string
+      (span_to_json
+         {
+           id = o.o_id;
+           parent = (if o.o_parent < 0 then None else Some o.o_parent);
+           name = o.o_name;
+           start_s = start_s o;
+           dur_s = dur;
+           attrs = List.rev o.o_attrs;
+         })
+    ^ "\n"
+  in
+  locked (fun () -> Option.iter (fun oc -> output_string oc line) (Atomic.get sink))
 
 let open_span attrs name =
   let id = Atomic.fetch_and_add next_id 1 in
   let stack = stack () in
+  let below = !stack in
   let parent =
-    match !stack with o :: _ -> Some o.o_id | [] -> !(ambient ())
+    if below != bottom then below.o_id
+    else match !(ambient ()) with Some p -> p | None -> -1
   in
   let o =
     {
       o_id = id;
       o_name = name;
       o_parent = parent;
-      o_start = now_s ();
+      o_start_ns = now_ns ();
       o_attrs = List.rev attrs;
+      o_below = below;
     }
   in
-  stack := o :: !stack;
+  stack := o;
   o
+
+(* A span nobody records reads the clock once, at its start. *)
+let finish_span o =
+  pop_span o;
+  if sink_open () then emit o (now_s () -. start_s o)
+
+let span ?(attrs = []) ~name f =
+  let o = open_span attrs name in
+  match f () with
+  | v ->
+      finish_span o;
+      v
+  | exception e ->
+      finish_span o;
+      raise e
+
+let finish_timed o =
+  let dur = now_s () -. start_s o in
+  pop_span o;
+  if sink_open () then emit o dur;
+  dur
 
 let span_timed ?(attrs = []) ~name f =
   let o = open_span attrs name in
   match f () with
-  | v -> (v, finish_span o)
+  | v -> (v, finish_timed o)
   | exception e ->
-      ignore (finish_span o : float);
+      ignore (finish_timed o : float);
       raise e
 
-let span ?attrs ~name f = fst (span_timed ?attrs ~name f)
-
 let add_attr k v =
-  match !(stack ()) with
-  | [] -> ()
-  | o :: _ -> o.o_attrs <- (k, v) :: o.o_attrs
+  let top = !(stack ()) in
+  if top != bottom then top.o_attrs <- (k, v) :: top.o_attrs
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -843,7 +886,7 @@ let folded events =
 (* ------------------------------------------------------------------ *)
 
 let reset () =
-  stack () := [];
+  stack () := bottom;
   ambient () := None;
   locked (fun () ->
       Hashtbl.reset counters;

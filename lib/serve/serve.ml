@@ -3,9 +3,9 @@
    number of clients over a Unix-domain socket speaking Protocol
    frames.  Connections get a systhread each; tune sessions pass
    through an admission scheduler (bounded queue, per-client
-   round-robin) before they may run, and every session checkpoints to
-   disk at generation boundaries so a killed daemon resumes
-   bit-identically. *)
+   round-robin) before they may run, each admitted search runs on a
+   session domain of its own, and every session checkpoints to disk at
+   generation boundaries so a killed daemon resumes bit-identically. *)
 
 module Obs = Imtp_obs.Obs
 module Json = Obs.Json
@@ -29,6 +29,10 @@ type config = {
   checkpoint_every : int;
 }
 
+(* Session domains plus the pool's at most 63 workers must stay under
+   OCaml's 128-domain limit. *)
+let max_sessions_limit = 32
+
 let default_config ~socket =
   {
     socket;
@@ -50,13 +54,26 @@ type ledger = {
   mutable rejected_busy : int;
 }
 
+(* The session domains: up to [max_sessions] of them, spawned on first
+   need and parked on [work] between sessions.  A domain takes the
+   oldest posted job; [idle] counts the domains waiting on [work]. *)
+type runner = {
+  rm : Mutex.t;
+  work : Condition.t;
+  jobs : (unit -> unit) Queue.t;
+  mutable idle : int;
+  mutable domains : unit Domain.t list;
+  mutable closing : bool;
+}
+
 type state = {
   cfg : config;
   machine : Imtp_upmem.Config.t;
   engine : Engine.t;
   m : Mutex.t;
   cv : Condition.t;
-  mutable stopping : bool;
+  stopping : bool Atomic.t;  (* polled by searches on session domains *)
+  runner : runner;
   (* Admission scheduler: [queues] maps a client id to its waiting
      tickets in arrival order; [order] cycles the clients that have at
      least one waiting ticket; [granted] holds tickets whose waiters
@@ -79,7 +96,16 @@ let make_state ?(machine = Imtp_upmem.Config.default) cfg =
     engine = Engine.create machine;
     m = Mutex.create ();
     cv = Condition.create ();
-    stopping = false;
+    stopping = Atomic.make false;
+    runner =
+      {
+        rm = Mutex.create ();
+        work = Condition.create ();
+        jobs = Queue.create ();
+        idle = 0;
+        domains = [];
+        closing = false;
+      };
     running = 0;
     queued = 0;
     queues = Hashtbl.create 16;
@@ -96,6 +122,73 @@ let make_state ?(machine = Imtp_upmem.Config.default) cfg =
         rejected_busy = 0;
       };
   }
+
+(* ------------------------------------------------------------------ *)
+(* Session domains                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let rec session_domain r =
+  Mutex.lock r.rm;
+  while Queue.is_empty r.jobs && not r.closing do
+    r.idle <- r.idle + 1;
+    Condition.wait r.work r.rm;
+    r.idle <- r.idle - 1
+  done;
+  let job = Queue.take_opt r.jobs in
+  Mutex.unlock r.rm;
+  match job with
+  | None -> ()
+  | Some job ->
+      job ();
+      session_domain r
+
+(* [f ()] on a session domain; the calling thread waits on the job's
+   own condition, which releases this domain for other threads.  A
+   domain is spawned when the job would find no idle domain free, up
+   to [limit]; admission keeps the jobs in flight within that bound,
+   and a job posted before a finishing domain parks again is taken by
+   it.
+   [f]'s exception, if any, is re-raised here with its backtrace. *)
+let on_session_domain r ~limit f =
+  let m = Mutex.create () and finished = Condition.create () in
+  let result = ref None in
+  let job () =
+    let outcome =
+      match f () with
+      | v -> Ok v
+      | exception e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    Mutex.protect m (fun () ->
+        result := Some outcome;
+        Condition.signal finished)
+  in
+  Mutex.protect r.rm (fun () ->
+      (* Spawned first, so a failed spawn leaves no orphan job. *)
+      if Queue.length r.jobs >= r.idle && List.length r.domains < limit then
+        r.domains <- Domain.spawn (fun () -> session_domain r) :: r.domains;
+      Queue.push job r.jobs;
+      Condition.signal r.work);
+  let rec await () =
+    match !result with
+    | Some outcome -> outcome
+    | None ->
+        Condition.wait finished m;
+        await ()
+  in
+  match Mutex.protect m await with
+  | Ok v -> v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+(* Once no session can be posted any more: unpark and join every
+   session domain. *)
+let close_runner r =
+  let domains =
+    Mutex.protect r.rm (fun () ->
+        r.closing <- true;
+        Condition.broadcast r.work;
+        r.domains)
+  in
+  List.iter Domain.join domains
 
 (* ------------------------------------------------------------------ *)
 (* Admission scheduling (all under [state.m])                          *)
@@ -132,7 +225,8 @@ let withdraw state client ticket =
 let acquire state client =
   Mutex.lock state.m;
   let r =
-    if state.stopping then Error (P.Shutting_down, "daemon is shutting down")
+    if Atomic.get state.stopping then
+      Error (P.Shutting_down, "daemon is shutting down")
     else if state.queued >= state.cfg.queue_limit then begin
       state.ledger.rejected_busy <- state.ledger.rejected_busy + 1;
       Error
@@ -152,7 +246,9 @@ let acquire state client =
           Queue.push client state.order);
       state.queued <- state.queued + 1;
       pump state;
-      while not (Hashtbl.mem state.granted ticket) && not state.stopping do
+      while
+        (not (Hashtbl.mem state.granted ticket)) && not (Atomic.get state.stopping)
+      do
         Condition.wait state.cv state.m
       done;
       if Hashtbl.mem state.granted ticket then begin
@@ -291,13 +387,16 @@ let handle_tune state ~client (t : P.tune_spec) =
         if resume <> None then state.ledger.resumed <- state.ledger.resumed + 1);
     Obs.incr "serve.sessions.started";
     if resume <> None then Obs.incr "serve.sessions.resumed";
+    let writer = Checkpoint.writer ckpt_path in
     match
-      Search.run ~seed:t.seed ?measure_ratio:t.measure_ratio
-        ?islands:t.islands ~engine:state.engine ?resume
-        ~on_checkpoint:(fun ck -> Checkpoint.save ckpt_path ck)
-        ~checkpoint_every:state.cfg.checkpoint_every
-        ~stop:(fun () -> state.stopping)
-        state.machine op_t ~trials:t.trials
+      Fun.protect ~finally:(fun () -> Checkpoint.close writer) @@ fun () ->
+      on_session_domain state.runner ~limit:state.cfg.max_sessions (fun () ->
+          Search.run ~seed:t.seed ?measure_ratio:t.measure_ratio
+            ?islands:t.islands ~engine:state.engine ?resume
+            ~on_checkpoint:(Checkpoint.write writer)
+            ~checkpoint_every:state.cfg.checkpoint_every
+            ~stop:(fun () -> Atomic.get state.stopping)
+            state.machine op_t ~trials:t.trials)
     with
     | exception Invalid_argument m -> Error (P.Bad_request, m)
     | outcome ->
@@ -461,15 +560,11 @@ let dispatch state ~client req =
 
 let initiate_shutdown state =
   Mutex.lock state.m;
-  state.stopping <- true;
+  Atomic.set state.stopping true;
   Condition.broadcast state.cv;
   Mutex.unlock state.m
 
-let stopping state =
-  Mutex.lock state.m;
-  let s = state.stopping in
-  Mutex.unlock state.m;
-  s
+let stopping state = Atomic.get state.stopping
 
 let hello_exchange state fd =
   match P.read_frame fd with
@@ -592,15 +687,19 @@ let ignore_sigpipe () =
   with Invalid_argument _ | Sys_error _ -> ()
 
 let run ?machine cfg =
-  ignore_sigpipe ();
   if cfg.max_sessions < 1 then invalid_arg "Serve.run: max_sessions < 1";
+  if cfg.max_sessions > max_sessions_limit then
+    invalid_arg
+      (Printf.sprintf "Serve.run: max_sessions > %d" max_sessions_limit);
   if cfg.queue_limit < 1 then invalid_arg "Serve.run: queue_limit < 1";
   if cfg.checkpoint_every < 1 then invalid_arg "Serve.run: checkpoint_every < 1";
+  ignore_sigpipe ();
   mkdir_p cfg.checkpoint_dir;
   match claim_socket cfg.socket with
   | Error m -> Error m
   | Ok () ->
       let state = make_state ?machine cfg in
+      Fun.protect ~finally:(fun () -> close_runner state.runner) @@ fun () ->
       let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       (match Unix.bind lfd (Unix.ADDR_UNIX cfg.socket) with
       | () -> ()

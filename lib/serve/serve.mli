@@ -14,7 +14,14 @@
     [queue_limit] (excess requests are refused with
     {!Protocol.Busy} — backpressure, not unbounded buffering), and
     grants freed slots to waiting {e clients} round-robin, so a client
-    that queued fifty tunes cannot starve one that queued one.
+    that queued fifty tunes cannot starve one that queued one.  An
+    admitted session's whole search, checkpoint writes included, runs
+    on a {e session domain}: the daemon keeps up to [max_sessions] of
+    them, spawned on first need, parked between sessions and joined
+    before {!run} returns, while the connection thread waits and the
+    daemon's own domain stays free for socket I/O.  [max_sessions] is
+    therefore the number of searches that run in parallel; above the
+    host's core count they oversubscribe it.
 
     {b Checkpoints.}  Every tune session checkpoints its search state
     to [checkpoint_dir/<session>.ckpt] at generation boundaries,
@@ -38,12 +45,18 @@ type config = {
   socket : string;  (** Unix-domain socket path to listen on. *)
   checkpoint_dir : string;
       (** directory for session checkpoints; created if missing. *)
-  max_sessions : int;  (** concurrent tune sessions (>= 1). *)
+  max_sessions : int;
+      (** tune sessions running in parallel, one session domain each
+          (1 to {!max_sessions_limit}). *)
   queue_limit : int;
       (** waiting tune requests before refusing with [busy] (>= 1). *)
   checkpoint_every : int;
       (** checkpoint period in search generations (>= 1). *)
 }
+
+val max_sessions_limit : int
+(** 32: session domains plus the {!Imtp_engine.Pool}'s at most 63
+    worker domains stay under OCaml's limit of 128 live domains. *)
 
 val default_config : socket:string -> config
 (** [checkpoint_dir = "imtp-checkpoints"], [max_sessions = 2],
@@ -56,4 +69,5 @@ val run : ?machine:Imtp_upmem.Config.t -> config -> (unit, string) result
     created mode 0600 (it answers to whoever can connect); a stale
     socket left by a killed daemon is reclaimed, but a {e live} one is
     an [Error] without touching it.
-    @raise Invalid_argument on non-positive [config] knobs. *)
+    @raise Invalid_argument on non-positive [config] knobs or
+    [max_sessions > max_sessions_limit], before anything is started. *)

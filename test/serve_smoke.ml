@@ -1,9 +1,11 @@
-(* Process-level serving smoke, run as `serve_smoke.exe <imtp-cli>`:
-   boots a real daemon process, drives it with the typed client and
-   the `imtp client` subcommand, SIGKILLs it mid-tune once the session's
-   checkpoint file has been rewritten in place, and checks the
-   resumed search in a fresh daemon reproduces the uninterrupted run's
-   history digest.  Everything in here is fixed-seed. *)
+(* Process-level serving smoke, run as
+   `serve_smoke.exe <imtp-cli> [--max-sessions N] [--jobs N]`
+   (the daemon's flags, default 2 and 1): boots a real daemon process,
+   drives it with the typed client and the `imtp client` subcommand,
+   SIGKILLs it mid-tune once the session's checkpoint file has been
+   rewritten in place, and checks the resumed search in a fresh daemon
+   reproduces the uninterrupted run's history digest.  Everything in
+   here is fixed-seed. *)
 
 module C = Imtp.Serve_client
 module P = Imtp.Protocol
@@ -33,11 +35,23 @@ let wait_for ?(timeout = 30.) what pred =
   go ()
 
 let () =
-  let cli =
-    match Sys.argv with
-    | [| _; cli |] -> cli
-    | _ -> fail "usage: serve_smoke <path-to-imtp-cli>"
+  let usage () =
+    fail "usage: serve_smoke <path-to-imtp-cli> [--max-sessions N] [--jobs N]"
   in
+  let cli, max_sessions, jobs =
+    let rec flags ((cli, m, j) as acc) = function
+      | [] -> acc
+      | "--max-sessions" :: n :: rest when int_of_string_opt n <> None ->
+          flags (cli, n, j) rest
+      | "--jobs" :: n :: rest when int_of_string_opt n <> None ->
+          flags (cli, m, n) rest
+      | _ -> usage ()
+    in
+    match Array.to_list Sys.argv with
+    | _ :: cli :: rest -> flags (cli, "2", "1") rest
+    | _ -> usage ()
+  in
+  Printf.printf "daemon: --max-sessions %s --jobs %s\n%!" max_sessions jobs;
   let dir = Filename.temp_file "imtp_serve_smoke" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -49,7 +63,7 @@ let () =
       Unix.create_process cli
         [|
           cli; "serve"; "--socket"; socket; "--checkpoint-dir"; ckpt_dir;
-          "--max-sessions"; "2"; "--jobs"; "1";
+          "--max-sessions"; max_sessions; "--jobs"; jobs;
         |]
         devnull devnull devnull
     in

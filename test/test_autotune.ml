@@ -640,6 +640,35 @@ let test_pregating_log_lines_still_parse () =
       Alcotest.(check bool) "defaults to measured" true e.Tl.measured;
       Alcotest.(check bool) "no prediction" true (e.Tl.predicted_s = None)
 
+(* A run's ledger counts its own work: two different ops tuned at the
+   same time on one shared engine, each from its own domain, report the
+   simulator runs and cache hits they report alone on a fresh engine,
+   and the shared engine's counters are the two ledgers' sum. *)
+let test_search_ledger_per_run () =
+  let runs = [ (Ops.mtv 128 256, None); (Ops.mmtv 8 64 64, Some 0.25) ] in
+  let tune ?engine (op, measure_ratio) =
+    Se.run ~seed:31 ~jobs:1 ?measure_ratio ?engine cfg op ~trials:160
+  in
+  let alone = List.map (fun r -> tune r) runs in
+  let engine = Imtp_engine.Engine.create cfg in
+  let together =
+    List.map (fun r -> Domain.spawn (fun () -> tune ~engine r)) runs
+    |> List.map Domain.join
+  in
+  List.iter2
+    (fun (a : Se.outcome) (b : Se.outcome) ->
+      Alcotest.(check int) "measured_trials as alone" a.Se.measured_trials
+        b.Se.measured_trials;
+      Alcotest.(check int) "cache_hits as alone" a.Se.cache_hits b.Se.cache_hits)
+    alone together;
+  let c = Imtp_engine.Engine.counters engine in
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 together in
+  Alcotest.(check int) "engine costed = sum of the runs'"
+    c.Imtp_engine.Engine.costed
+    (sum (fun o -> o.Se.measured_trials));
+  Alcotest.(check int) "engine hits = sum of the runs'" c.Imtp_engine.Engine.hits
+    (sum (fun o -> o.Se.cache_hits))
+
 (* --- Checkpoint / resume --------------------------------------------- *)
 
 module Ck = Imtp_autotune.Checkpoint
@@ -867,6 +896,68 @@ let test_checkpoint_slots () =
       Alcotest.(check int) "loads the new checkpoint"
         (Se.checkpoint_trial big)
         (Se.checkpoint_trial (load_ok ())))
+
+(* One writer across a session: each save lands in the slot that does
+   not hold the writer's previous one and loads back as the newest; a
+   grown payload rewrites the file, and the writer keeps saving in
+   place into the renamed file.  A closed writer validates again: its
+   next save overwrites a slot torn meanwhile, never the valid one. *)
+let test_checkpoint_writer () =
+  with_tmp_dir (fun dir ->
+      let op = Ops.mtv 128 256 and trials = 96 in
+      let path = Filename.concat dir "writer.ckpt" in
+      let load_ok () =
+        match Ck.load path with Ok ck -> ck | Error m -> Alcotest.fail m
+      in
+      let w = Ck.writer path in
+      Fun.protect ~finally:(fun () -> Ck.close w) @@ fun () ->
+      let cks = ref [] and newest = ref [] in
+      let _killed =
+        Se.run ~seed:23 cfg op ~trials
+          ~on_checkpoint:(fun ck ->
+            Ck.write w ck;
+            cks := ck :: !cks;
+            newest := newest_slot (read_file path) :: !newest;
+            Alcotest.(check int) "load returns the save just made"
+              (Se.checkpoint_boundary ck)
+              (Se.checkpoint_boundary (load_ok ())))
+          ~stop:(fun () -> List.length !cks > 4)
+      in
+      Alcotest.(check (list int)) "saves alternate slots" [ 0; 1; 0; 1; 0 ]
+        (List.rev !newest);
+      let last = List.hd !cks and prev = List.nth !cks 1 in
+      let capacity, _ = slot_layout (read_file path) in
+      let big = ref None in
+      let _ =
+        Se.run ~seed:23 cfg op ~trials:(8 * trials)
+          ~on_checkpoint:(fun ck -> big := Some ck)
+      in
+      Ck.write w (Option.get !big);
+      let grown, _ = slot_layout (read_file path) in
+      Alcotest.(check bool) "grown payload rewrites the file" true
+        (grown > capacity);
+      Ck.write w last;
+      Alcotest.(check int) "saves in place after the rename" grown
+        (fst (slot_layout (read_file path)));
+      Alcotest.(check int) "the renamed file holds the save" 4
+        (Se.checkpoint_boundary (load_ok ()));
+      Ck.close w;
+      let whole = read_file path in
+      let _, off = slot_layout whole in
+      let n = newest_slot whole in
+      let torn = flip_payload_byte whole n in
+      write_file path torn;
+      let valid_slot s =
+        let o = off (1 - n) in
+        String.sub s o (min (32 + grown) (String.length s - o))
+      in
+      Ck.write w prev;
+      let after = read_file path in
+      Alcotest.(check bool) "valid slot untouched" true
+        (valid_slot after = valid_slot torn);
+      Alcotest.(check int) "torn slot rewritten" n (newest_slot after);
+      Alcotest.(check int) "load returns the new save" 3
+        (Se.checkpoint_boundary (load_ok ())))
 
 (* A raising checkpoint callback surfaces as its own exception, on one
    island and on two, instead of a lock error from the boundary. *)
@@ -1181,6 +1272,8 @@ let () =
           Alcotest.test_case "params roundtrip" `Quick
             test_tuning_log_params_roundtrip;
           Alcotest.test_case "rejection tally" `Quick test_search_rejections;
+          Alcotest.test_case "ledger counts the run's own work" `Quick
+            test_search_ledger_per_run;
         ] );
       ( "measurement gate",
         [
@@ -1217,6 +1310,7 @@ let () =
             test_resumed_trace_matches_golden;
           Alcotest.test_case "file slots: torn, cut and grown" `Quick
             test_checkpoint_slots;
+          Alcotest.test_case "one writer per session" `Quick test_checkpoint_writer;
           Alcotest.test_case "failing checkpoint write re-raised" `Quick
             test_checkpoint_failure_propagates;
           Alcotest.test_case "disk roundtrip + corrupt files" `Quick

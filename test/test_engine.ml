@@ -85,7 +85,7 @@ let test_fingerprint_alloc () =
     ignore (Sys.opaque_identity (E.prepare e ~skip_inputs:[ "A" ] op small_params))
   done;
   let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
-  let recorded = 141. in
+  let recorded = 132. in
   if per_call > 1.25 *. recorded then
     Alcotest.failf "cache hit: %.1f minor words per call, budget %.0f (1.25 x %.0f)"
       per_call (1.25 *. recorded) recorded

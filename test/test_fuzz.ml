@@ -321,6 +321,37 @@ let test_reproducer_text () =
       Alcotest.(check bool) "shows the schedule trace" true (contains "sch.");
       Alcotest.(check bool) "dumps the program" true (contains "def host")
 
+(* The oracle's output verdict is [Tensor.same_values]: a NaN differs
+   from itself and an I32 tensor never equals an F32 one, even where
+   [Value.compare] calls the elements equal. *)
+let test_first_diff () =
+  let f32 l =
+    let t = T.Tensor.create T.Dtype.F32 (T.Shape.create [ List.length l ]) in
+    List.iteri (fun i x -> T.Tensor.set_flat t i (T.Value.Float x)) l;
+    t
+  in
+  let i32 l =
+    let t = T.Tensor.create T.Dtype.I32 (T.Shape.create [ List.length l ]) in
+    List.iteri (fun i x -> T.Tensor.set_flat t i (T.Value.Int x)) l;
+    t
+  in
+  let show = function
+    | None -> "same"
+    | Some (i, g, w) ->
+        Printf.sprintf "%d: %s vs %s" i (T.Value.to_string g) (T.Value.to_string w)
+  in
+  let check what want a b =
+    Alcotest.(check string) what want (show (Oracle.first_diff a b))
+  in
+  check "equal f32" "same" (f32 [ 1.; 2.5 ]) (f32 [ 1.; 2.5 ]);
+  check "signed zeros are equal" "same" (f32 [ 0.; -0. ]) (f32 [ -0.; 0. ]);
+  check "nan differs from itself" "1: nan vs nan" (f32 [ 1.; nan ]) (f32 [ 1.; nan ]);
+  check "nan vs a number" "0: nan vs 3" (f32 [ nan ]) (f32 [ 3. ]);
+  check "equal i32" "same" (i32 [ 1; -7 ]) (i32 [ 1; -7 ]);
+  check "i32 never equals f32" "0: 1 vs 1" (i32 [ 1; 2 ]) (f32 [ 1.; 2. ]);
+  check "first differing element" "2: 4 vs 5" (i32 [ 1; 2; 4 ]) (i32 [ 1; 2; 5 ]);
+  check "shorter output" "2: 0 vs 3" (i32 [ 1; 2 ]) (i32 [ 1; 2; 3 ])
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -339,6 +370,7 @@ let () =
           Alcotest.test_case "rejects invalid" `Quick test_oracle_rejects_invalid;
           Alcotest.test_case "injected fault detected" `Quick
             test_injected_fault_detected;
+          Alcotest.test_case "first diff is same_values" `Quick test_first_diff;
         ] );
       ( "counters-vs-cost",
         [

@@ -80,6 +80,25 @@ let test_attrs () =
         (List.mem_assoc "hit" s.Obs.attrs)
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
+(* Minor words of one empty span with no sink open, recorded with
+   OCaml 5.1: its open-span record and nothing else.  Spans wrap every
+   engine stage and request, and in OCaml 5 a minor collection stops
+   every domain. *)
+let test_span_alloc () =
+  Obs.reset ();
+  let f () = () in
+  Obs.span ~name:"warm" f;
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Obs.span ~name:"empty" f
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  let recorded = 7. in
+  if per_call > 1.25 *. recorded then
+    Alcotest.failf "empty span: %.1f minor words per call, budget %.2f (1.25 x %.0f)"
+      per_call (1.25 *. recorded) recorded
+
 (* [Engine.prepare] builds its span's attributes only while a sink is
    open; under one, a cold and a warm request still carry all four. *)
 let test_prepare_attrs () =
@@ -360,6 +379,7 @@ let () =
           Alcotest.test_case "recorded on raise" `Quick
             test_span_records_on_raise;
           Alcotest.test_case "attributes" `Quick test_attrs;
+          Alcotest.test_case "allocation budget" `Quick test_span_alloc;
           Alcotest.test_case "prepare attributes under a sink" `Quick
             test_prepare_attrs;
         ] );

@@ -598,6 +598,133 @@ let test_daemon_resume_after_interrupt () =
       Alcotest.(check bool) "checkpoint removed after completion" false
         (Sys.file_exists ckpt_path))
 
+(* --- Session domains --------------------------------------------------- *)
+
+(* Every admitted search runs on a session domain the daemon joins
+   before [Serve.run] returns.  OCaml 5.1 refuses a 129th live domain,
+   so 70 lifetimes of two overlapping sessions each fail here if a
+   daemon leaves its session domains running; at most a few domains
+   are alive at any time. *)
+let test_session_domains_joined () =
+  for cycle = 1 to 70 do
+    with_daemon
+      ~config:(fun c -> { c with Serve.max_sessions = 2 })
+      (fun _cfg socket ->
+        let results = Array.make 2 (Error (Client.Transport "unset")) in
+        let threads =
+          Array.init 2 (fun i ->
+              Thread.create
+                (fun () ->
+                  results.(i) <-
+                    Client.with_connection ~socket
+                      (quick_tune ~trials:32
+                         ~session:(Printf.sprintf "c%d-%d" cycle i)))
+                ())
+        in
+        Array.iter Thread.join threads;
+        Array.iter
+          (fun r ->
+            let body = ok r in
+            Alcotest.(check bool) "session completed" false
+              (Json.member "interrupted" body = Some (Json.Bool true)))
+          results)
+  done
+
+(* A search that raises on its session domain answers its client as
+   before: [Invalid_argument] from [Search.run] is [bad_request], a
+   failing checkpoint write is [internal]; the daemon serves on. *)
+let test_session_errors_cross_back () =
+  with_daemon (fun cfg socket ->
+      let c = ok (Client.connect ~socket) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      (match quick_tune ~measure_ratio:1.5 ~session:"bad-ratio" c with
+      | Error (Client.Server (P.Bad_request, m)) ->
+          Alcotest.(check bool) ("names the ratio: " ^ m) true
+            (String.length m > 0)
+      | Error e -> fail_client e
+      | Ok _ -> Alcotest.fail "measure_ratio 1.5 accepted");
+      rm_rf cfg.Serve.checkpoint_dir;
+      (match quick_tune ~session:"no-dir" c with
+      | Error (Client.Server (P.Internal, _)) -> ()
+      | Error e -> fail_client e
+      | Ok _ -> Alcotest.fail "tune succeeded without a checkpoint directory");
+      Unix.mkdir cfg.Serve.checkpoint_dir 0o700;
+      ignore (ok (quick_tune ~session:"after" c)))
+
+(* A shutdown while a session runs on the single session domain of
+   [max_sessions = 1]: the search stops at its next boundary, writes
+   its final checkpoint and answers [interrupted: true]. *)
+let test_shutdown_mid_session () =
+  let dir = temp_dir "imtp_stop" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let socket = Filename.concat dir "d.sock" in
+  let cfg =
+    {
+      (Serve.default_config ~socket) with
+      Serve.checkpoint_dir = Filename.concat dir "ckpt";
+      max_sessions = 1;
+    }
+  in
+  let result = ref (Ok ()) in
+  let th = Thread.create (fun () -> result := Serve.run cfg) () in
+  wait_for "daemon socket" (fun () ->
+      match Client.connect ~socket with
+      | Ok c ->
+          Client.close c;
+          true
+      | Error _ -> false);
+  let trials = 4000 in
+  let ckpt = Filename.concat cfg.Serve.checkpoint_dir "long.ckpt" in
+  let answer = ref (Error (Client.Transport "unset")) in
+  let tv =
+    Thread.create
+      (fun () ->
+        answer := Client.with_connection ~socket (quick_tune ~trials ~session:"long"))
+      ()
+  in
+  wait_for "first checkpoint" (fun () -> Sys.file_exists ckpt);
+  (match Client.with_connection ~socket Client.shutdown with
+  | Ok () -> ()
+  | Error e -> fail_client e);
+  Thread.join tv;
+  Thread.join th;
+  (match !result with Ok () -> () | Error m -> Alcotest.failf "daemon: %s" m);
+  let body = ok !answer in
+  Alcotest.(check bool) "answered as interrupted" true
+    (Json.member "interrupted" body = Some (Json.Bool true));
+  match Imtp_autotune.Checkpoint.load ckpt with
+  | Error m -> Alcotest.failf "final checkpoint: %s" m
+  | Ok ck ->
+      let done_ = Imtp_autotune.Search.checkpoint_trial ck in
+      Alcotest.(check bool)
+        (Printf.sprintf "final checkpoint mid-run (%d of %d trials)" done_ trials)
+        true
+        (done_ > 0 && done_ < trials)
+
+(* [max_sessions] above the limit is refused before the daemon starts
+   anything: no socket, no domain. *)
+let test_max_sessions_limit () =
+  let dir = temp_dir "imtp_limit" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let socket = Filename.concat dir "d.sock" in
+  let cfg n =
+    {
+      (Serve.default_config ~socket) with
+      Serve.checkpoint_dir = Filename.concat dir "ckpt";
+      max_sessions = n;
+    }
+  in
+  List.iter
+    (fun n ->
+      match Serve.run (cfg n) with
+      | _ -> Alcotest.failf "max_sessions %d accepted" n
+      | exception Invalid_argument _ -> ())
+    [ 0; Serve.max_sessions_limit + 1; max_int ];
+  Alcotest.(check int) "limit" 32 Serve.max_sessions_limit;
+  Alcotest.(check bool) "no socket" false (Sys.file_exists socket);
+  Alcotest.(check bool) "no checkpoint dir" false
+    (Sys.file_exists (Filename.concat dir "ckpt"))
+
 let () =
   Alcotest.run "serve"
     [
@@ -625,5 +752,15 @@ let () =
             test_admission_backpressure;
           Alcotest.test_case "interrupt + resume across daemons" `Quick
             test_daemon_resume_after_interrupt;
+        ] );
+      ( "session domains",
+        [
+          Alcotest.test_case "joined across 70 daemon lifetimes" `Quick
+            test_session_domains_joined;
+          Alcotest.test_case "errors cross back" `Quick
+            test_session_errors_cross_back;
+          Alcotest.test_case "shutdown mid-session" `Quick
+            test_shutdown_mid_session;
+          Alcotest.test_case "max_sessions limit" `Quick test_max_sessions_limit;
         ] );
     ]
