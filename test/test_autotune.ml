@@ -406,21 +406,28 @@ let check_against_golden ~got ~want =
    against the gate's predictions and the buffer rendering of log
    lines: none of them may move a trajectory or a digest byte.  The
    two-island digest was re-recorded once, when the confirmation pass
-   stopped re-simulating migrants the sibling island had measured. *)
+   stopped re-simulating migrants the sibling island had measured.
+   The 161-trial runs split their budget unevenly (81/80): island 1
+   finishes at boundary 2 and island 0 steps a fifth generation to
+   boundary 3, migrating from island 1's final population; both
+   digests were recorded on the island-systhread search, before
+   islands stepped in lockstep. *)
 let test_gated_history_digest_pinned () =
   let op = Ops.mtv 128 256 in
   List.iter
-    (fun (islands, want) ->
-      let o =
-        Se.run ~seed:11 ~jobs:1 ~islands ~measure_ratio:0.2 cfg op ~trials:96
-      in
+    (fun (islands, measure_ratio, trials, want) ->
+      let o = Se.run ~seed:11 ~jobs:1 ~islands ?measure_ratio cfg op ~trials in
       Alcotest.(check string)
-        (Printf.sprintf "islands=%d digest" islands)
+        (Printf.sprintf "islands=%d ratio=%s trials=%d digest" islands
+           (match measure_ratio with Some r -> string_of_float r | None -> "-")
+           trials)
         want
         (Imtp_serve.Protocol.history_digest o))
     [
-      (1, "47d30e43b723e00d013bcc16e4439893");
-      (2, "3096f6ff0afabb298ca30d69b664790e");
+      (1, Some 0.2, 96, "47d30e43b723e00d013bcc16e4439893");
+      (2, Some 0.2, 96, "3096f6ff0afabb298ca30d69b664790e");
+      (2, None, 161, "a775df0ffaf734f2550b6d12d98d114a");
+      (2, Some 0.2, 161, "d82acdb24b67fe39c380b23efa750497");
     ]
 
 let test_ungated_trace_matches_golden () =
@@ -752,6 +759,12 @@ let test_kill_resume_islands_gated () =
      killed at the second. *)
   check_kill_resume ~islands:2 ~measure_ratio:0.2 ~k:2 (Ops.mmtv 8 64 64)
     ~trials:224
+
+let test_kill_resume_uneven_islands () =
+  (* 81/80 trials: island 1 is done at boundary 2, the kill point, and
+     island 0 runs one more generation to boundary 3 on migrants from
+     island 1's final population. *)
+  check_kill_resume ~islands:2 ~k:2 (Ops.mtv 128 256) ~trials:161
 
 (* The committed acceptance criterion: a killed-then-resumed run on the
    golden workloads reproduces the golden trace byte-for-byte — same
@@ -1306,6 +1319,8 @@ let () =
             test_kill_resume_islands;
           Alcotest.test_case "kill+resume = uninterrupted (2 islands, gated)"
             `Quick test_kill_resume_islands_gated;
+          Alcotest.test_case "kill+resume = uninterrupted (2 uneven islands)"
+            `Quick test_kill_resume_uneven_islands;
           Alcotest.test_case "resumed trace matches golden" `Quick
             test_resumed_trace_matches_golden;
           Alcotest.test_case "file slots: torn, cut and grown" `Quick
