@@ -698,7 +698,7 @@ let transfer () =
   in
   List.iter
     (fun (label, op, params) ->
-      let base = Imtp.Sketch.lower_options params in
+      let base = Imtp.Lowering.default_options in
       let naive =
         build op params
           { base with Imtp.Lowering.bulk_transfer = false; parallel_transfer = false }

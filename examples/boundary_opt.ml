@@ -46,7 +46,7 @@ let () =
   Format.printf
     "Fig. 8 walkthrough: 7x40 GEMV, 2x16 tiles, one tasklet per DPU@.@.";
   let sched = Imtp.Sketch.instantiate op params in
-  let raw = Imtp.Lowering.lower ~options:(Imtp.Sketch.lower_options params) sched in
+  let raw = Imtp.Lowering.lower ~options:Imtp.Lowering.default_options sched in
 
   let m0 = show "(a) lowered kernel (per-element guarded DMA)" raw in
   let dma = Imtp.Dma_elim.run cfg raw in

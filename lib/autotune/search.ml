@@ -52,7 +52,7 @@ type outcome = {
 type member = Sketch.params * float * bool
 
 (* Everything one island's loop mutates, snapshotted at a boundary
-   (with one island, every generation).  All fields
+   after its migration (with one island, every generation).  All fields
    are plain data (no closures), so a checkpoint marshals to disk
    as-is ({!Checkpoint}); [Rng.t] serializes its exact draw position,
    which is what makes resumption bit-identical.  The engine's memo
@@ -78,11 +78,6 @@ type island_state = {
   il_population : member list;
   il_generations : int;
   il_migrations : int;
-  il_done : bool;  (* trial budget exhausted *)
-  il_migrated : bool;
-      (* whether the migration of the snapshot's boundary has already
-         been applied to [il_population]; a resumed island replays the
-         migration when this is false. *)
 }
 
 type checkpoint = {
@@ -110,8 +105,10 @@ type checkpoint = {
    Format 2: island-aware checkpoints.  Format 3: the mutation ranker
    is a [Cost_learn.t].  Format 4: population members record whether
    their latency was measured; the migration cadence and the learned
-   model's training threshold are constants. *)
-let checkpoint_format = 4
+   model's training threshold are constants.  Format 5: snapshots are
+   taken after the boundary's migration, so a resumed run replays
+   nothing. *)
+let checkpoint_format = 5
 
 let checkpoint_trial ck =
   Array.fold_left (fun a s -> a + s.il_trial) 0 ck.ck_states
@@ -149,6 +146,16 @@ let epsilon strategy ~trial ~trials =
 
 let by_latency = fun (_, a, _) (_, b, _) -> Float.compare a b
 let take n l = List.filteri (fun i _ -> i < n) l
+
+(* [chunks sizes a] cuts [a] into consecutive pieces of the given sizes. *)
+let chunks sizes a =
+  let off = ref 0 in
+  List.map
+    (fun n ->
+      let piece = Array.sub a !off n in
+      off := !off + n;
+      piece)
+    sizes
 
 (* The generational population: with balanced sampling active, half the
    slots are reserved for each design space (rfactor / non-rfactor)
@@ -211,40 +218,10 @@ type island_ctx = {
   mutable migrations : int;
   mutable epoch_obs : (float array * float * float option) list;
       (* newest first: (features, latency, gate's log prediction)
-         observed since the last model merge — published at the next
-         boundary (gated only). *)
-  mutable done_ : bool;
+         observed since the last model merge — folded into the merged
+         model at the next boundary, or after the confirmation passes
+         (gated only). *)
 }
-
-(* What one island publishes at a boundary: its pre-migration population
-   (the ring successor's migration source) and its epoch's model
-   observations in chronological order.  Both are immutable, so
-   publishing copies nothing; full state snapshots are only taken when
-   the boundary is checkpointed. *)
-type publication = {
-  pub_population : member list;
-  pub_obs : (float array * float * float option) list;
-}
-
-(* Rendezvous state shared by all islands of one run.  [shared_tir] is
-   the one mutex-guarded learned cost model: at every boundary the
-   first island past the rendezvous folds all islands' epoch
-   observations into it in (boundary, island) order — a deterministic
-   merge — and every island then continues from a copy. *)
-type island_shared = {
-  sm : Mutex.t;
-  scv : Condition.t;
-  pubs : (int * int, publication) Hashtbl.t;
-      (* (island, boundary); only the latest merged boundary is kept *)
-  final : island_state option array;  (* post-migration state once done *)
-  done_at : int option array;
-  shared_tir : Cost_learn.t;
-  mutable merged_boundary : int;
-  mutable stop_boundary : int option;
-  mutable failed : exn option;
-}
-
-exception Island_aborted
 
 let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
     ?skip_inputs ?(use_cost_model = true) ?measure_ratio ?engine ?resume
@@ -347,7 +324,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
       generations = 0;
       migrations = 0;
       epoch_obs = [];
-      done_ = false;
     }
   in
   (* Deep-copy every piece of resumed state: the caller may resume the
@@ -373,10 +349,9 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
       generations = st.il_generations;
       migrations = st.il_migrations;
       epoch_obs = [];
-      done_ = st.il_done;
     }
   in
-  let state_of_ctx ?(migrated = false) cx =
+  let state_of_ctx cx =
     {
       il_island = cx.ix;
       il_trials = cx.ix_trials;
@@ -394,34 +369,12 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
       il_population = cx.population;
       il_generations = cx.generations;
       il_migrations = cx.migrations;
-      il_done = cx.done_;
-      il_migrated = migrated;
     }
   in
   let ledger_counters () =
     ( base_measured_trials + Engine.ledger_costed ledger,
       base_cache_hits + Engine.ledger_hits ledger,
       base_elapsed_s +. (Obs.now_s () -. t0) )
-  in
-  let make_checkpoint ~boundary ~tir states =
-    let measured_trials, cache_hits, elapsed_s = ledger_counters () in
-    {
-      ck_format = checkpoint_format;
-      ck_op_key = op_key;
-      ck_op_name = op.Imtp_workload.Op.opname;
-      ck_seed = seed;
-      ck_trials = trials;
-      ck_strategy = strategy;
-      ck_use_cost_model = use_cost_model;
-      ck_measure_ratio = measure_ratio;
-      ck_islands = k;
-      ck_boundary = boundary;
-      ck_tir_model = Cost_learn.copy tir;
-      ck_states = states;
-      ck_measured_trials = measured_trials;
-      ck_cache_hits = cache_hits;
-      ck_elapsed_s = elapsed_s;
-    }
   in
   let tally cx e =
     cx.invalid <- cx.invalid + 1;
@@ -563,15 +516,14 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         Obs.add_attr "selected" (Obs.Int n_sel);
         (List.sort compare (take n_sel order), predicted)
   in
-  (* One generation: propose against the fixed parent pool, prepare the
-     whole generation (no simulator, no rng), select, then simulate the
-     selected candidates through the pool.  One [bits] draw per
-     generation plus per-slot noise streams make the values independent
-     of how many workers (or islands) run concurrently. *)
-  let step_generation cx =
-    Obs.span ~name:"search.generation"
-      ~attrs:[ ("trial", Obs.Int cx.trial); ("island", Obs.Int cx.ix) ]
-    @@ fun () ->
+  (* One island's share of a generation, in the stages [step_generation]
+     interleaves across islands: propose against the fixed parent pool;
+     given the prepared proposals (no simulator, no rng), select and
+     draw the noise base; given the simulations of the selected
+     candidates, record them and truncate the population.  One [bits]
+     draw per generation plus per-slot noise streams make the values
+     independent of how many workers run the simulations. *)
+  let island_generation cx =
     let early =
       float_of_int cx.trial
       < exploration_fraction *. float_of_int cx.ix_trials
@@ -608,85 +560,122 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
       end
     in
     let candidates = List.init gen_size propose in
-    (* (slot, params, prepared) of every candidate not measured before *)
-    let fresh =
-      Engine.prepare_batch engine ~ledger ~jobs ?skip_inputs op candidates
-      |> List.mapi (fun i (params, r) ->
-             match r with
-             | Error e ->
-                 tally cx e;
-                 None
-             | Ok _ when Hashtbl.mem cx.seen params -> None
-             | Ok prep -> Some (i, params, prep))
-      |> List.filter_map Fun.id |> Array.of_list
+    let after_prepare prepared =
+      (* (slot, params, prepared) of every candidate not measured before *)
+      let fresh =
+        prepared
+        |> List.mapi (fun i (params, r) ->
+               match r with
+               | Error e ->
+                   tally cx e;
+                   None
+               | Ok _ when Hashtbl.mem cx.seen params -> None
+               | Ok prep -> Some (i, params, prep))
+        |> List.filter_map Fun.id |> Array.of_list
+      in
+      let selected, predicted = select cx fresh in
+      let base = Rng.bits cx.rng in
+      (* A candidate proposed twice is simulated for its first slot only;
+         selection is in proposal order, so the noise-stream indices are
+         independent of the ranking. *)
+      let sel =
+        let dup = Hashtbl.create 16 in
+        List.filter
+          (fun idx ->
+            let _, params, _ = fresh.(idx) in
+            if Hashtbl.mem dup params then false
+            else begin
+              Hashtbl.replace dup params ();
+              true
+            end)
+          selected
+        |> Array.of_list
+      in
+      let simulate si () =
+        let i, _, prep = fresh.(sel.(si)) in
+        Engine.simulate engine ~ledger ~rng:(Rng.stream ~base ~index:i) prep
+      in
+      let after_simulate sims =
+        let measured_now = Array.make (Array.length fresh) None in
+        Array.iteri
+          (fun si result ->
+            let idx = sel.(si) in
+            let i, params, prep = fresh.(idx) in
+            match result with
+            | Error e -> tally cx e
+            | Ok m ->
+                record cx ~prep
+                  ?predicted_s:(Option.map exp predicted.(idx))
+                  ?predicted_log:predicted.(idx) ~trial:(cx.trial + i) params m;
+                measured_now.(idx) <- Some (params, m.Engine.latency_s, true))
+          sims;
+        Obs.incr ~by:(List.length selected) "search.gate.measured";
+        Obs.incr
+          ~by:(Array.length fresh - List.length selected)
+          "search.gate.skipped";
+        (* Unselected candidates join the population on their predicted
+           latency; a repeat of a candidate measured or admitted before
+           burns its trial silently. *)
+        let offspring =
+          Array.to_list fresh
+          |> List.mapi (fun idx (i, params, _) ->
+                 match (measured_now.(idx), Option.map exp predicted.(idx)) with
+                 | (Some _ as c), _ -> c
+                 | None, Some predicted_s
+                   when Float.is_finite predicted_s && not (known cx params) ->
+                     record_skipped cx ~trial:(cx.trial + i) params ~predicted_s;
+                     Some (params, predicted_s, false)
+                 | None, _ -> None)
+          |> List.filter_map Fun.id
+        in
+        cx.trial <- cx.trial + gen_size;
+        cx.population <-
+          truncate_population strategy ~early (cx.population @ offspring);
+        cx.generations <- cx.generations + 1;
+        List.length offspring
+      in
+      (Array.init (Array.length sel) simulate, after_simulate)
     in
-    let selected, predicted = select cx fresh in
-    let base = Rng.bits cx.rng in
-    (* A candidate proposed twice is simulated for its first slot only;
-       selection is in proposal order, so the noise-stream indices are
-       independent of the ranking. *)
-    let sel =
-      let dup = Hashtbl.create 16 in
-      List.filter
-        (fun idx ->
-          let _, params, _ = fresh.(idx) in
-          if Hashtbl.mem dup params then false
-          else begin
-            Hashtbl.replace dup params ();
-            true
-          end)
-        selected
+    (candidates, after_prepare)
+  in
+  (* One lockstep generation of the islands [cxs] with budget left
+     (budgets differ by at most one trial, so they all stand at the same
+     trial): every island's proposals go through one engine batch and
+     every island's selected candidates through one pool map, then each
+     island records its own results, in island order. *)
+  let step_generation cxs =
+    Obs.span ~name:"search.generation"
+      ~attrs:[ ("trial", Obs.Int (List.hd cxs).trial) ]
+    @@ fun () ->
+    let proposed = List.map island_generation cxs in
+    let prepared =
+      Engine.prepare_batch engine ~ledger ~jobs ?skip_inputs op
+        (List.concat_map fst proposed)
       |> Array.of_list
     in
-    let sims =
-      Pool.map ~jobs
-        (fun si ->
-          let i, _, prep = fresh.(sel.(si)) in
-          Engine.simulate engine ~ledger ~rng:(Rng.stream ~base ~index:i) prep)
-        (Array.length sel)
+    let selected =
+      List.map2
+        (fun (_, after_prepare) p -> after_prepare (Array.to_list p))
+        proposed
+        (chunks (List.map (fun (c, _) -> List.length c) proposed) prepared)
     in
-    let measured_now = Array.make (Array.length fresh) None in
-    Array.iteri
-      (fun si result ->
-        let idx = sel.(si) in
-        let i, params, prep = fresh.(idx) in
-        match result with
-        | Error e -> tally cx e
-        | Ok m ->
-            record cx ~prep
-              ?predicted_s:(Option.map exp predicted.(idx))
-              ?predicted_log:predicted.(idx) ~trial:(cx.trial + i) params m;
-            measured_now.(idx) <- Some (params, m.Engine.latency_s, true))
-      sims;
-    Obs.incr ~by:(List.length selected) "search.gate.measured";
-    Obs.incr
-      ~by:(Array.length fresh - List.length selected)
-      "search.gate.skipped";
-    (* Unselected candidates join the population on their predicted
-       latency; a repeat of a candidate measured or admitted before
-       burns its trial silently. *)
-    let offspring =
-      Array.to_list fresh
-      |> List.mapi (fun idx (i, params, _) ->
-             match (measured_now.(idx), Option.map exp predicted.(idx)) with
-             | (Some _ as c), _ -> c
-             | None, Some predicted_s
-               when Float.is_finite predicted_s && not (known cx params) ->
-                 record_skipped cx ~trial:(cx.trial + i) params ~predicted_s;
-                 Some (params, predicted_s, false)
-             | None, _ -> None)
-      |> List.filter_map Fun.id
+    let sims = Array.concat (List.map fst selected) in
+    let results = Pool.map ~jobs (fun i -> sims.(i) ()) (Array.length sims) in
+    let accepted =
+      List.map2
+        (fun (_, after_simulate) r -> after_simulate r)
+        selected
+        (chunks (List.map (fun (s, _) -> Array.length s) selected) results)
     in
-    cx.trial <- cx.trial + gen_size;
-    cx.population <-
-      truncate_population strategy ~early (cx.population @ offspring);
-    Obs.add_attr "size" (Obs.Int gen_size);
-    Obs.add_attr "accepted" (Obs.Int (List.length offspring));
-    Obs.add_attr "population" (Obs.Int (List.length cx.population));
-    (match cx.best with
-    | Some b -> Obs.add_attr "best_s" (Obs.Float b.Measure.latency_s)
-    | None -> ());
-    cx.generations <- cx.generations + 1
+    let sum f = List.fold_left (fun a x -> a + f x) 0 in
+    Obs.add_attr "size" (Obs.Int (sum (fun (c, _) -> List.length c) proposed));
+    Obs.add_attr "accepted" (Obs.Int (sum Fun.id accepted));
+    Obs.add_attr "population"
+      (Obs.Int (sum (fun cx -> List.length cx.population) cxs));
+    let best =
+      List.fold_left (fun a cx -> Float.min a (best_so_far cx)) infinity cxs
+    in
+    if Float.is_finite best then Obs.add_attr "best_s" (Obs.Float best)
   in
   (* Confirmation pass (gated only): the final population may hold
      predicted-only candidates the model ranks better than anything
@@ -744,235 +733,122 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         truncate_population strategy ~early (cx.population @ fresh)
     end
   in
-  (* ---------------- the island loop -------------------------------- *)
-  let sh =
-    {
-      sm = Mutex.create ();
-      scv = Condition.create ();
-      pubs = Hashtbl.create 16;
-      final = Array.make k None;
-      done_at = Array.make k None;
-      shared_tir =
-        (match resume with
-        | None -> Cost_learn.create ()
-        | Some ck -> Cost_learn.copy ck.ck_tir_model);
-      merged_boundary =
-        (match resume with None -> -1 | Some ck -> ck.ck_boundary);
-      stop_boundary = None;
-      failed = None;
-    }
+  (* ---------------- the lockstep loop ------------------------------ *)
+  (* The one learned model merged from every island's observations:
+     each boundary folds the epoch's observations into it in island
+     order, and every island starts the next epoch from a copy. *)
+  let shared_tir =
+    match resume with
+    | None -> Cost_learn.create ()
+    | Some ck -> Cost_learn.copy ck.ck_tir_model
   in
   let ctxs =
     match resume with
     | None -> Array.init k fresh_ctx
     | Some ck ->
-        (* Seed the rendezvous as if every island had just published
-           the checkpoint's boundary: the states stand in for the
-           publications, the shared model is already merged through it,
-           and each island replays whatever tail of the boundary (model
-           adoption, migration) its snapshot predates. *)
-        Array.iteri
-          (fun i st ->
-            Hashtbl.replace sh.pubs (i, ck.ck_boundary)
-              { pub_population = st.il_population; pub_obs = [] };
-            if st.il_done && st.il_migrated then begin
-              sh.done_at.(i) <- Some ck.ck_boundary;
-              sh.final.(i) <- Some st
-            end)
-          ck.ck_states;
         Array.map
           (fun st -> ctx_of_state ~tir:(Cost_learn.copy ck.ck_tir_model) st)
           ck.ck_states
+  in
+  let has_budget cx = cx.trial < cx.ix_trials in
+  let replay_epoch cx =
+    List.iter
+      (fun (x, y, predicted_log) ->
+        Cost_learn.observe ?predicted_log shared_tir x y)
+      (List.rev cx.epoch_obs);
+    cx.epoch_obs <- []
+  in
+  let emit_checkpoint b =
+    match on_checkpoint with
+    | None -> ()
+    | Some f ->
+        Obs.incr "search.checkpoints";
+        let measured_trials, cache_hits, elapsed_s = ledger_counters () in
+        f
+          {
+            ck_format = checkpoint_format;
+            ck_op_key = op_key;
+            ck_op_name = op.Imtp_workload.Op.opname;
+            ck_seed = seed;
+            ck_trials = trials;
+            ck_strategy = strategy;
+            ck_use_cost_model = use_cost_model;
+            ck_measure_ratio = measure_ratio;
+            ck_islands = k;
+            ck_boundary = b;
+            ck_tir_model = Cost_learn.copy shared_tir;
+            ck_states = Array.map state_of_ctx ctxs;
+            ck_measured_trials = measured_trials;
+            ck_cache_hits = cache_hits;
+            ck_elapsed_s = elapsed_s;
+          }
+  in
+  (* The boundary after the epoch the islands [active] stepped through
+     (all islands at boundary 0): merge the model, migrate, checkpoint,
+     then poll [stop] once.  Returns true when the run stops here. *)
+  let boundary b active =
+    let observers = List.filter (fun cx -> cx.epoch_obs <> []) active in
+    (match observers with
+    | [ cx ] ->
+        (* A lone observer started the epoch holding the merged model
+           and observed exactly its epoch, in order: its model is what
+           the replay would compute. *)
+        Cost_learn.adopt shared_tir ~from:cx.tir;
+        cx.epoch_obs <- []
+    | _ -> List.iter replay_epoch observers);
+    (* Every island started the epoch holding the merged model, so one
+       that made every observation already holds the merge; the others
+       take a copy. *)
+    List.iter
+      (fun cx ->
+        if List.exists (fun o -> o != cx) observers then
+          cx.tir <- Cost_learn.copy shared_tir)
+      active;
+    (* Each island imports the elites of its ring predecessor's
+       pre-migration population; an island done at an earlier boundary
+       supplies its final one. *)
+    if b > 0 then begin
+      let sources = Array.map (fun cx -> cx.population) ctxs in
+      List.iter
+        (fun cx -> apply_migration cx (elites sources.((cx.ix + k - 1) mod k)))
+        active
+    end;
+    let periodic = b mod checkpoint_every = 0 in
+    if periodic then emit_checkpoint b;
+    (* After the periodic checkpoint, so a [stop] keyed on the
+       checkpoints it has seen lands on this boundary, not the next. *)
+    let stopping = should_stop () in
+    if stopping && not periodic then emit_checkpoint b;
+    stopping
   in
   (* A single island has nothing to migrate, so every generation is a
      boundary: checkpoints keep a per-generation cadence and
      [ck_boundary] counts generations. *)
   let generations_per_boundary = if k = 1 then 1 else migrate_every in
-  let all_ready b =
-    sh.failed <> None
-    || (let ready = ref true in
-        for j = 0 to k - 1 do
-          let ok =
-            Hashtbl.mem sh.pubs (j, b)
-            || (match sh.done_at.(j) with
-               | Some d -> d < b && sh.final.(j) <> None
-               | None -> false)
-          in
-          if not ok then ready := false
+  (* Epochs from boundary [b] on, until every island's budget is spent
+     or [stop] asks; true when stopped. *)
+  let rec epochs b =
+    match List.filter has_budget (Array.to_list ctxs) with
+    | [] -> false
+    | active ->
+        for _ = 1 to generations_per_boundary do
+          match List.filter has_budget active with
+          | [] -> ()
+          | cxs -> step_generation cxs
         done;
-        !ready)
+        boundary (b + 1) active || epochs (b + 1)
   in
-  (* Under [sh.sm], by the boundary's merge leader.  Every island that
-     published [b] is parked at the rendezvous until the leader lets go
-     of the lock, so its context still holds exactly its pre-migration
-     state; islands done at an earlier boundary contribute their final
-     post-migration state. *)
-  let emit_checkpoint b =
-    match on_checkpoint with
-    | None -> ()
-    | Some f ->
-        let states =
-          Array.init k (fun j ->
-              if Hashtbl.mem sh.pubs (j, b) then state_of_ctx ctxs.(j)
-              else Option.get sh.final.(j))
-        in
-        Obs.incr "search.checkpoints";
-        f (make_checkpoint ~boundary:b ~tir:sh.shared_tir states)
-  in
-  (* Under [sh.sm]: export a done island's post-migration state; later
-     boundaries take its elites (and checkpoint its state) from here. *)
-  let export_final cx =
-    sh.final.(cx.ix) <- Some (state_of_ctx ~migrated:true cx);
-    Condition.broadcast sh.scv
-  in
-  (* The boundary rendezvous: publish, wait for the ring, merge the
-     shared model once (deterministic island-order fold), checkpoint,
-     then migrate from the ring predecessor.  Returns true when the run
-     is stopping. *)
-  let island_boundary cx b =
-    let pub =
-      { pub_population = cx.population; pub_obs = List.rev cx.epoch_obs }
-    in
-    cx.epoch_obs <- [];
-    (* [protect] releases the lock on every exit path: a raising
-       [on_checkpoint] must reach [guarded] with the lock free, or its
-       re-lock fails and buries the callback's own exception. *)
-    let stopping, migrants =
-      Mutex.protect sh.sm @@ fun () ->
-      Hashtbl.replace sh.pubs (cx.ix, b) pub;
-      if cx.done_ then sh.done_at.(cx.ix) <- Some b;
-      Condition.broadcast sh.scv;
-      while not (all_ready b) do
-        Condition.wait sh.scv sh.sm
-      done;
-      if sh.failed <> None then raise Island_aborted;
-      (* No island leaves a boundary before its leader merges it, so the
-         merge leader of [b] always finds [b - 1] merged, and nothing
-         reads a publication older than [b] again. *)
-      if sh.merged_boundary < b then begin
-        let obs j =
-          match Hashtbl.find_opt sh.pubs (j, b) with
-          | Some p -> p.pub_obs
-          | None -> []
-        in
-        (match List.filter (fun j -> obs j <> []) (List.init k Fun.id) with
-        | [ j ] ->
-            (* A lone observer started the epoch holding the merged
-               model and observed exactly its publication, in order: its
-               model is what the replay would compute. *)
-            Cost_learn.adopt sh.shared_tir ~from:ctxs.(j).tir
-        | _ ->
-            for j = 0 to k - 1 do
-              List.iter
-                (fun (x, y, predicted_log) ->
-                  Cost_learn.observe ?predicted_log sh.shared_tir x y)
-                (obs j)
-            done);
-        Hashtbl.filter_map_inplace
-          (fun (_, bb) p -> if bb < b then None else Some p)
-          sh.pubs;
-        sh.merged_boundary <- b;
-        let periodic = b = 0 || b mod checkpoint_every = 0 in
-        if periodic then emit_checkpoint b;
-        (* One stop poll per boundary, made by the merge leader so every
-           island agrees on where the run ends — after the periodic
-           checkpoint, so a [stop] keyed on the checkpoints it has seen
-           lands on this boundary rather than the next. *)
-        if should_stop () then begin
-          sh.stop_boundary <- Some b;
-          if not periodic then emit_checkpoint b
-        end
-      end;
-      let stopping = sh.stop_boundary <> None in
-      (* Every island starts an epoch holding the merged model, so one
-         that made every observation merged at [b] already holds the new
-         merge (the fold replayed its own observations in its own order)
-         and only has to adopt a copy when another island contributed. *)
-      let others_observed =
-        List.exists
-          (fun j ->
-            j <> cx.ix
-            &&
-            match Hashtbl.find_opt sh.pubs (j, b) with
-            | Some p -> p.pub_obs <> []
-            | None -> false)
-          (List.init k Fun.id)
-      in
-      if gated && others_observed then
-        cx.tir <- Cost_learn.copy sh.shared_tir;
-      let migrants =
-        if b = 0 || stopping then []
-        else begin
-          let p = (cx.ix + k - 1) mod k in
-          match (Hashtbl.find_opt sh.pubs (p, b), sh.final.(p)) with
-          | Some pb, _ -> elites pb.pub_population
-          | None, Some st -> elites st.il_population
-          | None, None -> []
-        end
-      in
-      (stopping, migrants)
-    in
-    if migrants <> [] then apply_migration cx migrants;
-    if cx.done_ && not stopping then
-      Mutex.protect sh.sm (fun () -> export_final cx);
-    stopping
-  in
-  let island_main cx =
-    Obs.span ~name:"search.island"
-      ~attrs:[ ("island", Obs.Int cx.ix); ("trials", Obs.Int cx.ix_trials) ]
-    @@ fun () ->
-    let b = ref 0 in
-    let stopping = ref false in
-    (match resume with
-    | Some ck ->
-        b := ck.ck_boundary;
-        (* Replay the tail of the checkpointed boundary for a snapshot
-           taken before its migration. *)
-        let st = ck.ck_states.(cx.ix) in
-        if not st.il_migrated then begin
-          let migrants =
-            if !b = 0 then []
-            else elites ck.ck_states.((cx.ix + k - 1) mod k).il_population
-          in
-          if migrants <> [] then apply_migration cx migrants;
-          if cx.done_ then
-            Mutex.protect sh.sm (fun () ->
-                sh.done_at.(cx.ix) <- Some !b;
-                export_final cx)
-        end
+  let interrupted =
+    match resume with
+    | Some ck -> epochs ck.ck_boundary
     | None ->
-        init_island cx;
-        if cx.trial >= cx.ix_trials then cx.done_ <- true;
-        stopping := island_boundary cx 0);
-    while (not cx.done_) && not !stopping do
-      let g = ref 0 in
-      while !g < generations_per_boundary && cx.trial < cx.ix_trials do
-        step_generation cx;
-        incr g
-      done;
-      if cx.trial >= cx.ix_trials then cx.done_ <- true;
-      incr b;
-      stopping := island_boundary cx !b
-    done;
-    if not !stopping then confirm cx
+        Array.iter init_island ctxs;
+        boundary 0 (Array.to_list ctxs) || epochs 0
   in
-  let guarded cx () =
-    try island_main cx with
-    | Island_aborted -> ()
-    | e ->
-        Mutex.protect sh.sm (fun () ->
-            if sh.failed = None then sh.failed <- Some e;
-            Condition.broadcast sh.scv)
-  in
-  let rest =
-    Array.to_list ctxs
-    |> List.filter (fun cx -> cx.ix > 0)
-    |> List.map (fun cx -> Thread.create (guarded cx) ())
-  in
-  guarded ctxs.(0) ();
-  List.iter Thread.join rest;
-  (match sh.failed with Some e -> raise e | None -> ());
-  let interrupted = sh.stop_boundary <> None in
+  if not interrupted then Array.iter confirm ctxs;
+  (* The confirmation passes' observations join the merged model too,
+     so its error gauge covers every island's measurements. *)
+  Array.iter replay_epoch ctxs;
   let ctxs = Array.to_list ctxs in
   (* ---------------- outcome --------------------------------------- *)
   let elapsed_s = Obs.now_s () -. t0 in
@@ -988,7 +864,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
   let measured_trials, cache_hits, _ = ledger_counters () in
   Obs.incr ~by:cache_hits "search.cache_hits";
   Obs.incr ~by:measured_trials "search.measured_trials";
-  (match Cost_learn.mean_abs_log_err (List.hd ctxs).tir with
+  (match Cost_learn.mean_abs_log_err shared_tir with
   | Some e -> Obs.set_gauge "search.model_abs_log_err" e
   | None -> ());
   if elapsed_s > 0. then

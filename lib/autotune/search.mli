@@ -1,6 +1,6 @@
 (** Balanced evolutionary search (§5.2.3), optionally measurement-gated
-    by a learned cost model over lowered TIR ({!Cost_learn}), sharded
-    island-model style across the domain pool.
+    by a learned cost model over lowered TIR ({!Cost_learn}), optionally
+    sharded island-model style.
 
     The joint host+kernel space contains two design-space families —
     with and without [rfactor] — whose early measurements differ
@@ -27,32 +27,36 @@
     {2 Islands}
 
     With [islands = k > 1] the trial budget splits across [k]
-    sub-populations ("islands"), each evolving independently on its own
-    thread with its own deterministic rng substream
-    ([Rng.stream ~base:seed ~index:island]).  Islands step generations
-    {e asynchronously} — there is no global per-generation barrier —
-    and rendezvous only every 2 generations at a
-    {e migration boundary}, where each island:
+    sub-populations ("islands"), each with its own deterministic rng
+    substream ([Rng.stream ~base:seed ~index:island]), population and
+    deduplication tables.  The run steps its islands in lockstep on the
+    calling thread: each generation, every island with budget left
+    proposes from its own rng, all islands' proposals are prepared in
+    one engine batch, each island selects and draws its noise base,
+    and all islands' selected candidates are simulated in one pool map.
+    Every 2 generations comes a {e migration boundary}, where the run,
+    in this order:
 
-    - publishes its population (the ring successor's migration source),
-    - merges its epoch's model observations into the one shared
-      {!Cost_learn} model (folded in deterministic (boundary, island)
-      order by whichever island reaches the boundary first) and adopts
-      a copy of the merged model,
-    - imports the top {e elites} of its ring predecessor
-      (island [(i+k-1) mod k]) into its population.
+    - folds the epoch's model observations into the one shared
+      {!Cost_learn} model in island order, and every island continues
+      from a copy of the merged model;
+    - gives each island the top {e elites} of its ring predecessor's
+      (island [(i+k-1) mod k]) pre-migration population; an island
+      whose budget ran out at an earlier boundary supplies its final
+      population and receives nothing;
+    - writes the checkpoint, then polls [stop].
 
     Determinism contract: for a fixed [islands] value the outcome is a
     pure function of the seed — [~islands:k ~jobs:n] is bit-identical
-    to [~islands:k ~jobs:1], because every island's evolution depends
-    only on its own substream and on snapshots exchanged at fixed
-    boundaries.  One island runs through the same loop with a boundary
-    after every generation (there is nothing to migrate) and the
-    historical [Rng.create ~seed] stream, so it reproduces pre-island
-    traces byte-for-byte.  Note that {e different} island counts are
-    different searches.  [islands] defaults to 1, never to the job
-    count or to anything in the environment, so a default search is the
-    same on every host.
+    to [~islands:k ~jobs:1] by construction, because the order of every
+    island's draws, merges and migrations is fixed and [jobs] only
+    spreads a batch's work.  One island runs through the same loop with
+    a boundary after every generation (there is nothing to migrate) and
+    the historical [Rng.create ~seed] stream, so it reproduces
+    pre-island traces byte-for-byte.  Note that {e different} island
+    counts are different searches.  [islands] defaults to 1, never to
+    the job count or to anything in the environment, so a default
+    search is the same on every host.
 
     {2 Measurement gating}
 
@@ -157,11 +161,11 @@ type outcome = {
   per_island : island_stats list;  (** one entry per island, in order. *)
 }
 (** Everything a search run produces.  The run also emits telemetry
-    through {!Imtp_obs.Obs}: a [search.run] span enclosing [search.init]
-    and per-generation [search.generation] spans (with population /
-    acceptance / island attributes), per-island [search.island] spans,
-    a per-generation [search.rank] span under
-    gating (with size/selected attributes), the [search.*] counters
+    through {!Imtp_obs.Obs}: a [search.run] span enclosing per-island
+    [search.init] spans and per-generation [search.generation] spans
+    (with population / acceptance attributes summed over the islands
+    stepping it), a per-island [search.rank] span in each generation
+    under gating (with size/selected attributes), the [search.*] counters
     (including [search.measured_trials], [search.skipped] and
     [search.migrations]), and the [search.best_latency_s] /
     [search.model_abs_log_err] / [search.trials_per_s] gauges — see
@@ -171,9 +175,10 @@ type outcome = {
 
     A checkpoint is a complete snapshot of the search's state at a
     boundary — a generation boundary when [islands = 1], a migration
-    boundary when [islands > 1]: every island's rng draw position, cost
-    model, population, deduplication tables, history and tallies, plus
-    the shared learned model as merged through that boundary.  Resuming
+    boundary (after its migration) when [islands > 1]: every island's
+    rng draw position, cost model, population, deduplication tables,
+    history and tallies, plus the shared learned model as merged
+    through that boundary.  Resuming
     from it replays the killed run's remaining trials {e bit-identically}
     — same history records (and therefore the same tuning-log lines),
     same best, same measured/skipped/invalid counts — because
@@ -236,7 +241,7 @@ val run :
     {!Imtp_engine.Engine.prepare_batch} plus pooled
     {!Imtp_engine.Engine.simulate}, whose results are independent of
     how many domains build them, and islands
-    exchange state only at fixed migration boundaries.
+    step in a fixed lockstep order.
 
     [jobs] (default {!Imtp_engine.Pool.default_jobs}) bounds the worker
     domains per engine batch.  [islands] (default 1; clamped to
@@ -253,14 +258,15 @@ val run :
     (0, 1].  [engine] (default: a fresh engine for [cfg]) carries the
     build cache; pass a shared engine to reuse builds across runs — the
     search still measures (and records) each distinct candidate once
-    per run.  The engine must be domain-safe when [islands > 1] (the
+    per run.  The engine must be domain-safe when [jobs > 1] (the
     default engine is).
 
     [on_checkpoint] (with [checkpoint_every], default 1, in generations
     for [islands = 1] and migration boundaries otherwise) receives a
     deep snapshot after the initial population and at boundaries; the
-    callback runs holding the islands' rendezvous lock, so keep it
-    cheap (write the file, return).  [resume] restarts from such a
+    search waits for it, so keep it cheap (write the file, return), and
+    an exception it raises ends the run and propagates out of [run].
+    [resume] restarts from such a
     snapshot: the initial-sampling phase is skipped and the
     checkpoint's own seed, strategy, gating, island count and trial
     budget override the caller's (anything else could not be

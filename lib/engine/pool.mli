@@ -12,8 +12,8 @@
     Multiple jobs may be in flight at once: submissions append to a
     queue, and idle workers claim tasks from whichever queued job still
     has unclaimed work and participation tickets.  Concurrent
-    submitters (the island searches, the serving daemon's sessions)
-    therefore overlap their batches instead of serializing them.  A
+    submitters (the serving daemon's sessions) therefore overlap their
+    batches instead of serializing them.  A
     task that itself calls {!map} submits a nested job; since every
     submitter participates in its own job, nested maps always progress
     and cannot deadlock the queue. *)

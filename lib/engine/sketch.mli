@@ -86,7 +86,9 @@ val instantiate : Imtp_workload.Op.t -> params -> Imtp_schedule.Sched.t
 
 val lower_options : params -> Imtp_lower.Lowering.options
 (** {!Imtp_lower.Lowering.default_options} for every [params]: the
-    schedule carries the host parallelism itself. *)
+    schedule carries the host parallelism itself.  Kept only for the
+    frozen benchmark replay ([bench/suite/replay.ml]); new code uses
+    {!Imtp_lower.Lowering.default_options} directly. *)
 
 val describe : params -> string
 

@@ -115,7 +115,7 @@ let test_space_distinct () =
    host_threads too: parameters with equal canonical tilings give the
    same schedule trace.  The lowering is a function of the trace and
    the lowering options, which are the same for every point
-   ([Sketch.lower_options]), so equal traces are equal programs; each
+   ([Lowering.default_options]), so equal traces are equal programs; each
    class is compiled once, from its first point, and must compile to a
    program or a typed error. *)
 let test_canonical_sound () =
@@ -123,7 +123,8 @@ let test_canonical_sound () =
   let module S = Imtp_schedule.Sched in
   let compile op p =
     match
-      E.compile_sched ~options:(Sk.lower_options p) cfg (Sk.instantiate op p)
+      E.compile_sched ~options:Imtp_lower.Lowering.default_options cfg
+        (Sk.instantiate op p)
     with
     | Error err -> Error (E.error_to_string err)
     | Ok prog -> (

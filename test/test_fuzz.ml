@@ -138,7 +138,7 @@ let params ?(sd = 4) ?(rd = 1) ?(t = 4) ?(c = 8) ?(rows = 2) () =
   }
 
 let check_counters name op p =
-  let raw = L.lower ~options:(Sk.lower_options p) (Sk.instantiate op p) in
+  let raw = L.lower ~options:L.default_options (Sk.instantiate op p) in
   let inputs = Ops.random_inputs op in
   List.iter
     (fun (aname, config) ->
@@ -193,7 +193,7 @@ let strip_guards (p : P.t) =
 let test_injected_fault_detected () =
   let op = Ops.mtv 5 13 in
   let p = params ~sd:2 ~t:2 ~c:4 () in
-  let raw = L.lower ~options:(Sk.lower_options p) (Sk.instantiate op p) in
+  let raw = L.lower ~options:L.default_options (Sk.instantiate op p) in
   let inputs = Ops.random_inputs ~seed:11 op in
   let want = T.Tensor.to_value_list (Op.reference op inputs) in
   let broken = strip_guards raw in

@@ -295,7 +295,7 @@ let prop_mtv_any_shape =
 (* --- boundary guards ------------------------------------------------- *)
 
 let lower_sketch op p =
-  L.lower ~options:(Sk.lower_options p) (Sk.instantiate op p)
+  L.lower ~options:L.default_options (Sk.instantiate op p)
 
 let sketch_params ~c =
   { Sk.default_params with Sk.spatial_dpus = 4; tasklets = 4; cache_elems = c }

@@ -16,7 +16,7 @@ module U = Imtp_upmem
 let cfg = U.Config.default
 
 let lower_raw op params =
-  L.lower ~options:(Sk.lower_options params) (Sk.instantiate op params)
+  L.lower ~options:L.default_options (Sk.instantiate op params)
 
 let params ?(sd = 4) ?(rd = 1) ?(t = 4) ?(c = 8) ?(rows = 2) () =
   {

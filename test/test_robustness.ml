@@ -16,7 +16,7 @@ let cfg = U.Config.default
 
 let build ?(passes = Pl.all_on) op params =
   let raw =
-    L.lower ~options:(Sk.lower_options params) (Sk.instantiate op params)
+    L.lower ~options:L.default_options (Sk.instantiate op params)
   in
   Pl.run ~config:passes cfg raw
 
@@ -114,7 +114,7 @@ let test_poisoned_padding_is_caught () =
      proving missing guards cannot pass silently. *)
   let op = Ops.red 1000 in
   let p = params ~rd:4 ~t:4 ~c:8 () in
-  let raw = L.lower ~options:(Sk.lower_options p) (Sk.instantiate op p) in
+  let raw = L.lower ~options:L.default_options (Sk.instantiate op p) in
   let strip_guards (k : P.kernel) =
     {
       k with
