@@ -289,8 +289,8 @@ let tune_cmd =
           "search: %d simulator executions, %d candidates gated out \
            (predicted only)@."
           s.Imtp.Search.measured_trials s.Imtp.Search.skipped;
-        Format.printf "search: %.2f s wall clock (%.0f trials/s)@."
-          s.Imtp.Search.elapsed_s
+        Format.printf "search: %.1f ms wall clock (%.0f trials/s)@."
+          (1e3 *. s.Imtp.Search.elapsed_s)
           (float_of_int trials /. Float.max 1e-9 s.Imtp.Search.elapsed_s);
         let c = r.Imtp.Tuner.cache in
         Format.printf
@@ -693,8 +693,9 @@ let serve_cmd =
     "Run the tuning daemon: one shared engine (memo cache, compiled \
      executors, domain pool) serving run/tune/replay/stats requests over a \
      Unix-domain socket.  The wire format is specified in docs/PROTOCOL.md.  \
-     Tune sessions checkpoint to --checkpoint-dir at every generation, so a \
-     killed daemon resumes interrupted searches bit-identically."
+     Tune sessions log their trials to --checkpoint-dir as the search \
+     goes, so a killed daemon's session resumes by re-running its search \
+     against that log."
   in
   let ckpt_dir_arg =
     Arg.(
@@ -702,9 +703,10 @@ let serve_cmd =
       & opt string "imtp-checkpoints"
       & info [ "checkpoint-dir" ] ~docv:"DIR"
           ~doc:
-            "Directory for tune-session checkpoints (created if missing).  \
-             One $(b,<session>.ckpt) per active session; completed sessions \
-             delete theirs, interrupted ones leave it for resumption.")
+            "Directory for tune-session logs (created if missing).  One \
+             $(b,<session>.log) tuning log per active session; completed \
+             sessions delete theirs, interrupted ones leave it for \
+             resumption.")
   in
   let max_sessions_arg =
     Arg.(
@@ -724,14 +726,7 @@ let serve_cmd =
             "Waiting tune requests before new ones are refused with the \
              $(b,busy) error (backpressure).")
   in
-  let checkpoint_every_arg =
-    Arg.(
-      value & opt positive_int 1
-      & info [ "checkpoint-every" ] ~docv:"G"
-          ~doc:"Checkpoint period, in search generations.")
-  in
-  let run socket checkpoint_dir max_sessions queue_limit checkpoint_every dpus
-      jobs trace =
+  let run socket checkpoint_dir max_sessions queue_limit dpus jobs trace =
     apply_jobs jobs;
     with_trace trace @@ fun () ->
     let config = machine dpus in
@@ -742,7 +737,6 @@ let serve_cmd =
           checkpoint_dir;
           max_sessions;
           queue_limit;
-          checkpoint_every;
         }
     with
     | Ok () -> ()
@@ -753,8 +747,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ socket_arg $ ckpt_dir_arg $ max_sessions_arg
-      $ queue_limit_arg $ checkpoint_every_arg $ dpus_arg $ jobs_arg
-      $ trace_arg)
+      $ queue_limit_arg $ dpus_arg $ jobs_arg $ trace_arg)
 
 (* --- client ---------------------------------------------------------- *)
 
@@ -784,13 +777,14 @@ let session_arg =
     & opt (some string) None
     & info [ "session" ] ~docv:"NAME"
         ~doc:
-          "Checkpoint session name ([A-Za-z0-9._-]+).  Re-sending a tune \
-           with the name of an interrupted session resumes it from its \
-           checkpoint.  Derived from op/sizes/seed/trials when omitted.")
+          "Session name ([A-Za-z0-9._-]+), which names the session's \
+           tuning log.  Re-sending the same tune with the name of an \
+           interrupted session resumes it from its log.  Derived from the \
+           other tune arguments when omitted.")
 
 let client_tune_cmd =
   let doc =
-    "Run a checkpointed tune session on the daemon (queued under its \
+    "Run a logged tune session on the daemon (queued under its \
      admission control) and print the outcome, including the history \
      digest."
   in
@@ -845,8 +839,8 @@ let client_stats_cmd =
 
 let client_shutdown_cmd =
   let doc =
-    "Ask the daemon to drain and exit: running searches checkpoint at their \
-     next generation boundary and answer interrupted."
+    "Ask the daemon to drain and exit: running searches stop at their next \
+     boundary, with its records logged, and answer interrupted."
   in
   let run socket =
     match

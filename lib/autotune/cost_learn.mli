@@ -48,7 +48,8 @@ val create : ?lambda:float -> ?dim:int -> unit -> t
 
 val copy : t -> t
 (** A deep snapshot: later {!observe} calls on either model leave the
-    other untouched.  Search checkpoints capture the model this way. *)
+    other untouched.  Each island starts a search epoch from a copy of
+    the merged model. *)
 
 val add : t -> float array -> float -> unit
 (** [add m x latency_s] adds a training sample to the normal equations

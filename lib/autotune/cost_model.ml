@@ -4,7 +4,6 @@
 type t = Cost_learn.t
 
 let create () = Cost_learn.create ~dim:11 ()
-let copy = Cost_learn.copy
 
 (* [log2] is tabulated over every value the sampling tables hold and
    their tasklet x cache products; larger values fall back to the same

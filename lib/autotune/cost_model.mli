@@ -15,10 +15,6 @@ type t
 val create : unit -> t
 (** An untrained model ({!predict} returns 0 until trained). *)
 
-val copy : t -> t
-(** A deep snapshot: later {!observe} calls on either model leave the
-    other untouched.  Search checkpoints capture the model this way. *)
-
 val features :
   Imtp_upmem.Config.t -> Imtp_workload.Op.t -> Sketch.params -> float array
 (** The feature vector for one candidate: log-scaled schedule

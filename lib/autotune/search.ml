@@ -37,87 +37,14 @@ type outcome = {
   cache_hits : int;
   elapsed_s : float;
   interrupted : bool;
-  resumed_from : int option;
   islands : int;
   per_island : island_stats list;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoints                                                         *)
-(* ------------------------------------------------------------------ *)
 
 (* A population member: a candidate and its latency, measured (by this
    island or, for a migrant, by the island it came from) or, under the
    gate, predicted. *)
 type member = Sketch.params * float * bool
-
-(* Everything one island's loop mutates, snapshotted at a boundary
-   after its migration (with one island, every generation).  All fields
-   are plain data (no closures), so a checkpoint marshals to disk
-   as-is ({!Checkpoint}); [Rng.t] serializes its exact draw position,
-   which is what makes resumption bit-identical.  The engine's memo
-   tables are deliberately NOT part of the state: cached artifacts are
-   a pure function of their candidate, so a resumed run on a cold
-   cache rebuilds the same values — only the cache-ledger fields of
-   the outcome ([cache_hits], [measured_trials]) reflect the
-   executions this process actually paid for. *)
-type island_state = {
-  il_island : int;
-  il_trials : int;  (* this island's trial budget *)
-  il_rng : Rng.t;
-  il_model : Cost_model.t;
-  il_seen : (Sketch.params, unit) Hashtbl.t;
-  il_skipped_seen : (Sketch.params, unit) Hashtbl.t;
-  il_history : record list;  (* newest first, as the loop keeps it *)
-  il_best : Measure.result option;
-  il_invalid : int;
-  il_rejections : (string, int) Hashtbl.t;
-  il_measured : int;
-  il_skipped : int;
-  il_trial : int;
-  il_population : member list;
-  il_generations : int;
-  il_migrations : int;
-}
-
-type checkpoint = {
-  ck_format : int;
-  ck_op_key : string;  (* Engine.op_key, pins the operator identity *)
-  ck_op_name : string;
-  ck_seed : int;
-  ck_trials : int;
-  ck_strategy : strategy;
-  ck_use_cost_model : bool;
-  ck_measure_ratio : float option;
-  ck_islands : int;
-  ck_boundary : int;  (* generations (k=1) or migration boundary (k>1) *)
-  ck_tir_model : Cost_learn.t;
-      (* the shared model merged from every island's observations
-         through [ck_boundary] *)
-  ck_states : island_state array;  (* length ck_islands, island order *)
-  ck_measured_trials : int;  (* cumulative simulator ledger *)
-  ck_cache_hits : int;  (* cumulative engine-cache hits *)
-  ck_elapsed_s : float;  (* wall clock consumed before the snapshot *)
-}
-
-(* Bump whenever the checkpoint layout (or anything it transitively
-   contains) changes incompatibly; {!run} rejects other formats.
-   Format 2: island-aware checkpoints.  Format 3: the mutation ranker
-   is a [Cost_learn.t].  Format 4: population members record whether
-   their latency was measured; the migration cadence and the learned
-   model's training threshold are constants.  Format 5: snapshots are
-   taken after the boundary's migration, so a resumed run replays
-   nothing. *)
-let checkpoint_format = 5
-
-let checkpoint_trial ck =
-  Array.fold_left (fun a s -> a + s.il_trial) 0 ck.ck_states
-
-let checkpoint_trials ck = ck.ck_trials
-let checkpoint_seed ck = ck.ck_seed
-let checkpoint_measure_ratio ck = ck.ck_measure_ratio
-let checkpoint_islands ck = ck.ck_islands
-let checkpoint_boundary ck = ck.ck_boundary
 
 (* Bucket an engine error for the rejection tally: verifier rejections
    keep their constraint name (dpus/tasklets/mram/wram/iram/dma), other
@@ -224,49 +151,18 @@ type island_ctx = {
 }
 
 let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
-    ?skip_inputs ?(use_cost_model = true) ?measure_ratio ?engine ?resume
-    ?on_checkpoint ?(checkpoint_every = 1) ?stop cfg op ~trials =
+    ?skip_inputs ?(use_cost_model = true) ?measure_ratio ?engine ?on_boundary
+    ?stop cfg op ~trials =
   let jobs =
     match jobs with Some j -> j | None -> Pool.default_jobs ()
   in
-  if checkpoint_every < 1 then
-    invalid_arg "Search.run: checkpoint_every must be >= 1";
-  let op_key = Engine.op_key op in
-  (* A resumed run replays the killed run's own configuration — the
-     caller's seed/strategy/gating/island arguments are overridden by
-     the checkpoint, because mixing a serialized rng stream with
-     different search dynamics could not be bit-identical to
-     anything. *)
-  let strategy, seed, use_cost_model, measure_ratio, trials, islands =
-    match resume with
-    | None ->
-        (* Every island needs at least an initial population's worth of
-           budget to evolve anything, so tiny runs shed islands. *)
-        let k = max 1 (min (min max_islands islands) (trials / population_size)) in
-        (strategy, seed, use_cost_model, measure_ratio, trials, k)
-    | Some ck ->
-        if ck.ck_format <> checkpoint_format then
-          invalid_arg
-            (Printf.sprintf
-               "Search.run: checkpoint format %d, this build speaks %d"
-               ck.ck_format checkpoint_format);
-        if ck.ck_op_key <> op_key then
-          invalid_arg
-            (Printf.sprintf
-               "Search.run: checkpoint was recorded for op %s, not %s"
-               ck.ck_op_name op.Imtp_workload.Op.opname);
-        ( ck.ck_strategy,
-          ck.ck_seed,
-          ck.ck_use_cost_model,
-          ck.ck_measure_ratio,
-          ck.ck_trials,
-          ck.ck_islands )
-  in
+  (* Every island needs at least an initial population's worth of budget
+     to evolve anything, so tiny runs shed islands. *)
+  let k = max 1 (min (min max_islands islands) (trials / population_size)) in
   (match measure_ratio with
   | Some r when not (r > 0. && r <= 1.) ->
       invalid_arg "Search.run: measure_ratio must be in (0, 1]"
   | Some _ | None -> ());
-  let k = islands in
   Obs.span ~name:"search.run"
     ~attrs:
       [
@@ -277,9 +173,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         ("islands", Obs.Int k);
         ( "measure_ratio",
           Obs.Float (Option.value measure_ratio ~default:1.) );
-        ( "resumed_from",
-          Obs.Int
-            (match resume with Some ck -> checkpoint_trial ck | None -> -1) );
       ]
   @@ fun () ->
   let t0 = Obs.now_s () in
@@ -289,14 +182,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
   (* This run's own hits and simulator runs: a shared engine's
      counters also move with other runs' work. *)
   let ledger = Engine.ledger () in
-  (* Cumulative ledgers carried over from the killed run, so a resumed
-     outcome still reports every simulator execution it (transitively)
-     paid for. *)
-  let base_measured_trials, base_cache_hits, base_elapsed_s =
-    match resume with
-    | None -> (0, 0, 0.)
-    | Some ck -> (ck.ck_measured_trials, ck.ck_cache_hits, ck.ck_elapsed_s)
-  in
   let gated = measure_ratio <> None in
   (* Per-island trial budgets: the total splits as evenly as possible,
      earlier islands taking the remainder. *)
@@ -326,56 +211,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
       epoch_obs = [];
     }
   in
-  (* Deep-copy every piece of resumed state: the caller may resume the
-     same in-memory checkpoint several times (tests do), and a run must
-     never mutate the snapshot it started from. *)
-  let ctx_of_state ~tir (st : island_state) =
-    {
-      ix = st.il_island;
-      ix_trials = st.il_trials;
-      rng = Rng.copy st.il_rng;
-      model = Cost_model.copy st.il_model;
-      tir;
-      seen = Hashtbl.copy st.il_seen;
-      skipped_seen = Hashtbl.copy st.il_skipped_seen;
-      history = st.il_history;
-      best = st.il_best;
-      invalid = st.il_invalid;
-      rejections = Hashtbl.copy st.il_rejections;
-      measured = st.il_measured;
-      skipped = st.il_skipped;
-      trial = st.il_trial;
-      population = st.il_population;
-      generations = st.il_generations;
-      migrations = st.il_migrations;
-      epoch_obs = [];
-    }
-  in
-  let state_of_ctx cx =
-    {
-      il_island = cx.ix;
-      il_trials = cx.ix_trials;
-      il_rng = Rng.copy cx.rng;
-      il_model = Cost_model.copy cx.model;
-      il_seen = Hashtbl.copy cx.seen;
-      il_skipped_seen = Hashtbl.copy cx.skipped_seen;
-      il_history = cx.history;
-      il_best = cx.best;
-      il_invalid = cx.invalid;
-      il_rejections = Hashtbl.copy cx.rejections;
-      il_measured = cx.measured;
-      il_skipped = cx.skipped;
-      il_trial = cx.trial;
-      il_population = cx.population;
-      il_generations = cx.generations;
-      il_migrations = cx.migrations;
-    }
-  in
-  let ledger_counters () =
-    ( base_measured_trials + Engine.ledger_costed ledger,
-      base_cache_hits + Engine.ledger_hits ledger,
-      base_elapsed_s +. (Obs.now_s () -. t0) )
-  in
   let tally cx e =
     cx.invalid <- cx.invalid + 1;
     let b = rejection_bucket e in
@@ -384,6 +219,13 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
   in
   let best_so_far cx =
     match cx.best with Some b -> b.Measure.latency_s | None -> infinity
+  in
+  (* Every island's records since the last boundary, newest first, in
+     the order they were made: [on_boundary] gets them at the next one. *)
+  let unflushed = ref [] in
+  let add_history cx r =
+    cx.history <- r :: cx.history;
+    unflushed := r :: !unflushed
   in
   (* [predicted_log] is the gate's prediction for the candidate, which
      the learned model scores its residual against instead of
@@ -409,7 +251,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         cx.best <- Some r;
         Obs.set_gauge "search.best_latency_s" latency_s);
     Obs.observe "search.trial_latency_s" latency_s;
-    cx.history <-
+    add_history cx
       {
         trial;
         island = cx.ix;
@@ -419,12 +261,11 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         measured = true;
         predicted_s;
       }
-      :: cx.history
   in
   let record_skipped cx ~trial params ~predicted_s =
     cx.skipped <- cx.skipped + 1;
     Hashtbl.replace cx.skipped_seen params ();
-    cx.history <-
+    add_history cx
       {
         trial;
         island = cx.ix;
@@ -434,7 +275,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         measured = false;
         predicted_s = Some predicted_s;
       }
-      :: cx.history
   in
   let known cx params =
     Hashtbl.mem cx.seen params || Hashtbl.mem cx.skipped_seen params
@@ -478,8 +318,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
     go 16
   in
   (* Initial population: random sampling (uniform across design
-     spaces, hence unaffected by the balanced sampler).  A resumed run
-     skips it — the restored state is already past it. *)
+     spaces, hence unaffected by the balanced sampler). *)
   let init_island cx =
     Obs.span ~name:"search.init" ~attrs:[ ("island", Obs.Int cx.ix) ]
       (fun () ->
@@ -737,19 +576,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
   (* The one learned model merged from every island's observations:
      each boundary folds the epoch's observations into it in island
      order, and every island starts the next epoch from a copy. *)
-  let shared_tir =
-    match resume with
-    | None -> Cost_learn.create ()
-    | Some ck -> Cost_learn.copy ck.ck_tir_model
-  in
-  let ctxs =
-    match resume with
-    | None -> Array.init k fresh_ctx
-    | Some ck ->
-        Array.map
-          (fun st -> ctx_of_state ~tir:(Cost_learn.copy ck.ck_tir_model) st)
-          ck.ck_states
-  in
+  let shared_tir = Cost_learn.create () in
+  let ctxs = Array.init k fresh_ctx in
   let has_budget cx = cx.trial < cx.ix_trials in
   let replay_epoch cx =
     List.iter
@@ -758,34 +586,10 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
       (List.rev cx.epoch_obs);
     cx.epoch_obs <- []
   in
-  let emit_checkpoint b =
-    match on_checkpoint with
-    | None -> ()
-    | Some f ->
-        Obs.incr "search.checkpoints";
-        let measured_trials, cache_hits, elapsed_s = ledger_counters () in
-        f
-          {
-            ck_format = checkpoint_format;
-            ck_op_key = op_key;
-            ck_op_name = op.Imtp_workload.Op.opname;
-            ck_seed = seed;
-            ck_trials = trials;
-            ck_strategy = strategy;
-            ck_use_cost_model = use_cost_model;
-            ck_measure_ratio = measure_ratio;
-            ck_islands = k;
-            ck_boundary = b;
-            ck_tir_model = Cost_learn.copy shared_tir;
-            ck_states = Array.map state_of_ctx ctxs;
-            ck_measured_trials = measured_trials;
-            ck_cache_hits = cache_hits;
-            ck_elapsed_s = elapsed_s;
-          }
-  in
   (* The boundary after the epoch the islands [active] stepped through
-     (all islands at boundary 0): merge the model, migrate, checkpoint,
-     then poll [stop] once.  Returns true when the run stops here. *)
+     (all islands at boundary 0): merge the model, migrate, hand the
+     records made since the previous boundary to [on_boundary], then
+     poll [stop] once.  Returns true when the run stops here. *)
   let boundary b active =
     let observers = List.filter (fun cx -> cx.epoch_obs <> []) active in
     (match observers with
@@ -813,17 +617,19 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         (fun cx -> apply_migration cx (elites sources.((cx.ix + k - 1) mod k)))
         active
     end;
-    let periodic = b mod checkpoint_every = 0 in
-    if periodic then emit_checkpoint b;
-    (* After the periodic checkpoint, so a [stop] keyed on the
-       checkpoints it has seen lands on this boundary, not the next. *)
-    let stopping = should_stop () in
-    if stopping && not periodic then emit_checkpoint b;
-    stopping
+    let records = !unflushed in
+    unflushed := [];
+    (match on_boundary with
+    | None -> ()
+    | Some f ->
+        Obs.incr "search.checkpoints";
+        f (List.rev records));
+    (* After the callback, so a [stop] keyed on the boundaries it has
+       seen lands on this boundary, not the next. *)
+    should_stop ()
   in
   (* A single island has nothing to migrate, so every generation is a
-     boundary: checkpoints keep a per-generation cadence and
-     [ck_boundary] counts generations. *)
+     boundary. *)
   let generations_per_boundary = if k = 1 then 1 else migrate_every in
   (* Epochs from boundary [b] on, until every island's budget is spent
      or [stop] asks; true when stopped. *)
@@ -838,13 +644,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
         done;
         boundary (b + 1) active || epochs (b + 1)
   in
-  let interrupted =
-    match resume with
-    | Some ck -> epochs ck.ck_boundary
-    | None ->
-        Array.iter init_island ctxs;
-        boundary 0 (Array.to_list ctxs) || epochs 0
-  in
+  Array.iter init_island ctxs;
+  let interrupted = boundary 0 (Array.to_list ctxs) || epochs 0 in
   if not interrupted then Array.iter confirm ctxs;
   (* The confirmation passes' observations join the merged model too,
      so its error gauge covers every island's measurements. *)
@@ -861,7 +662,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
   Obs.incr ~by:measured "search.measured";
   Obs.incr ~by:skipped "search.skipped";
   Obs.incr ~by:invalid "search.invalid";
-  let measured_trials, cache_hits, _ = ledger_counters () in
+  let measured_trials = Engine.ledger_costed ledger in
+  let cache_hits = Engine.ledger_hits ledger in
   Obs.incr ~by:cache_hits "search.cache_hits";
   Obs.incr ~by:measured_trials "search.measured_trials";
   (match Cost_learn.mean_abs_log_err shared_tir with
@@ -921,10 +723,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?(islands = 1)
     measured_trials;
     skipped;
     cache_hits;
-    elapsed_s = base_elapsed_s +. elapsed_s;
+    elapsed_s;
     interrupted;
-    resumed_from =
-      (match resume with Some ck -> Some (checkpoint_trial ck) | None -> None);
     islands = k;
     per_island;
   }

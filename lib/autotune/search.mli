@@ -44,7 +44,8 @@
       (island [(i+k-1) mod k]) pre-migration population; an island
       whose budget ran out at an earlier boundary supplies its final
       population and receives nothing;
-    - writes the checkpoint, then polls [stop].
+    - hands the records made since the previous boundary to
+      [on_boundary], then polls [stop].
 
     Determinism contract: for a fixed [islands] value the outcome is a
     pure function of the seed — [~islands:k ~jobs:n] is bit-identical
@@ -131,32 +132,29 @@ type outcome = {
   measured : int;  (** distinct candidates actually measured. *)
   measured_trials : int;
       (** simulator executions this run actually paid for, counted in
-          the run's own {!Imtp_engine.Engine.ledger} (cumulative across
-          a resume): cache hits, duplicates, gated-out candidates and
-          cost stages another run on a shared engine executed all cost
-          zero.  The measurement gate's acceptance metric — a gated run
-          must reach the same best with far fewer of these. *)
+          the run's own {!Imtp_engine.Engine.ledger}: cache hits,
+          duplicates, gated-out candidates and cost stages another run
+          on a shared engine executed all cost zero.  The measurement
+          gate's acceptance metric — a gated run must reach the same
+          best with far fewer of these. *)
   skipped : int;
       (** distinct candidates the gate recorded with a predicted cost
           instead of measuring (0 in an ungated search). *)
   cache_hits : int;
-      (** this run's own engine-cache hits (its ledger's, cumulative
-          across a resume) — trials whose build was deduplicated
-          instead of recompiled (duplicate proposals, candidates
-          sharing the built prefix of a canonical-equal one, and warm
-          entries when a shared engine is passed in).  Concurrent runs
+      (** this run's own engine-cache hits (its ledger's) — trials
+          whose build was deduplicated instead of recompiled (duplicate
+          proposals, candidates sharing the built prefix of a
+          canonical-equal one, and warm entries when a shared engine is
+          passed in).  Concurrent runs
           on one engine do not count each other's lookups. *)
   elapsed_s : float;
-      (** wall-clock duration of the whole run — recorded in tuning-log
-          headers so replayed logs can report trials/sec.  For a
-          resumed run this includes the killed run's recorded time. *)
+      (** wall-clock duration of the run — recorded in tuning-log
+          headers so replayed logs can report trials/sec. *)
   interrupted : bool;
       (** the run was stopped by its [stop] callback before exhausting
-          the trial budget; a final checkpoint was emitted, and the
-          confirmation pass (if gated) was deferred to the resumption. *)
-  resumed_from : int option;
-      (** the trial count of the checkpoint this run resumed from
-          ([None] for a from-scratch run). *)
+          the trial budget; the stopping boundary's records were handed
+          to [on_boundary], and the confirmation pass (if gated) was
+          not run. *)
   islands : int;  (** the effective island count the run used. *)
   per_island : island_stats list;  (** one entry per island, in order. *)
 }
@@ -171,54 +169,6 @@ type outcome = {
     [search.model_abs_log_err] / [search.trials_per_s] gauges — see
     DESIGN.md's "Observability" section for the full taxonomy. *)
 
-(** {2 Checkpoints}
-
-    A checkpoint is a complete snapshot of the search's state at a
-    boundary — a generation boundary when [islands = 1], a migration
-    boundary (after its migration) when [islands > 1]: every island's
-    rng draw position, cost model, population, deduplication tables,
-    history and tallies, plus the shared learned model as merged
-    through that boundary.  Resuming
-    from it replays the killed run's remaining trials {e bit-identically}
-    — same history records (and therefore the same tuning-log lines),
-    same best, same measured/skipped/invalid counts — because
-    everything the search does downstream is a pure function of that
-    state.  Only the engine-cache ledger differs: a resumed run starts
-    against whatever engine it is given (typically a cold one), so
-    [cache_hits] counts real hits in each process while
-    [measured_trials] still accumulates across the kill (simulator
-    executions actually paid for, before plus after).
-
-    Checkpoints are plain marshalable data; {!Checkpoint} gives them a
-    durable on-disk form. *)
-
-type checkpoint
-(** Serialized search state at a boundary. *)
-
-val checkpoint_format : int
-(** Layout version embedded in every checkpoint; {!run} rejects
-    checkpoints written by an incompatible build. *)
-
-val checkpoint_trial : checkpoint -> int
-(** How many trials the snapshot had consumed (summed over islands). *)
-
-val checkpoint_trials : checkpoint -> int
-(** The run's total trial budget. *)
-
-val checkpoint_seed : checkpoint -> int
-(** The run's seed. *)
-
-val checkpoint_measure_ratio : checkpoint -> float option
-(** The run's measurement-gate ratio, if gated. *)
-
-val checkpoint_islands : checkpoint -> int
-(** The run's effective island count. *)
-
-val checkpoint_boundary : checkpoint -> int
-(** The boundary the snapshot was taken at: 0 after the initial
-    population, then one per boundary (with [islands = 1], per
-    generation). *)
-
 val run :
   ?strategy:strategy ->
   ?seed:int ->
@@ -228,9 +178,7 @@ val run :
   ?use_cost_model:bool ->
   ?measure_ratio:float ->
   ?engine:Imtp_engine.Engine.t ->
-  ?resume:checkpoint ->
-  ?on_checkpoint:(checkpoint -> unit) ->
-  ?checkpoint_every:int ->
+  ?on_boundary:(record list -> unit) ->
   ?stop:(unit -> bool) ->
   Imtp_upmem.Config.t ->
   Imtp_workload.Op.t ->
@@ -261,23 +209,20 @@ val run :
     per run.  The engine must be domain-safe when [jobs > 1] (the
     default engine is).
 
-    [on_checkpoint] (with [checkpoint_every], default 1, in generations
-    for [islands = 1] and migration boundaries otherwise) receives a
-    deep snapshot after the initial population and at boundaries; the
-    search waits for it, so keep it cheap (write the file, return), and
+    [on_boundary] is called at every boundary — after the initial
+    population (boundary 0), then after every generation when
+    [islands = 1] and after every migration otherwise — with every
+    record made since the previous boundary, in the order the run made
+    them.  A run's boundaries and records are a pure function of its
+    arguments, so a caller that logs each batch
+    ({!Tuning_log.open_session}) can resume a killed run by running it
+    again over its log and checking each batch against the logged
+    lines.  The search waits for the callback, so keep it cheap, and
     an exception it raises ends the run and propagates out of [run].
-    [resume] restarts from such a
-    snapshot: the initial-sampling phase is skipped and the
-    checkpoint's own seed, strategy, gating, island count and trial
-    budget override the caller's (anything else could not be
-    bit-identical) — only [op], which must hash to the checkpoint's
-    recorded operator, and the execution knobs ([jobs], [engine],
-    checkpointing) are taken from the call.  [stop]
-    is polled at every boundary, after that boundary's periodic
-    checkpoint; when it returns [true] the run ends there (emitting the
-    boundary's checkpoint if the cadence skipped it) and returns early
-    with [outcome.interrupted = true].
+    The gated confirmation pass after the last boundary reaches no
+    callback: its records are only in {!outcome.history}.  [stop] is
+    polled at every boundary, after [on_boundary]; when it returns
+    [true] the run ends there and returns early with
+    [outcome.interrupted = true].
 
-    @raise Invalid_argument if [measure_ratio] is outside (0, 1], if
-    [checkpoint_every < 1], or if [resume]
-    belongs to a different operator or checkpoint format. *)
+    @raise Invalid_argument if [measure_ratio] is outside (0, 1]. *)

@@ -8,8 +8,8 @@ type result = {
   cache : Engine.counters;
 }
 
-let tune ?strategy ?seed ?jobs ?islands ?(trials = 128) ?skip_inputs ?measure_ratio ?engine ?resume ?on_checkpoint
-    ?checkpoint_every ?stop cfg op =
+let tune ?strategy ?seed ?jobs ?islands ?(trials = 128) ?skip_inputs
+    ?measure_ratio ?engine cfg op =
   Obs.span ~name:"tuner.tune"
     ~attrs:
       [
@@ -20,8 +20,8 @@ let tune ?strategy ?seed ?jobs ?islands ?(trials = 128) ?skip_inputs ?measure_ra
   Obs.incr "tuner.tunes";
   let engine = match engine with Some e -> e | None -> Engine.create cfg in
   let search =
-    Search.run ?strategy ?seed ?jobs ?islands ?skip_inputs ?measure_ratio ?resume ?on_checkpoint ?checkpoint_every
-      ?stop ~engine cfg op ~trials
+    Search.run ?strategy ?seed ?jobs ?islands ?skip_inputs ?measure_ratio
+      ~engine cfg op ~trials
   in
   match search.Search.best with
   | None -> Error "autotuning found no valid candidate"

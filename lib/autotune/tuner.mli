@@ -22,10 +22,6 @@ val tune :
   ?skip_inputs:string list ->
   ?measure_ratio:float ->
   ?engine:Imtp_engine.Engine.t ->
-  ?resume:Search.checkpoint ->
-  ?on_checkpoint:(Search.checkpoint -> unit) ->
-  ?checkpoint_every:int ->
-  ?stop:(unit -> bool) ->
   Imtp_upmem.Config.t ->
   Imtp_workload.Op.t ->
   (result, string) Result.t
@@ -36,12 +32,8 @@ val tune :
     the pool (see {!Search.run}; it defaults to 1, whatever the job
     count or the environment).  [measure_ratio]
     (default off) enables {!Search.run}'s learned-model measurement
-    gate at the given simulator fraction.  [resume], [on_checkpoint],
-    [checkpoint_every] and [stop] thread straight through to
-    {!Search.run} — the serving daemon's checkpointed sessions use
-    them; an interrupted run that already holds a best candidate still
-    returns [Ok] (check [result.search.interrupted]).  [Error] only
-    when no valid candidate was found at all.  Pass a shared [engine]
+    gate at the given simulator fraction.  [Error] only when no valid
+    candidate was found at all.  Pass a shared [engine]
     to reuse builds across repeated tunes of the same op. *)
 
 val describe : result -> string

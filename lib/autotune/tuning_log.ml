@@ -24,7 +24,11 @@ let add_int b n =
   end
   else add_neg_digits b (-n)
 
-let add_float b f = Buffer.add_string b (Printf.sprintf "%.9e" f)
+(* The C conversion [Printf]'s [%.9e] ends in, without interpreting the
+   format on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_float b f = Buffer.add_string b (format_float "%.9e" f)
 
 let add_field b key n =
   Buffer.add_string b key;
@@ -238,3 +242,144 @@ let best entries =
         | Some b when b.latency_s <= e.latency_s -> acc
         | _ -> Some e)
     None entries
+
+(* ------------------------------------------------------------------ *)
+(* Session logs                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let ratio_to_string r =
+  let rec go precision =
+    let s = Printf.sprintf "%.*g" precision r in
+    if precision >= 17 || float_of_string s = r then s else go (precision + 1)
+  in
+  go 15
+
+let session_header ~op_name ~sizes ~seed ~trials ?measure_ratio ~islands () =
+  Printf.sprintf
+    "# imtp-tuning-log op=%s sizes=%s seed=%d trials=%d%s islands=%d" op_name
+    (String.concat "x" (List.map string_of_int sizes))
+    seed trials
+    (match measure_ratio with
+    | None -> ""
+    | Some r -> " measure_ratio=" ^ ratio_to_string r)
+    islands
+
+type session_error =
+  | Header_mismatch of { path : string; logged : string; expected : string }
+  | Line_mismatch of {
+      path : string;
+      line : int;
+      logged : string;
+      recorded : string;
+    }
+
+let session_error_to_string = function
+  | Header_mismatch { path; logged; expected } ->
+      Printf.sprintf "%s: logged for another request: %S, not %S" path logged
+        expected
+  | Line_mismatch { path; line; logged; recorded } ->
+      Printf.sprintf "%s:%d: the run recorded %S where the log holds %S" path
+        line recorded logged
+
+type session = {
+  path : string;
+  header : string;
+  logged : string array;  (* the complete record lines found at open *)
+  mutable verified : int;
+  mutable length : int;  (* bytes of complete lines, header included *)
+  mutable fd : Unix.file_descr option;  (* opened by the first write *)
+  buf : Buffer.t;
+}
+
+let open_session path ~header =
+  let text =
+    if Sys.file_exists path then
+      In_channel.with_open_bin path In_channel.input_all
+    else ""
+  in
+  let fresh =
+    {
+      path;
+      header;
+      logged = [||];
+      verified = 0;
+      length = 0;
+      fd = None;
+      buf = Buffer.create 4096;
+    }
+  in
+  (* The piece after the last newline is empty, or a line a kill left
+     unterminated: it was never logged.  No newline at all means not
+     even the header was. *)
+  match String.split_on_char '\n' text with
+  | [] | [ _ ] -> Ok fresh
+  | first :: rest when String.equal first header ->
+      let lines = Array.of_list rest in
+      Ok
+        {
+          fresh with
+          logged = Array.sub lines 0 (Array.length lines - 1);
+          length = String.rindex text '\n' + 1;
+        }
+  | first :: _ ->
+      Error (Header_mismatch { path; logged = first; expected = header })
+
+let logged s = Array.length s.logged
+let verified s = s.verified
+
+(* One write for the whole batch.  The first one drops whatever follows
+   the last complete line. *)
+let write s =
+  try
+    let fd =
+      match s.fd with
+      | Some fd -> fd
+      | None ->
+          let fd =
+            Unix.openfile s.path
+              [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ]
+              0o644
+          in
+          s.fd <- Some fd;
+          Unix.ftruncate fd s.length;
+          ignore (Unix.lseek fd s.length Unix.SEEK_SET);
+          fd
+    in
+    let n = Buffer.length s.buf in
+    ignore (Unix.write_substring fd (Buffer.contents s.buf) 0 n);
+    s.length <- s.length + n
+  with Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (s.path ^ ": " ^ Unix.error_message e))
+
+let append s records =
+  Buffer.clear s.buf;
+  if s.length = 0 then begin
+    Buffer.add_string s.buf s.header;
+    Buffer.add_char s.buf '\n'
+  end;
+  let rec go = function
+    | [] -> Ok ()
+    | r :: rest when s.verified < Array.length s.logged ->
+        let line = entry_to_string (of_record r) in
+        let logged = s.logged.(s.verified) in
+        if String.equal line logged then begin
+          s.verified <- s.verified + 1;
+          go rest
+        end
+        else
+          let line_no = s.verified + 2 in
+          Error
+            (Line_mismatch
+               { path = s.path; line = line_no; logged; recorded = line })
+    | r :: rest ->
+        add_entry s.buf (of_record r);
+        Buffer.add_char s.buf '\n';
+        go rest
+  in
+  let result = go records in
+  if Result.is_ok result && Buffer.length s.buf > 0 then write s;
+  result
+
+let close_session s =
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) s.fd;
+  s.fd <- None

@@ -44,7 +44,6 @@ module Cost_learn = Imtp_autotune.Cost_learn
 module Search = Imtp_autotune.Search
 module Tuner = Imtp_autotune.Tuner
 module Tuning_log = Imtp_autotune.Tuning_log
-module Search_checkpoint = Imtp_autotune.Checkpoint
 module Protocol = Imtp_serve.Protocol
 module Serve = Imtp_serve.Serve
 module Serve_client = Imtp_serve.Client

@@ -74,7 +74,6 @@ module Cost_learn = Imtp_autotune.Cost_learn
 module Search = Imtp_autotune.Search
 module Tuner = Imtp_autotune.Tuner
 module Tuning_log = Imtp_autotune.Tuning_log
-module Search_checkpoint = Imtp_autotune.Checkpoint
 
 (* Serving: the tuning daemon, its wire protocol, and the client *)
 module Protocol = Imtp_serve.Protocol

@@ -29,10 +29,7 @@ val split : t -> t
 
 val copy : t -> t
 (** A snapshot of the source's exact state: the copy and the original
-    produce the same draw sequence from this point on, independently.
-    This is what makes search checkpoints bit-identical on resume —
-    the serialized state replays the very draws the killed run would
-    have made. *)
+    produce the same draw sequence from this point on, independently. *)
 
 val bits : t -> int
 (** Draw 30 uniformly random bits, advancing the state — the seed

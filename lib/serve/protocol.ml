@@ -231,7 +231,8 @@ let request_of_json j =
       let* measure_ratio =
         match Json.member "measure_ratio" j with
         | None | Some Json.Null -> Ok None
-        | Some (Json.Num r) -> Ok (Some r)
+        | Some (Json.Num r) when r > 0. && r <= 1. -> Ok (Some r)
+        | Some (Json.Num _) -> err "measure_ratio must be in (0, 1]"
         | Some _ -> err "field \"measure_ratio\" must be a number"
       in
       let* islands =

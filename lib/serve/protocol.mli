@@ -62,21 +62,23 @@ type tune_spec = {
   sizes : int list;  (** dimension extents, all positive. *)
   trials : int;  (** trial budget, >= 1. *)
   seed : int;  (** search seed. *)
-  measure_ratio : float option;  (** measurement-gate ratio, if gated. *)
+  measure_ratio : float option;
+      (** measurement-gate ratio in (0, 1], if gated. *)
   islands : int option;
-      (** island count for the search, >= 1; defaults to the daemon's
-          worker count when omitted.  Pin it (along with the seed) when
-          the history digest must reproduce across daemons. *)
+      (** island count for the search, >= 1; 1 when omitted.  Pin it
+          (along with the seed) when the history digest must reproduce
+          across daemons. *)
   session : string option;
-      (** checkpoint session name; derived from the other fields when
-          omitted.  Restricted to [A-Za-z0-9._-]. *)
+      (** session name, which names the session's tuning log; derived
+          from the other fields when omitted.  Restricted to
+          [A-Za-z0-9._-]. *)
 }
 
 type request =
   | Hello of int  (** protocol version — must open every connection. *)
   | Run of { op : string; sizes : int list }
       (** compile + execute + validate with a default schedule. *)
-  | Tune of tune_spec  (** checkpointed autotuning session. *)
+  | Tune of tune_spec  (** logged, resumable autotuning session. *)
   | Replay of { log : string; sizes : int list }
       (** re-measure the best entry of a server-local tuning log. *)
   | Stats  (** engine / pool / session / metrics snapshot. *)

@@ -4,15 +4,15 @@
    frames.  Connections get a systhread each; tune sessions pass
    through an admission scheduler (bounded queue, per-client
    round-robin) before they may run, each admitted search runs on a
-   session domain of its own, and every session checkpoints to disk at
-   generation boundaries so a killed daemon resumes bit-identically. *)
+   session domain of its own, and every session appends its records to
+   its tuning log at search boundaries, so a killed daemon's session
+   resumes by re-running its search against that log. *)
 
 module Obs = Imtp_obs.Obs
 module Json = Obs.Json
 module Engine = Imtp_engine.Engine
 module Pool = Imtp_engine.Pool
 module Search = Imtp_autotune.Search
-module Checkpoint = Imtp_autotune.Checkpoint
 module Tuning_log = Imtp_autotune.Tuning_log
 module Sketch = Imtp_engine.Sketch
 module Measure = Imtp_autotune.Measure
@@ -26,7 +26,6 @@ type config = {
   checkpoint_dir : string;
   max_sessions : int;
   queue_limit : int;
-  checkpoint_every : int;
 }
 
 (* Session domains plus the pool's at most 63 workers must stay under
@@ -39,7 +38,6 @@ let default_config ~socket =
     checkpoint_dir = "imtp-checkpoints";
     max_sessions = 2;
     queue_limit = 16;
-    checkpoint_every = 1;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -332,10 +330,13 @@ let derived_session (t : P.tune_spec) =
     t.seed t.trials
     (match t.measure_ratio with
     | None -> ""
-    | Some r -> Printf.sprintf "-r%.0f" (100. *. r))
+    | Some r -> "-r" ^ Tuning_log.ratio_to_string r)
     (match t.islands with
     | None -> ""
     | Some k -> Printf.sprintf "-k%d" k)
+
+(* A resumed session's re-run made a record its log does not hold. *)
+exception Diverged of Tuning_log.session_error
 
 let handle_tune state ~client (t : P.tune_spec) =
   let* op_t = build_op t.op t.sizes in
@@ -369,36 +370,45 @@ let handle_tune state ~client (t : P.tune_spec) =
         Mutex.protect state.m (fun () ->
             Hashtbl.remove state.active_sessions session))
     @@ fun () ->
-    let ckpt_path =
-      Filename.concat state.cfg.checkpoint_dir (session ^ ".ckpt")
+    let log_path =
+      Filename.concat state.cfg.checkpoint_dir (session ^ ".log")
     in
-    let* resume =
-      if Sys.file_exists ckpt_path then
-        match Checkpoint.load ckpt_path with
-        | Ok ck -> Ok (Some ck)
-        | Error m -> Error (P.Internal, m)
-      else Ok None
+    let header =
+      Tuning_log.session_header ~op_name:t.op ~sizes:t.sizes ~seed:t.seed
+        ~trials:t.trials ?measure_ratio:t.measure_ratio
+        ~islands:(Option.value t.islands ~default:1)
+        ()
     in
+    let* log =
+      Tuning_log.open_session log_path ~header
+      |> Result.map_error (fun e ->
+             (P.Bad_request, Tuning_log.session_error_to_string e))
+    in
+    Fun.protect ~finally:(fun () -> Tuning_log.close_session log) @@ fun () ->
+    let resuming = Tuning_log.logged log > 0 in
     let* () = acquire state client in
     Fun.protect ~finally:(fun () -> release state)
     @@ fun () ->
     Mutex.protect state.m (fun () ->
         state.ledger.started <- state.ledger.started + 1;
-        if resume <> None then state.ledger.resumed <- state.ledger.resumed + 1);
+        if resuming then state.ledger.resumed <- state.ledger.resumed + 1);
     Obs.incr "serve.sessions.started";
-    if resume <> None then Obs.incr "serve.sessions.resumed";
-    let writer = Checkpoint.writer ckpt_path in
+    if resuming then Obs.incr "serve.sessions.resumed";
+    let on_boundary records =
+      match Tuning_log.append log records with
+      | Ok () -> ()
+      | Error e -> raise (Diverged e)
+    in
     match
-      Fun.protect ~finally:(fun () -> Checkpoint.close writer) @@ fun () ->
       on_session_domain state.runner ~limit:state.cfg.max_sessions (fun () ->
           Search.run ~seed:t.seed ?measure_ratio:t.measure_ratio
-            ?islands:t.islands ~engine:state.engine ?resume
-            ~on_checkpoint:(Checkpoint.write writer)
-            ~checkpoint_every:state.cfg.checkpoint_every
+            ?islands:t.islands ~engine:state.engine ~on_boundary
             ~stop:(fun () -> Atomic.get state.stopping)
             state.machine op_t ~trials:t.trials)
     with
     | exception Invalid_argument m -> Error (P.Bad_request, m)
+    | exception Diverged e ->
+        Error (P.Internal, Tuning_log.session_error_to_string e)
     | outcome ->
         Mutex.protect state.m (fun () ->
             if outcome.Search.interrupted then
@@ -408,7 +418,7 @@ let handle_tune state ~client (t : P.tune_spec) =
           (if outcome.Search.interrupted then "serve.sessions.interrupted"
            else "serve.sessions.completed");
         if not outcome.Search.interrupted then (
-          try Sys.remove ckpt_path with Sys_error _ -> ());
+          try Sys.remove log_path with Sys_error _ -> ());
         let best =
           match outcome.Search.best with
           | None -> Json.Null
@@ -432,9 +442,8 @@ let handle_tune state ~client (t : P.tune_spec) =
                ("best", best);
                ("interrupted", jbool outcome.Search.interrupted);
                ( "resumed_from",
-                 match outcome.Search.resumed_from with
-                 | None -> Json.Null
-                 | Some k -> jint k );
+                 if resuming then jint (Tuning_log.verified log) else Json.Null
+               );
                ("islands", jint outcome.Search.islands);
                ("measured_trials", jint outcome.Search.measured_trials);
                ("cache_hits", jint outcome.Search.cache_hits);
@@ -692,7 +701,6 @@ let run ?machine cfg =
     invalid_arg
       (Printf.sprintf "Serve.run: max_sessions > %d" max_sessions_limit);
   if cfg.queue_limit < 1 then invalid_arg "Serve.run: queue_limit < 1";
-  if cfg.checkpoint_every < 1 then invalid_arg "Serve.run: checkpoint_every < 1";
   ignore_sigpipe ();
   mkdir_p cfg.checkpoint_dir;
   match claim_socket cfg.socket with

@@ -15,7 +15,7 @@
     {!Protocol.Busy} — backpressure, not unbounded buffering), and
     grants freed slots to waiting {e clients} round-robin, so a client
     that queued fifty tunes cannot starve one that queued one.  An
-    admitted session's whole search, checkpoint writes included, runs
+    admitted session's whole search, log writes included, runs
     on a {e session domain}: the daemon keeps up to [max_sessions] of
     them, spawned on first need, parked between sessions and joined
     before {!run} returns, while the connection thread waits and the
@@ -23,35 +23,32 @@
     therefore the number of searches that run in parallel; above the
     host's core count they oversubscribe it.
 
-    {b Checkpoints.}  Every tune session checkpoints its search state
-    to [checkpoint_dir/<session>.ckpt] at generation boundaries,
-    deletes the file on normal completion, and leaves it behind on
-    interruption — a kill −9 included.  The file holds two
-    digest-checked slots: a save rewrites, in place, the one that does
-    not hold the newest valid checkpoint, and a load takes the newest
-    valid one, so a kill mid-write leaves the previous checkpoint
-    loadable (the first save creates the file by temp file + rename;
-    {!Imtp_autotune.Checkpoint} has the layout).  A later tune naming the same session resumes
-    from the file and replays the remaining trials bit-identically
-    ({!Imtp_autotune.Search.checkpoint} has the contract).
+    {b Session logs.}  Every tune session appends its search records to
+    the tuning log [checkpoint_dir/<session>.log] at search boundaries,
+    one write per boundary, deletes the file on normal completion, and
+    leaves it behind on interruption — a kill −9 included.  The log's
+    header line is a pure function of the request, so a later tune
+    naming the same session with another request is [bad_request].  The
+    same request resumes: it runs the search again, checks every record
+    against the logged line ({!Imtp_autotune.Tuning_log.open_session}
+    has the contract), and appends the records past them.  A record
+    that differs from its logged line is [internal].
 
     {b Shutdown.}  A [shutdown] request is acknowledged, then the
     daemon stops accepting, asks running searches to stop at their
-    next generation boundary (each emits a final checkpoint and
-    answers its client with [interrupted = true]), closes drained
+    next boundary (each logs that boundary's records and answers its
+    client with [interrupted = true]), closes drained
     connections, removes the socket and returns. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path to listen on. *)
   checkpoint_dir : string;
-      (** directory for session checkpoints; created if missing. *)
+      (** directory for session logs; created if missing. *)
   max_sessions : int;
       (** tune sessions running in parallel, one session domain each
           (1 to {!max_sessions_limit}). *)
   queue_limit : int;
       (** waiting tune requests before refusing with [busy] (>= 1). *)
-  checkpoint_every : int;
-      (** checkpoint period in search generations (>= 1). *)
 }
 
 val max_sessions_limit : int
@@ -60,7 +57,7 @@ val max_sessions_limit : int
 
 val default_config : socket:string -> config
 (** [checkpoint_dir = "imtp-checkpoints"], [max_sessions = 2],
-    [queue_limit = 16], [checkpoint_every = 1]. *)
+    [queue_limit = 16]. *)
 
 val run : ?machine:Imtp_upmem.Config.t -> config -> (unit, string) result
 (** Run the daemon until a [shutdown] request; blocks the calling

@@ -2,10 +2,10 @@
    `serve_smoke.exe <imtp-cli> [--max-sessions N] [--jobs N]`
    (the daemon's flags, default 2 and 1): boots a real daemon process,
    drives it with the typed client and the `imtp client` subcommand,
-   SIGKILLs it mid-tune once the session's checkpoint file has been
-   rewritten in place, and checks the resumed search in a fresh daemon
-   reproduces the uninterrupted run's history digest.  Everything in
-   here is fixed-seed. *)
+   SIGKILLs it mid-tune once the session's tuning log holds several
+   boundaries' records, and checks the search resumed from that log in
+   a fresh daemon reproduces the uninterrupted run's history digest.
+   Everything in here is fixed-seed. *)
 
 module C = Imtp.Serve_client
 module P = Imtp.Protocol
@@ -22,13 +22,13 @@ let jstr body field =
   | Some (Json.Str s) -> s
   | _ -> fail "missing string field %S in %s" field (Json.to_string body)
 
-let wait_for ?(timeout = 30.) what pred =
+let wait_for ?(timeout = 30.) ?(interval = 0.05) what pred =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
     if pred () then ()
     else if Unix.gettimeofday () > deadline then fail "timed out: %s" what
     else begin
-      Thread.delay 0.05;
+      Thread.delay interval;
       go ()
     end
   in
@@ -101,8 +101,10 @@ let () =
   ignore (ok "concurrent tune b" !r2);
   print_endline "two concurrent tunes: ok";
 
-  (* 2. uninterrupted reference digest for the kill/resume spec *)
-  let trials = 6000 in
+  (* 2. uninterrupted reference digest for the kill/resume spec, long
+     enough (about 0.3 s on a warm engine) for the kill below to land
+     mid-search *)
+  let trials = 30000 in
   let reference =
     jstr (ok "reference tune" (tune ~trials ~session:"ref" ())) "history_digest"
   in
@@ -111,13 +113,15 @@ let () =
   (* 3. same spec under session "kill"; SIGKILL the daemon mid-search *)
   let victim = ref (Error (C.Transport "unset")) in
   let tv = Thread.create (fun () -> victim := tune ~trials ~session:"kill" ()) () in
-  let ckpt_path = Filename.concat ckpt_dir "kill.ckpt" in
-  (* The first checkpoint creates the file through a temp file and a
-     rename; later ones rewrite its slots in place.  Killing only after
-     boundary 3 makes the resume read a file the in-place path wrote. *)
-  wait_for "kill session's boundary-3 checkpoint" (fun () ->
-      match Imtp.Search_checkpoint.load ckpt_path with
-      | Ok ck -> Imtp.Search.checkpoint_boundary ck >= 3
+  let log_path = Filename.concat ckpt_dir "kill.log" in
+  (* One island: each boundary after the 16-trial initial population
+     (boundary 0) is one 16-trial generation, logged in one write, so a
+     record of trial 48 or later means boundaries 0 to 3 are on disk and
+     the resume verifies lines from several appends. *)
+  wait_for ~interval:0.005 "kill session's boundary-3 records" (fun () ->
+      match Imtp.Tuning_log.load log_path with
+      | Ok (_, entries) ->
+          List.exists (fun e -> e.Imtp.Tuning_log.trial >= 48) entries
       | Error _ -> false);
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
@@ -128,22 +132,22 @@ let () =
       fail "expected a transport error after SIGKILL, got %s: %s"
         (P.error_code_to_string c) m
   | Ok _ -> fail "tune reported success though its daemon was SIGKILLed");
-  if not (Sys.file_exists ckpt_path) then
-    fail "checkpoint did not survive the SIGKILL";
-  print_endline "SIGKILL mid-tune: checkpoint survived";
+  if not (Sys.file_exists log_path) then
+    fail "session log did not survive the SIGKILL";
+  print_endline "SIGKILL mid-tune: session log survived";
 
   (* 4. fresh daemon (reclaims the stale socket), resume the session *)
   let pid = spawn_daemon () in
   let rbody = ok "resumed tune" (tune ~trials ~session:"kill" ()) in
   (match Json.member "resumed_from" rbody with
   | Some (Json.Num n) when n > 0. ->
-      Printf.printf "resumed from trial %.0f\n%!" n
+      Printf.printf "resumed: %.0f logged records verified\n%!" n
   | _ -> fail "resumed tune did not report resumed_from");
   let rd = jstr rbody "history_digest" in
   if rd <> reference then
     fail "resumed digest %s differs from reference %s" rd reference;
-  if Sys.file_exists ckpt_path then
-    fail "checkpoint not cleaned up after resumed completion";
+  if Sys.file_exists log_path then
+    fail "session log not cleaned up after resumed completion";
   print_endline "resume: digest matches uninterrupted run";
 
   (* 5. `imtp client stats` as a subprocess prints a JSON object *)

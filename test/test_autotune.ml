@@ -676,14 +676,12 @@ let test_search_ledger_per_run () =
   Alcotest.(check int) "engine hits = sum of the runs'" c.Imtp_engine.Engine.hits
     (sum (fun o -> o.Se.cache_hits))
 
-(* --- Checkpoint / resume --------------------------------------------- *)
+(* --- Session logs and resume ------------------------------------------ *)
 
-module Ck = Imtp_autotune.Checkpoint
+module Tl = Imtp_autotune.Tuning_log
 
-(* Everything the bit-identity contract covers.  [measured_trials] and
-   [cache_hits] are deliberately excluded: a resumed run on a cold
-   engine re-pays builds the killed run had cached, so its simulator
-   and cache ledgers legitimately differ from an uninterrupted run's. *)
+(* Everything the determinism contract covers.  [cache_hits] is
+   excluded: it depends on what the engine held before the run. *)
 let outcome_key (o : Se.outcome) =
   ( List.map
       (fun (r : Se.record) ->
@@ -697,48 +695,97 @@ let outcome_key (o : Se.outcome) =
     o.Se.measured,
     o.Se.skipped )
 
-(* Run uninterrupted; then run again stopped after [k] boundaries and
-   resume from the emitted checkpoint; the stitched run must be
-   bit-identical.  The init snapshot is checkpoint #1 and boundary b
-   emits #(1+b); [stop] is polled after each boundary's checkpoint, so
-   stopping once [!n_ck > k] interrupts right at boundary [k], whose
-   snapshot is the last one emitted. *)
+let with_tmp_dir f =
+  let dir = Filename.temp_file "imtp_log" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+exception Log_error of Tl.session_error
+
+(* One tune session over the log at [path], the way the daemon runs one
+   on a cold engine: every boundary's records are checked against the
+   log and the new ones appended; [stop_at] stops the run at that
+   boundary (boundary 0 follows the initial population).  Returns the
+   outcome, the logged records the run verified and the boundaries it
+   reached, or the log's error. *)
+let logged_run ?measure_ratio ?(islands = 1) ?(jobs = 1) ?stop_at ~seed path
+    op ~trials =
+  let header =
+    Tl.session_header ~op_name:op.Imtp_workload.Op.opname ~sizes:[] ~seed
+      ~trials ?measure_ratio ~islands ()
+  in
+  match Tl.open_session path ~header with
+  | Error e -> Error e
+  | Ok log -> (
+      Fun.protect ~finally:(fun () -> Tl.close_session log) @@ fun () ->
+      let boundaries = ref 0 in
+      let on_boundary records =
+        incr boundaries;
+        match Tl.append log records with
+        | Ok () -> ()
+        | Error e -> raise (Log_error e)
+      in
+      let stop () =
+        match stop_at with Some k -> !boundaries > k | None -> false
+      in
+      match
+        Se.run ~seed ?measure_ratio ~islands ~jobs cfg op ~trials ~on_boundary
+          ~stop
+      with
+      | o -> Ok (o, Tl.verified log, !boundaries)
+      | exception Log_error e -> Error e)
+
+let logged_ok = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Tl.session_error_to_string e)
+
+let line_count s =
+  List.length (String.split_on_char '\n' s) - 1
+
+(* Run a session uninterrupted; run it again stopped at boundary [k],
+   then once more over the stopped run's log.  The stitched log must be
+   byte-identical to the uninterrupted one, and the resumed outcome
+   equal to the uninterrupted run's, simulator ledger included: both
+   ran on a cold engine. *)
 let check_kill_resume ?measure_ratio ?(islands = 1) ~k op ~trials =
   let seed = 23 in
-  let full = Se.run ~seed ?measure_ratio ~islands cfg op ~trials in
-  let n_ck = ref 0 and last = ref None in
-  let killed =
-    Se.run ~seed ?measure_ratio ~islands cfg op ~trials
-      ~on_checkpoint:(fun ck ->
-        incr n_ck;
-        last := Some ck)
-      ~stop:(fun () -> !n_ck > k)
+  with_tmp_dir @@ fun dir ->
+  let run ?stop_at name =
+    logged_ok
+      (logged_run ?measure_ratio ~islands ?stop_at ~seed
+         (Filename.concat dir name) op ~trials)
   in
+  let full, _, _ = run "full.log" in
+  let killed, _, reached = run ~stop_at:k "session.log" in
   Alcotest.(check bool) "killed run reports interrupted" true
     killed.Se.interrupted;
   Alcotest.(check bool) "full run not interrupted" false full.Se.interrupted;
-  Alcotest.(check int) "one checkpoint per boundary through the stop" (k + 1)
-    !n_ck;
-  let ck = match !last with Some ck -> ck | None -> Alcotest.fail "no checkpoint" in
-  Alcotest.(check int) "last checkpoint is the stopping boundary" k
-    (Se.checkpoint_boundary ck);
-  Alcotest.(check bool) "checkpoint mid-run" true
-    (Se.checkpoint_trial ck > 0 && Se.checkpoint_trial ck < trials);
-  Alcotest.(check int) "checkpoint keeps the budget" trials
-    (Se.checkpoint_trials ck);
-  Alcotest.(check int) "checkpoint keeps the seed" seed (Se.checkpoint_seed ck);
-  Alcotest.(check bool) "checkpoint keeps the gate" true
-    (Se.checkpoint_measure_ratio ck = measure_ratio);
-  Alcotest.(check int) "checkpoint keeps the island count" islands
-    (Se.checkpoint_islands ck);
-  let resumed = Se.run ~resume:ck cfg op ~trials in
+  Alcotest.(check int) "stopped at boundary k" (k + 1) reached;
+  let full_log = read_file (Filename.concat dir "full.log") in
+  let logged = line_count (read_file (Filename.concat dir "session.log")) - 1 in
+  Alcotest.(check bool) "killed mid-run" true
+    (logged > 0 && logged < line_count full_log - 1);
+  let resumed, verified, _ = run "session.log" in
   Alcotest.(check bool) "resumed run completed" false resumed.Se.interrupted;
-  Alcotest.(check bool) "resumed_from records the snapshot" true
-    (resumed.Se.resumed_from = Some (Se.checkpoint_trial ck));
-  Alcotest.(check bool) "full run never resumed" true
-    (full.Se.resumed_from = None);
+  Alcotest.(check int) "every logged record verified" logged verified;
+  Alcotest.(check bool) "stitched log is byte-identical" true
+    (read_file (Filename.concat dir "session.log") = full_log);
   if outcome_key resumed <> outcome_key full then
-    Alcotest.fail "resumed outcome differs from uninterrupted run"
+    Alcotest.fail "resumed outcome differs from uninterrupted run";
+  Alcotest.(check int) "same simulator ledger on a cold engine"
+    full.Se.measured_trials resumed.Se.measured_trials
 
 let test_kill_resume_ungated () =
   check_kill_resume ~k:1 (Ops.mtv 128 256) ~trials:48
@@ -747,11 +794,10 @@ let test_kill_resume_gated () =
   check_kill_resume ~measure_ratio:0.2 ~k:2 (Ops.mmtv 8 64 64) ~trials:64
 
 let test_kill_resume_islands () =
-  (* kill a 2-island run right after a migration boundary's checkpoint
-     and resume it: the stitched run must be bit-identical to the
-     uninterrupted one, migrations included.  64 trials an island are
-     three generations past the initial population: boundaries 1 and 2
-     both migrate. *)
+  (* kill a 2-island run right after a migration boundary and resume
+     it, migrations included.  64 trials an island are three
+     generations past the initial population: boundaries 1 and 2 both
+     migrate. *)
   check_kill_resume ~islands:2 ~k:1 (Ops.mtv 128 256) ~trials:128;
   (* 81/80 trials: island 1 is done at boundary 2, the kill point, and
      island 0 runs one more generation to boundary 3 on migrants from
@@ -764,214 +810,118 @@ let test_kill_resume_islands_gated () =
   check_kill_resume ~islands:2 ~measure_ratio:0.2 ~k:2 (Ops.mmtv 8 64 64)
     ~trials:224
 
-(* The committed acceptance criterion: a killed-then-resumed run on the
-   golden workloads reproduces the golden trace byte-for-byte — same
-   tuning-log lines, same counts — as if the kill never happened. *)
+(* The committed acceptance criterion: a killed-then-resumed session on
+   the golden workloads reproduces the golden trace byte-for-byte, as
+   if the kill never happened. *)
 let test_resumed_trace_matches_golden () =
   let buf = Buffer.create 4096 in
-  let dump name op ~seed ~trials =
-    let n_ck = ref 0 and last = ref None in
-    let killed =
-      Se.run ~seed cfg op ~trials
-        ~on_checkpoint:(fun ck ->
-          incr n_ck;
-          last := Some ck)
-        ~stop:(fun () -> !n_ck > 1)
-    in
-    Alcotest.(check bool) (name ^ ": interrupted") true killed.Se.interrupted;
-    let ck = match !last with Some ck -> ck | None -> Alcotest.fail "no ckpt" in
-    dump_outcome buf name ~seed ~trials (Se.run ~resume:ck cfg op ~trials)
-  in
-  dump "gemv" (Ops.gemv ~c:3 512 512) ~seed:77 ~trials:48;
-  dump "mmtv" (Ops.mmtv 8 64 64) ~seed:77 ~trials:48;
+  with_tmp_dir (fun dir ->
+      let dump name op ~seed ~trials =
+        let path = Filename.concat dir (name ^ ".log") in
+        let killed, _, _ =
+          logged_ok (logged_run ~stop_at:1 ~seed path op ~trials)
+        in
+        Alcotest.(check bool)
+          (name ^ ": interrupted") true killed.Se.interrupted;
+        let resumed, _, _ = logged_ok (logged_run ~seed path op ~trials) in
+        dump_outcome buf name ~seed ~trials resumed
+      in
+      dump "gemv" (Ops.gemv ~c:3 512 512) ~seed:77 ~trials:48;
+      dump "mmtv" (Ops.mmtv 8 64 64) ~seed:77 ~trials:48);
   Alcotest.(check bool) "resumed trace is byte-identical to the golden file"
     true
     (Buffer.contents buf = golden_trace ())
 
-let with_tmp_dir f =
-  let dir = Filename.temp_file "imtp_ckpt" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+(* A kill mid-write leaves an unterminated last line: the resumed run
+   drops it, re-makes that record and still stitches the uninterrupted
+   log. *)
+let test_log_cut_mid_line () =
+  with_tmp_dir @@ fun dir ->
+  let op = Ops.mtv 128 256 and trials = 48 and seed = 23 in
+  let path name = Filename.concat dir name in
+  ignore (logged_ok (logged_run ~seed (path "full.log") op ~trials));
+  ignore (logged_ok (logged_run ~stop_at:1 ~seed (path "cut.log") op ~trials));
+  let killed = read_file (path "cut.log") in
+  let logged = line_count killed - 1 in
+  let last_start =
+    String.rindex_from killed (String.length killed - 2) '\n' + 1
   in
-  go 0
-
-(* The slot layout Checkpoint documents: a header line
-   [imtp-checkpoint-v3 <capacity>], then two slots of [32 + capacity]
-   bytes, each seq (int64 LE), len (int64 LE), md5, payload. *)
-let slot_layout s =
-  let nl = String.index s '\n' in
-  let capacity =
-    int_of_string (List.nth (String.split_on_char ' ' (String.sub s 0 nl)) 1)
+  write_file (path "cut.log") (String.sub killed 0 (last_start + 10));
+  let _, verified, _ =
+    logged_ok (logged_run ~seed (path "cut.log") op ~trials)
   in
-  (capacity, fun i -> nl + 1 + (i * (32 + capacity)))
-
-let newest_slot s =
-  let _, off = slot_layout s in
-  let seq i =
-    if off i + 32 > String.length s then -1
-    else Int64.to_int (String.get_int64_le s (off i))
+  Alcotest.(check int) "the cut line is not verified" (logged - 1) verified;
+  Alcotest.(check bool) "stitched log is byte-identical" true
+    (read_file (path "cut.log") = read_file (path "full.log"));
+  (* a header cut short: nothing was logged, the session starts over *)
+  write_file (path "cut.log") (String.sub killed 0 12);
+  let _, verified, _ =
+    logged_ok (logged_run ~seed (path "cut.log") op ~trials)
   in
-  if seq 1 > seq 0 then 1 else 0
+  Alcotest.(check int) "nothing verified" 0 verified;
+  Alcotest.(check bool) "rewritten from the header" true
+    (read_file (path "cut.log") = read_file (path "full.log"))
 
-let flip_payload_byte s slot =
-  let _, off = slot_layout s in
-  let b = Bytes.of_string s in
-  let p = off slot + 32 + 10 in
-  Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor 0xff));
-  Bytes.to_string b
+(* One changed digit in a logged latency: the re-run's record differs,
+   and the writer names the line and writes nothing. *)
+let test_log_changed_digit () =
+  with_tmp_dir @@ fun dir ->
+  let op = Ops.mtv 128 256 and trials = 48 and seed = 23 in
+  let path = Filename.concat dir "session.log" in
+  ignore (logged_ok (logged_run ~stop_at:1 ~seed path op ~trials));
+  let lines = String.split_on_char '\n' (read_file path) in
+  let tampered =
+    List.mapi
+      (fun i line ->
+        if i <> 2 then line
+        else
+          (* "trial=N latency=D.DDD...": bump the second digit *)
+          let p = String.index line '.' + 1 in
+          let d = Char.code line.[p] - Char.code '0' in
+          String.mapi
+            (fun j c ->
+              if j = p then Char.chr (Char.code '0' + ((d + 1) mod 10))
+              else c)
+            line)
+      lines
+    |> String.concat "\n"
+  in
+  write_file path tampered;
+  (match logged_run ~seed path op ~trials with
+  | Error (Tl.Line_mismatch { line; logged; recorded; _ }) ->
+      Alcotest.(check int) "names the third line" 3 line;
+      Alcotest.(check string) "quotes the logged line"
+        (List.nth (String.split_on_char '\n' tampered) 2) logged;
+      Alcotest.(check string) "quotes the record"
+        (List.nth lines 2) recorded
+  | Error e -> Alcotest.fail (Tl.session_error_to_string e)
+  | Ok _ -> Alcotest.fail "a changed latency digit was accepted");
+  Alcotest.(check string) "the log is left as it was" tampered (read_file path)
 
-let test_checkpoint_slots () =
-  with_tmp_dir (fun dir ->
-      let op = Ops.mtv 128 256 and trials = 96 in
-      let path = Filename.concat dir "slots.ckpt" in
-      let load_ok () =
-        match Ck.load path with Ok ck -> ck | Error m -> Alcotest.fail m
-      in
-      let boundary_loaded () = Se.checkpoint_boundary (load_ok ()) in
-      (* several saves: the file holds the last one, and it resumes
-         bit-identically *)
-      let cks = ref [] in
-      let _killed =
-        Se.run ~seed:23 cfg op ~trials
-          ~on_checkpoint:(fun ck ->
-            cks := ck :: !cks;
-            Ck.save path ck)
-          ~stop:(fun () -> List.length !cks > 4)
-      in
-      let last = List.hd !cks and prev = List.nth !cks 1 in
-      Alcotest.(check int) "load returns the last of five saves" 4
-        (boundary_loaded ());
-      let full = Se.run ~seed:23 cfg op ~trials in
-      Alcotest.(check bool) "resumes bit-identically" true
-        (outcome_key (Se.run ~resume:(load_ok ()) cfg op ~trials)
-        = outcome_key full);
-      (* newest slot torn: load falls back to the previous boundary *)
-      let whole = read_file path in
-      let capacity, off = slot_layout whole in
-      let n = newest_slot whole in
-      let torn = flip_payload_byte whole n in
-      write_file path torn;
-      Alcotest.(check int) "torn newest slot: previous boundary" 3
-        (boundary_loaded ());
-      (* ... and the next save overwrites the torn slot, never the
-         valid one *)
-      let valid_slot s =
-        let o = off (1 - n) in
-        String.sub s o (min (32 + capacity) (String.length s - o))
-      in
-      Ck.save path last;
-      let after = read_file path in
-      Alcotest.(check bool) "valid slot untouched" true
-        (valid_slot after = valid_slot torn);
-      Alcotest.(check int) "torn slot rewritten" n (newest_slot after);
-      Alcotest.(check int) "load returns the new save" 4 (boundary_loaded ());
-      (* newest slot cut short: the older slot still loads *)
-      Ck.save path prev;
-      let s = read_file path in
-      let m = newest_slot s in
-      Alcotest.(check int) "fresh save lands in the other slot" (1 - n) m;
-      Alcotest.(check int) "load returns the newest save" 3
-        (boundary_loaded ());
-      if m = 1 then write_file path (String.sub s 0 (off 1 + 32 + 10))
-      else write_file path (flip_payload_byte s 0);
-      Alcotest.(check int) "cut newest slot: previous save" 4
-        (boundary_loaded ());
-      (* a payload past the capacity rewrites the file *)
-      let big = ref None in
-      let _ =
-        Se.run ~seed:23 cfg op ~trials:(8 * trials)
-          ~on_checkpoint:(fun ck -> big := Some ck)
-      in
-      let big = Option.get !big in
-      Alcotest.(check bool) "payload outgrows the capacity" true
-        (String.length (Marshal.to_string big []) > capacity);
-      Ck.save path big;
-      let grown, _ = slot_layout (read_file path) in
-      Alcotest.(check bool) "file rewritten with a larger capacity" true
-        (grown > capacity);
-      Alcotest.(check int) "loads the new checkpoint"
-        (Se.checkpoint_trial big)
-        (Se.checkpoint_trial (load_ok ())))
+(* A log whose header is another request's is refused before the run. *)
+let check_header_mismatch ~seed op =
+  with_tmp_dir @@ fun dir ->
+  let path = Filename.concat dir "session.log" in
+  ignore
+    (logged_ok
+       (logged_run ~stop_at:1 ~seed:23 path (Ops.mtv 128 256) ~trials:48));
+  let before = read_file path in
+  (match logged_run ~seed path op ~trials:48 with
+  | Error (Tl.Header_mismatch { logged; expected; _ }) ->
+      Alcotest.(check bool) "quotes both headers" true
+        (logged = List.hd (String.split_on_char '\n' before)
+        && logged <> expected)
+  | Error e -> Alcotest.fail (Tl.session_error_to_string e)
+  | Ok _ -> Alcotest.fail "resumed another request's log");
+  Alcotest.(check string) "the log is left as it was" before (read_file path)
 
-(* One writer across a session: each save lands in the slot that does
-   not hold the writer's previous one and loads back as the newest; a
-   grown payload rewrites the file, and the writer keeps saving in
-   place into the renamed file.  A closed writer validates again: its
-   next save overwrites a slot torn meanwhile, never the valid one. *)
-let test_checkpoint_writer () =
-  with_tmp_dir (fun dir ->
-      let op = Ops.mtv 128 256 and trials = 96 in
-      let path = Filename.concat dir "writer.ckpt" in
-      let load_ok () =
-        match Ck.load path with Ok ck -> ck | Error m -> Alcotest.fail m
-      in
-      let w = Ck.writer path in
-      Fun.protect ~finally:(fun () -> Ck.close w) @@ fun () ->
-      let cks = ref [] and newest = ref [] in
-      let _killed =
-        Se.run ~seed:23 cfg op ~trials
-          ~on_checkpoint:(fun ck ->
-            Ck.write w ck;
-            cks := ck :: !cks;
-            newest := newest_slot (read_file path) :: !newest;
-            Alcotest.(check int) "load returns the save just made"
-              (Se.checkpoint_boundary ck)
-              (Se.checkpoint_boundary (load_ok ())))
-          ~stop:(fun () -> List.length !cks > 4)
-      in
-      Alcotest.(check (list int)) "saves alternate slots" [ 0; 1; 0; 1; 0 ]
-        (List.rev !newest);
-      let last = List.hd !cks and prev = List.nth !cks 1 in
-      let capacity, _ = slot_layout (read_file path) in
-      let big = ref None in
-      let _ =
-        Se.run ~seed:23 cfg op ~trials:(8 * trials)
-          ~on_checkpoint:(fun ck -> big := Some ck)
-      in
-      Ck.write w (Option.get !big);
-      let grown, _ = slot_layout (read_file path) in
-      Alcotest.(check bool) "grown payload rewrites the file" true
-        (grown > capacity);
-      Ck.write w last;
-      Alcotest.(check int) "saves in place after the rename" grown
-        (fst (slot_layout (read_file path)));
-      Alcotest.(check int) "the renamed file holds the save" 4
-        (Se.checkpoint_boundary (load_ok ()));
-      Ck.close w;
-      let whole = read_file path in
-      let _, off = slot_layout whole in
-      let n = newest_slot whole in
-      let torn = flip_payload_byte whole n in
-      write_file path torn;
-      let valid_slot s =
-        let o = off (1 - n) in
-        String.sub s o (min (32 + grown) (String.length s - o))
-      in
-      Ck.write w prev;
-      let after = read_file path in
-      Alcotest.(check bool) "valid slot untouched" true
-        (valid_slot after = valid_slot torn);
-      Alcotest.(check int) "torn slot rewritten" n (newest_slot after);
-      Alcotest.(check int) "load returns the new save" 3
-        (Se.checkpoint_boundary (load_ok ())))
+let test_log_other_seed () = check_header_mismatch ~seed:24 (Ops.mtv 128 256)
 
-(* A raising checkpoint callback surfaces as its own exception, on one
-   island and on two, instead of a lock error from the boundary. *)
+let test_resume_wrong_op_rejected () =
+  check_header_mismatch ~seed:23 (Ops.mmtv 8 64 64)
+
+(* A raising boundary callback surfaces as its own exception, on one
+   island and on two. *)
 let test_checkpoint_failure_propagates () =
   List.iter
     (fun islands ->
@@ -980,11 +930,11 @@ let test_checkpoint_failure_propagates () =
       (match
          Se.run ~seed:23 ~islands cfg (Ops.mtv 128 256)
            ~trials:128
-           ~on_checkpoint:(fun _ ->
+           ~on_boundary:(fun _ ->
              incr n;
              if !n = 2 then raise (Sys_error "disk full"))
        with
-      | _ -> Alcotest.fail "run ignored a failing checkpoint"
+      | _ -> Alcotest.fail "run ignored a failing log write"
       | exception Sys_error m ->
           Alcotest.(check string)
             (Printf.sprintf "islands:%d re-raises the callback's error" islands)
@@ -992,81 +942,6 @@ let test_checkpoint_failure_propagates () =
       Alcotest.(check bool) "returns promptly" true
         (Unix.gettimeofday () -. t0 < 30.))
     [ 1; 2 ]
-
-let test_checkpoint_disk_roundtrip () =
-  with_tmp_dir (fun dir ->
-      let op = Ops.mtv 128 256 and trials = 48 in
-      let path = Filename.concat dir "mtv.ckpt" in
-      let n_ck = ref 0 and last = ref None in
-      let _killed =
-        Se.run ~seed:23 cfg op ~trials
-          ~on_checkpoint:(fun ck ->
-            incr n_ck;
-            last := Some ck;
-            Ck.save path ck)
-          ~stop:(fun () -> !n_ck > 1)
-      in
-      let mem = match !last with Some ck -> ck | None -> Alcotest.fail "no ckpt" in
-      let loaded =
-        match Ck.load path with
-        | Ok ck -> ck
-        | Error m -> Alcotest.fail m
-      in
-      Alcotest.(check int) "loaded snapshot at the same trial"
-        (Se.checkpoint_trial mem) (Se.checkpoint_trial loaded);
-      let from_mem = Se.run ~resume:mem cfg op ~trials in
-      let from_disk = Se.run ~resume:loaded cfg op ~trials in
-      Alcotest.(check bool) "disk roundtrip resumes identically" true
-        (outcome_key from_mem = outcome_key from_disk);
-      (* a checkpoint is reusable: resuming twice gives the same run *)
-      let again = Se.run ~resume:loaded cfg op ~trials in
-      Alcotest.(check bool) "resuming the same snapshot twice is stable" true
-        (outcome_key from_disk = outcome_key again);
-      (* error paths: missing file, wrong magic, truncated payload *)
-      (match Ck.load (Filename.concat dir "absent.ckpt") with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "loaded a missing file");
-      let bad = Filename.concat dir "bad.ckpt" in
-      let oc = open_out_bin bad in
-      output_string oc "not a checkpoint\n";
-      close_out oc;
-      (match Ck.load bad with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "loaded a wrong-magic file");
-      (* the earlier rename-only container is refused, naming the magic
-         this build expects *)
-      let v2 = Filename.concat dir "v2.ckpt" in
-      write_file v2 ("imtp-checkpoint-v2\n" ^ Marshal.to_string mem []);
-      (match Ck.load v2 with
-      | Error m ->
-          Alcotest.(check bool) "v2 refusal names the v3 magic" true
-            (contains ~sub:"imtp-checkpoint-v3" m)
-      | Ok _ -> Alcotest.fail "loaded a v2 checkpoint");
-      let huge = Filename.concat dir "huge.ckpt" in
-      write_file huge (Printf.sprintf "imtp-checkpoint-v3 %d\n%s" max_int
-        (String.make 64 'x'));
-      (match Ck.load huge with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "loaded a file with an absurd capacity");
-      let trunc = Filename.concat dir "trunc.ckpt" in
-      write_file trunc (String.sub (read_file path) 0 40);
-      match Ck.load trunc with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "loaded a truncated file")
-
-let test_resume_wrong_op_rejected () =
-  let n_ck = ref 0 and last = ref None in
-  let _ =
-    Se.run ~seed:23 cfg (Ops.mtv 128 256) ~trials:48
-      ~on_checkpoint:(fun ck ->
-        incr n_ck;
-        last := Some ck)
-      ~stop:(fun () -> !n_ck > 1)
-  in
-  let ck = match !last with Some ck -> ck | None -> Alcotest.fail "no ckpt" in
-  match Se.run ~resume:ck cfg (Ops.mmtv 8 64 64) ~trials:48 with
-  | _ -> Alcotest.fail "resume accepted a different operator"
-  | exception Invalid_argument _ -> ()
 
 (* --- Island model ----------------------------------------------------- *)
 
@@ -1218,7 +1093,7 @@ let test_model_error_gauge_islands () =
       let n_ck = ref 0 in
       let run ?stop () =
         Se.run ~seed ~jobs:1 ~islands:2 ~measure_ratio:0.2 cfg op ~trials
-          ~on_checkpoint:(fun _ -> incr n_ck) ?stop
+          ~on_boundary:(fun _ -> incr n_ck) ?stop
       in
       let full = run () in
       let g = gauge () in
@@ -1370,13 +1245,14 @@ let () =
             `Quick test_kill_resume_islands_gated;
           Alcotest.test_case "resumed trace matches golden" `Quick
             test_resumed_trace_matches_golden;
-          Alcotest.test_case "file slots: torn, cut and grown" `Quick
-            test_checkpoint_slots;
-          Alcotest.test_case "one writer per session" `Quick test_checkpoint_writer;
           Alcotest.test_case "failing checkpoint write re-raised" `Quick
             test_checkpoint_failure_propagates;
-          Alcotest.test_case "disk roundtrip + corrupt files" `Quick
-            test_checkpoint_disk_roundtrip;
+          Alcotest.test_case "log cut mid-line resumes" `Quick
+            test_log_cut_mid_line;
+          Alcotest.test_case "changed logged digit is a mismatch" `Quick
+            test_log_changed_digit;
+          Alcotest.test_case "other seed's log refused" `Quick
+            test_log_other_seed;
           Alcotest.test_case "wrong operator rejected" `Quick
             test_resume_wrong_op_rejected;
         ] );

@@ -52,9 +52,9 @@ let test_ridge_recovers_linear_cost () =
   Alcotest.(check bool) "holdout mean log err ~ 0" true (holdout_mean < 1e-6)
 
 (* The island merge adopts a lone observer's model instead of replaying
-   its observations into the shared one: both must end bit-identical,
-   error mean and weight cache included, so checkpoint payloads do not
-   change.  The observer predicts between observations, as a search
+   its observations into the shared one: both must end identical, error
+   mean and weight cache included, so the merged model does not depend
+   on which path built it.  The observer predicts between observations, as a search
    does, so its own weight cache is populated when it is adopted. *)
 let test_adopt_equals_replay () =
   let rng = Rng.create ~seed:5 in
@@ -73,9 +73,9 @@ let test_adopt_equals_replay () =
       let replay = Cl.copy shared in
       List.iter (fun x -> Cl.observe replay x (y x)) epoch;
       Cl.adopt shared ~from:island;
-      Alcotest.(check string)
+      Alcotest.(check bool)
         (Printf.sprintf "adopted = replayed after %d observations" n)
-        (Marshal.to_string replay []) (Marshal.to_string shared []))
+        true (replay = shared))
     [ 1; 2; 9; 30 ]
 
 (* Fixed normal-equation systems in exact arithmetic: 40 samples over

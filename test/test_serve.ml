@@ -498,8 +498,8 @@ let test_admission_backpressure () =
         (stats_field "sessions" "rejected_busy" >= 2.))
 
 (* Interrupt-then-resume across daemon lifetimes, sharing one
-   checkpoint dir: a shutdown mid-tune answers the client with
-   [interrupted = true] and leaves the checkpoint behind; a second
+   log dir: a shutdown mid-tune answers the client with
+   [interrupted = true] and leaves the session log behind; a second
    daemon resuming that session must report [resumed_from] and land on
    the reference digest. *)
 let test_daemon_resume_after_interrupt () =
@@ -557,7 +557,7 @@ let test_daemon_resume_after_interrupt () =
                   Client.tune c { spec with P.session = Some "reference" })))
           "history_digest"
       in
-      let ckpt_path = Filename.concat ckpt_dir (session ^ ".ckpt") in
+      let log_path = Filename.concat ckpt_dir (session ^ ".log") in
       let victim = ref (Error (Client.Transport "unset")) in
       let tv =
         Thread.create
@@ -565,7 +565,7 @@ let test_daemon_resume_after_interrupt () =
             victim := Client.with_connection ~socket (fun c -> Client.tune c spec))
           ()
       in
-      wait_for "first checkpoint on disk" (fun () -> Sys.file_exists ckpt_path);
+      wait_for "first log lines on disk" (fun () -> Sys.file_exists log_path);
       (match Client.with_connection ~socket Client.shutdown with
       | Ok () -> ()
       | Error e -> fail_client e);
@@ -574,10 +574,15 @@ let test_daemon_resume_after_interrupt () =
       let vbody = ok !victim in
       Alcotest.(check bool) "victim answered as interrupted" true
         (Json.member "interrupted" vbody = Some (Json.Bool true));
-      Alcotest.(check bool) "checkpoint survives the shutdown" true
-        (Sys.file_exists ckpt_path);
+      Alcotest.(check bool) "log survives the shutdown" true
+        (Sys.file_exists log_path);
+      let logged =
+        match Imtp_autotune.Tuning_log.load log_path with
+        | Ok (_, entries) -> List.length entries
+        | Error m -> Alcotest.failf "session log: %s" m
+      in
       (* daemon #2: resuming the session must finish on the reference
-         digest and clean up its checkpoint *)
+         digest and clean up its log *)
       let d2 = boot () in
       let rbody =
         ok (Client.with_connection ~socket (fun c -> Client.tune c spec))
@@ -587,7 +592,9 @@ let test_daemon_resume_after_interrupt () =
       | Error e -> fail_client e);
       join d2;
       (match Json.member "resumed_from" rbody with
-      | Some (Json.Num n) when n > 0. -> ()
+      | Some (Json.Num n) when n > 0. ->
+          Alcotest.(check int) "resumed_from counts the logged records"
+            logged (int_of_float n)
       | v ->
           Alcotest.failf "resumed_from missing or null: %s"
             (match v with Some j -> Json.to_string j | None -> "absent"))
@@ -595,8 +602,8 @@ let test_daemon_resume_after_interrupt () =
       Alcotest.(check string) "resumed digest matches uninterrupted run"
         reference
         (jstr rbody "history_digest");
-      Alcotest.(check bool) "checkpoint removed after completion" false
-        (Sys.file_exists ckpt_path))
+      Alcotest.(check bool) "log removed after completion" false
+        (Sys.file_exists log_path))
 
 (* --- Session domains --------------------------------------------------- *)
 
@@ -631,8 +638,8 @@ let test_session_domains_joined () =
   done
 
 (* A search that raises on its session domain answers its client as
-   before: [Invalid_argument] from [Search.run] is [bad_request], a
-   failing checkpoint write is [internal]; the daemon serves on. *)
+   before: a ratio outside (0, 1] is [bad_request], a failing log
+   write is [internal]; the daemon serves on. *)
 let test_session_errors_cross_back () =
   with_daemon (fun cfg socket ->
       let c = ok (Client.connect ~socket) in
@@ -647,13 +654,85 @@ let test_session_errors_cross_back () =
       (match quick_tune ~session:"no-dir" c with
       | Error (Client.Server (P.Internal, _)) -> ()
       | Error e -> fail_client e
-      | Ok _ -> Alcotest.fail "tune succeeded without a checkpoint directory");
+      | Ok _ -> Alcotest.fail "tune succeeded without a log directory");
       Unix.mkdir cfg.Serve.checkpoint_dir 0o700;
       ignore (ok (quick_tune ~session:"after" c)))
 
+(* A session's log answers for its request: a log written for another
+   request is [bad_request] and stays as it was, a log whose records
+   the re-run does not make is [internal]. *)
+let test_session_log_guards_request () =
+  with_daemon (fun cfg socket ->
+      let c = ok (Client.connect ~socket) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let write name text =
+        let path = Filename.concat cfg.Serve.checkpoint_dir (name ^ ".log") in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc text);
+        path
+      in
+      let header seed =
+        Printf.sprintf
+          "# imtp-tuning-log op=mtv sizes=64x128 seed=%d trials=24 islands=1\n"
+          seed
+      in
+      let other = write "other" (header 6) in
+      (match quick_tune ~session:"other" c with
+      | Error (Client.Server (P.Bad_request, _)) -> ()
+      | Error e -> fail_client e
+      | Ok _ -> Alcotest.fail "resumed another request's log");
+      Alcotest.(check string) "log left as it was" (header 6)
+        (In_channel.with_open_bin other In_channel.input_all);
+      ignore
+        (write "forged"
+           (header 5
+           ^ "trial=0 latency=1.000000000e+00 sd=1 rd=1 t=1 c=1 rows=1 \
+              unroll=0 ht=1 measured=1\n"));
+      (match quick_tune ~session:"forged" c with
+      | Error (Client.Server (P.Internal, m)) ->
+          let sub = "forged.log:2:" in
+          Alcotest.(check bool) ("names the line: " ^ m) true
+            (List.exists
+               (fun i -> String.sub m i (String.length sub) = sub)
+               (List.init (String.length m - String.length sub + 1) Fun.id))
+      | Error e -> fail_client e
+      | Ok _ -> Alcotest.fail "a divergent log was accepted");
+      ignore (ok (quick_tune ~session:"after" c)))
+
+(* Derived session names keep the exact gate ratio: specs that differ
+   only in it are different sessions. *)
+let test_derived_session_names () =
+  with_daemon (fun _cfg socket ->
+      let c = ok (Client.connect ~socket) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let session measure_ratio =
+        jstr
+          (ok
+             (Client.tune c
+                {
+                  P.op = "mtv";
+                  sizes = [ 64; 128 ];
+                  trials = 24;
+                  seed = 5;
+                  measure_ratio = Some measure_ratio;
+                  islands = None;
+                  session = None;
+                }))
+          "session"
+      in
+      List.iter
+        (fun (a, b) ->
+          let na = session a and nb = session b in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s and %s differ" na nb)
+            true (na <> nb))
+        [ (0.2, 0.204); (0.001, 0.004) ];
+      Alcotest.(check string) "readable ratio" "mtv-64x128-s5-t24-r0.2"
+        (session 0.2))
+
 (* A shutdown while a session runs on the single session domain of
-   [max_sessions = 1]: the search stops at its next boundary, writes
-   its final checkpoint and answers [interrupted: true]. *)
+   [max_sessions = 1]: the search stops at its next boundary, logs its
+   records through it and answers [interrupted: true]. *)
 let test_shutdown_mid_session () =
   let dir = temp_dir "imtp_stop" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -674,7 +753,7 @@ let test_shutdown_mid_session () =
           true
       | Error _ -> false);
   let trials = 4000 in
-  let ckpt = Filename.concat cfg.Serve.checkpoint_dir "long.ckpt" in
+  let log = Filename.concat cfg.Serve.checkpoint_dir "long.log" in
   let answer = ref (Error (Client.Transport "unset")) in
   let tv =
     Thread.create
@@ -682,7 +761,7 @@ let test_shutdown_mid_session () =
         answer := Client.with_connection ~socket (quick_tune ~trials ~session:"long"))
       ()
   in
-  wait_for "first checkpoint" (fun () -> Sys.file_exists ckpt);
+  wait_for "first log lines" (fun () -> Sys.file_exists log);
   (match Client.with_connection ~socket Client.shutdown with
   | Ok () -> ()
   | Error e -> fail_client e);
@@ -692,14 +771,15 @@ let test_shutdown_mid_session () =
   let body = ok !answer in
   Alcotest.(check bool) "answered as interrupted" true
     (Json.member "interrupted" body = Some (Json.Bool true));
-  match Imtp_autotune.Checkpoint.load ckpt with
-  | Error m -> Alcotest.failf "final checkpoint: %s" m
-  | Ok ck ->
-      let done_ = Imtp_autotune.Search.checkpoint_trial ck in
+  match Imtp_autotune.Tuning_log.load log with
+  | Error m -> Alcotest.failf "session log: %s" m
+  | Ok (_, entries) ->
+      let logged = List.length entries in
       Alcotest.(check bool)
-        (Printf.sprintf "final checkpoint mid-run (%d of %d trials)" done_ trials)
+        (Printf.sprintf "log stops mid-run (%d records for %d trials)" logged
+           trials)
         true
-        (done_ > 0 && done_ < trials)
+        (logged > 0 && logged < trials)
 
 (* [max_sessions] above the limit is refused before the daemon starts
    anything: no socket, no domain. *)
@@ -722,7 +802,7 @@ let test_max_sessions_limit () =
     [ 0; Serve.max_sessions_limit + 1; max_int ];
   Alcotest.(check int) "limit" 32 Serve.max_sessions_limit;
   Alcotest.(check bool) "no socket" false (Sys.file_exists socket);
-  Alcotest.(check bool) "no checkpoint dir" false
+  Alcotest.(check bool) "no log dir" false
     (Sys.file_exists (Filename.concat dir "ckpt"))
 
 let () =
@@ -752,6 +832,10 @@ let () =
             test_admission_backpressure;
           Alcotest.test_case "interrupt + resume across daemons" `Quick
             test_daemon_resume_after_interrupt;
+          Alcotest.test_case "session log guards its request" `Quick
+            test_session_log_guards_request;
+          Alcotest.test_case "derived names keep the exact ratio" `Quick
+            test_derived_session_names;
         ] );
       ( "session domains",
         [
