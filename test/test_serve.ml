@@ -497,6 +497,71 @@ let test_admission_backpressure () =
       Alcotest.(check bool) "busy rejections counted" true
         (stats_field "sessions" "rejected_busy" >= 2.))
 
+(* max_sessions = 1: while one long tune holds the slot, three
+   connections queue a tune each, one after another; they are admitted
+   in arrival order, so their responses come back in it.  Each queued
+   tune is a different op, so none is a run of cache hits that could
+   overtake the answer of the one before it. *)
+let test_fifo_admission () =
+  with_daemon
+    ~config:(fun c -> { c with Serve.max_sessions = 1 })
+    (fun _cfg socket ->
+      let sessions field =
+        let s = ok (Client.with_connection ~socket Client.stats) in
+        jnum (jobj s "sessions") field
+      in
+      let tune ~trials ~sizes session =
+        Client.with_connection ~socket (fun c ->
+            Client.tune c
+              {
+                P.op = "mtv";
+                sizes;
+                trials;
+                seed = 5;
+                measure_ratio = None;
+                islands = None;
+                session = Some session;
+              })
+      in
+      let holder = ref (Error (Client.Transport "unset")) in
+      let th =
+        Thread.create
+          (fun () ->
+            holder := tune ~trials:400_000 ~sizes:[ 64; 128 ] "holder")
+          ()
+      in
+      wait_for "holder to take the slot" (fun () -> sessions "active" = 1.);
+      let m = Mutex.create () and arrived = ref [] in
+      let queued =
+        List.mapi
+          (fun i (name, sizes) ->
+            let t =
+              Thread.create
+                (fun () ->
+                  let r = tune ~trials:8000 ~sizes name in
+                  Mutex.protect m (fun () -> arrived := (name, r) :: !arrived))
+                ()
+            in
+            wait_for
+              (Printf.sprintf "%s to queue" name)
+              (fun () -> sessions "queued" = float_of_int (i + 1));
+            t)
+          [
+            ("first", [ 2048; 2048 ]);
+            ("second", [ 1024; 2048 ]);
+            ("third", [ 2048; 1024 ]);
+          ]
+      in
+      Thread.join th;
+      List.iter Thread.join queued;
+      ignore (ok !holder);
+      let arrived = List.rev !arrived in
+      List.iter (fun (_, r) -> ignore (ok r)) arrived;
+      Alcotest.(check (list string))
+        "answered in arrival order"
+        [ "first"; "second"; "third" ]
+        (List.map fst arrived))
+
 (* Interrupt-then-resume across daemon lifetimes, sharing one
    log dir: a shutdown mid-tune answers the client with
    [interrupted = true] and leaves the session log behind; a second
@@ -830,6 +895,7 @@ let () =
             test_concurrent_clients_share_cache;
           Alcotest.test_case "admission backpressure" `Quick
             test_admission_backpressure;
+          Alcotest.test_case "FIFO admission" `Quick test_fifo_admission;
           Alcotest.test_case "interrupt + resume across daemons" `Quick
             test_daemon_resume_after_interrupt;
           Alcotest.test_case "session log guards its request" `Quick
