@@ -126,7 +126,16 @@ let with_trace trace f = Imtp.Obs.with_sink trace f
 
 let machine dpus = Imtp.Config.with_dpus cfg dpus
 
-let build_op name sizes = Imtp.Ops.by_name name ~sizes
+(* run/replay/lower/codegen/baseline/tune build their op and run their
+   request through the daemon's code, and print as text what the daemon
+   answers as JSON; a failed request prints its message and exits 1. *)
+let fail m =
+  Format.eprintf "error: %s@." m;
+  exit 1
+
+let or_exit = function Ok v -> v | Error (_, m) -> fail m
+
+let build_op name sizes = or_exit (Imtp.Serve.build_op name sizes)
 
 (* --- info ------------------------------------------------------------ *)
 
@@ -190,24 +199,12 @@ let run_cmd =
     with_trace trace @@ fun () ->
     let op = build_op name sizes in
     let config = machine dpus in
-    let engine = Imtp.Engine.create config in
-    match Imtp.Engine.build engine op (Imtp.Sketch.default_for config op) with
-    | Error e ->
-        Format.eprintf "error: %s@." (Imtp.Engine.error_to_string e);
-        exit 1
-    | Ok art ->
-        let prog = art.Imtp.Engine.program in
-        let inputs = Imtp.Ops.random_inputs op in
-        let outs =
-          Imtp.Obs.span ~name:"cli.execute" (fun () ->
-              Imtp.execute ~inputs prog op)
-        in
-        let got = List.assoc (fst op.Imtp.Op.output) outs in
-        let want = Imtp.Op.reference op inputs in
-        let ok = Imtp.Tensor.same_values got want in
-        Format.printf "result: %s@." (if ok then "VALID" else "MISMATCH");
-        Format.printf "timing: %a@." Imtp.Stats.pp art.Imtp.Engine.stats;
-        if not ok then exit 1
+    let (r : Imtp.Serve.run_result) =
+      or_exit (Imtp.Serve.run_op (Imtp.Engine.create config) config op)
+    in
+    Format.printf "result: %s@." (if r.valid then "VALID" else "MISMATCH");
+    Format.printf "timing: %a@." Imtp.Stats.pp r.stats;
+    if not r.valid then exit 1
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ op_arg $ sizes_arg $ dpus_arg $ jobs_arg $ trace_arg)
@@ -252,6 +249,21 @@ let no_cost_model_arg =
            search simulates every candidate it has not measured before \
            and extracts no model features.")
 
+(* The session log a daemon's tune writes, in one append; whatever the
+   file held before is replaced. *)
+let write_log path ~header records =
+  let module Tl = Imtp.Tuning_log in
+  match
+    (try Sys.remove path with Sys_error _ -> ());
+    Result.bind (Tl.open_session path ~header) (fun log ->
+        Fun.protect
+          ~finally:(fun () -> Tl.close_session log)
+          (fun () -> Tl.append log records))
+  with
+  | Ok () -> ()
+  | Error e -> fail (Tl.session_error_to_string e)
+  | exception Sys_error m -> fail m
+
 let tune_cmd =
   let doc = "Autotune an operation and report the winning schedule." in
   let run name sizes trials seed dpus jobs islands measure_ratio no_cost_model
@@ -262,9 +274,7 @@ let tune_cmd =
     let config = machine dpus in
     let measure_ratio = if no_cost_model then None else Some measure_ratio in
     match Imtp.Tuner.tune ~trials ~seed ?islands ?measure_ratio config op with
-    | Error m ->
-        Format.eprintf "error: %s@." m;
-        exit 1
+    | Error m -> fail m
     | Ok r ->
         Format.printf "best:   %s@." (Imtp.Tuner.describe r);
         Format.printf "timing: %a@." Imtp.Stats.pp r.Imtp.Tuner.stats;
@@ -305,7 +315,13 @@ let tune_cmd =
           (Imtp.Sched.trace (Imtp.Sketch.instantiate op r.Imtp.Tuner.params));
         Option.iter
           (fun path ->
-            Imtp.Tuning_log.save path ~op_name:name r.Imtp.Tuner.search;
+            write_log path
+              ~header:
+                (Imtp.Tuning_log.session_header ~op_name:name ~sizes ~seed
+                   ~trials ?measure_ratio
+                   ~islands:(Option.value islands ~default:1)
+                   ())
+              s.Imtp.Search.history;
             Format.printf "tuning log written to %s@." path)
           log
   in
@@ -386,7 +402,10 @@ let graph_cmd =
     apply_jobs jobs;
     with_trace trace @@ fun () ->
     let sizes = match sizes with [] -> None | s -> Some s in
-    let spec = Imtp.Nets.by_name ?sizes name in
+    let spec =
+      try Imtp.Nets.by_name ?sizes name
+      with Invalid_argument m | Failure m -> fail m
+    in
     let g, ids = Imtp.Graph.of_spec spec in
     let config = machine dpus in
     let measure_ratio = if no_cost_model then None else Some measure_ratio in
@@ -400,9 +419,7 @@ let graph_cmd =
       (c.Imtp.Eval.xfer_elems_h2d, c.Imtp.Eval.xfer_elems_d2h)
     in
     match compile ~fuse:(not no_fuse) ~resident:(not no_resident) with
-    | Error m ->
-        Format.eprintf "error: %s@." m;
-        exit 1
+    | Error m -> fail m
     | Ok c ->
         Format.printf "net:    %s (%d nodes, %d fused away, %d resident \
                        edges)@."
@@ -492,36 +509,15 @@ let replay_cmd =
   in
   let run file sizes trace =
     with_trace trace @@ fun () ->
-    match Imtp.Tuning_log.load file with
-    | Error m ->
-        Format.eprintf "error: %s@." m;
-        exit 1
-    | Ok (hdr, entries) -> (
-        let op_name = hdr.Imtp.Tuning_log.op_name in
-        Format.printf "log: op=%s, %d entries@." op_name (List.length entries);
-        (match hdr.Imtp.Tuning_log.duration_s with
-        | Some d when d > 0. ->
-            Format.printf "tuned in: %.2f s (%.0f trials/s)@." d
-              (float_of_int (List.length entries) /. d)
-        | Some _ | None -> ());
-        match Imtp.Tuning_log.best entries with
-        | None ->
-            Format.eprintf "error: empty log@.";
-            exit 1
-        | Some e -> (
-            let op = build_op op_name sizes in
-            Format.printf "best logged: trial %d, %.3f ms, %s@."
-              e.Imtp.Tuning_log.trial
-              (e.Imtp.Tuning_log.latency_s *. 1e3)
-              (Imtp.Sketch.describe e.Imtp.Tuning_log.params);
-            let engine = Imtp.Engine.create cfg in
-            match Imtp.Engine.measure engine op e.Imtp.Tuning_log.params with
-            | Error err ->
-                Format.eprintf "error: %s@." (Imtp.Engine.error_to_string err);
-                exit 1
-            | Ok m ->
-                Format.printf "re-measured:  %.3f ms@."
-                  (m.Imtp.Engine.latency_s *. 1e3)))
+    let (r : Imtp.Serve.replay_result) =
+      or_exit (Imtp.Serve.replay (Imtp.Engine.create cfg) ~log:file ~sizes)
+    in
+    let (best : Imtp.Tuning_log.entry) = r.best in
+    Format.printf "log: op=%s, %d entries@." r.op_name r.entries;
+    Format.printf "best logged: trial %d, %.3f ms, %s@." best.trial
+      (best.latency_s *. 1e3)
+      (Imtp.Sketch.describe best.params);
+    Format.printf "re-measured:  %.3f ms@." (r.remeasured_s *. 1e3)
   in
   Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ file_arg $ szs $ trace_arg)
 
@@ -647,9 +643,7 @@ let report_cmd =
   in
   let run file folded =
     match Imtp.Obs.load_jsonl file with
-    | Error m ->
-        Format.eprintf "error: %s@." m;
-        exit 1
+    | Error m -> fail m
     | Ok events ->
         if folded then
           List.iter
@@ -740,9 +734,7 @@ let serve_cmd =
         }
     with
     | Ok () -> ()
-    | Error m ->
-        Format.eprintf "error: %s@." m;
-        exit 1
+    | Error m -> fail m
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
@@ -755,9 +747,7 @@ let serve_cmd =
    the same object the wire carries (docs/PROTOCOL.md) — so scripts
    can pipe it without scraping human-formatted text. *)
 
-let client_fail e =
-  Format.eprintf "error: %s@." (Imtp.Serve_client.error_to_string e);
-  exit 1
+let client_fail e = fail (Imtp.Serve_client.error_to_string e)
 
 let with_client socket f =
   match Imtp.Serve_client.with_connection ~socket f with

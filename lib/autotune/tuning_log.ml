@@ -6,7 +6,7 @@ type entry = {
   measured : bool;
   predicted_s : float option;
 }
-type header = { op_name : string; duration_s : float option; islands : int }
+type header = { op_name : string; islands : int }
 
 (* Log lines are rendered into one [Buffer], ints by a digit loop and
    floats through a single [%.9e] conversion each: a digest of a whole
@@ -164,72 +164,47 @@ let entry_of_string line =
       Ok { trial; island; params; latency_s; measured; predicted_s }
   | _ -> Error "malformed log line"
 
-let save path ~op_name (o : Search.outcome) =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      (* The islands key is only written for sharded runs, keeping
-         single-island headers byte-identical to pre-island ones. *)
-      Printf.fprintf oc "# imtp-tuning-log op=%s duration_s=%.6f%s\n" op_name
-        o.Search.elapsed_s
-        (if o.Search.islands > 1 then
-           Printf.sprintf " islands=%d" o.Search.islands
-         else "");
-      List.iter
-        (fun r ->
-          output_string oc (entry_to_string (of_record r));
-          output_char oc '\n')
-        o.Search.history)
+(* The complete lines of a log: the piece after the last newline is
+   empty, or a line a kill left unterminated, which was never logged.
+   No newline at all means not even the header was. *)
+let complete_lines text =
+  match String.rindex_opt text '\n' with
+  | None -> []
+  | Some i -> String.split_on_char '\n' (String.sub text 0 i)
 
 let load path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error m -> Error m
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let header_line = try input_line ic with End_of_file -> "" in
-          (* Header tokens after the "# imtp-tuning-log" tag are k=v
-             pairs; [duration_s] is optional so logs written before it
-             existed still load. *)
-          let kvs =
-            List.filter_map
-              (fun tok ->
-                match String.split_on_char '=' tok with
-                | [ k; v ] -> Some (k, v)
-                | _ -> None)
-              (String.split_on_char ' ' (String.trim header_line))
-          in
-          let op_name =
-            Option.value ~default:"" (List.assoc_opt "op" kvs)
-          in
-          let duration_s =
-            Option.bind (List.assoc_opt "duration_s" kvs) float_of_string_opt
-          in
-          let islands =
-            match
-              Option.bind (List.assoc_opt "islands" kvs) int_of_string_opt
-            with
-            | Some k when k >= 1 -> k
-            | Some _ | None -> 1
-          in
-          if op_name = "" then Error "missing or malformed header"
-          else begin
-            let entries = ref [] and err = ref None in
-            (try
-               while true do
-                 let line = input_line ic in
-                 if String.trim line <> "" then
-                   match entry_of_string line with
-                   | Ok e -> entries := e :: !entries
-                   | Error m -> if !err = None then err := Some m
-               done
-             with End_of_file -> ());
-            match !err with
-            | Some m -> Error m
-            | None -> Ok ({ op_name; duration_s; islands }, List.rev !entries)
-          end)
+  | text -> (
+      let header_line, lines =
+        match complete_lines text with [] -> ("", []) | h :: t -> (h, t)
+      in
+      (* Header tokens after the "# imtp-tuning-log" tag are k=v pairs. *)
+      let kvs =
+        List.filter_map
+          (fun tok ->
+            match String.split_on_char '=' tok with
+            | [ k; v ] -> Some (k, v)
+            | _ -> None)
+          (String.split_on_char ' ' (String.trim header_line))
+      in
+      let op_name = Option.value ~default:"" (List.assoc_opt "op" kvs) in
+      let islands =
+        match Option.bind (List.assoc_opt "islands" kvs) int_of_string_opt with
+        | Some k when k >= 1 -> k
+        | Some _ | None -> 1
+      in
+      if op_name = "" then Error "missing or malformed header"
+      else
+        let rec entries acc = function
+          | [] -> Ok ({ op_name; islands }, List.rev acc)
+          | line :: rest when String.trim line = "" -> entries acc rest
+          | line :: rest -> (
+              match entry_of_string line with
+              | Ok e -> entries (e :: acc) rest
+              | Error m -> Error m)
+        in
+        entries [] lines)
 
 (* Only simulator-backed entries can win: a gated log's predicted-cost
    lines are the model's opinion, not a measurement. *)
@@ -308,17 +283,13 @@ let open_session path ~header =
       buf = Buffer.create 4096;
     }
   in
-  (* The piece after the last newline is empty, or a line a kill left
-     unterminated: it was never logged.  No newline at all means not
-     even the header was. *)
-  match String.split_on_char '\n' text with
-  | [] | [ _ ] -> Ok fresh
+  match complete_lines text with
+  | [] -> Ok fresh
   | first :: rest when String.equal first header ->
-      let lines = Array.of_list rest in
       Ok
         {
           fresh with
-          logged = Array.sub lines 0 (Array.length lines - 1);
+          logged = Array.of_list rest;
           length = String.rindex text '\n' + 1;
         }
   | first :: _ ->

@@ -24,10 +24,6 @@ type entry = {
 
 type header = {
   op_name : string;  (** operation the log was recorded for. *)
-  duration_s : float option;
-      (** wall-clock duration of the tuning run, when the log was
-          written by a version that records it — lets reports derive
-          trials/sec for replayed logs. *)
   islands : int;
       (** island count of the run ([islands=] header key; 1 — and not
           serialized — for single-island and pre-island logs). *)
@@ -55,16 +51,11 @@ val of_record : Search.record -> entry
 val entry_of_string : string -> (entry, string) Result.t
 (** Inverse of {!entry_to_string}; malformed lines are [Error]. *)
 
-val save : string -> op_name:string -> Search.outcome -> unit
-(** Write a log file: a header naming the operation and recording the
-    run's wall-clock duration ({!Search.outcome.elapsed_s}), then one
-    line per measured trial. *)
-
 val load : string -> (header * entry list, string) Result.t
-(** Returns the parsed header and the entries, preserving order.  I/O
-    or parse failures are [Error]; this function never raises.  Log
-    files written before [duration_s] existed load with
-    [header.duration_s = None]. *)
+(** Returns the parsed header and the entries, preserving order.  A
+    last line without its newline, which is what a kill leaves
+    mid-write, is not part of the log, as for {!open_session}.  I/O or
+    parse failures are [Error]; this function never raises. *)
 
 val best : entry list -> entry option
 (** Lowest-latency {e measured} entry — predicted-cost lines in a gated

@@ -1,12 +1,12 @@
-(* Tuning-as-a-service daemon.  One process owns one Engine (memo
-   cache + compiled-executor cache + domain pool) and serves any
-   number of clients over a Unix-domain socket speaking Protocol
-   frames.  Connections get a systhread each; tune sessions pass
-   through an admission scheduler (bounded queue, per-client
-   round-robin) before they may run, each admitted search runs on a
-   session domain of its own, and every session appends its records to
-   its tuning log at search boundaries, so a killed daemon's session
-   resumes by re-running its search against that log. *)
+(* Tuning-as-a-service daemon, and the request code the one-shot CLI
+   shares with it.  One process owns one Engine (memo cache +
+   compiled-executor cache + domain pool) and serves any number of
+   clients over a Unix-domain socket speaking Protocol frames.
+   Connections get a systhread each and carry one request at a time;
+   tune sessions wait in one FIFO queue for a session domain, and every
+   session appends its records to its tuning log at search boundaries,
+   so a killed daemon's session resumes by re-running its search
+   against that log. *)
 
 module Obs = Imtp_obs.Obs
 module Json = Obs.Json
@@ -41,6 +41,69 @@ let default_config ~socket =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Requests                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type error = P.error_code * string
+
+let ( let* ) = Result.bind
+
+let build_op name sizes =
+  if not (List.mem name Ops.all_names) then
+    Error
+      ( P.Unknown_op,
+        Printf.sprintf "unknown op %S (expected one of: %s)" name
+          (String.concat ", " Ops.all_names) )
+  else
+    match Ops.by_name name ~sizes with
+    | op -> Ok op
+    | exception (Invalid_argument m | Failure m) -> Error (P.Bad_request, m)
+
+type run_result = { valid : bool; stats : Stats.t }
+
+let run_op engine machine op =
+  match Engine.build engine op (Sketch.default_for machine op) with
+  | Error e -> Error (P.Engine_error, Engine.error_to_string e)
+  | Ok art ->
+      let inputs = Ops.random_inputs op in
+      let outs, _ = Engine.execute art.Engine.program ~inputs in
+      let got = List.assoc (fst op.Op.output) outs in
+      Ok
+        {
+          valid = Imtp_tensor.Tensor.same_values got (Op.reference op inputs);
+          stats = art.Engine.stats;
+        }
+
+type replay_result = {
+  op_name : string;
+  entries : int;
+  best : Tuning_log.entry;
+  remeasured_s : float;
+}
+
+let replay engine ~log ~sizes =
+  if not (Sys.file_exists log) then Error (P.Not_found, log ^ ": no such file")
+  else
+    match Tuning_log.load log with
+    | Error m -> Error (P.Bad_request, m)
+    | Ok (hdr, entries) -> (
+        let op_name = hdr.Tuning_log.op_name in
+        let* op = build_op op_name sizes in
+        match Tuning_log.best entries with
+        | None -> Error (P.Engine_error, log ^ ": no measured entries")
+        | Some best -> (
+            match Engine.measure engine op best.Tuning_log.params with
+            | Error e -> Error (P.Engine_error, Engine.error_to_string e)
+            | Ok m ->
+                Ok
+                  {
+                    op_name;
+                    entries = List.length entries;
+                    best;
+                    remeasured_s = m.Engine.latency_s;
+                  }))
+
+(* ------------------------------------------------------------------ *)
 (* State                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -52,37 +115,31 @@ type ledger = {
   mutable rejected_busy : int;
 }
 
-(* The session domains: up to [max_sessions] of them, spawned on first
-   need and parked on [work] between sessions.  A domain takes the
-   oldest posted job; [idle] counts the domains waiting on [work]. *)
-type runner = {
-  rm : Mutex.t;
-  work : Condition.t;
-  jobs : (unit -> unit) Queue.t;
-  mutable idle : int;
-  mutable domains : unit Domain.t list;
-  mutable closing : bool;
+(* A tune session's search, waiting in [state.jobs] until a session
+   domain takes it.  [run] never raises. *)
+type job = {
+  run : unit -> unit;
+  mutable taken : bool;
+  mutable finished : bool;
 }
 
 type state = {
   cfg : config;
   machine : Imtp_upmem.Config.t;
   engine : Engine.t;
-  m : Mutex.t;
-  cv : Condition.t;
+  m : Mutex.t;  (* guards every mutable field below *)
+  work : Condition.t;  (* a job was queued, or the daemon is closing *)
+  changed : Condition.t;  (* a job finished, or the daemon is stopping *)
   stopping : bool Atomic.t;  (* polled by searches on session domains *)
-  runner : runner;
-  (* Admission scheduler: [queues] maps a client id to its waiting
-     tickets in arrival order; [order] cycles the clients that have at
-     least one waiting ticket; [granted] holds tickets whose waiters
-     may proceed.  A client appears in [order] at most once, and goes
-     to the back after each grant — per-client round-robin. *)
+  (* Tune sessions waiting for a session domain, oldest first.  Up to
+     [max_sessions] domains, spawned on first need, take them in this
+     order and park on [work] between sessions; [idle] counts the
+     parked ones and [running] the jobs they hold. *)
+  jobs : job Queue.t;
   mutable running : int;
-  mutable queued : int;
-  queues : (int, int Queue.t) Hashtbl.t;
-  order : int Queue.t;
-  granted : (int, unit) Hashtbl.t;
-  mutable next_ticket : int;
+  mutable idle : int;
+  mutable domains : unit Domain.t list;
+  mutable closing : bool;
   active_sessions : (string, unit) Hashtbl.t;
   ledger : ledger;
 }
@@ -93,23 +150,14 @@ let make_state ?(machine = Imtp_upmem.Config.default) cfg =
     machine;
     engine = Engine.create machine;
     m = Mutex.create ();
-    cv = Condition.create ();
+    work = Condition.create ();
+    changed = Condition.create ();
     stopping = Atomic.make false;
-    runner =
-      {
-        rm = Mutex.create ();
-        work = Condition.create ();
-        jobs = Queue.create ();
-        idle = 0;
-        domains = [];
-        closing = false;
-      };
+    jobs = Queue.create ();
     running = 0;
-    queued = 0;
-    queues = Hashtbl.create 16;
-    order = Queue.create ();
-    granted = Hashtbl.create 16;
-    next_ticket = 0;
+    idle = 0;
+    domains = [];
+    closing = false;
     active_sessions = Hashtbl.create 16;
     ledger =
       {
@@ -125,195 +173,129 @@ let make_state ?(machine = Imtp_upmem.Config.default) cfg =
 (* Session domains                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let rec session_domain r =
-  Mutex.lock r.rm;
-  while Queue.is_empty r.jobs && not r.closing do
-    r.idle <- r.idle + 1;
-    Condition.wait r.work r.rm;
-    r.idle <- r.idle - 1
+(* Take the oldest job, run it, repeat.  A stopping daemon starts no
+   more jobs: their waiters take the ones still queued back out. *)
+let rec session_domain state =
+  Mutex.lock state.m;
+  while
+    (Queue.is_empty state.jobs || Atomic.get state.stopping)
+    && not state.closing
+  do
+    state.idle <- state.idle + 1;
+    Condition.wait state.work state.m;
+    state.idle <- state.idle - 1
   done;
-  let job = Queue.take_opt r.jobs in
-  Mutex.unlock r.rm;
-  match job with
-  | None -> ()
-  | Some job ->
-      job ();
-      session_domain r
-
-(* [f ()] on a session domain; the calling thread waits on the job's
-   own condition, which releases this domain for other threads.  A
-   domain is spawned when the job would find no idle domain free, up
-   to [limit]; admission keeps the jobs in flight within that bound,
-   and a job posted before a finishing domain parks again is taken by
-   it.
-   [f]'s exception, if any, is re-raised here with its backtrace. *)
-let on_session_domain r ~limit f =
-  let m = Mutex.create () and finished = Condition.create () in
-  let result = ref None in
-  let job () =
-    let outcome =
-      match f () with
-      | v -> Ok v
-      | exception e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.protect m (fun () ->
-        result := Some outcome;
-        Condition.signal finished)
-  in
-  Mutex.protect r.rm (fun () ->
-      (* Spawned first, so a failed spawn leaves no orphan job. *)
-      if Queue.length r.jobs >= r.idle && List.length r.domains < limit then
-        r.domains <- Domain.spawn (fun () -> session_domain r) :: r.domains;
-      Queue.push job r.jobs;
-      Condition.signal r.work);
-  let rec await () =
-    match !result with
-    | Some outcome -> outcome
-    | None ->
-        Condition.wait finished m;
-        await ()
-  in
-  match Mutex.protect m await with
-  | Ok v -> v
-  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-
-(* Once no session can be posted any more: unpark and join every
-   session domain. *)
-let close_runner r =
-  let domains =
-    Mutex.protect r.rm (fun () ->
-        r.closing <- true;
-        Condition.broadcast r.work;
-        r.domains)
-  in
-  List.iter Domain.join domains
-
-(* ------------------------------------------------------------------ *)
-(* Admission scheduling (all under [state.m])                          *)
-(* ------------------------------------------------------------------ *)
-
-let rec pump state =
-  if state.running < state.cfg.max_sessions && not (Queue.is_empty state.order)
-  then begin
-    let c = Queue.pop state.order in
-    (match Hashtbl.find_opt state.queues c with
-    | None -> ()
-    | Some q ->
-        let ticket = Queue.pop q in
-        if Queue.is_empty q then Hashtbl.remove state.queues c
-        else Queue.push c state.order;
-        Hashtbl.replace state.granted ticket ();
-        state.running <- state.running + 1;
-        state.queued <- state.queued - 1);
-    Condition.broadcast state.cv;
-    pump state
+  if state.closing then Mutex.unlock state.m
+  else begin
+    let job = Queue.pop state.jobs in
+    job.taken <- true;
+    state.running <- state.running + 1;
+    Mutex.unlock state.m;
+    job.run ();
+    Mutex.lock state.m;
+    job.finished <- true;
+    state.running <- state.running - 1;
+    Condition.broadcast state.changed;
+    Mutex.unlock state.m;
+    session_domain state
   end
 
-let withdraw state client ticket =
-  match Hashtbl.find_opt state.queues client with
-  | None -> ()
-  | Some q ->
-      let keep = Queue.create () in
-      Queue.iter
-        (fun t -> if t <> ticket then Queue.push t keep else state.queued <- state.queued - 1)
-        q;
-      if Queue.is_empty keep then Hashtbl.remove state.queues client
-      else Hashtbl.replace state.queues client keep
-
-let acquire state client =
-  Mutex.lock state.m;
-  let r =
+(* [f ()] on a session domain, after every job queued before it has
+   been taken; the calling thread waits.  A job that would make the
+   queue longer than [queue_limit] is refused with [busy]; one still
+   queued when the daemon stops never runs.  A domain is
+   spawned when the job would find no parked domain free, up to
+   [max_sessions].  [f]'s exception, if any, is re-raised here with its
+   backtrace. *)
+let on_session_domain state f =
+  let outcome = ref None in
+  let run () =
+    outcome :=
+      Some
+        (match f () with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+  in
+  let job = { run; taken = false; finished = false } in
+  let queued =
+    Mutex.protect state.m @@ fun () ->
     if Atomic.get state.stopping then
       Error (P.Shutting_down, "daemon is shutting down")
-    else if state.queued >= state.cfg.queue_limit then begin
+    else if Queue.length state.jobs >= state.cfg.queue_limit then begin
       state.ledger.rejected_busy <- state.ledger.rejected_busy + 1;
       Error
         ( P.Busy,
           Printf.sprintf "tune queue is full (%d waiting, limit %d)"
-            state.queued state.cfg.queue_limit )
+            (Queue.length state.jobs) state.cfg.queue_limit )
     end
     else begin
-      let ticket = state.next_ticket in
-      state.next_ticket <- ticket + 1;
-      (match Hashtbl.find_opt state.queues client with
-      | Some q -> Queue.push ticket q
-      | None ->
-          let q = Queue.create () in
-          Queue.push ticket q;
-          Hashtbl.replace state.queues client q;
-          Queue.push client state.order);
-      state.queued <- state.queued + 1;
-      pump state;
+      (* Spawned first, so a failed spawn leaves no orphan job. *)
+      if
+        Queue.length state.jobs >= state.idle
+        && List.length state.domains < state.cfg.max_sessions
+      then
+        state.domains <-
+          Domain.spawn (fun () -> session_domain state) :: state.domains;
+      Queue.push job state.jobs;
+      Condition.signal state.work;
       while
-        (not (Hashtbl.mem state.granted ticket)) && not (Atomic.get state.stopping)
+        (not job.finished) && (job.taken || not (Atomic.get state.stopping))
       do
-        Condition.wait state.cv state.m
+        Condition.wait state.changed state.m
       done;
-      if Hashtbl.mem state.granted ticket then begin
-        Hashtbl.remove state.granted ticket;
-        Ok ()
-      end
+      if job.finished then Ok ()
       else begin
-        withdraw state client ticket;
+        let rest = Queue.create () in
+        Queue.iter (fun j -> if j != job then Queue.push j rest) state.jobs;
+        Queue.clear state.jobs;
+        Queue.transfer rest state.jobs;
         Error (P.Shutting_down, "daemon is shutting down")
       end
     end
   in
-  Mutex.unlock state.m;
-  r
+  match (queued, !outcome) with
+  | Error e, _ -> Error e
+  | Ok (), Some (Ok v) -> Ok v
+  | Ok (), Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+  | Ok (), None -> assert false
 
-let release state =
-  Mutex.lock state.m;
-  state.running <- state.running - 1;
-  pump state;
-  Condition.broadcast state.cv;
-  Mutex.unlock state.m
+(* Once no session can be queued any more: unpark and join every
+   session domain. *)
+let close_session_domains state =
+  let domains =
+    Mutex.protect state.m (fun () ->
+        state.closing <- true;
+        Condition.broadcast state.work;
+        state.domains)
+  in
+  List.iter Domain.join domains
 
 (* ------------------------------------------------------------------ *)
 (* Request handlers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let ( let* ) = Result.bind
 let jint n = Json.Num (float_of_int n)
 let jfloat f = Json.Num f
 let jstr s = Json.Str s
 let jbool b = Json.Bool b
 
-let build_op name sizes =
-  if not (List.mem name Ops.all_names) then
-    Error
-      ( P.Unknown_op,
-        Printf.sprintf "unknown op %S (expected one of: %s)" name
-          (String.concat ", " Ops.all_names) )
-  else
-    match Ops.by_name name ~sizes with
-    | op -> Ok op
-    | exception (Invalid_argument m | Failure m) -> Error (P.Bad_request, m)
-
 let handle_run state ~op ~sizes =
   let* op_t = build_op op sizes in
-  match Engine.build state.engine op_t (Sketch.default_for state.machine op_t) with
-  | Error e -> Error (P.Engine_error, Engine.error_to_string e)
-  | Ok art ->
-      let inputs = Ops.random_inputs op_t in
-      let outs, _ = Engine.execute art.Engine.program ~inputs in
-      let got = List.assoc (fst op_t.Op.output) outs in
-      let want = Op.reference op_t inputs in
-      let valid = Imtp_tensor.Tensor.same_values got want in
-      let s = art.Engine.stats in
-      Ok
-        (Json.Obj
-           [
-             ("op", jstr op);
-             ("valid", jbool valid);
-             ("total_s", jfloat (Stats.total_s s));
-             ("h2d_s", jfloat s.Stats.h2d_s);
-             ("kernel_s", jfloat s.Stats.kernel_s);
-             ("d2h_s", jfloat s.Stats.d2h_s);
-             ("host_s", jfloat s.Stats.host_s);
-             ("dpus_used", jint s.Stats.dpus_used);
-             ("tasklets_used", jint s.Stats.tasklets_used);
-           ])
+  let* r = run_op state.engine state.machine op_t in
+  let s = r.stats in
+  Ok
+    (Json.Obj
+       [
+         ("op", jstr op);
+         ("valid", jbool r.valid);
+         ("total_s", jfloat (Stats.total_s s));
+         ("h2d_s", jfloat s.Stats.h2d_s);
+         ("kernel_s", jfloat s.Stats.kernel_s);
+         ("d2h_s", jfloat s.Stats.d2h_s);
+         ("host_s", jfloat s.Stats.host_s);
+         ("dpus_used", jint s.Stats.dpus_used);
+         ("tasklets_used", jint s.Stats.tasklets_used);
+       ])
 
 let valid_session_name s =
   s <> "" && s.[0] <> '.'
@@ -338,7 +320,7 @@ let derived_session (t : P.tune_spec) =
 (* A resumed session's re-run made a record its log does not hold. *)
 exception Diverged of Tuning_log.session_error
 
-let handle_tune state ~client (t : P.tune_spec) =
+let handle_tune state (t : P.tune_spec) =
   let* op_t = build_op t.op t.sizes in
   let* session =
     match t.session with
@@ -386,30 +368,28 @@ let handle_tune state ~client (t : P.tune_spec) =
     in
     Fun.protect ~finally:(fun () -> Tuning_log.close_session log) @@ fun () ->
     let resuming = Tuning_log.logged log > 0 in
-    let* () = acquire state client in
-    Fun.protect ~finally:(fun () -> release state)
-    @@ fun () ->
-    Mutex.protect state.m (fun () ->
-        state.ledger.started <- state.ledger.started + 1;
-        if resuming then state.ledger.resumed <- state.ledger.resumed + 1);
-    Obs.incr "serve.sessions.started";
-    if resuming then Obs.incr "serve.sessions.resumed";
     let on_boundary records =
       match Tuning_log.append log records with
       | Ok () -> ()
       | Error e -> raise (Diverged e)
     in
-    match
-      on_session_domain state.runner ~limit:state.cfg.max_sessions (fun () ->
-          Search.run ~seed:t.seed ?measure_ratio:t.measure_ratio
-            ?islands:t.islands ~engine:state.engine ~on_boundary
-            ~stop:(fun () -> Atomic.get state.stopping)
-            state.machine op_t ~trials:t.trials)
-    with
+    let search () =
+      Mutex.protect state.m (fun () ->
+          state.ledger.started <- state.ledger.started + 1;
+          if resuming then state.ledger.resumed <- state.ledger.resumed + 1);
+      Obs.incr "serve.sessions.started";
+      if resuming then Obs.incr "serve.sessions.resumed";
+      Search.run ~seed:t.seed ?measure_ratio:t.measure_ratio
+        ?islands:t.islands ~engine:state.engine ~on_boundary
+        ~stop:(fun () -> Atomic.get state.stopping)
+        state.machine op_t ~trials:t.trials
+    in
+    match on_session_domain state search with
     | exception Invalid_argument m -> Error (P.Bad_request, m)
     | exception Diverged e ->
         Error (P.Internal, Tuning_log.session_error_to_string e)
-    | outcome ->
+    | Error _ as refused -> refused
+    | Ok outcome ->
         Mutex.protect state.m (fun () ->
             if outcome.Search.interrupted then
               state.ledger.interrupted <- state.ledger.interrupted + 1
@@ -451,36 +431,22 @@ let handle_tune state ~client (t : P.tune_spec) =
              ])
 
 let handle_replay state ~log ~sizes =
-  if not (Sys.file_exists log) then Error (P.Not_found, log ^ ": no such file")
-  else
-    match Tuning_log.load log with
-    | Error m -> Error (P.Bad_request, m)
-    | Ok (hdr, entries) -> (
-        let op_name = hdr.Tuning_log.op_name in
-        let* op_t = build_op op_name sizes in
-        match Tuning_log.best entries with
-        | None -> Error (P.Engine_error, log ^ ": no measured entries")
-        | Some e -> (
-            match Engine.measure state.engine op_t e.Tuning_log.params with
-            | Error err -> Error (P.Engine_error, Engine.error_to_string err)
-            | Ok m ->
-                Ok
-                  (Json.Obj
-                     [
-                       ("op", jstr op_name);
-                       ("entries", jint (List.length entries));
-                       ("logged_latency_s", jfloat e.Tuning_log.latency_s);
-                       ("remeasured_latency_s", jfloat m.Engine.latency_s);
-                       ( "params",
-                         jstr (Tuning_log.params_to_string e.Tuning_log.params)
-                       );
-                     ])))
+  let* r = replay state.engine ~log ~sizes in
+  Ok
+    (Json.Obj
+       [
+         ("op", jstr r.op_name);
+         ("entries", jint r.entries);
+         ("logged_latency_s", jfloat r.best.Tuning_log.latency_s);
+         ("remeasured_latency_s", jfloat r.remeasured_s);
+         ("params", jstr (Tuning_log.params_to_string r.best.Tuning_log.params));
+       ])
 
 let stats_body state =
   let active, queued, l =
     Mutex.protect state.m (fun () ->
         ( state.running,
-          state.queued,
+          Queue.length state.jobs,
           {
             started = state.ledger.started;
             completed = state.ledger.completed;
@@ -537,7 +503,7 @@ let stats_body state =
       ("metrics", Json.Obj metrics);
     ]
 
-let dispatch state ~client req =
+let dispatch state req =
   Obs.incr "serve.requests";
   let result =
     match req with
@@ -548,7 +514,7 @@ let dispatch state ~client req =
         handle_run state ~op ~sizes
     | P.Tune t ->
         Obs.incr "serve.requests.tune";
-        handle_tune state ~client t
+        handle_tune state t
     | P.Replay { log; sizes } ->
         Obs.incr "serve.requests.replay";
         handle_replay state ~log ~sizes
@@ -568,10 +534,9 @@ let dispatch state ~client req =
 (* ------------------------------------------------------------------ *)
 
 let initiate_shutdown state =
-  Mutex.lock state.m;
-  Atomic.set state.stopping true;
-  Condition.broadcast state.cv;
-  Mutex.unlock state.m
+  Mutex.protect state.m (fun () ->
+      Atomic.set state.stopping true;
+      Condition.broadcast state.changed)
 
 let stopping state = Atomic.get state.stopping
 
@@ -620,7 +585,7 @@ let hello_exchange state fd =
 (* Between requests the handler polls [select] so a draining daemon
    can close idle connections; a request in flight always gets its
    response first. *)
-let handle_conn state fd client =
+let handle_conn state fd =
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
   try
@@ -642,7 +607,7 @@ let handle_conn state fd client =
                     loop ()
                 | Ok req ->
                     let resp =
-                      try dispatch state ~client req
+                      try dispatch state req
                       with e ->
                         P.Resp_error
                           {
@@ -707,7 +672,7 @@ let run ?machine cfg =
   | Error m -> Error m
   | Ok () ->
       let state = make_state ?machine cfg in
-      Fun.protect ~finally:(fun () -> close_runner state.runner) @@ fun () ->
+      Fun.protect ~finally:(fun () -> close_session_domains state) @@ fun () ->
       let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       (match Unix.bind lfd (Unix.ADDR_UNIX cfg.socket) with
       | () -> ()
@@ -718,7 +683,6 @@ let run ?machine cfg =
       Unix.chmod cfg.socket 0o600;
       Unix.listen lfd 16;
       let conns = ref [] in
-      let next_client = ref 0 in
       let rec accept_loop () =
         if not (stopping state) then begin
           (match Unix.select [ lfd ] [] [] 0.2 with
@@ -727,11 +691,7 @@ let run ?machine cfg =
           | _ -> (
               match Unix.accept lfd with
               | fd, _ ->
-                  let client = !next_client in
-                  incr next_client;
-                  conns :=
-                    Thread.create (fun () -> handle_conn state fd client) ()
-                    :: !conns
+                  conns := Thread.create (handle_conn state) fd :: !conns
               | exception Unix.Unix_error _ -> ()));
           accept_loop ()
         end

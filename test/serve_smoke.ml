@@ -22,6 +22,21 @@ let jstr body field =
   | Some (Json.Str s) -> s
   | _ -> fail "missing string field %S in %s" field (Json.to_string body)
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* The daemon process running now, if any: every exit, [fail]'s
+   included, kills it. *)
+let daemon = ref None
+
+let reap pid =
+  ignore (Unix.waitpid [] pid);
+  daemon := None
+
 let wait_for ?(timeout = 30.) ?(interval = 0.05) what pred =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
@@ -55,6 +70,13 @@ let () =
   let dir = Filename.temp_file "imtp_serve_smoke" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
+  at_exit (fun () ->
+      Option.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          reap pid)
+        !daemon;
+      rm_rf dir);
   let socket = Filename.concat dir "d.sock" in
   let ckpt_dir = Filename.concat dir "ckpt" in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
@@ -67,6 +89,7 @@ let () =
         |]
         devnull devnull devnull
     in
+    daemon := Some pid;
     wait_for "daemon socket" (fun () ->
         match C.connect ~socket with
         | Ok c ->
@@ -124,7 +147,7 @@ let () =
           List.exists (fun e -> e.Imtp.Tuning_log.trial >= 48) entries
       | Error _ -> false);
   Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
+  reap pid;
   Thread.join tv;
   (match !victim with
   | Error (C.Transport _) -> ()
@@ -180,17 +203,9 @@ let () =
   (match C.with_connection ~socket C.shutdown with
   | Ok () -> ()
   | Error e -> fail "shutdown: %s" (C.error_to_string e));
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> fail "daemon exited non-zero after shutdown");
+  let _, status = Unix.waitpid [] pid in
+  daemon := None;
+  if status <> Unix.WEXITED 0 then fail "daemon exited non-zero after shutdown";
   if Sys.file_exists socket then fail "socket not removed on shutdown";
   Unix.close devnull;
-  Array.iter
-    (fun f ->
-      let p = Filename.concat ckpt_dir f in
-      if Sys.file_exists p then Sys.remove p)
-    (if Sys.file_exists ckpt_dir then Sys.readdir ckpt_dir else [||]);
-  if Sys.file_exists ckpt_dir then Unix.rmdir ckpt_dir;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir;
   print_endline "serve smoke: OK"

@@ -246,18 +246,36 @@ let test_tuner_end_to_end () =
       Alcotest.(check bool) "describe non-empty" true
         (String.length (Tu.describe r) > 0)
 
+(* A search's history written through the session writer in one
+   append, as [imtp tune --log] writes it, to a fresh temporary file. *)
+let session_log ~op_name ~sizes ~seed ~trials ?measure_ratio (o : Se.outcome) =
+  let module Tl = Imtp_autotune.Tuning_log in
+  let path = Filename.temp_file "imtp_log" ".txt" in
+  Sys.remove path;
+  let header =
+    Tl.session_header ~op_name ~sizes ~seed ~trials ?measure_ratio
+      ~islands:o.Se.islands ()
+  in
+  (match Tl.open_session path ~header with
+  | Error e -> Alcotest.fail (Tl.session_error_to_string e)
+  | Ok log ->
+      Fun.protect ~finally:(fun () -> Tl.close_session log) @@ fun () ->
+      match Tl.append log o.Se.history with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Tl.session_error_to_string e));
+  path
+
 let test_tuning_log_roundtrip () =
   let module Tl = Imtp_autotune.Tuning_log in
   let op = Ops.mtv 128 256 in
   let o = Se.run ~seed:41 cfg op ~trials:16 in
-  let path = Filename.temp_file "imtp_log" ".txt" in
-  Tl.save path ~op_name:"mtv" o;
+  let path =
+    session_log ~op_name:"mtv" ~sizes:[ 128; 256 ] ~seed:41 ~trials:16 o
+  in
   (match Tl.load path with
   | Error m -> Alcotest.fail m
   | Ok (hdr, entries) ->
       Alcotest.(check string) "op name" "mtv" hdr.Tl.op_name;
-      Alcotest.(check bool) "duration recorded" true
-        (match hdr.Tl.duration_s with Some d -> d >= 0. | None -> false);
       Alcotest.(check int) "entry count" (List.length o.Se.history)
         (List.length entries);
       (match (Tl.best entries, o.Se.best) with
@@ -558,8 +576,10 @@ let test_gated_log_reranks_identically () =
   let o =
     Se.run ~seed:5 ~islands:1 ~measure_ratio:0.2 cfg (Ops.mmtv 8 64 64) ~trials
   in
-  let path = Filename.temp_file "imtp_gated_log" ".txt" in
-  Tl.save path ~op_name:"mmtv" o;
+  let path =
+    session_log ~op_name:"mmtv" ~sizes:[ 8; 64; 64 ] ~seed:5 ~trials
+      ~measure_ratio:0.2 o
+  in
   (match Tl.load path with
   | Error m -> Alcotest.fail m
   | Ok (_, entries) ->
@@ -612,8 +632,10 @@ let test_gated_log_reranks_identically () =
 let test_gated_tuning_log_roundtrip () =
   let module Tl = Imtp_autotune.Tuning_log in
   let o = Se.run ~seed:41 ~measure_ratio:0.2 cfg (Ops.mtv 128 256) ~trials:48 in
-  let path = Filename.temp_file "imtp_gated_log" ".txt" in
-  Tl.save path ~op_name:"mtv" o;
+  let path =
+    session_log ~op_name:"mtv" ~sizes:[ 128; 256 ] ~seed:41 ~trials:48
+      ~measure_ratio:0.2 o
+  in
   (match Tl.load path with
   | Error m -> Alcotest.fail m
   | Ok (_, entries) ->
@@ -861,6 +883,25 @@ let test_log_cut_mid_line () =
   Alcotest.(check int) "nothing verified" 0 verified;
   Alcotest.(check bool) "rewritten from the header" true
     (read_file (path "cut.log") = read_file (path "full.log"))
+
+(* [load] keeps the complete lines a resume keeps: a log cut inside its
+   last record loads the records before it, as they were. *)
+let test_cut_log_loads () =
+  with_tmp_dir @@ fun dir ->
+  let op = Ops.mtv 128 256 and trials = 48 and seed = 23 in
+  let path = Filename.concat dir "cut.log" in
+  ignore (logged_ok (logged_run ~seed path op ~trials));
+  let entries () =
+    match Tl.load path with Ok (_, es) -> es | Error m -> Alcotest.fail m
+  in
+  let full = read_file path and all = entries () in
+  let last_start = String.rindex_from full (String.length full - 2) '\n' + 1 in
+  write_file path (String.sub full 0 (last_start + 10));
+  let cut = entries () in
+  Alcotest.(check int) "the cut record is dropped" (List.length all - 1)
+    (List.length cut);
+  Alcotest.(check bool) "the complete records load as they were" true
+    (cut = List.filteri (fun i _ -> i < List.length cut) all)
 
 (* One changed digit in a logged latency: the re-run's record differs,
    and the writer names the line and writes nothing. *)
@@ -1249,6 +1290,8 @@ let () =
             test_checkpoint_failure_propagates;
           Alcotest.test_case "log cut mid-line resumes" `Quick
             test_log_cut_mid_line;
+          Alcotest.test_case "cut log loads its complete records" `Quick
+            test_cut_log_loads;
           Alcotest.test_case "changed logged digit is a mismatch" `Quick
             test_log_changed_digit;
           Alcotest.test_case "other seed's log refused" `Quick

@@ -214,14 +214,14 @@ let rec rm_rf dir =
     Unix.rmdir dir
   end
 
-let wait_for ?(timeout = 10.) what pred =
+let wait_for ?(timeout = 10.) ?(interval = 0.02) what pred =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
     if pred () then ()
     else if Unix.gettimeofday () > deadline then
       Alcotest.failf "timed out waiting for %s" what
     else begin
-      Thread.delay 0.02;
+      Thread.delay interval;
       go ()
     end
   in
@@ -630,7 +630,10 @@ let test_daemon_resume_after_interrupt () =
             victim := Client.with_connection ~socket (fun c -> Client.tune c spec))
           ()
       in
-      wait_for "first log lines on disk" (fun () -> Sys.file_exists log_path);
+      (* The victim runs on the engine the reference warmed, so its log
+         may exist for only a few milliseconds. *)
+      wait_for ~interval:0.001 "first log lines on disk" (fun () ->
+          Sys.file_exists log_path);
       (match Client.with_connection ~socket Client.shutdown with
       | Ok () -> ()
       | Error e -> fail_client e);
