@@ -52,21 +52,27 @@ type 'a once = Absent | Running | Ready of 'a
 
 (* A candidate's cost-free prefix, shared by every entry whose
    canonical tiling ({!Sketch.canonical}) matches: the prepared program
-   (or its error) and the model features extracted from it. *)
+   (or its error), the model features extracted from it and the
+   simulator's outcome on it, which is a function of the program
+   alone. *)
 type prefix = {
   mutable result : (prepared, error) result once;
   mutable feats : float array option;
+  mutable stats : (Stats.t, error) result once;
 }
 
 (* One memo-table entry per fingerprint: its (possibly shared) prefix
-   and its own cost outcome.  The mutable fields are written under the
-   engine lock; batches hold entries directly, so an eviction mid-batch
-   never changes what a slot reads. *)
+   and its own measurement, the prefix's simulated outcome once this
+   key has been charged for it.  The mutable fields are written under
+   the engine lock; batches hold entries directly, so an eviction
+   mid-batch never changes what a slot reads. *)
 type entry = {
   key : string;
   prefix : prefix;
   mutable cost : (Stats.t, error) result once;
 }
+
+let new_prefix result = { result; feats = None; stats = Absent }
 
 type t = {
   cfg : Imtp_upmem.Config.t;
@@ -368,12 +374,12 @@ let file t key ~prefix_key =
   make_room t;
   let prefix, shared =
     match prefix_key with
-    | None -> ({ result = Absent; feats = None }, false)
+    | None -> (new_prefix Absent, false)
     | Some pk -> (
         match Hashtbl.find_opt t.prefixes pk with
         | Some pre -> (pre, true)
         | None ->
-            let pre = { result = Absent; feats = None } in
+            let pre = new_prefix Absent in
             Hashtbl.replace t.prefixes pk pre;
             (pre, false))
   in
@@ -468,11 +474,14 @@ let entry_of t ?ledger ~passes ?(skip_inputs = []) ~verify op params =
 
 let artifact_of (p : prepared) stats = { program = p.pprogram; stats }
 
-(* The cost stage of an entry, run once per entry: a concurrent
-   requester waits for a run in flight.  Every run is one simulator
-   execution, counted in [costed] — the ledger the measurement-gated
-   search is judged against — and in the caller's [ledger].  Returns
-   the outcome and whether it was already there. *)
+(* The measurement of an entry, taken once per entry: a concurrent
+   requester waits for one in flight.  The simulator runs once per
+   prefix — canonical-equal candidates lower to one program, so its
+   outcome is shared — but every entry measured is charged as one
+   simulator execution, as measuring it on hardware would be: one
+   [costed] (the ledger the measurement-gated search is judged
+   against), one charge to the caller's [ledger], and one [failed] on
+   an error.  Returns the outcome and whether it was already there. *)
 let cost_entry t ?ledger e (p : prepared) =
   let r, cached =
     demand t
@@ -483,7 +492,13 @@ let cost_entry t ?ledger e (p : prepared) =
         charge ledger (fun l -> l.l_costed) 1;
         if Result.is_error r then count_outcome t r)
       (fun () ->
-        let r = stage_cost t.cfg p.pprogram in
+        let r, _ =
+          demand t
+            ~get:(fun () -> e.prefix.stats)
+            ~set:(fun s -> e.prefix.stats <- s)
+            ~settle:ignore
+            (fun () -> stage_cost t.cfg p.pprogram)
+        in
         Result.iter
           (fun stats ->
             Obs.incr ~by:stats.Stats.bytes_h2d "engine.bytes_h2d";
@@ -569,13 +584,7 @@ let simulate t ?ledger ?rng (p : prepared) =
             | Some e -> e
             | None ->
                 make_room t;
-                let e =
-                  {
-                    key = p.pkey;
-                    prefix = { result = Ready (Ok p); feats = None };
-                    cost = Absent;
-                  }
-                in
+                let e = { key = p.pkey; prefix = new_prefix (Ready (Ok p)); cost = Absent } in
                 Hashtbl.replace t.entries p.pkey e;
                 e)
       in

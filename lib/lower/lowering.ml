@@ -32,33 +32,72 @@ let default_options =
 
 let partial_buffer_name = "P_partial"
 
-(* Expression shorthands (module-level operators would shadow Stdlib's). *)
+(* Expression constructors that fold as they build: given operands
+   [Simplify.expr] returns unchanged, each returns what [Simplify.expr]
+   returns for the node, so the emitted program needs no cleanup walk.
+   (Module-level operators would shadow Stdlib's.) *)
 let ei = E.int
-let ( +: ) a b = E.Binop (E.Add, a, b)
-let ( -: ) a b = E.Binop (E.Sub, a, b)
-let ( *: ) a b = E.Binop (E.Mul, a, b)
-let ( <: ) a b = E.Cmp (E.Lt, a, b)
+let ( +: ) = Simp.binop E.Add
+let ( -: ) = Simp.binop E.Sub
+let ( *: ) = Simp.binop E.Mul
+let ( <: ) = Simp.cmp E.Lt
 
 let mram_name t = t ^ "_m"
 let wram_name t = t ^ "_w"
 let kernel_name = "main_kernel"
 
+(* --- statement emission ------------------------------------------------ *)
+
+(* Loops and guards are emitted the way [Simplify.stmt] would leave
+   them.  A serial loop of extent 1 emits no loop: its body is built
+   with the index bound to 0 ([index]) and stands in its place, and a
+   loop of non-positive extent emits nothing. *)
+let unit_loop (kind : St.loop_kind) extent =
+  match kind with
+  | St.Serial -> extent = 1
+  | St.Unrolled | St.Host_parallel _ | St.Bound _ -> false
+
+let index ?(kind = St.Serial) var extent =
+  if unit_loop kind extent then ei 0 else E.var var
+
+let loop ?(kind = St.Serial) var extent body =
+  if extent <= 0 then St.Nop
+  else if unit_loop kind extent then body
+  else St.For { var; extent = ei extent; kind; body }
+
+(* [body] under the conjunction of [conds].  Every condition passed
+   here reads a loop index, so the guard is emitted even when binding
+   extent-1 loop indices to 0 folds it to a constant: such a guard
+   was never pruned by the simplifier applied after lowering, which
+   substituted those indices only once the guard was built, and the
+   lowered programs stay the ones it produced. *)
+let guard conds body =
+  match conds with
+  | [] -> body
+  | c :: rest -> St.if_ (List.fold_left Simp.and_ c rest) body
+
 (* Schedule facts about one operator axis, derived once per lowering. *)
 type axis_info = {
+  aname : string;
+  reduction : bool;
   segs : S.loop list;  (* outermost (largest stride) first. *)
   extent : int;
   misaligned : bool;  (* the segments over-cover the extent. *)
   mram_ext : int;  (* product of the non-block segment extents. *)
+  deepest : int;  (* loop position of the innermost segment. *)
 }
 
 type ctx = {
   sched : S.t;
   op : Op.t;
   opts : options;
-  kvars : (int, V.t) Hashtbl.t;
-  hvars : (int, V.t) Hashtbl.t;
   positions : int array;  (* loop position by [lid]; -1 when absent. *)
-  axes : (string * axis_info) list;
+  kvars : V.t array;  (* kernel loop variable by [lid]. *)
+  kidx : E.t array;  (* kernel loop index by [lid] (see [index]). *)
+  hvars : V.t array;  (* host loop variable by [lid]. *)
+  loop_axis : axis_info array;  (* a loop's axis, by [lid]. *)
+  axes : axis_info list;  (* in the op's axis order. *)
+  tensors : (string * axis_info list) list;  (* output, then inputs. *)
 }
 
 (* --- schedule queries ------------------------------------------------ *)
@@ -68,58 +107,56 @@ let pos ctx (l : S.loop) =
   let i = if lid < Array.length ctx.positions then ctx.positions.(lid) else -1 in
   if i < 0 then raise Not_found else i
 
-let axis_info ctx a =
-  match List.find_opt (fun (n, _) -> String.equal n a) ctx.axes with
-  | Some (_, info) -> info
-  | None -> invalid_arg (Printf.sprintf "Op.axis: unknown axis %s" a)
+let axis_of ctx (l : S.loop) = ctx.loop_axis.(l.S.lid)
 
-let segs ctx axis = (axis_info ctx axis).segs
-let axis_extent ctx a = (axis_info ctx a).extent
-let misaligned ctx a = (axis_info ctx a).misaligned
-let mram_ext ctx axis = (axis_info ctx axis).mram_ext
+let non_block_segs a = List.filter (fun l -> not (S.is_block l)) a.segs
 
-let non_block_segs ctx axis =
-  List.filter (fun l -> not (S.is_block l)) (segs ctx axis)
+let deeper_segs ctx loc a =
+  let p = pos ctx loc in
+  List.filter (fun l -> pos ctx l > p) a.segs
 
-let deeper_segs ctx loc axis =
-  List.filter (fun l -> pos ctx l > pos ctx loc) (segs ctx axis)
+let cache_ext ctx loc a =
+  List.fold_left (fun acc (l : S.loop) -> acc * l.S.extent) 1 (deeper_segs ctx loc a)
 
-let cache_ext ctx loc axis =
-  List.fold_left (fun acc (l : S.loop) -> acc * l.S.extent) 1 (deeper_segs ctx loc axis)
+let kidx ctx (l : S.loop) = ctx.kidx.(l.S.lid)
+let hvar ctx (l : S.loop) = ctx.hvars.(l.S.lid)
 
-let kvar ctx (l : S.loop) = Hashtbl.find ctx.kvars l.S.lid
-let hvar ctx (l : S.loop) = Hashtbl.find ctx.hvars l.S.lid
-
-(* Σ var(l)·stride(l) over the given segments. *)
-let seg_sum var_of segs =
+(* Σ index(l)·stride(l) over the given segments. *)
+let seg_sum idx segs =
   List.fold_left
-    (fun acc (l : S.loop) -> acc +: (E.var (var_of l) *: ei l.S.stride))
+    (fun acc (l : S.loop) -> acc +: (idx l *: ei l.S.stride))
     (ei 0) segs
 
 (* Row-major strides for a dims list given per-dim extents. *)
 let strides_of exts =
-  let n = List.length exts in
-  let arr = Array.of_list exts in
-  let s = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    s.(i) <- s.(i + 1) * arr.(i + 1)
-  done;
-  Array.to_list s
+  fst (List.fold_right (fun e (ss, p) -> (p :: ss, p * e)) exts ([], 1))
 
 let tensor_dims ctx t =
-  if String.equal t (fst ctx.op.Op.output) then snd ctx.op.Op.output
-  else
-    match List.assoc_opt t ctx.op.Op.inputs with
-    | Some dims -> dims
-    | None -> err "unknown tensor %s" t
+  let rec find = function
+    | [] -> err "unknown tensor %s" t
+    | (n, dims) :: rest -> if String.equal n t then dims else find rest
+  in
+  find ctx.tensors
 
 let mram_tile_elems ctx t =
-  List.fold_left (fun acc a -> acc * mram_ext ctx a) 1 (tensor_dims ctx t)
+  List.fold_left (fun acc a -> acc * a.mram_ext) 1 (tensor_dims ctx t)
 
 let host_elems ctx t =
-  List.fold_left (fun acc a -> acc * axis_extent ctx a) 1 (tensor_dims ctx t)
+  List.fold_left (fun acc a -> acc * a.extent) 1 (tensor_dims ctx t)
 
 let output_name ctx = fst ctx.op.Op.output
+
+(* The index variable standing for [a] in a nest over [dims] whose
+   variables are [vars], position by position. *)
+let var_of_dim dims vars a =
+  let rec go ds vs =
+    match (ds, vs) with
+    | d :: _, v :: _ when d == a -> v
+    | _ :: ds', _ :: vs' -> go ds' vs'
+    | _, _ -> assert false
+  in
+  go dims vars
+
 
 (* --- structural checks ------------------------------------------------ *)
 
@@ -130,7 +167,7 @@ let is_thread (l : S.loop) =
 
 let thread_reduction ctx =
   match S.thread_loop ctx.sched with
-  | Some l -> (Op.axis ctx.op l.S.axis).Op.kind = Op.Reduction
+  | Some l -> (axis_of ctx l).reduction
   | None -> false
 
 let hierarchical ctx = S.rfactor_loop ctx.sched <> None
@@ -193,27 +230,22 @@ let check_structure ctx =
     go 1 live
   in
   List.iter
-    (fun (a : Op.axis) ->
-      if not (spans_unit (non_block_segs ctx a.Op.aname)) then
+    (fun a ->
+      if not (spans_unit (non_block_segs a)) then
         err "axis %s: DPU-bound segments must be its outermost segments"
-          a.Op.aname;
+          a.aname;
       (* On a reduction axis the block segment's stride must also meet
          the inner span exactly: overlapping per-DPU tiles would count
          interior elements twice, and the boundary guards only clamp
          the tail.  (Spatial overlap merely rewrites equal values.) *)
-      if
-        a.Op.kind = Op.Reduction
-        && not (spans_unit (segs ctx a.Op.aname))
-      then
+      if a.reduction && not (spans_unit a.segs) then
         err "reduction axis %s: segments overlap; split factors must tile \
              the axis without double coverage"
-          a.Op.aname)
-    ctx.op.Op.axes;
+          a.aname)
+    ctx.axes;
   (* reduction-axis block segment must be the rfactor loop. *)
   let red_blocks =
-    List.filter
-      (fun (l : S.loop) -> (Op.axis ctx.op l.S.axis).Op.kind = Op.Reduction)
-      (S.block_loops ctx.sched)
+    List.filter (fun l -> (axis_of ctx l).reduction) (S.block_loops ctx.sched)
   in
   (match (red_blocks, S.rfactor_loop ctx.sched) with
   | [], None -> ()
@@ -236,7 +268,7 @@ let check_structure ctx =
       (fun a ->
         if not (spans_unit (deeper_segs ctx loc a)) then
           err "cache for %s at %s: covered segments of axis %s are not innermost"
-            t loc.S.lname a)
+            t loc.S.lname a.aname)
       (tensor_dims ctx t)
   in
   (* Only body-referenced inputs must be read-cached: epilogue-only
@@ -249,16 +281,16 @@ let check_structure ctx =
   let wloc = cache_loc wc in
   if not (thread_reduction ctx) then
     List.iter
-      (fun (a : Op.axis) ->
-        if a.Op.kind = Op.Reduction then
+      (fun a ->
+        if a.reduction then
           List.iter
             (fun (l : S.loop) ->
               if pos ctx l <= pos ctx wloc then
                 err
                   "write cache at %s does not enclose reduction segment %s"
                   wloc.S.lname l.S.lname)
-            (non_block_segs ctx a.Op.aname))
-      ctx.op.Op.axes
+            (non_block_segs a))
+      ctx.axes
   else begin
     if Op.spatial_axes ctx.op <> [] then
       err "tasklet-level reduction requires an op with no spatial axes";
@@ -272,12 +304,9 @@ let check_structure ctx =
 
 (* Guard ordering: deepest-segment axis first (Fig. 8 lists the
    innermost boundary condition first). *)
-let misaligned_axes ctx dims =
-  let deepest a =
-    List.fold_left (fun acc l -> max acc (pos ctx l)) (-1) (segs ctx a)
-  in
-  List.filter (misaligned ctx) dims
-  |> List.sort (fun a b -> Int.compare (deepest b) (deepest a))
+let misaligned_axes dims =
+  List.filter (fun a -> a.misaligned) dims
+  |> List.sort (fun a b -> Int.compare b.deepest a.deepest)
 
 (* Per-element guarded DMA between a cache tile and the MRAM tile.
    [wname] overrides the WRAM buffer name (epilogue staging tiles live
@@ -286,40 +315,30 @@ let cache_dma ?wname ctx (dir : St.dma_dir) t loc =
   let wram_buf = match wname with Some w -> w | None -> wram_name t in
   let dims = tensor_dims ctx t in
   let cexts = List.map (cache_ext ctx loc) dims in
-  let mexts = List.map (mram_ext ctx) dims in
-  let rvars = List.map (fun a -> V.fresh ("c" ^ a)) dims in
+  let mexts = List.map (fun a -> a.mram_ext) dims in
+  let rvars = List.map (fun a -> V.fresh ("c" ^ a.aname)) dims in
+  let ridx = List.map2 index rvars cexts in
   let wstrides = strides_of cexts and mstrides = strides_of mexts in
-  let not_deeper a =
-    List.filter (fun l -> pos ctx l <= pos ctx loc) (segs ctx a)
-  in
+  let p = pos ctx loc in
+  let not_deeper a = List.filter (fun l -> pos ctx l <= p) a.segs in
   let fixed_local a =
-    seg_sum (kvar ctx)
+    seg_sum (kidx ctx)
       (List.filter (fun l -> not (S.is_block l)) (not_deeper a))
   in
-  let fixed_global a = seg_sum (kvar ctx) (not_deeper a) in
+  let fixed_global a = seg_sum (kidx ctx) (not_deeper a) in
   let wram_off =
-    List.fold_left2
-      (fun acc rv ws -> acc +: (E.var rv *: ei ws))
-      (ei 0) rvars wstrides
+    List.fold_left2 (fun acc ri ws -> acc +: (ri *: ei ws)) (ei 0) ridx wstrides
   in
   let mram_off =
-    let terms = List.combine dims (List.combine rvars mstrides) in
+    let terms = List.combine dims (List.combine ridx mstrides) in
     List.fold_left
-      (fun acc (a, (rv, ms)) -> acc +: ((fixed_local a +: E.var rv) *: ei ms))
+      (fun acc (a, (ri, ms)) -> acc +: ((fixed_local a +: ri) *: ei ms))
       (ei 0) terms
   in
-  let guard_axes = misaligned_axes ctx dims in
-  let rv_of a =
-    let rec go ds rs =
-      match (ds, rs) with
-      | d :: _, r :: _ when String.equal d a -> r
-      | _ :: ds', _ :: rs' -> go ds' rs'
-      | _, _ -> assert false
-    in
-    go dims rvars
-  in
-  let guard =
-    List.map (fun a -> fixed_global a +: E.var (rv_of a) <: ei (axis_extent ctx a)) guard_axes
+  let guards =
+    List.map
+      (fun a -> fixed_global a +: var_of_dim dims ridx a <: ei a.extent)
+      (misaligned_axes dims)
   in
   let dma =
     St.Dma
@@ -332,14 +351,7 @@ let cache_dma ?wname ctx (dir : St.dma_dir) t loc =
         elems = ei 1;
       }
   in
-  let guarded =
-    match guard with
-    | [] -> dma
-    | gs -> St.if_ (Imtp_tir.Analysis.conjoin gs) dma
-  in
-  List.fold_right2
-    (fun rv ce body -> St.for_ rv (ei ce) body)
-    rvars cexts guarded
+  List.fold_right2 loop rvars cexts (guard guards dma)
 
 let wram_index ctx t =
   let c = cache_of ctx t in
@@ -348,7 +360,7 @@ let wram_index ctx t =
   let cexts = List.map (cache_ext ctx loc) dims in
   let wstrides = strides_of cexts in
   List.fold_left2
-    (fun acc a ws -> acc +: (seg_sum (kvar ctx) (deeper_segs ctx loc a) *: ei ws))
+    (fun acc a ws -> acc +: (seg_sum (kidx ctx) (deeper_segs ctx loc a) *: ei ws))
     (ei 0) dims wstrides
 
 let bin_to_e = function
@@ -371,7 +383,7 @@ let rec elem_expr ctx (e : Op.elem) : E.t =
   | Op.Ref t -> E.load (wram_name t) (wram_index ctx t)
   | Op.Bin (op, a, b) ->
       let x = elem_expr ctx a and y = elem_expr ctx b in
-      E.Binop (bin_to_e op, x, y)
+      Simp.binop (bin_to_e op) x y
 
 (* Epilogue expression: [acc] is the fully accumulated output value at
    the current point; [ref_of] resolves an input reference to a load. *)
@@ -381,7 +393,7 @@ let rec epi_expr ~acc ~ref_of (e : Op.elem) : E.t =
   | Op.Acc -> acc
   | Op.Ref t -> ref_of t
   | Op.Bin (op, a, b) ->
-      E.Binop (bin_to_e op, epi_expr ~acc ~ref_of a, epi_expr ~acc ~ref_of b)
+      Simp.binop (bin_to_e op) (epi_expr ~acc ~ref_of a) (epi_expr ~acc ~ref_of b)
 
 (* In-kernel epilogue: a loop nest over the write-cache tile applying
    the epilogue to each output element right before the tile is flushed
@@ -393,24 +405,15 @@ let epilogue_kernel_stmt ctx (e : Op.elem) (wloc : S.loop) =
   let out_dims = tensor_dims ctx out in
   let cexts = List.map (cache_ext ctx wloc) out_dims in
   let wstrides = strides_of cexts in
-  let rvars = List.map (fun a -> V.fresh ("e" ^ a)) out_dims in
-  let rv_of a =
-    let rec go ds rs =
-      match (ds, rs) with
-      | d :: _, r :: _ when String.equal d a -> r
-      | _ :: ds', _ :: rs' -> go ds' rs'
-      | _, _ -> assert false
-    in
-    go out_dims rvars
-  in
+  let rvars = List.map (fun a -> V.fresh ("e" ^ a.aname)) out_dims in
+  let ridx = List.map2 index rvars cexts in
+  let rv_of = var_of_dim out_dims ridx in
+  let p = pos ctx wloc in
   let fixed_global a =
-    seg_sum (kvar ctx)
-      (List.filter (fun l -> pos ctx l <= pos ctx wloc) (segs ctx a))
+    seg_sum (kidx ctx) (List.filter (fun l -> pos ctx l <= p) a.segs)
   in
   let woff =
-    List.fold_left2
-      (fun acc a ws -> acc +: (E.var (rv_of a) *: ei ws))
-      (ei 0) out_dims wstrides
+    List.fold_left2 (fun acc ri ws -> acc +: (ri *: ei ws)) (ei 0) ridx wstrides
   in
   let ref_of t =
     let tdims = tensor_dims ctx t in
@@ -418,27 +421,19 @@ let epilogue_kernel_stmt ctx (e : Op.elem) (wloc : S.loop) =
     let tstrides = strides_of tcexts in
     let off =
       List.fold_left2
-        (fun acc a ts -> acc +: (E.var (rv_of a) *: ei ts))
+        (fun acc a ts -> acc +: (rv_of a *: ei ts))
         (ei 0) tdims tstrides
     in
     E.load (epi_wram_name t) off
   in
   let acc = E.load (wram_name out) woff in
   let stored = St.store (wram_name out) woff (epi_expr ~acc ~ref_of e) in
-  let guard_axes = misaligned_axes ctx out_dims in
   let guards =
     List.map
-      (fun a -> fixed_global a +: E.var (rv_of a) <: ei (axis_extent ctx a))
-      guard_axes
+      (fun a -> fixed_global a +: rv_of a <: ei a.extent)
+      (misaligned_axes out_dims)
   in
-  let guarded =
-    match guards with
-    | [] -> stored
-    | gs -> St.if_ (Imtp_tir.Analysis.conjoin gs) stored
-  in
-  List.fold_right2
-    (fun rv ce body -> St.for_ rv (ei ce) body)
-    rvars cexts guarded
+  List.fold_right2 loop rvars cexts (guard guards stored)
 
 let compute_stmt ctx =
   let out = output_name ctx in
@@ -450,14 +445,11 @@ let compute_stmt ctx =
       St.store wc widx (E.load wc widx +: value)
     else St.store wc widx value
   in
-  let guards =
-    List.map
-      (fun a -> seg_sum (kvar ctx) (segs ctx a) <: ei (axis_extent ctx a))
-      (misaligned_axes ctx (List.map (fun (a : Op.axis) -> a.Op.aname) ctx.op.Op.axes))
-  in
-  match guards with
-  | [] -> stored
-  | gs -> St.if_ (Imtp_tir.Analysis.conjoin gs) stored
+  guard
+    (List.map
+       (fun a -> seg_sum (kidx ctx) a.segs <: ei a.extent)
+       (misaligned_axes ctx.axes))
+    stored
 
 let wram_buffer ?wname ctx t loc =
   let elems =
@@ -469,7 +461,7 @@ let wram_buffer ?wname ctx t loc =
 let init_write_cache ctx (buf : B.t) =
   if Op.has_reduction ctx.op then begin
     let v = V.fresh "z" in
-    St.for_ v (ei buf.B.elems) (St.store buf.B.name (E.var v) (ei 0))
+    loop v buf.B.elems (St.store buf.B.name (index v buf.B.elems) (ei 0))
   end
   else St.Nop
 
@@ -531,6 +523,11 @@ let stmt_kind_of (l : S.loop) : St.loop_kind =
   | S.Bound S.Block_z -> St.Bound St.Block_z
   | S.Bound S.Thread_x -> St.Bound St.Thread_x
 
+(* The kernel loop of schedule loop [l] around [body], which reads its
+   index as [kidx ctx l]. *)
+let kernel_loop ctx (l : S.loop) body =
+  loop ~kind:(stmt_kind_of l) ctx.kvars.(l.S.lid) l.S.extent body
+
 (* Tasklet-level parallel reduction (no spatial axes): each tasklet
    accumulates a private partial, stores it to a shared WRAM slot,
    tasklet 0 combines after a barrier and DMAs the single result out. *)
@@ -544,8 +541,7 @@ let emit_thread_reduction ctx (thr : S.loop) rest =
     | [] -> compute_stmt ctx
     | (l : S.loop) :: ls ->
         let inner = emit_inner ls in
-        let body = wrap_caches ctx l inner in
-        St.For { var = kvar ctx l; extent = ei l.S.extent; kind = stmt_kind_of l; body }
+        kernel_loop ctx l (wrap_caches ctx l inner)
   in
   (* Read caches placed at the thread loop itself: each tasklet stages
      its own MRAM slice before accumulating.  (The write cache at this
@@ -580,7 +576,7 @@ let emit_thread_reduction ctx (thr : S.loop) rest =
             [
               St.store wc_buf.B.name (ei 0) (ei 0);
               with_reads (emit_inner rest);
-              St.store partials.B.name (E.var (kvar ctx thr))
+              St.store partials.B.name (kidx ctx thr)
                 (E.load wc_buf.B.name (ei 0));
             ];
       }
@@ -602,14 +598,14 @@ let emit_thread_reduction ctx (thr : S.loop) rest =
     | Some _ | None -> []
   in
   let combine =
+    let n = thr.S.extent - 1 in
     St.seq
       ([
          St.Barrier;
-         St.for_ t
-           (ei (thr.S.extent - 1))
+         loop t n
            (St.store partials.B.name (ei 0)
               (E.load partials.B.name (ei 0)
-              +: E.load partials.B.name (E.var t +: ei 1)));
+              +: E.load partials.B.name (index t n +: ei 1)));
        ]
       @ epi_store
       @ [
@@ -627,18 +623,7 @@ let emit_thread_reduction ctx (thr : S.loop) rest =
   St.Alloc
     {
       buffer = partials;
-      body =
-        St.seq
-          [
-            St.For
-              {
-                var = kvar ctx thr;
-                extent = ei thr.S.extent;
-                kind = St.Bound St.Thread_x;
-                body = per_tasklet;
-              };
-            combine;
-          ];
+      body = St.seq [ kernel_loop ctx thr per_tasklet; combine ];
     }
 
 let emit_kernel ctx : P.kernel =
@@ -648,38 +633,39 @@ let emit_kernel ctx : P.kernel =
         if is_thread l && thread_reduction ctx then emit_thread_reduction ctx l rest
         else begin
           let inner = emit rest in
-          let body = wrap_caches ctx l inner in
-          St.For { var = kvar ctx l; extent = ei l.S.extent; kind = stmt_kind_of l; body }
+          kernel_loop ctx l (wrap_caches ctx l inner)
         end
   in
-  { P.kname = kernel_name; body = Simp.stmt (emit (S.order ctx.sched)) }
+  { P.kname = kernel_name; body = emit (S.order ctx.sched) }
 
 (* --- host transfers ---------------------------------------------------- *)
 
 let block_loops ctx = S.block_loops ctx.sched
 
-let dpu_expr ctx var_of =
+(* The flat DPU id of the current grid point, [idx] giving each block
+   loop's index. *)
+let dpu_expr ctx idx =
   let blocks = block_loops ctx in
   let exts = List.map (fun (l : S.loop) -> l.S.extent) blocks in
-  let strides = if blocks = [] then [] else strides_of exts in
   List.fold_left2
-    (fun acc (l : S.loop) st -> acc +: (E.var (var_of l) *: ei st))
-    (ei 0) blocks strides
+    (fun acc (l : S.loop) st -> acc +: (idx l *: ei st))
+    (ei 0) blocks (strides_of exts)
 
-let blockfix ctx var_of a =
-  seg_sum var_of (List.filter S.is_block (segs ctx a))
+let blockfix idx a = seg_sum idx (List.filter S.is_block a.segs)
+
+(* The index of host loop [l] run serially (see [index]). *)
+let host_index ctx ?kind (l : S.loop) = index ?kind (hvar ctx l) l.S.extent
 
 (* Transfer of one tensor between host and MRAM tiles.  [into_partial]
    redirects the host side into the gathered-partials buffer. *)
 let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
   let dims = tensor_dims ctx t in
-  let mexts = List.map (mram_ext ctx) dims in
-  let hexts = List.map (axis_extent ctx) dims in
+  let mexts = List.map (fun a -> a.mram_ext) dims in
+  let hexts = List.map (fun a -> a.extent) dims in
   let mstrides = strides_of mexts and hstrides = strides_of hexts in
-  let has_block =
-    List.exists (fun a -> List.exists S.is_block (segs ctx a)) dims
-  in
+  let has_block = List.exists (fun a -> List.exists S.is_block a.segs) dims in
   let grid = S.grid_dpus ctx.sched in
+  let hidx = host_index ctx in
   let mode : St.xfer_mode =
     if not ctx.opts.parallel_transfer then St.Copy
     else if has_block || into_partial then St.Push
@@ -694,7 +680,7 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
   let n = List.length dims in
   let full_aligned i =
     let a = List.nth dims i in
-    (not (misaligned ctx a)) && mram_ext ctx a = axis_extent ctx a
+    (not a.misaligned) && a.mram_ext = a.extent
   in
   let row_start =
     if not ctx.opts.bulk_transfer then n
@@ -711,25 +697,26 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
   (* Loop dims: indices < row_start get an explicit loop var. *)
   let loop_dims = List.filteri (fun i _ -> i < row_start) dims in
   let loop_mexts = List.filteri (fun i _ -> i < row_start) mexts in
-  let rvars = List.map (fun a -> V.fresh ("t" ^ a)) loop_dims in
+  let rvars = List.map (fun a -> V.fresh ("t" ^ a.aname)) loop_dims in
+  let ridx = List.map2 index rvars loop_mexts in
   let rv_of a =
     let rec go ds rs =
       match (ds, rs) with
-      | d :: _, r :: _ when String.equal d a -> Some r
+      | d :: _, r :: _ when d == a -> Some r
       | _ :: ds', _ :: rs' -> go ds' rs'
       | _, _ -> None
     in
-    go loop_dims rvars
+    go loop_dims ridx
   in
   let idx_of a =
-    let fix = blockfix ctx (hvar ctx) a in
-    match rv_of a with Some rv -> fix +: E.var rv | None -> fix
+    let fix = blockfix hidx a in
+    match rv_of a with Some ri -> fix +: ri | None -> fix
   in
-  let local_of a =
-    match rv_of a with Some rv -> E.var rv | None -> ei 0
-  in
+  let local_of a = match rv_of a with Some ri -> ri | None -> ei 0 in
   (* Row length: product of mram extents from row_start, clamped on the
-     row dim when it is misaligned or partially covered. *)
+     row dim when it is misaligned or partially covered.  The clamp's
+     guard is statically true, and dropped, when the row dim has no
+     DPU-bound segment. *)
   let suffix_prod l = List.fold_left ( * ) 1 (List.filteri (fun i _ -> i > l) mexts) in
   let elems, row_guard =
     if row_start >= n then (ei 1, [])
@@ -737,20 +724,18 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
       let a = List.nth dims row_start in
       let tail = suffix_prod row_start in
       let me = List.nth mexts row_start in
-      if (not (misaligned ctx a)) && me = axis_extent ctx a then
-        (ei (me * tail), [])
-      else if not (misaligned ctx a) then (ei (me * tail), [])
+      if not a.misaligned then (ei (me * tail), [])
       else begin
-        let start = blockfix ctx (hvar ctx) a in
-        ( E.min_e (ei me) (ei (axis_extent ctx a) -: start) *: ei tail,
-          [ start <: ei (axis_extent ctx a) ] )
+        let start = blockfix hidx a in
+        ( Simp.binop E.Min (ei me) (ei a.extent -: start) *: ei tail,
+          if List.exists S.is_block a.segs then [ start <: ei a.extent ] else [] )
       end
     end
   in
   let host_off =
     if into_partial then
       let tile = mram_tile_elems ctx t in
-      (dpu_expr ctx (hvar ctx) *: ei tile)
+      (dpu_expr ctx hidx *: ei tile)
       +: List.fold_left2
            (fun acc a ms -> acc +: (local_of a *: ei ms))
            (ei 0) dims mstrides
@@ -775,7 +760,7 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
         dpu =
           (match mode with
           | St.Broadcast_x -> ei 0
-          | St.Copy | St.Push -> dpu_expr ctx (hvar ctx));
+          | St.Copy | St.Push -> dpu_expr ctx hidx);
         mram = mram_name t;
         mram_off;
         elems;
@@ -790,27 +775,18 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
       row_guard
       @ List.filter_map
           (fun a ->
-            if misaligned ctx a && rv_of a <> None then
-              Some (idx_of a <: ei (axis_extent ctx a))
+            if a.misaligned && rv_of a <> None then
+              Some (idx_of a <: ei a.extent)
             else None)
           loop_dims
   in
-  let guarded =
-    match guards with
-    | [] -> xfer
-    | gs -> St.if_ (Imtp_tir.Analysis.conjoin gs) xfer
-  in
-  let rows =
-    List.fold_right2
-      (fun rv me body -> St.for_ rv (ei me) body)
-      rvars loop_mexts guarded
-  in
+  let rows = List.fold_right2 loop rvars loop_mexts (guard guards xfer) in
   (* Enclose in DPU loops (broadcast sends once for all DPUs). *)
   match mode with
   | St.Broadcast_x -> rows
   | St.Copy | St.Push ->
       List.fold_right
-        (fun (l : S.loop) body -> St.for_ (hvar ctx l) (ei l.S.extent) body)
+        (fun (l : S.loop) body -> loop (hvar ctx l) l.S.extent body)
         (block_loops ctx) rows
 
 (* --- host reduction ----------------------------------------------------- *)
@@ -830,29 +806,40 @@ let final_reduction ctx =
   | None -> St.Nop
   | Some rf ->
       let out = output_name ctx in
-      let out_dims = snd ctx.op.Op.output in
-      let mexts = List.map (mram_ext ctx) out_dims in
-      let hexts = List.map (axis_extent ctx) out_dims in
+      let out_dims = tensor_dims ctx out in
+      let mexts = List.map (fun a -> a.mram_ext) out_dims in
+      let hexts = List.map (fun a -> a.extent) out_dims in
       let mstrides = strides_of mexts and hstrides = strides_of hexts in
       let tile = mram_tile_elems ctx out in
-      let qvars = List.map (fun a -> V.fresh ("q" ^ a)) out_dims in
+      let qvars = List.map (fun a -> V.fresh ("q" ^ a.aname)) out_dims in
+      let qidx = List.map2 index qvars mexts in
       let spatial_blocks =
         List.filter (fun (l : S.loop) -> l.S.lid <> rf.S.lid) (block_loops ctx)
       in
-      let idx_of a rv = blockfix ctx (hvar ctx) a +: E.var rv in
+      (* The outermost spatial-block loop runs on [host_par_threads]
+         threads when requested; every other host loop is serial. *)
+      let threads = host_par_threads ctx in
+      let first_kind =
+        if threads > 1 then St.Host_parallel threads else St.Serial
+      in
+      let kind_of (l : S.loop) =
+        match spatial_blocks with
+        | first :: _ when first.S.lid = l.S.lid -> first_kind
+        | _ :: _ | [] -> St.Serial
+      in
+      let hidx l = host_index ctx ~kind:(kind_of l) l in
+      let idx_of a qi = blockfix hidx a +: qi in
       let host_idx =
         List.fold_left2
-          (fun acc (a, rv) hs -> acc +: (idx_of a rv *: ei hs))
+          (fun acc (a, qi) hs -> acc +: (idx_of a qi *: ei hs))
           (ei 0)
-          (List.combine out_dims qvars)
+          (List.combine out_dims qidx)
           hstrides
       in
       let local_idx =
-        List.fold_left2
-          (fun acc rv ms -> acc +: (E.var rv *: ei ms))
-          (ei 0) qvars mstrides
+        List.fold_left2 (fun acc qi ms -> acc +: (qi *: ei ms)) (ei 0) qidx mstrides
       in
-      let p_idx = (dpu_expr ctx (hvar ctx) *: ei tile) +: local_idx in
+      let p_idx = (dpu_expr ctx hidx *: ei tile) +: local_idx in
       (* Hierarchical epilogue: the host sees the full accumulated value
          only here, so apply it after the rfactor sum, reading epilogue
          inputs straight from their host buffers. *)
@@ -860,22 +847,21 @@ let final_reduction ctx =
         match ctx.op.Op.epilogue with
         | None -> []
         | Some e ->
-            let rv_of_dim a =
+            let q_of_dim a =
               let rec go ds qs =
                 match (ds, qs) with
-                | d :: _, q :: _ when String.equal d a -> q
+                | d :: _, q :: _ when d == a -> q
                 | _ :: ds', _ :: qs' -> go ds' qs'
-                | _, _ -> err "epilogue input dim %s not an output dim" a
+                | _, _ -> err "epilogue input dim %s not an output dim" a.aname
               in
-              go out_dims qvars
+              go out_dims qidx
             in
             let ref_of t =
               let tdims = tensor_dims ctx t in
-              let thexts = List.map (axis_extent ctx) tdims in
-              let tstrides = strides_of thexts in
+              let tstrides = strides_of (List.map (fun a -> a.extent) tdims) in
               let off =
                 List.fold_left2
-                  (fun acc a hs -> acc +: (idx_of a (rv_of_dim a) *: ei hs))
+                  (fun acc a hs -> acc +: (idx_of a (q_of_dim a) *: ei hs))
                   (ei 0) tdims tstrides
               in
               E.load t off
@@ -889,64 +875,22 @@ let final_reduction ctx =
         St.seq
           ([
              St.store out host_idx (ei 0);
-             St.For
-               {
-                 var = hvar ctx rf;
-                 extent = ei rf.S.extent;
-                 kind = St.Serial;
-                 body =
-                   St.store out host_idx
-                     (E.load out host_idx +: E.load partial_buffer_name p_idx);
-               };
+             loop (hvar ctx rf) rf.S.extent
+               (St.store out host_idx
+                  (E.load out host_idx +: E.load partial_buffer_name p_idx));
            ]
           @ epi_store)
       in
       let guards =
         List.filter_map
-          (fun (a, rv) ->
-            if misaligned ctx a then Some (idx_of a rv <: ei (axis_extent ctx a))
-            else None)
-          (List.combine out_dims qvars)
+          (fun (a, qi) ->
+            if a.misaligned then Some (idx_of a qi <: ei a.extent) else None)
+          (List.combine out_dims qidx)
       in
-      let guarded =
-        match guards with
-        | [] -> body
-        | gs -> St.if_ (Imtp_tir.Analysis.conjoin gs) body
-      in
-      let with_tiles =
-        List.fold_right2
-          (fun rv me acc -> St.for_ rv (ei me) acc)
-          qvars mexts guarded
-      in
-      let rec with_blocks = function
-        | [] -> with_tiles
-        | (l : S.loop) :: rest ->
-            St.For
-              {
-                var = hvar ctx l;
-                extent = ei l.S.extent;
-                kind = St.Serial;
-                body = with_blocks rest;
-              }
-      in
-      (* Parallelize the outermost spatial-block loop when requested. *)
-      let stmt =
-        match spatial_blocks with
-        | [] -> with_tiles
-        | first :: rest ->
-            let threads = host_par_threads ctx in
-            let kind =
-              if threads > 1 then St.Host_parallel threads else St.Serial
-            in
-            St.For
-              {
-                var = hvar ctx first;
-                extent = ei first.S.extent;
-                kind;
-                body = with_blocks rest;
-              }
-      in
-      stmt
+      let with_tiles = List.fold_right2 loop qvars mexts (guard guards body) in
+      List.fold_right
+        (fun (l : S.loop) acc -> loop ~kind:(kind_of l) (hvar ctx l) l.S.extent acc)
+        spatial_blocks with_tiles
 
 (* --- program assembly ---------------------------------------------------- *)
 
@@ -954,46 +898,61 @@ let output_buffer_elems sched =
   let op = S.op sched in
   max 1 (Op.output_elems op)
 
+(* Placeholder for the [lid]s a schedule does not use. *)
+let unused_var = V.fresh "unused"
+
 let lower ?(options = default_options) sched =
   let op = S.op sched in
   let order = S.order sched in
-  let positions =
-    Array.make
-      (1 + List.fold_left (fun acc (l : S.loop) -> max acc l.S.lid) 0 order)
-      (-1)
-  in
+  let n = 1 + List.fold_left (fun acc (l : S.loop) -> max acc l.S.lid) 0 order in
+  let positions = Array.make n (-1) in
   List.iteri (fun i (l : S.loop) -> positions.(l.S.lid) <- i) order;
+  let kvars = Array.make n unused_var and hvars = Array.make n unused_var in
+  let kidx = Array.make n (ei 0) in
+  List.iter
+    (fun (l : S.loop) ->
+      let v = V.fresh l.S.lname in
+      kvars.(l.S.lid) <- v;
+      kidx.(l.S.lid) <- index ~kind:(stmt_kind_of l) v l.S.extent;
+      hvars.(l.S.lid) <- V.fresh ("h_" ^ l.S.lname))
+    order;
   let product = List.fold_left (fun acc (l : S.loop) -> acc * l.S.extent) 1 in
   let axes =
     List.map
       (fun (a : Op.axis) ->
         let segs = S.loops_of_axis sched a.Op.aname in
-        ( a.Op.aname,
-          {
-            segs;
-            extent = a.Op.extent;
-            misaligned = product segs > a.Op.extent;
-            mram_ext =
-              product (List.filter (fun l -> not (S.is_block l)) segs);
-          } ))
+        {
+          aname = a.Op.aname;
+          reduction = a.Op.kind = Op.Reduction;
+          segs;
+          extent = a.Op.extent;
+          misaligned = product segs > a.Op.extent;
+          mram_ext = product (List.filter (fun l -> not (S.is_block l)) segs);
+          deepest =
+            List.fold_left (fun acc (l : S.loop) -> max acc positions.(l.S.lid)) (-1) segs;
+        })
       op.Op.axes
+  in
+  let loop_axis = Array.make n (List.hd axes) in
+  List.iter (fun a -> List.iter (fun (l : S.loop) -> loop_axis.(l.S.lid) <- a) a.segs) axes;
+  let dims_of names =
+    List.map (fun d -> List.find (fun a -> String.equal a.aname d) axes) names
   in
   let ctx =
     {
       sched;
       op;
       opts = options;
-      kvars = Hashtbl.create 16;
-      hvars = Hashtbl.create 16;
       positions;
+      kvars;
+      kidx;
+      hvars;
+      loop_axis;
       axes;
+      tensors =
+        List.map (fun (t, names) -> (t, dims_of names)) (op.Op.output :: op.Op.inputs);
     }
   in
-  List.iter
-    (fun (l : S.loop) ->
-      Hashtbl.replace ctx.kvars l.S.lid (V.fresh l.S.lname);
-      Hashtbl.replace ctx.hvars l.S.lid (V.fresh ("h_" ^ l.S.lname)))
-    order;
   check_structure ctx;
   let out = output_name ctx in
   let kernel = emit_kernel ctx in
@@ -1055,13 +1014,7 @@ let lower ?(options = default_options) sched =
       ]
   in
   let prog =
-    {
-      P.name = ctx.op.Op.opname;
-      host_buffers;
-      mram_buffers;
-      kernels = [ kernel ];
-      host = Simp.stmt host;
-    }
+    { P.name = ctx.op.Op.opname; host_buffers; mram_buffers; kernels = [ kernel ]; host }
   in
   (match P.validate prog with
   | Ok () -> ()

@@ -32,17 +32,9 @@ let bool_e b = Expr.Int_const (if b then 1 else 0)
 let rec expr (e : Expr.t) : Expr.t =
   match e with
   | Int_const _ | Float_const _ | Var _ -> e
-  | Binop (op, a, b) -> simplify_binop op (expr a) (expr b)
-  | Cmp (op, a, b) -> (
-      let a = expr a and b = expr b in
-      match (a, b) with
-      | Int_const x, Int_const y -> bool_e (fold_cmp op x y)
-      | _, _ -> Cmp (op, a, b))
-  | And (a, b) -> (
-      match (expr a, expr b) with
-      | Int_const 0, _ | _, Int_const 0 -> bool_e false
-      | Int_const 1, x | x, Int_const 1 -> x
-      | a, b -> And (a, b))
+  | Binop (op, a, b) -> binop op (expr a) (expr b)
+  | Cmp (op, a, b) -> cmp op (expr a) (expr b)
+  | And (a, b) -> and_ (expr a) (expr b)
   | Or (a, b) -> (
       match (expr a, expr b) with
       | Int_const 1, _ | _, Int_const 1 -> bool_e true
@@ -66,7 +58,7 @@ let rec expr (e : Expr.t) : Expr.t =
           Int_const n
       | a -> Cast (dt, a))
 
-and simplify_binop op a b : Expr.t =
+and binop op a b : Expr.t =
   match (op, a, b) with
   | _, Expr.Int_const x, Expr.Int_const y -> Int_const (fold_binop op x y)
   | Expr.Add, Int_const 0, x | Expr.Add, x, Int_const 0 -> x
@@ -78,10 +70,10 @@ and simplify_binop op a b : Expr.t =
   (* Fold negation chains so tightened bounds like
      Analysis.ceil_div_neg print as (k - r) instead of ((0 - r) + k):
      0 - (0 - x) -> x,  x - (0 - y) -> x + y,  (0 - y) + x -> x - y. *)
-  | Expr.Sub, x, Binop (Sub, Int_const 0, y) -> simplify_binop Add x y
+  | Expr.Sub, x, Binop (Sub, Int_const 0, y) -> binop Add x y
   | Expr.Add, Binop (Sub, Int_const 0, y), x
   | Expr.Add, x, Binop (Sub, Int_const 0, y) ->
-      simplify_binop Sub x y
+      binop Sub x y
   (* Collapse nested floor-div/mod by matching positive constants
      (all sound for the floor semantics of fold_binop):
        (x // b) // c -> x // (b*c)
@@ -90,10 +82,10 @@ and simplify_binop op a b : Expr.t =
        (x %  b) // c -> 0           when c >= b (0 <= x%b < b)
        (x %  b) %  c -> x % c       when c | b. *)
   | Expr.Div, Binop (Div, x, Int_const b), Int_const c when b > 0 && c > 0 ->
-      simplify_binop Div x (Int_const (b * c))
+      binop Div x (Int_const (b * c))
   | Expr.Div, Binop (Mul, x, Int_const k), Int_const c
     when c > 0 && k mod c = 0 ->
-      simplify_binop Mul x (Int_const (k / c))
+      binop Mul x (Int_const (k / c))
   | Expr.Mod, Binop (Mul, _, Int_const k), Int_const c
     when c > 0 && k mod c = 0 ->
       Int_const 0
@@ -102,17 +94,28 @@ and simplify_binop op a b : Expr.t =
   | Expr.Mod, Binop (Mod, x, Int_const b), Int_const c
     when b > 0 && c > 0 && b mod c = 0 ->
       if b = c then Binop (Mod, x, Int_const b)
-      else simplify_binop Mod x (Int_const c)
+      else binop Mod x (Int_const c)
   (* Re-associate constant addends: (x + c1) + c2 -> x + (c1+c2). *)
   | Expr.Add, Binop (Add, x, Int_const c1), Int_const c2 ->
-      simplify_binop Add x (Int_const (c1 + c2))
+      binop Add x (Int_const (c1 + c2))
   | Expr.Add, Int_const c1, Binop (Add, x, Int_const c2) ->
-      simplify_binop Add x (Int_const (c1 + c2))
+      binop Add x (Int_const (c1 + c2))
   (* Distribute constants over sums for address canonicalization:
      (x + y) * c -> x*c + y*c when c is a constant. *)
   | Expr.Mul, Binop (Add, x, y), (Int_const _ as c) ->
-      simplify_binop Add (simplify_binop Mul x c) (simplify_binop Mul y c)
+      binop Add (binop Mul x c) (binop Mul y c)
   | _, _, _ -> Binop (op, a, b)
+
+and cmp op a b : Expr.t =
+  match (a, b) with
+  | Int_const x, Int_const y -> bool_e (fold_cmp op x y)
+  | _, _ -> Cmp (op, a, b)
+
+and and_ a b : Expr.t =
+  match (a, b) with
+  | Int_const 0, _ | _, Int_const 0 -> bool_e false
+  | Int_const 1, x | x, Int_const 1 -> x
+  | a, b -> And (a, b)
 
 let rec eval_int env (e : Expr.t) : int option =
   let ( let* ) = Option.bind in

@@ -1,9 +1,10 @@
 (** Algebraic simplification and static evaluation of TIR expressions.
 
     The simplifier performs constant folding and the standard identity
-    rewrites (x+0, x*1, x*0, min/max folding, boolean short-circuits);
-    it is used both as a cleanup after substitution-heavy lowering and
-    as the engine behind the loop-bound-tightening pass. *)
+    rewrites (x+0, x*1, x*0, min/max folding, boolean short-circuits).
+    Its smart constructors ({!binop}, {!cmp}, {!and_}) let the lowering
+    build simplified expressions directly; {!expr} is the engine behind
+    the loop-bound-tightening and DMA-elimination passes. *)
 
 val fold_binop : Expr.binop -> int -> int -> int
 (** Constant folding of one integer operation (floor semantics for
@@ -13,6 +14,16 @@ val expr : Expr.t -> Expr.t
 (** Bottom-up simplification.  Sound for the non-negative index ranges
     the lowering generates (division/modulo identities assume
     non-negative operands, as in TVM's index simplifier). *)
+
+val binop : Expr.binop -> Expr.t -> Expr.t -> Expr.t
+(** [binop op a b] is [expr (Binop (op, a, b))] for operands that
+    {!expr} returns unchanged, without walking them again. *)
+
+val cmp : Expr.cmp -> Expr.t -> Expr.t -> Expr.t
+(** [cmp op a b] is [expr (Cmp (op, a, b))], on the same terms. *)
+
+val and_ : Expr.t -> Expr.t -> Expr.t
+(** [and_ a b] is [expr (And (a, b))], on the same terms. *)
 
 val stmt : Stmt.t -> Stmt.t
 (** Simplify every embedded expression, prune [If]s with constant

@@ -466,9 +466,20 @@ let test_host_parallel_from_schedule () =
     ]
 
 (* Canonical-equal candidates with distinct parameters share one
-   prefix: one build, a hit per sharer, each costed on its own, and the
-   same results and ledger at any job count. *)
+   prefix: one build and one simulator run per tiling, a hit per
+   sharer, one measurement charged per key, and the same results and
+   ledger at any job count. *)
 let test_batch_canonical_shares () =
+  let module Obs = Imtp_obs.Obs in
+  (* simulator runs: observations of the cost stage's histogram. *)
+  let cost_runs () =
+    List.fold_left
+      (fun acc -> function
+        | Obs.Histogram (n, h) when String.equal n "engine.stage.cost_s" ->
+            h.Obs.count
+        | Obs.Span _ | Obs.Counter _ | Obs.Gauge _ | Obs.Histogram _ -> acc)
+      0 (Obs.metrics ())
+  in
   let op = Ops.mtv 64 128 in
   (* 4 rows per DPU: tasklets 8 and 12 clamp to 4, and host_threads is
      unread without rfactor. *)
@@ -482,15 +493,21 @@ let test_batch_canonical_shares () =
       { small_params with Sk.tasklets = 8 };
     ]
   in
+  let runs0 = cost_runs () in
   let r1, c1, next1 = run_batch ~jobs:1 ~noise_seed:5 op candidates in
+  Alcotest.(check int) "one simulator run per tiling" 2 (cost_runs () - runs0);
   Alcotest.(check int) "two prefixes built" 2 c1.E.built;
   Alcotest.(check int) "two misses" 2 c1.E.misses;
   Alcotest.(check int) "three shared" 3 c1.E.shared;
   Alcotest.(check int) "shares and the duplicate are hits" 4 c1.E.hits;
-  Alcotest.(check int) "one cost stage per key" 5 c1.E.costed;
+  Alcotest.(check int) "one measurement per key" 5 c1.E.costed;
   List.iter
     (fun jobs ->
+      let runs0 = cost_runs () in
       let r, c, next = run_batch ~jobs ~noise_seed:5 op candidates in
+      Alcotest.(check int)
+        (Printf.sprintf "jobs:%d one simulator run per tiling" jobs)
+        2 (cost_runs () - runs0);
       Alcotest.(check bool)
         (Printf.sprintf "jobs:%d results equal jobs:1" jobs)
         true

@@ -249,6 +249,41 @@ let prop_exec_equiv_eval =
                   same_outcome (Pl.run ~config cfg raw) ~inputs)
                 (Oracle.configs case)))
 
+(* --- simplified lowering ------------------------------------------------ *)
+
+(* [s] with every guard whose condition is a constant replaced by the
+   branch it takes, sequences re-flattened. *)
+let drop_constant_guards s =
+  St.rewrite_bottom_up
+    (function
+      | St.If { cond = Imtp_tir.Expr.Int_const n; then_; else_ } ->
+          if n <> 0 then then_ else Option.value else_ ~default:St.Nop
+      | St.Seq ss -> St.seq ss
+      | s -> s)
+    s
+
+(* The lowering emits simplified TIR in one pass: [Simplify.stmt] finds
+   nothing to fold, no unit serial or empty loop to remove, and no
+   guard to prune but those whose condition became a constant only by
+   binding an extent-1 loop's index to 0 (kept as the simplifier
+   applied after the old two-pass lowering left them). *)
+let prop_lowering_simplified =
+  QCheck2.Test.make ~name:"lowered TIR is a fixed point of Simplify.stmt"
+    ~count:300
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 40))
+    (fun (seed, index) ->
+      match Fz.case_of_seed ~seed ~index with
+      | None -> true
+      | Some case -> (
+          match Oracle.lower case with
+          | Error _ -> true
+          | Ok prog ->
+              List.for_all
+                (fun body ->
+                  Imtp_tir.Simplify.stmt body = drop_constant_guards body)
+                (prog.P.host
+                :: List.map (fun (k : P.kernel) -> k.P.body) prog.P.kernels)))
+
 (* --- shrinker ---------------------------------------------------------- *)
 
 let test_shrinker_minimizes () =
@@ -382,6 +417,7 @@ let () =
         ] );
       ( "executor",
         [ QCheck_alcotest.to_alcotest prop_exec_equiv_eval ] );
+      ("lowering", [ QCheck_alcotest.to_alcotest prop_lowering_simplified ]);
       ( "shrinker",
         [
           Alcotest.test_case "minimizes" `Quick test_shrinker_minimizes;
