@@ -6,7 +6,7 @@ type entry = {
   measured : bool;
   predicted_s : float option;
 }
-type header = { op_name : string; islands : int }
+type header = { op_name : string }
 
 (* Log lines are rendered into one [Buffer], ints by a digit loop and
    floats through a single [%.9e] conversion each: a digest of a whole
@@ -189,15 +189,10 @@ let load path =
           (String.split_on_char ' ' (String.trim header_line))
       in
       let op_name = Option.value ~default:"" (List.assoc_opt "op" kvs) in
-      let islands =
-        match Option.bind (List.assoc_opt "islands" kvs) int_of_string_opt with
-        | Some k when k >= 1 -> k
-        | Some _ | None -> 1
-      in
       if op_name = "" then Error "missing or malformed header"
       else
         let rec entries acc = function
-          | [] -> Ok ({ op_name; islands }, List.rev acc)
+          | [] -> Ok ({ op_name }, List.rev acc)
           | line :: rest when String.trim line = "" -> entries acc rest
           | line :: rest -> (
               match entry_of_string line with

@@ -22,13 +22,10 @@ type entry = {
 }
 (** One recorded trial, as serialized to a log line. *)
 
-type header = {
-  op_name : string;  (** operation the log was recorded for. *)
-  islands : int;
-      (** island count of the run ([islands=] header key; 1 — and not
-          serialized — for single-island and pre-island logs). *)
-}
-(** Parsed log header (the leading [# imtp-tuning-log ...] line). *)
+type header = { op_name : string  (** operation the log was recorded for. *) }
+(** Parsed log header (the leading [# imtp-tuning-log ...] line).  Its
+    other keys are read by nobody: a session compares its whole header
+    line ({!open_session}). *)
 
 val params_to_string : Sketch.params -> string
 (** Compact one-line form, [k=v] pairs. *)

@@ -17,8 +17,8 @@
     invalid candidate is rejected without recompilation).
 
     The table holds one entry per key: the candidate's {!prepared}
-    prefix (or its error), its model features once extracted, and its
-    own cost outcome once simulated.  {!build}, {!measure} and
+    prefix (or its error), with the model features and the simulator's
+    outcome once computed, and the key's own measurement once taken.  {!build}, {!measure} and
     {!batch} are {!prepare} / {!prepare_batch} followed by the cost
     stage on the same entry.
 
@@ -32,14 +32,16 @@
     inputs and verify toggle, points at the prefix each entry holds.
     A new key whose canonical key is indexed files an entry on that
     prefix and builds nothing: it counts as a hit ([shared]), so
-    [misses = built + failed] prefixes.  Features go with the prefix;
-    the cost outcome stays with each entry, so [costed] counts one
-    simulator run per key, as without sharing.
+    [misses = built + failed] prefixes.  Features and the simulator's
+    outcome go with the prefix, so the cost stage runs once per tiling;
+    [costed] still counts one measurement per key measured, as
+    hardware would take one per candidate, so every counter and ledger
+    reads as without sharing.
 
-    A prefix build or a cost stage runs at most once: a requester that
-    finds one in flight on another domain waits for it instead of
-    repeating it, so [built] and [costed] do not depend on thread
-    timing.
+    A prefix build, a prefix's simulation or a key's measurement runs
+    at most once: a requester that finds one in flight on another
+    domain waits for it instead of repeating it, so [built] and
+    [costed] do not depend on thread timing.
 
     {2 Thread safety and parallel batches}
 
@@ -103,7 +105,7 @@ type counters = {
           entry on an existing prefix ([shared]). *)
   misses : int;
       (** lookups that filed an entry on a new prefix:
-          [misses = built + failed] minus failed cost stages. *)
+          [misses = built + failed] minus failed measurements. *)
   shared : int;
       (** the hits that filed a new entry on the prefix of a
           canonical-equal candidate: builds the prefix index saved. *)
@@ -113,11 +115,12 @@ type counters = {
   built : int;  (** prepared prefixes constructed. *)
   failed : int;
       (** typed errors constructed (and cached): failed prefixes and
-          cost stages. *)
+          measurements. *)
   costed : int;
-      (** simulator executions: runs of the cost stage, exactly one per
-          simulated entry.  Measurement gating is judged against this ledger — a
-          gated search must show the same best latency with far fewer
+      (** measurements: exactly one per measured entry, though entries
+          sharing a prefix share one run of the cost stage.
+          Measurement gating is judged against this ledger — a gated
+          search must show the same best latency with far fewer
           [costed]. *)
 }
 (** The engine's cache ledger.  Stage wall-clock times are not kept
@@ -127,12 +130,11 @@ type counters = {
 
 type ledger
 (** One caller's own share of {!counters}: the [hits] of the lookups
-    it made and the [costed] simulator runs its calls executed.  A
-    search passes one to every {!prepare}, {!prepare_batch} and
-    {!simulate} call, so runs sharing an engine (the daemon's
-    concurrent sessions) each count only their own work.  A run that
-    found a cost stage in flight for another caller waits for it and
-    charges nothing; alone on an engine, a caller's ledger equals the
+    it made and the [costed] measurements its calls took.  A search
+    passes one to every {!prepare}, {!prepare_batch} and {!simulate}
+    call, so runs sharing an engine (the daemon's concurrent sessions)
+    each count only their own work.  A run that found a measurement in
+    flight for another caller waits for it and charges nothing; alone on an engine, a caller's ledger equals the
     engine's [hits] and [costed] deltas.  Domain-safe. *)
 
 val ledger : unit -> ledger
@@ -243,8 +245,9 @@ val batch :
   Imtp_workload.Op.t ->
   Sketch.params list ->
   (Sketch.params * (measurement, error) result) list
-(** {!prepare_batch}, then the cost stage of every key the batch holds
-    that has none yet — once per key, in the first slot holding it, on
+(** {!prepare_batch}, then the measurement of every key the batch
+    holds that has none yet — once per key, in the first slot holding
+    it (the cost stage once per prefix), on
     the same pool dispatch (up to [jobs] domains, default
     {!Pool.default_jobs}; [~jobs:1] stays on the calling domain).
     Results keep candidate order and are bit-identical at any job
@@ -310,5 +313,6 @@ val simulate :
     cost outcome) and apply the measurement objective, with the same
     ±2 % noise semantics as {!measure}.  Not a lookup: the request was
     counted by the {!prepare} that produced [p].  Each uncached call is
-    one simulator execution, counted in [counters.costed]; concurrent
-    calls on one entry run it once. *)
+    one measurement, counted in [counters.costed], whose simulator run
+    is shared with the entries of [p]'s prefix; concurrent calls on one
+    entry take it once. *)

@@ -81,6 +81,7 @@ type axis_info = {
   aname : string;
   reduction : bool;
   segs : S.loop list;  (* outermost (largest stride) first. *)
+  block_segs : S.loop list;  (* the DPU-bound ones among [segs]. *)
   extent : int;
   misaligned : bool;  (* the segments over-cover the extent. *)
   mram_ext : int;  (* product of the non-block segment extents. *)
@@ -94,8 +95,11 @@ type ctx = {
   positions : int array;  (* loop position by [lid]; -1 when absent. *)
   kvars : V.t array;  (* kernel loop variable by [lid]. *)
   kidx : E.t array;  (* kernel loop index by [lid] (see [index]). *)
-  hvars : V.t array;  (* host loop variable by [lid]. *)
+  hvars : V.t array;  (* host loop variable of a DPU-bound loop, by [lid]. *)
   loop_axis : axis_info array;  (* a loop's axis, by [lid]. *)
+  caches_at : S.cache list array;  (* the caches placed at a loop, by [lid]. *)
+  blocks : S.loop list;  (* the DPU-bound loops, outermost first. *)
+  block_strides : int list;  (* their row-major strides in the grid. *)
   axes : axis_info list;  (* in the op's axis order. *)
   tensors : (string * axis_info list) list;  (* output, then inputs. *)
 }
@@ -115,8 +119,8 @@ let deeper_segs ctx loc a =
   let p = pos ctx loc in
   List.filter (fun l -> pos ctx l > p) a.segs
 
-let cache_ext ctx loc a =
-  List.fold_left (fun acc (l : S.loop) -> acc * l.S.extent) 1 (deeper_segs ctx loc a)
+let extent_product = List.fold_left (fun acc (l : S.loop) -> acc * l.S.extent) 1
+let cache_ext ctx loc a = extent_product (deeper_segs ctx loc a)
 
 let kidx ctx (l : S.loop) = ctx.kidx.(l.S.lid)
 let hvar ctx (l : S.loop) = ctx.hvars.(l.S.lid)
@@ -321,19 +325,19 @@ let cache_dma ?wname ctx (dir : St.dma_dir) t loc =
   let wstrides = strides_of cexts and mstrides = strides_of mexts in
   let p = pos ctx loc in
   let not_deeper a = List.filter (fun l -> pos ctx l <= p) a.segs in
-  let fixed_local a =
-    seg_sum (kidx ctx)
-      (List.filter (fun l -> not (S.is_block l)) (not_deeper a))
-  in
   let fixed_global a = seg_sum (kidx ctx) (not_deeper a) in
   let wram_off =
     List.fold_left2 (fun acc ri ws -> acc +: (ri *: ei ws)) (ei 0) ridx wstrides
   in
   let mram_off =
-    let terms = List.combine dims (List.combine ridx mstrides) in
-    List.fold_left
-      (fun acc (a, (ri, ms)) -> acc +: ((fixed_local a +: ri) *: ei ms))
-      (ei 0) terms
+    List.fold_left2
+      (fun acc (a, ri) ms ->
+        let fixed_local =
+          seg_sum (kidx ctx)
+            (List.filter (fun l -> (not (S.is_block l)) && pos ctx l <= p) a.segs)
+        in
+        acc +: ((fixed_local +: ri) *: ei ms))
+      (ei 0) (List.combine dims ridx) mstrides
   in
   let guards =
     List.map
@@ -354,14 +358,12 @@ let cache_dma ?wname ctx (dir : St.dma_dir) t loc =
   List.fold_right2 loop rvars cexts (guard guards dma)
 
 let wram_index ctx t =
-  let c = cache_of ctx t in
-  let loc = cache_loc c in
-  let dims = tensor_dims ctx t in
-  let cexts = List.map (cache_ext ctx loc) dims in
-  let wstrides = strides_of cexts in
+  let loc = cache_loc (cache_of ctx t) in
+  let covered = List.map (deeper_segs ctx loc) (tensor_dims ctx t) in
+  let cexts = List.map extent_product covered in
   List.fold_left2
-    (fun acc a ws -> acc +: (seg_sum (kidx ctx) (deeper_segs ctx loc a) *: ei ws))
-    (ei 0) dims wstrides
+    (fun acc segs ws -> acc +: (seg_sum (kidx ctx) segs *: ei ws))
+    (ei 0) covered (strides_of cexts)
 
 let bin_to_e = function
   | Op.Add -> E.Add
@@ -467,48 +469,45 @@ let init_write_cache ctx (buf : B.t) =
 
 (* Wrap [inner] with the caches located at loop [l]. *)
 let wrap_caches ctx (l : S.loop) inner =
-  let here =
-    List.filter
-      (fun (c : S.cache) ->
-        match c.S.at with Some loc -> loc.S.lid = l.S.lid | None -> false)
-      (S.caches ctx.sched)
-  in
-  let reads = List.filter (fun (c : S.cache) -> c.S.rw = S.Read) here in
-  let writes = List.filter (fun (c : S.cache) -> c.S.rw = S.Write) here in
-  (* Epilogue machinery attaches to the write-cache site: stage each
-     epilogue-referenced input into its own WRAM tile, apply the
-     epilogue in place, then let the regular flush DMA run. *)
-  let epi =
-    if epi_in_kernel ctx && writes <> [] then ctx.op.Op.epilogue else None
-  in
-  let epi_reads = match epi with Some _ -> Op.epilogue_refs ctx.op | None -> [] in
-  let body =
-    St.seq
-      (List.map (fun (c : S.cache) -> cache_dma ctx St.Mram_to_wram c.S.tensor l) reads
-      @ List.concat_map
-          (fun (c : S.cache) ->
-            [ init_write_cache ctx (wram_buffer ctx c.S.tensor l) ])
-          writes
-      @ List.map
-          (fun t -> cache_dma ~wname:(epi_wram_name t) ctx St.Mram_to_wram t l)
-          epi_reads
-      @ [ inner ]
-      @ (match epi with
-        | Some e -> [ epilogue_kernel_stmt ctx e l ]
-        | None -> [])
-      @ List.map
-          (fun (c : S.cache) -> cache_dma ctx St.Wram_to_mram c.S.tensor l)
-          writes)
-  in
-  let body =
-    List.fold_right
-      (fun t acc ->
-        St.Alloc { buffer = wram_buffer ~wname:(epi_wram_name t) ctx t l; body = acc })
-      epi_reads body
-  in
-  List.fold_right
-    (fun (c : S.cache) acc -> St.Alloc { buffer = wram_buffer ctx c.S.tensor l; body = acc })
-    here body
+  match ctx.caches_at.(l.S.lid) with
+  | [] -> inner
+  | here ->
+      let reads = List.filter (fun (c : S.cache) -> c.S.rw = S.Read) here in
+      let writes = List.filter (fun (c : S.cache) -> c.S.rw = S.Write) here in
+      (* Epilogue machinery attaches to the write-cache site: stage each
+         epilogue-referenced input into its own WRAM tile, apply the
+         epilogue in place, then let the regular flush DMA run. *)
+      let epi =
+        if epi_in_kernel ctx && writes <> [] then ctx.op.Op.epilogue else None
+      in
+      let epi_reads = match epi with Some _ -> Op.epilogue_refs ctx.op | None -> [] in
+      let body =
+        St.seq
+          (List.map (fun (c : S.cache) -> cache_dma ctx St.Mram_to_wram c.S.tensor l) reads
+          @ List.concat_map
+              (fun (c : S.cache) ->
+                [ init_write_cache ctx (wram_buffer ctx c.S.tensor l) ])
+              writes
+          @ List.map
+              (fun t -> cache_dma ~wname:(epi_wram_name t) ctx St.Mram_to_wram t l)
+              epi_reads
+          @ [ inner ]
+          @ (match epi with
+            | Some e -> [ epilogue_kernel_stmt ctx e l ]
+            | None -> [])
+          @ List.map
+              (fun (c : S.cache) -> cache_dma ctx St.Wram_to_mram c.S.tensor l)
+              writes)
+      in
+      let body =
+        List.fold_right
+          (fun t acc ->
+            St.Alloc { buffer = wram_buffer ~wname:(epi_wram_name t) ctx t l; body = acc })
+          epi_reads body
+      in
+      List.fold_right
+        (fun (c : S.cache) acc -> St.Alloc { buffer = wram_buffer ctx c.S.tensor l; body = acc })
+        here body
 
 let stmt_kind_of (l : S.loop) : St.loop_kind =
   match l.S.annot with
@@ -547,14 +546,7 @@ let emit_thread_reduction ctx (thr : S.loop) rest =
      its own MRAM slice before accumulating.  (The write cache at this
      loop is the hand-built partial slot above, not a generic cache.) *)
   let reads_at_thr =
-    List.filter
-      (fun (c : S.cache) ->
-        c.S.rw = S.Read
-        &&
-        match c.S.at with
-        | Some loc -> loc.S.lid = thr.S.lid
-        | None -> false)
-      (S.caches ctx.sched)
+    List.filter (fun (c : S.cache) -> c.S.rw = S.Read) ctx.caches_at.(thr.S.lid)
   in
   let with_reads body =
     List.fold_right
@@ -640,18 +632,14 @@ let emit_kernel ctx : P.kernel =
 
 (* --- host transfers ---------------------------------------------------- *)
 
-let block_loops ctx = S.block_loops ctx.sched
-
 (* The flat DPU id of the current grid point, [idx] giving each block
    loop's index. *)
 let dpu_expr ctx idx =
-  let blocks = block_loops ctx in
-  let exts = List.map (fun (l : S.loop) -> l.S.extent) blocks in
   List.fold_left2
     (fun acc (l : S.loop) st -> acc +: (idx l *: ei st))
-    (ei 0) blocks (strides_of exts)
+    (ei 0) ctx.blocks ctx.block_strides
 
-let blockfix idx a = seg_sum idx (List.filter S.is_block a.segs)
+let blockfix idx a = seg_sum idx a.block_segs
 
 (* The index of host loop [l] run serially (see [index]). *)
 let host_index ctx ?kind (l : S.loop) = index ?kind (hvar ctx l) l.S.extent
@@ -663,8 +651,7 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
   let mexts = List.map (fun a -> a.mram_ext) dims in
   let hexts = List.map (fun a -> a.extent) dims in
   let mstrides = strides_of mexts and hstrides = strides_of hexts in
-  let has_block = List.exists (fun a -> List.exists S.is_block a.segs) dims in
-  let grid = S.grid_dpus ctx.sched in
+  let has_block = List.exists (fun a -> a.block_segs <> []) dims in
   let hidx = host_index ctx in
   let mode : St.xfer_mode =
     if not ctx.opts.parallel_transfer then St.Copy
@@ -728,7 +715,7 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
       else begin
         let start = blockfix hidx a in
         ( Simp.binop E.Min (ei me) (ei a.extent -: start) *: ei tail,
-          if List.exists S.is_block a.segs then [ start <: ei a.extent ] else [] )
+          if a.block_segs <> [] then [ start <: ei a.extent ] else [] )
       end
     end
   in
@@ -764,7 +751,7 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
         mram = mram_name t;
         mram_off;
         elems;
-        group_dpus = grid;
+        group_dpus = S.grid_dpus ctx.sched;
       }
   in
   (* Per-loop-dim validity guards (skip for partial gather: tiles are
@@ -787,7 +774,7 @@ let tensor_xfer ctx (dir : St.xfer_dir) t ~into_partial =
   | St.Copy | St.Push ->
       List.fold_right
         (fun (l : S.loop) body -> loop (hvar ctx l) l.S.extent body)
-        (block_loops ctx) rows
+        ctx.blocks rows
 
 (* --- host reduction ----------------------------------------------------- *)
 
@@ -814,7 +801,7 @@ let final_reduction ctx =
       let qvars = List.map (fun a -> V.fresh ("q" ^ a.aname)) out_dims in
       let qidx = List.map2 index qvars mexts in
       let spatial_blocks =
-        List.filter (fun (l : S.loop) -> l.S.lid <> rf.S.lid) (block_loops ctx)
+        List.filter (fun (l : S.loop) -> l.S.lid <> rf.S.lid) ctx.blocks
       in
       (* The outermost spatial-block loop runs on [host_par_threads]
          threads when requested; every other host loop is serial. *)
@@ -914,20 +901,22 @@ let lower ?(options = default_options) sched =
       let v = V.fresh l.S.lname in
       kvars.(l.S.lid) <- v;
       kidx.(l.S.lid) <- index ~kind:(stmt_kind_of l) v l.S.extent;
-      hvars.(l.S.lid) <- V.fresh ("h_" ^ l.S.lname))
+      (* Host code loops over the DPU grid only. *)
+      if S.is_block l then hvars.(l.S.lid) <- V.fresh ("h_" ^ l.S.lname))
     order;
-  let product = List.fold_left (fun acc (l : S.loop) -> acc * l.S.extent) 1 in
   let axes =
     List.map
       (fun (a : Op.axis) ->
         let segs = S.loops_of_axis sched a.Op.aname in
+        let block_segs, local_segs = List.partition S.is_block segs in
         {
           aname = a.Op.aname;
           reduction = a.Op.kind = Op.Reduction;
           segs;
+          block_segs;
           extent = a.Op.extent;
-          misaligned = product segs > a.Op.extent;
-          mram_ext = product (List.filter (fun l -> not (S.is_block l)) segs);
+          misaligned = extent_product segs > a.Op.extent;
+          mram_ext = extent_product local_segs;
           deepest =
             List.fold_left (fun acc (l : S.loop) -> max acc positions.(l.S.lid)) (-1) segs;
         })
@@ -935,6 +924,14 @@ let lower ?(options = default_options) sched =
   in
   let loop_axis = Array.make n (List.hd axes) in
   List.iter (fun a -> List.iter (fun (l : S.loop) -> loop_axis.(l.S.lid) <- a) a.segs) axes;
+  let caches_at = Array.make n [] in
+  List.iter
+    (fun (c : S.cache) ->
+      match c.S.at with
+      | Some l when l.S.lid < n -> caches_at.(l.S.lid) <- caches_at.(l.S.lid) @ [ c ]
+      | Some _ | None -> ())
+    (S.caches sched);
+  let blocks = S.block_loops sched in
   let dims_of names =
     List.map (fun d -> List.find (fun a -> String.equal a.aname d) axes) names
   in
@@ -948,6 +945,9 @@ let lower ?(options = default_options) sched =
       kidx;
       hvars;
       loop_axis;
+      caches_at;
+      blocks;
+      block_strides = strides_of (List.map (fun (l : S.loop) -> l.S.extent) blocks);
       axes;
       tensors =
         List.map (fun (t, names) -> (t, dims_of names)) (op.Op.output :: op.Op.inputs);

@@ -15,6 +15,10 @@
       host buffer and a (optionally multi-threaded) host final
       reduction loop.
 
+    The program is emitted simplified, in one pass: every expression
+    is what {!Imtp_tir.Simplify.expr} returns for it, and no serial
+    loop of extent 1 or below remains.
+
     The generated kernel is the {e unoptimized} form: cache movement is
     per-element guarded DMA.  The PIM-aware passes of {!Imtp_passes}
     then eliminate the boundary checks and vectorize the DMA — keeping

@@ -66,20 +66,16 @@ let iram_footprint_bytes k =
 
 let validate t =
   let ( let* ) = Result.bind in
-  let names = Hashtbl.create 16 in
-  let* () =
-    List.fold_left
-      (fun acc (b : Buffer.t) ->
-        let* () = acc in
-        if Hashtbl.mem names b.name then
+  (* A program holds a handful of buffers: scanning the names before
+     each one is cheaper than hashing them. *)
+  let rec unique seen = function
+    | [] -> Ok ()
+    | (b : Buffer.t) :: rest ->
+        if List.exists (String.equal b.name) seen then
           Error (Printf.sprintf "duplicate buffer name %s" b.name)
-        else begin
-          Hashtbl.add names b.name ();
-          Ok ()
-        end)
-      (Ok ())
-      (t.host_buffers @ t.mram_buffers)
+        else unique (b.name :: seen) rest
   in
+  let* () = unique [] (t.host_buffers @ t.mram_buffers) in
   let* () =
     (* Host statement restrictions. *)
     let bad = ref None in

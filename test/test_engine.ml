@@ -905,11 +905,11 @@ let alloc_budgets =
         cache_elems = 64;
         host_threads = 4;
       },
-      11437. );
+      8070. );
     ( "va 1000003",
       Ops.va 1000003,
       { Sk.default_params with Sk.spatial_dpus = 256; tasklets = 16; cache_elems = 256 },
-      9629. );
+      6243. );
   ]
 
 let build_words op params =

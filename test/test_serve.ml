@@ -445,7 +445,9 @@ let test_concurrent_clients_share_cache () =
 
 (* max_sessions = 1 and queue_limit = 1: with a slot holder and one
    queued waiter, a third tune must bounce with [Busy]; so must a
-   duplicate of a running session name. *)
+   duplicate of a running session name.  The holder is sized like
+   "FIFO admission"'s (about a second on a cold engine) so that it
+   outlasts the stats polls and connections made while it runs. *)
 let test_admission_backpressure () =
   with_daemon
     ~config:(fun c -> { c with Serve.max_sessions = 1; queue_limit = 1 })
@@ -460,7 +462,7 @@ let test_admission_backpressure () =
           (fun () ->
             slow :=
               Client.with_connection ~socket
-                (quick_tune ~trials:4000 ~session:"holder"))
+                (quick_tune ~trials:400_000 ~session:"holder"))
           ()
       in
       wait_for "holder to take the slot" (fun () ->
