@@ -7,7 +7,7 @@ FUZZ_CASES ?= 10000
 # failures at any job count — so -j only changes wall-clock time.
 JOBS ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: all test check doc bench serve-smoke fuzz clean
+.PHONY: all test check doc bench bench-pairs serve-smoke fuzz clean
 
 all:
 	dune build @all
@@ -53,6 +53,18 @@ bench:
 	  dune exec bench/suite/suite.exe -- --workload $$w --seed 2025 \
 	    --seconds 15 --trace 0 --out bench-runs.jsonl || exit 1; \
 	done
+
+# Paired runs of one workload, a parent revision against HEAD, both
+# built from their committed files (bench/pairs.sh): each side's
+# median and quartiles of METRIC and HEAD's win count.
+PAIRS_REV ?= HEAD~1
+PAIRS ?= 10
+PAIRS_WORKLOAD ?= paper_ops
+PAIRS_SEED ?= 2025
+PAIRS_METRIC ?= tune_s
+bench-pairs:
+	bench/pairs.sh -p $(PAIRS_REV) -n $(PAIRS) -w $(PAIRS_WORKLOAD) \
+	  -s $(PAIRS_SEED) -m $(PAIRS_METRIC)
 
 # Long fuzzing campaign with a date-derived seed (override with
 # FUZZ_SEED=n / FUZZ_CASES=n / JOBS=n).  The seed is printed first so
