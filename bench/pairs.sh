@@ -2,7 +2,7 @@
 # Paired benchmark runs: a parent revision against HEAD.
 #
 #   bench/pairs.sh [-p REV] [-n PAIRS] [-w WORKLOAD] [-s SEED]
-#                  [-t SECONDS] [-m METRIC] [-b lower|higher]
+#                  [-t SECONDS] [-m METRIC]
 #
 # Builds bench/suite/suite.exe from the committed files of REV
 # (default HEAD~1) and of HEAD, each in its own temporary directory,
@@ -10,13 +10,13 @@
 #   suite.exe --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0
 # alternating which side runs first.  METRIC (default tune_s) is read
 # from the suite's "name value unit" lines.  Prints every pair, each
-# side's median and quartiles, and how many pairs HEAD won (a lower
-# value wins unless -b higher).  Uncommitted changes are not measured.
+# side's median and quartiles, and how many pairs HEAD won with a
+# lower value.  Uncommitted changes are not measured.
 set -eu
 
 rev=HEAD~1 pairs=10 workload=paper_ops seed=2025 seconds=15
-metric=tune_s better=lower
-while getopts p:n:w:s:t:m:b: opt; do
+metric=tune_s
+while getopts p:n:w:s:t:m: opt; do
   case $opt in
     p) rev=$OPTARG ;;
     n) pairs=$OPTARG ;;
@@ -24,7 +24,6 @@ while getopts p:n:w:s:t:m:b: opt; do
     s) seed=$OPTARG ;;
     t) seconds=$OPTARG ;;
     m) metric=$OPTARG ;;
-    b) better=$OPTARG ;;
     *) sed -n '2,15p' "$0" >&2; exit 2 ;;
   esac
 done
@@ -77,6 +76,6 @@ summary() {
 echo "$workload $metric, seed $seed, ${seconds}s runs:"
 cut -d' ' -f1 "$tmp/values" | summary parent
 cut -d' ' -f2 "$tmp/values" | summary head
-awk -v b="$better" '
-  { if ((b == "lower" && $2 < $1) || (b == "higher" && $2 > $1)) w++ }
+awk '
+  { if ($2 < $1) w++ }
   END { printf "head wins %d of %d pairs\n", w, NR }' "$tmp/values"

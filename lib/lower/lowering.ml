@@ -48,8 +48,8 @@ let kernel_name = "main_kernel"
 
 (* --- statement emission ------------------------------------------------ *)
 
-(* Loops and guards are emitted the way [Simplify.stmt] would leave
-   them.  A serial loop of extent 1 emits no loop: its body is built
+(* Loops and guards are emitted the way the simplifier's statement
+   walk would leave them.  A serial loop of extent 1 emits no loop: its body is built
    with the index bound to 0 ([index]) and stands in its place, and a
    loop of non-positive extent emits nothing. *)
 let unit_loop (kind : St.loop_kind) extent =
@@ -65,12 +65,11 @@ let loop ?(kind = St.Serial) var extent body =
   else if unit_loop kind extent then body
   else St.For { var; extent = ei extent; kind; body }
 
-(* [body] under the conjunction of [conds].  Every condition passed
-   here reads a loop index, so the guard is emitted even when binding
-   extent-1 loop indices to 0 folds it to a constant: such a guard
-   was never pruned by the simplifier applied after lowering, which
-   substituted those indices only once the guard was built, and the
-   lowered programs stay the ones it produced. *)
+(* [body] under the conjunction of [conds], each of which reads a
+   loop index.  The guard is an [If] even when binding extent-1 loop
+   indices to 0 folds it to a constant: only a condition that reads no
+   loop index is decided here (by not passing it), which keeps every
+   lowered program the one test/golden_lowering.txt pins. *)
 let guard conds body =
   match conds with
   | [] -> body
@@ -160,7 +159,6 @@ let var_of_dim dims vars a =
     | _, _ -> assert false
   in
   go dims vars
-
 
 (* --- structural checks ------------------------------------------------ *)
 
